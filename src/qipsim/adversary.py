@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PRUNE_TOL, norm_sq
+from .linalg import norm_sq
 from .provers import (ClassicalProverTable, DenseProver, IdentityProver,
-                      TableProver, make_classical_prover)
+                      TableProver, complete_permutation, make_classical_prover)
 from .qfa import BLANK
-from .runtime import QipSystem, default_t_max, run
+from .runtime import QipSystem, _apply_verifier, _measure, default_t_max, run
 
 
 class BudgetError(RuntimeError):
@@ -77,26 +77,21 @@ class _ClassicalSearch:
     # -- engine pieces over labels (q, k, gamma, m) --
 
     def _verifier_round(self, state):
-        from .qfa import symbol_at
-        out: dict = {}
-        delta = self.spec.delta
-        for (q, k, g, m), amp in state.items():
-            for (q2, g2, d, a) in delta[(q, symbol_at(self.x, k), g)]:
-                lbl = (q2, (k + d) % self.width, g2, m)
-                v = out.get(lbl)
-                out[lbl] = amp * a if v is None else v + amp * a
-        acc = 0.0
-        cont: dict = {}
-        for lbl, amp in out.items():
-            if abs(amp) < PRUNE_TOL:
-                continue
-            q = lbl[0]
-            if self.spec.is_halting(q):
-                if self.spec.is_accepting(q):
-                    acc += abs(amp) ** 2
-            else:
-                cont[lbl] = amp
+        """Accepting mass and non-halting part after one verifier move."""
+        acc, _rej, cont = _measure(
+            self.spec, _apply_verifier(self.spec, self.x, state, self.width))
         return acc, cont
+
+    @staticmethod
+    def _apply_table(state, mapped):
+        """The prover move that sends each (gamma, memory) pair as ``mapped``."""
+        moved: dict = {}
+        for (q, k, g, m), amp in state.items():
+            g2, m2 = mapped[(g, m)]
+            lbl = (q, k, g2, m2)
+            v = moved.get(lbl)
+            moved[lbl] = amp if v is None else v + amp
+        return moved
 
     def _tail_value(self, state, r) -> float:
         """Identity prover from round r on (past the table budget).
@@ -158,14 +153,8 @@ class _ClassicalSearch:
         best = 0.0
         seen: set = set()
         for combo in self._assignments(pairs):
-            mapped = dict(zip(pairs, combo))
-            moved = {}
-            for (q, k, g, m), amp in state.items():
-                g2, m2 = mapped[(g, m)]
-                lbl = (q, k, g2, m2)
-                v = moved.get(lbl)
-                moved[lbl] = amp if v is None else v + amp
-            acc, cont = self._verifier_round(moved)
+            acc, cont = self._verifier_round(
+                self._apply_table(state, dict(zip(pairs, combo))))
             ckey = self._canonical(cont)
             skey = (round(acc, 12), ckey)
             if skey in seen:
@@ -199,12 +188,7 @@ class _ClassicalSearch:
             best_val, best_combo, best_cont = -1.0, None, None
             for combo in self._assignments(pairs):
                 mapped = dict(zip(pairs, combo))
-                moved = {}
-                for (q, k, g, m), amp in state.items():
-                    g2, m2 = mapped[(g, m)]
-                    lbl = (q, k, g2, m2)
-                    moved[lbl] = moved.get(lbl, 0j) + amp
-                acc, cont = self._verifier_round(moved)
+                acc, cont = self._verifier_round(self._apply_table(state, mapped))
                 val = acc + self._value(cont, r + 1)
                 if val > best_val + 1e-12:
                     best_val, best_combo, best_cont = val, mapped, cont
@@ -260,39 +244,21 @@ def _givens(dim, i, j, theta, phi):
 
 
 def _table_to_dense(table: ClassicalProverTable, comm, tape, c, rounds) -> DenseProver:
-    base = len(tape)
     mem_labels = sorted({table.initial_memory}
                         | {m for (_i, _g, m) in table.entries}
                         | {m2 for (_g2, m2) in table.entries.values()})
-    if len(mem_labels) > base ** c:
+    if len(mem_labels) > len(tape) ** c:
         raise BudgetError(f"{len(mem_labels)} memory states do not fit in {c} tape cells")
-
-    def enc(m):
-        v = mem_labels.index(m)
-        digits = []
-        for _ in range(c):
-            digits.append(tape[v % base])
-            v //= base
-        return tuple(reversed(digits))
-
     probe = DenseProver(comm, tape, c, [])
-    dim = probe.dim
+
+    def index(g, m):
+        return probe._index(g, probe.tape_word(mem_labels.index(m)))
+
     matrices = []
     for r in range(1, rounds + 1):
-        pairs = [(g, m) for g in comm for m in mem_labels]
-        mapping = {}
-        for (g, m) in pairs:
-            g2, m2 = table.entries.get((r, g, m), (g, m))
-            mapping[probe._index(g, enc(m))] = probe._index(g2, enc(m2))
-        perm = np.zeros((dim, dim), dtype=complex)
-        used_dst = set(mapping.values())
-        free_dst = [i for i in range(dim) if i not in used_dst]
-        for src in range(dim):
-            if src in mapping:
-                perm[mapping[src], src] = 1.0
-            else:
-                perm[free_dst.pop(0), src] = 1.0
-        matrices.append(perm)
+        mapping = {index(g, m): index(*table.entries.get((r, g, m), (g, m)))
+                   for g in comm for m in mem_labels}
+        matrices.append(complete_permutation(mapping, probe.dim))
     return DenseProver(comm, tape, c, matrices)
 
 

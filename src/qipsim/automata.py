@@ -143,9 +143,6 @@ class Npfa:
     def states(self):
         return self.prob_states + self.nondet_states + self.accepting + self.rejecting
 
-    def is_halting(self, q: str) -> bool:
-        return q in self.accepting or q in self.rejecting
-
     def tape(self, x: str) -> tuple[str, ...]:
         return (LEFT_END,) + tuple(x) + (RIGHT_END,)
 
@@ -153,46 +150,22 @@ class Npfa:
 def npfa_value(npfa: Npfa, x: str, horizon: int) -> float:
     """Optimal acceptance probability of the npfa on x within the horizon.
 
-    Finite-horizon dynamic programming over (state, head position): coins
-    average, nondeterministic states maximize.  Mass still running at the
-    horizon counts as non-accepting, so this is exact once every optimal play
-    halts inside the horizon.
+    Coins average, nondeterministic states maximize.  Mass still running at
+    the horizon counts as non-accepting, so this is exact once every optimal
+    play halts inside the horizon.  The first of `npfa_policy`'s backups only
+    marks the halting states, hence its horizon is one longer.
     """
-    tape = npfa.tape(x)
-    width = len(tape)
-    values: dict[tuple[str, int], float] = {}
-    for t in range(horizon, -1, -1):
-        nxt: dict[tuple[str, int], float] = {}
-        for q in npfa.states:
-            for k in range(width):
-                if q in npfa.accepting:
-                    nxt[(q, k)] = 1.0
-                    continue
-                if q in npfa.rejecting:
-                    nxt[(q, k)] = 0.0
-                    continue
-                if t == horizon:
-                    nxt[(q, k)] = 0.0
-                    continue
-                choices = npfa.delta.get((q, tape[k]))
-                if not choices:
-                    nxt[(q, k)] = 0.0
-                    continue
-                succ = [values[(s, (k + d) % width)] for (s, d) in choices]
-                if q in npfa.prob_states:
-                    nxt[(q, k)] = 0.5 * (succ[0] + succ[1])
-                else:
-                    nxt[(q, k)] = max(succ)
-        values = nxt
-    return values[(npfa.initial, 0)]
+    return npfa_policy(npfa, x, horizon + 1)[1][(npfa.initial, 0)]
 
 
 def npfa_policy(npfa: Npfa, x: str, horizon: int):
-    """Stationary choice policy extracted from the same finite-horizon DP.
+    """Finite-horizon dynamic programming over (state, head position).
 
-    Returns (policy, values): for each nondeterministic (state, position) the
-    value-maximizing (state, direction) with lexicographic tie-breaking, plus
-    the value table itself.
+    ``horizon`` backups from an all-zero table: accepting states are worth 1,
+    coins average, nondeterministic states maximize.  Returns (policy,
+    values): for each nondeterministic (state, position) the value-maximizing
+    (state, direction) with lexicographic tie-breaking, plus the value table
+    itself.
     """
     tape = npfa.tape(x)
     width = len(tape)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import Dfa, Npfa, Rfa, npfa_value
+from .automata import Dfa, Npfa, npfa_value
 from .qfa import AlphabetError
 
 
@@ -73,11 +73,6 @@ def _regular_pred(lid: LanguageId):
     return dfa.accepts
 
 
-def _rfa_pred(lid: LanguageId):
-    rfa: Rfa = lid.automaton
-    return lambda x: rfa.accepts(x) is True
-
-
 def _npfa_pred(lid: LanguageId):
     npfa: Npfa = lid.automaton
 
@@ -102,7 +97,6 @@ _PREDICATES = {
     "ODD": lambda _l: odd,
     "LA": lambda _l: la,
     "REGULAR": _regular_pred,
-    "RFA": _rfa_pred,
     "NPFA": _npfa_pred,
     "UNION": _union_pred,
 }
@@ -125,10 +119,6 @@ LA = LanguageId("LA")
 
 def regular(dfa: Dfa) -> LanguageId:
     return LanguageId("REGULAR", automaton=dfa)
-
-
-def rfa_language(rfa: Rfa) -> LanguageId:
-    return LanguageId("RFA", automaton=rfa)
 
 
 def npfa_language(npfa: Npfa) -> LanguageId:

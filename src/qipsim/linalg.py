@@ -120,11 +120,6 @@ def prune(vec: dict, threshold: float = PRUNE_TOL) -> dict:
     return {k: a for k, a in vec.items() if abs(a) >= threshold}
 
 
-def canonical_items(vec: dict):
-    """Entries in deterministic label order, for reproducible serialization."""
-    return sorted(vec.items(), key=lambda kv: repr(kv[0]))
-
-
 def check_amplitude(a: complex, tol: float = UNITARY_TOL) -> None:
     if not (math.isfinite(a.real) and math.isfinite(a.imag)):
         raise DomainError(f"non-finite amplitude {a}")

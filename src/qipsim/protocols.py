@@ -23,8 +23,8 @@ from .automata import (Dfa, Npfa, Rfa, all_a_rfa, end_one_dfa, even_a_rfa,
 from .linalg import phase
 from .provers import EraseAllProver, IdentityProver, ProverStrategy, ScriptedProver
 from .qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, SpecError,
-                  symbol_at, validate_and_complete)
-from .runtime import QipSystem
+                  validate_and_complete)
+from .runtime import QipSystem, _apply_verifier, _measure, default_t_max
 
 _SQ2 = 1 / math.sqrt(2)
 
@@ -599,25 +599,18 @@ def npfa_to_qip(npfa: Npfa, name: str = "npfa", error_bound: float = 0.0,
     spec = tb.build(npfa.initial, lengths)
 
     def script(x):
-        from .runtime import default_t_max
         horizon = default_t_max(spec, x)
         policy, values = npfa_policy(npfa, x, horizon)
         width = len(x) + 2
-        state = {(spec.initial, 0, BLANK): 1.0 + 0j}
+        state = {(spec.initial, 0, BLANK, None): 1.0 + 0j}
         rounds: dict[int, dict[str, str]] = {}
         for r in range(1, horizon + 1):
-            nxt: dict = {}
-            for (q, k, g), amp in state.items():
-                for (q2, g2, d, a) in spec.delta[(q, symbol_at(x, k), g)]:
-                    lbl = (q2, (k + d) % width, g2)
-                    nxt[lbl] = nxt.get(lbl, 0j) + amp * a
-            state = {lbl: a for lbl, a in nxt.items()
-                     if abs(a) > 1e-12 and not spec.is_halting(lbl[0])}
+            _acc, _rej, state = _measure(spec, _apply_verifier(spec, x, state, width))
             if not state:
                 break
             rule: dict[str, str] = {}
             best_v = -1.0
-            for (q, k, g) in sorted(state):
+            for (q, k, g, _tag) in sorted(state):
                 if g == QUERY:
                     # branches can query simultaneously; answer the one whose
                     # accepting continuation is worth the most
@@ -632,7 +625,8 @@ def npfa_to_qip(npfa: Npfa, name: str = "npfa", error_bound: float = 0.0,
                     rule[g] = BLANK
             if rule:
                 rounds[r] = rule
-                state = {(q, k, rule.get(g, g)): a for (q, k, g), a in state.items()}
+                state = {(q, k, rule.get(g, g), tag): a
+                         for (q, k, g, tag), a in state.items()}
         return rounds
 
     honest = ScriptedProver(script_builder=script, name=f"{name}_choice_feeder")

@@ -205,13 +205,18 @@ class DenseProver(ProverStrategy):
             v = v * len(self.tape_alphabet) + self._d_idx[sym]
         return v
 
-    def _label(self, idx: int):
+    def tape_word(self, v: int) -> tuple:
+        """The c tape cells spelling v in base |tape alphabet|, high digit first."""
         digits = []
         base = len(self.tape_alphabet)
         for _ in range(self.c):
-            digits.append(self.tape_alphabet[idx % base])
-            idx //= base
-        return self.comm_alphabet[idx], tuple(reversed(digits))
+            digits.append(self.tape_alphabet[v % base])
+            v //= base
+        return tuple(reversed(digits))
+
+    def _label(self, idx: int):
+        words = len(self.tape_alphabet) ** self.c
+        return self.comm_alphabet[idx // words], self.tape_word(idx % words)
 
     def invalidate(self, round_index0: int) -> None:
         """Drop the cached columns of matrices[round_index0] after mutation."""
@@ -255,31 +260,28 @@ def densify_schedule(visible: list[tuple[str, str]], comm_alphabet,
     pair with a round counter on the tape and completes the rest of the basis
     lexicographically; off-schedule behaviour is arbitrary but unitary.
     """
-    base = len(tape_alphabet)
-    if base ** c < len(visible) + 1:
+    if len(tape_alphabet) ** c < len(visible) + 1:
         raise ValueError(f"c={c} cannot encode {len(visible)} rounds")
-
-    def counter(t: int):
-        digits = []
-        for _ in range(c):
-            digits.append(tape_alphabet[t % base])
-            t //= base
-        return tuple(reversed(digits))
-
     probe = DenseProver(comm_alphabet, tape_alphabet, c, [])
-    dim = probe.dim
     matrices = []
     for t, (seen, written) in enumerate(visible):
-        src = probe._index(seen, counter(t))
-        dst = probe._index(written, counter(t + 1))
-        perm = np.zeros((dim, dim), dtype=complex)
-        perm[dst, src] = 1.0
-        free_src = [i for i in range(dim) if i != src]
-        free_dst = [i for i in range(dim) if i != dst]
-        for s, d in zip(free_src, free_dst):
-            perm[d, s] = 1.0
-        matrices.append(perm)
+        src = probe._index(seen, probe.tape_word(t))
+        dst = probe._index(written, probe.tape_word(t + 1))
+        matrices.append(complete_permutation({src: dst}, probe.dim))
     return DenseProver(comm_alphabet, tape_alphabet, c, matrices)
+
+
+def complete_permutation(mapping: dict[int, int], dim: int) -> np.ndarray:
+    """Permutation matrix sending each source in ``mapping`` to its image.
+
+    The remaining sources go, in ascending order, to the unused destinations
+    in ascending order.
+    """
+    free_dst = iter(sorted(set(range(dim)) - set(mapping.values())))
+    perm = np.zeros((dim, dim), dtype=complex)
+    for src in range(dim):
+        perm[mapping[src] if src in mapping else next(free_dst), src] = 1.0
+    return perm
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ unspecified (state, symbol, cell) column to a fresh rejecting state.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -121,11 +122,11 @@ class QfaSpec:
     def is_accepting(self, q: str) -> bool:
         return q in self._accepting_set
 
-    @property
+    @functools.cached_property
     def _halting(self) -> frozenset:
         return frozenset(self.accepting) | frozenset(self.rejecting)
 
-    @property
+    @functools.cached_property
     def _accepting_set(self) -> frozenset:
         return frozenset(self.accepting)
 
@@ -437,11 +438,11 @@ def check_structure(spec: QfaSpec, mode: StructureMode,
                     (sigma, f"transition {(q, sigma, gamma)} -> {q2} does not halt at $"))
         if not report.violations:
             from .provers import IdentityProver
-            from .runtime import measure_every_run
+            from .runtime import NO_MASS_TOL, measure_every_run
             for n in lengths:
                 for x in _test_inputs(spec.input_alphabet, n, 64):
                     res = measure_every_run(spec, IdentityProver(), x, len(x) + 2)
-                    if res.p_cont > 1e-9:
+                    if res.p_cont > NO_MASS_TOL:
                         report.violations.append(
                             (x, f"continuation mass {res.p_cont:.3g} after n+2 steps"))
         for n in lengths:

@@ -1,12 +1,19 @@
 """Joint evolution of verifier, communication cell and prover tape.
 
 The global state is a sparse amplitude map over labels (inner state, head
-position, cell symbol, tape string).  One round is: prover action (absent in
+position, cell symbol, tag).  One round is: prover action (absent in
 round 1 — equivalently, the prover for round i acts right after the i-th
 measurement), verifier step, measurement.  Measurement projects onto the
 accepting / rejecting / non-halting state classes, accumulates the halting
 masses and keeps the unnormalized non-halting part, so the accumulated masses
 are exact unconditional probabilities.
+
+`_apply_verifier` is the only code that moves amplitudes through delta and
+`_measure` the only code that splits off the halting classes; every caller
+goes through them: runs, interaction counting, the query weight, the
+classical prover search and the npfa choice script.  The tag rides along
+unchanged: the prover tape in runs, the prover memory in the classical
+search, ``None`` where no prover takes part.
 
 Measure-once systems skip the intermediate measurements; a single measurement
 follows verifier step n+2.
@@ -15,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import PRUNE_TOL, norm_sq
+from .linalg import PRUNE_TOL, norm_sq, prune
 from .provers import ProverStrategy
 from .qfa import BLANK, AlphabetError, HeadModel, QfaSpec, symbol_at
 
 CONSERVATION_TOL = 1e-9
+NO_MASS_TOL = 1e-9  # continuation mass below this counts as none left
 TWO_WAY_ROUND_FACTOR = 20  # default t_max for 2-way runs is 20*(n+2)^2
 
 
@@ -64,6 +72,7 @@ def default_t_max(spec: QfaSpec, x: str) -> int:
 
 
 def _apply_verifier(spec: QfaSpec, x: str, state: dict, width: int) -> dict:
+    """One verifier move on labels (q, k, gamma, tag): the tag is untouched."""
     out: dict = {}
     delta = spec.delta
     for (q, k, g, y), amp in state.items():
@@ -78,7 +87,7 @@ def _apply_verifier(spec: QfaSpec, x: str, state: dict, width: int) -> dict:
             lbl = (q2, (k + d) % width, g2, y)
             v = out.get(lbl)
             out[lbl] = amp * a if v is None else v + amp * a
-    return {lbl: a for lbl, a in out.items() if abs(a) >= PRUNE_TOL}
+    return prune(out)
 
 
 def _apply_prover(prover: ProverStrategy, x: str, i: int, state: dict) -> dict:
@@ -88,10 +97,11 @@ def _apply_prover(prover: ProverStrategy, x: str, i: int, state: dict) -> dict:
             lbl = (q, k, g2, y2)
             v = out.get(lbl)
             out[lbl] = amp * a if v is None else v + amp * a
-    return {lbl: a for lbl, a in out.items() if abs(a) >= PRUNE_TOL}
+    return prune(out)
 
 
 def _measure(spec: QfaSpec, state: dict) -> tuple[float, float, dict]:
+    """Accepting mass, rejecting mass and the non-halting part of ``state``."""
     acc = rej = 0.0
     cont: dict = {}
     for lbl, amp in state.items():
@@ -158,7 +168,7 @@ def _run(spec: QfaSpec, prover: ProverStrategy, x: str, t_max, measure_once):
     p_cont = norm_sq(state)
     truncated = (not spec.head_model.one_way) and p_cont >= PRUNE_TOL
     if (spec.head_model is HeadModel.ONE_WAY and rounds >= n + 2
-            and p_cont > 1e-9):
+            and p_cont > NO_MASS_TOL):
         raise RunError(
             f"one-way verifier keeps continuation mass {p_cont:.3g} after n+2 steps")
     if max_err > CONSERVATION_TOL * max(1, rounds):
@@ -179,7 +189,7 @@ def expected_halting_time(system: QipSystem, prover: ProverStrategy, x: str,
     res = run(system, prover, x, t_max)
     lower = sum(r * (a + b) for (r, a, b) in res.halting_profile)
     lower += res.rounds_executed * res.p_cont
-    return lower, res.p_cont < 1e-9
+    return lower, res.p_cont < NO_MASS_TOL
 
 
 def visible_schedule(system: QipSystem, x: str,
@@ -223,6 +233,26 @@ def visible_schedule(system: QipSystem, x: str,
 # Interaction counting
 # ---------------------------------------------------------------------------
 
+def _step_paths(step, state: dict, counts: dict) -> tuple[dict, dict]:
+    """``step`` applied label by label, carrying per-path query counts.
+
+    Each label goes through ``step`` with unit amplitude.  A child's amplitude
+    is the amplitude-weighted sum of these over its parents, so it equals
+    ``step(state)``; its count is the maximum over the parents that reach it.
+    """
+    amps: dict = {}
+    inherited: dict = {}
+    for lbl, amp in state.items():
+        c = counts[lbl]
+        for child, a in step({lbl: 1.0 + 0j}).items():
+            v = amps.get(child)
+            amps[child] = amp * a if v is None else v + amp * a
+            if c > inherited.get(child, -1):
+                inherited[child] = c
+    amps = prune(amps)
+    return amps, {lbl: inherited[lbl] for lbl in amps}
+
+
 def count_interactions(system: QipSystem, prover: ProverStrategy, x: str,
                        t_max: int | None = None) -> int:
     """Maximum number of query configurations along any computation path.
@@ -252,46 +282,16 @@ def count_interactions(system: QipSystem, prover: ProverStrategy, x: str,
     counts = {next(iter(state)): 0}
     best = 0
     for r in range(1, t_max + 1):
-        new_state: dict = {}
-        new_counts: dict = {}
-        for lbl, amp in state.items():
-            (q, k, g, y) = lbl
-            for (q2, g2, d, a) in spec.delta[(q, symbol_at(x, k), g)]:
-                child = (q2, (k + d) % width, g2, y)
-                v = new_state.get(child)
-                new_state[child] = amp * a if v is None else v + amp * a
-                c = counts[lbl]
-                if c > new_counts.get(child, -1):
-                    new_counts[child] = c
-        state, counts = {}, {}
-        for child, amp in new_state.items():
-            if abs(amp) < PRUNE_TOL:
-                continue
-            q2, _k, g2, _y = child
-            c = new_counts[child]
-            if spec.is_halting(q2):
-                best = max(best, c)
-                continue
-            if g2 != BLANK:
-                c += 1  # the verifier wrote a non-blank symbol: a query
-            best = max(best, c)
-            state[child] = amp
-            counts[child] = c
+        moved, inherited = _step_paths(
+            lambda s: _apply_verifier(spec, x, s, width), state, counts)
+        _acc, _rej, state = _measure(spec, moved)
+        # a non-halting child holding a non-blank symbol is a query
+        counts = {lbl: inherited[lbl] + (lbl[2] != BLANK) for lbl in state}
+        best = max([best, *inherited.values(), *counts.values()])
         if not state:
             break
-        # prover action preserves the path structure of the verifier side
-        new_state, new_counts = {}, {}
-        for lbl, amp in state.items():
-            (q, k, g, y) = lbl
-            for (g2, y2, a) in prover.apply(x, r, g, y):
-                child = (q, k, g2, y2)
-                v = new_state.get(child)
-                new_state[child] = amp * a if v is None else v + amp * a
-                c = counts[lbl]
-                if c > new_counts.get(child, -1):
-                    new_counts[child] = c
-        state = {lbl: a for lbl, a in new_state.items() if abs(a) >= PRUNE_TOL}
-        counts = {lbl: new_counts[lbl] for lbl in state}
+        state, counts = _step_paths(
+            lambda s: _apply_prover(prover, x, r, s), state, counts)
     return best
 
 
@@ -315,28 +315,17 @@ def query_weight(spec: QfaSpec, x_prefix: str, y: str) -> float:
     n = len(word)
     width = n + 2
     lo, hi = len(x_prefix) + 1, len(x_prefix) + len(y)  # positions holding y
-    state = {(spec.initial, 0, BLANK): 1.0 + 0j}
+    state = {(spec.initial, 0, BLANK, None): 1.0 + 0j}
     weight = 0.0
     for r in range(1, n + 2):
         pos = r - 1  # a one-way head scans position r-1 at round r
-        nxt: dict = {}
-        for (q, k, g), amp in state.items():
-            for (q2, g2, d, a) in spec.delta[(q, symbol_at(word, k), g)]:
-                lbl = (q2, (k + d) % width, g2)
-                v = nxt.get(lbl)
-                nxt[lbl] = amp * a if v is None else v + amp * a
-        state = {}
-        for lbl, amp in nxt.items():
-            if abs(amp) < PRUNE_TOL:
-                continue
-            q2, _k, g2 = lbl
-            if spec.is_halting(q2):
-                continue
-            if g2 != BLANK:
-                if lo <= pos <= hi:
-                    weight += abs(amp) ** 2
-                continue  # projection onto blank discards this component
-            state[lbl] = amp
+        _acc, _rej, cont = _measure(spec, _apply_verifier(spec, word, state, width))
+        state = {}  # the projection onto blank discards the rest of cont
+        for lbl, amp in cont.items():
+            if lbl[2] == BLANK:
+                state[lbl] = amp
+            elif lo <= pos <= hi:
+                weight += abs(amp) ** 2
         if not state:
             break
     return weight

@@ -17,35 +17,44 @@ class SweepRow:
     adversary_p_acc: float
 
 
+def _inputs(system: QipSystem, n_max: int, cap: int) -> list[str]:
+    alphabet = system.verifier.input_alphabet
+    if len(alphabet) ** (n_max + 1) > cap:
+        raise SizeError(f"|Sigma|^{n_max + 1} exceeds the sweep cap {cap}")
+    return all_strings(alphabet, n_max)
+
+
+def _row(system: QipSystem, x: str, t_max, budget: AdversaryBudget) -> SweepRow:
+    honest = run(system, system.honest_prover, x, t_max).p_acc
+    adv = best_classical_prover(system, x, budget).best_p_acc
+    return SweepRow(x=x, member=system.member(x),
+                    honest_p_acc=honest, adversary_p_acc=adv)
+
+
 def sweep(system: QipSystem, n_max: int, t_max: int | None = None,
           budget: AdversaryBudget | None = None,
           cap: int = 4096) -> list[SweepRow]:
     """One row per input in Sigma^{<=n_max}: membership, honest and best-found
     adversarial acceptance (exhaustive classical tables under the budget)."""
-    alphabet = system.verifier.input_alphabet
-    if len(alphabet) ** (n_max + 1) > cap:
-        raise SizeError(f"|Sigma|^{n_max + 1} exceeds the sweep cap {cap}")
     budget = budget or AdversaryBudget()
-    rows = []
-    for x in all_strings(alphabet, n_max):
-        honest = run(system, system.honest_prover, x, t_max).p_acc
-        adv = best_classical_prover(system, x, budget).best_p_acc
-        rows.append(SweepRow(x=x, member=system.member(x),
-                             honest_p_acc=honest, adversary_p_acc=adv))
-    return rows
+    return [_row(system, x, t_max, budget) for x in _inputs(system, n_max, cap)]
+
+
+# The protocol each pool worker builds once, in _init_worker; honest provers
+# carry closures and do not pickle, so workers rebuild it from its name.
+_worker_system: QipSystem | None = None
+
+
+def _init_worker(name: str) -> None:
+    from .protocols import build_protocol
+
+    global _worker_system
+    _worker_system = build_protocol(name)
 
 
 def _named_row(args) -> SweepRow:
-    # worker for the process pool; rebuilds the system from its registry name,
-    # since honest provers carry closures and do not pickle
-    from .protocols import build_protocol
-
-    name, x, t_max, budget = args
-    system = build_protocol(name)
-    honest = run(system, system.honest_prover, x, t_max).p_acc
-    adv = best_classical_prover(system, x, budget).best_p_acc
-    return SweepRow(x=x, member=system.member(x),
-                    honest_p_acc=honest, adversary_p_acc=adv)
+    x, t_max, budget = args
+    return _row(_worker_system, x, t_max, budget)
 
 
 def sweep_named(name: str, n_max: int, t_max: int | None = None,
@@ -57,10 +66,8 @@ def sweep_named(name: str, n_max: int, t_max: int | None = None,
     system = build_protocol(name)
     if jobs <= 1:
         return sweep(system, n_max, t_max, budget, cap)
-    alphabet = system.verifier.input_alphabet
-    if len(alphabet) ** (n_max + 1) > cap:
-        raise SizeError(f"|Sigma|^{n_max + 1} exceeds the sweep cap {cap}")
     budget = budget or AdversaryBudget()
-    work = [(name, x, t_max, budget) for x in all_strings(alphabet, n_max)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    work = [(x, t_max, budget) for x in _inputs(system, n_max, cap)]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                             initargs=(name,)) as pool:
         return list(pool.map(_named_row, work))

@@ -147,3 +147,51 @@ def test_random_classical_provers_conserve_probability(odd, seed, x):
     res = run(odd, prover, x)
     assert res.p_acc + res.p_rej + res.p_cont == pytest.approx(1.0, abs=1e-9)
     assert res.max_conservation_error <= 1e-9 * max(1, res.rounds_executed)
+
+
+def _merging_paths_system(querying_first: bool):
+    """One-way verifier on "aaa" whose two paths meet at round 3.
+
+    Round 1 splits into a path that writes the query symbol "?" in rounds 1
+    and 2 (two queries) and a path that keeps the cell blank (none).  In
+    round 3 the two interfere constructively into state m and destructively
+    into n, so m's only parents carry counts 2 and 0.  m queries once more
+    in round 4 and accepts in round 5, so by the path maximum the count is
+    3; a merge that kept the blank path's count would give 1.
+    """
+    from qipsim.qfa import LEFT_END, RIGHT_END, HeadModel, QfaSpec, validate_and_complete
+    from qipsim.runtime import QipSystem
+
+    h = 1 / math.sqrt(2)
+    split = [("p", "?", 1, h + 0j), ("u", BLANK, 1, h + 0j)]
+    if not querying_first:
+        split.reverse()
+    delta = {
+        ("s", LEFT_END, BLANK): tuple(split),
+        ("p", "a", "?"): (("p2", "?", 1, 1 + 0j),),
+        ("u", "a", BLANK): (("u2", BLANK, 1, 1 + 0j),),
+        ("p2", "a", "?"): (("m", BLANK, 1, h + 0j), ("n", BLANK, 1, h + 0j)),
+        ("u2", "a", BLANK): (("m", BLANK, 1, h + 0j), ("n", BLANK, 1, -h + 0j)),
+        ("m", "a", BLANK): (("m2", "?", 1, 1 + 0j),),
+        ("m2", RIGHT_END, "?"): (("acc", "?", 1, 1 + 0j),),
+    }
+    spec = QfaSpec(name="merge", non_halting=("s", "p", "u", "p2", "u2", "m", "n", "m2"),
+                   accepting=("acc",), rejecting=(), initial="s", input_alphabet=("a",),
+                   comm_alphabet=(BLANK, "?"), prover_alphabet=(BLANK,),
+                   head_model=HeadModel.ONE_WAY, delta=delta)
+    spec, report = validate_and_complete(spec)
+    assert report.ok
+    return QipSystem(name="merge", verifier=spec, honest_prover=IdentityProver(),
+                     language=lambda x: True, claimed_bounds=(1.0, 1.0),
+                     interaction_bounded=True)
+
+
+# Both orders of the round-1 split, so that a merge keeping only the first or
+# only the last parent's count fails one of them.
+@pytest.mark.parametrize("querying_first", [True, False])
+def test_count_interactions_merges_paths_by_maximum(querying_first):
+    system = _merging_paths_system(querying_first)
+    assert run(system, IdentityProver(), "aaa").p_acc == pytest.approx(1.0, abs=1e-9)
+    assert count_interactions(system, IdentityProver(), "aaa") == 3
+    assert count_interactions(system, IdentityProver(), "aaa", t_max=1) == 1
+    assert count_interactions(system, IdentityProver(), "aaa", t_max=3) == 2

@@ -1,7 +1,7 @@
 import pytest
 
 from qipsim.adversary import AdversaryBudget
-from qipsim.sweep import sweep
+from qipsim.sweep import sweep, sweep_named
 from qipsim.tiling import SizeError
 
 
@@ -32,3 +32,9 @@ def test_odd_sweep_honest_column_is_indicator(odd):
 def test_sweep_cap(zero_public):
     with pytest.raises(SizeError):
         sweep(zero_public, 20, cap=100)
+
+
+def test_sweep_named_in_two_workers_matches_sweep(zero_public):
+    budget = AdversaryBudget(memory_states=2, steps=4)
+    assert sweep_named("zero_public", 2, budget=budget, jobs=2) == sweep(
+        zero_public, 2, budget=budget)
