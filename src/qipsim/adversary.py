@@ -28,6 +28,9 @@ from .provers import (ClassicalProverTable, DenseProver, IdentityProver,
 from .qfa import BLANK
 from .runtime import QipSystem, _apply_verifier, _measure, default_t_max, run
 
+# Largest dense prover dimension |Gamma|·|Delta|^c the quantum search climbs in.
+DENSE_DIM_CAP = 64
+
 
 class BudgetError(RuntimeError):
     pass
@@ -61,14 +64,11 @@ class _ClassicalSearch:
     def __init__(self, system: QipSystem, x: str, budget: AdversaryBudget):
         self.spec = system.verifier
         self.x = x
-        self.n = len(x)
-        self.width = self.n + 2
+        self.width = len(x) + 2
         self.budget = budget
         self.memory = tuple(f"m{i}" for i in range(budget.memory_states))
         self.targets = [(g, m) for g in self.spec.comm_alphabet for m in self.memory]
         self.t_max = default_t_max(self.spec, x)
-        if self.spec.head_model.one_way:
-            self.t_max = self.n + 2
         self.steps = min(budget.steps, self.t_max)
         self.memo: dict = {}
         self.nodes = 0
@@ -254,17 +254,21 @@ def _table_to_dense(table: ClassicalProverTable, comm, tape, c, rounds) -> Dense
     def index(g, m):
         return probe._index(g, probe.tape_word(mem_labels.index(m)))
 
+    pairs = [index(g, m) for g in comm for m in mem_labels]
     matrices = []
     for r in range(1, rounds + 1):
-        mapping = {index(g, m): index(*table.entries.get((r, g, m), (g, m)))
-                   for g in comm for m in mem_labels}
+        mapping = {index(g, m): index(g2, m2)
+                   for (i, g, m), (g2, m2) in table.entries.items() if i == r}
+        # an unlisted pair stays put unless a listed pair took its place;
+        # complete_permutation sends it to an unused destination
+        taken = set(mapping.values())
+        mapping.update((p, p) for p in pairs if p not in mapping and p not in taken)
         matrices.append(complete_permutation(mapping, probe.dim))
     return DenseProver(comm, tape, c, matrices)
 
 
 def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
                           budget: AdversaryBudget | None = None,
-                          dim_cap: int = 64,
                           classical_seed: AdversaryReport | None = None,
                           ) -> AdversaryReport:
     """Heuristic lower bound on the optimum over quantum provers.
@@ -275,8 +279,8 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
     spec = system.verifier
     comm, tape = spec.comm_alphabet, spec.prover_alphabet
     dim = len(comm) * len(tape) ** c
-    if dim > dim_cap:
-        raise BudgetError(f"dense dimension {dim} exceeds cap {dim_cap}")
+    if dim > DENSE_DIM_CAP:
+        raise BudgetError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
     rounds = min(budget.steps, default_t_max(spec, x))
     rng = np.random.default_rng(budget.seed)
     tested = 0
@@ -297,13 +301,7 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
 
     seed_matrices = None
     if classical_seed.best_strategy.get("kind") == "classical_table":
-        entries = {}
-        for key, (g2, m2) in classical_seed.best_strategy["entries"].items():
-            i, g, m = key.split("|")
-            entries[(int(i), g, m)] = (g2, m2)
-        table = ClassicalProverTable(
-            entries=entries,
-            initial_memory=classical_seed.best_strategy["initial_memory"])
+        table = _table_from_description(classical_seed.best_strategy)
         try:
             seed_matrices = _table_to_dense(table, comm, tape, c, rounds).matrices
         except BudgetError:
@@ -348,18 +346,23 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
 # Replay
 # ---------------------------------------------------------------------------
 
-def prover_from_description(desc: dict, spec=None):
+def _table_from_description(desc: dict) -> ClassicalProverTable:
+    """Decode a ``classical_table`` description's "i|g|m" keys."""
+    entries = {}
+    for key, (g2, m2) in desc["entries"].items():
+        i, g, m = key.split("|")
+        entries[(int(i), g, m)] = (g2, m2)
+    return ClassicalProverTable(entries=entries,
+                                initial_memory=desc["initial_memory"])
+
+
+def prover_from_description(desc: dict):
     """Rebuild a strategy from a report's embedded description."""
     kind = desc.get("kind")
     if kind == "identity":
         return IdentityProver()
     if kind == "classical_table":
-        entries = {}
-        for key, (g2, m2) in desc["entries"].items():
-            i, g, m = key.split("|")
-            entries[(int(i), g, m)] = (g2, m2)
-        return TableProver(ClassicalProverTable(entries=entries,
-                                                initial_memory=desc["initial_memory"]))
+        return TableProver(_table_from_description(desc))
     if kind == "dense":
         dim = len(desc["comm_alphabet"]) * len(desc["tape_alphabet"]) ** desc["c"]
         mats = [np.array([complex(re, im) for re, im in m], dtype=complex).reshape(dim, dim)
@@ -370,5 +373,5 @@ def prover_from_description(desc: dict, spec=None):
 
 def replay(system: QipSystem, x: str, report: AdversaryReport) -> float:
     """Re-run the reported strategy; must reproduce best_p_acc within 1e-9."""
-    prover = prover_from_description(report.best_strategy, system.verifier)
+    prover = prover_from_description(report.best_strategy)
     return run(system, prover, x).p_acc

@@ -15,18 +15,20 @@ import sys
 from . import __version__
 from .adversary import (AdversaryBudget, best_classical_prover,
                         search_quantum_prover)
-from .languages import CENTER, LA, ODD, PAL_SHARP, UPAL, ZERO
+from .languages import center, la, odd, pal_sharp, upal, zero
 from .linalg import DomainError
 from .protocols import BUILTIN, build_protocol
 from .provers import EraseAllProver, IdentityProver, make_classical_prover
 from .qfa import SpecError, StructureMode, check_structure, validate_and_complete
 from .runtime import run
 from .specfile import ParseError, parse_prover_table, parse_spec
-from .sweep import sweep, sweep_named
+from .sweep import sweep_named
 from .tiling import SizeError, tiling_bound, tiling_complexity
 
-LANGS = {"zero": ZERO, "upal": UPAL, "pal_sharp": PAL_SHARP,
-         "center": CENTER, "odd": ODD, "la": LA}
+LANGS = {"zero": (zero, ("0", "1")), "upal": (upal, ("0", "1")),
+         "pal_sharp": (pal_sharp, ("0", "1", "#")),
+         "center": (center, ("0", "1")), "odd": (odd, ("0", "1")),
+         "la": (la, ("a",))}
 
 
 def _emit(payload, fmt: str) -> None:
@@ -99,15 +101,9 @@ def cmd_validate(args) -> int:
     return 0 if report.ok and payload.get("structure_ok", True) else 1
 
 
-def _system(args) -> object:
-    if args.protocol in BUILTIN or args.protocol.split(":")[0] in BUILTIN:
-        return build_protocol(args.protocol)
-    raise KeyError(args.protocol)
-
-
 def cmd_run(args) -> int:
     try:
-        system = _system(args)
+        system = build_protocol(args.protocol)
     except KeyError:
         print(f"unknown protocol {args.protocol!r}", file=sys.stderr)
         return 2
@@ -127,19 +123,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        system = _system(args)
-    except KeyError:
-        print(f"unknown protocol {args.protocol!r}", file=sys.stderr)
-        return 2
     budget = AdversaryBudget(memory_states=args.memory, steps=args.steps,
                              seed=args.seed)
     try:
-        if args.jobs > 1:
-            rows = sweep_named(args.protocol, args.n_max, args.t_max, budget,
-                               jobs=args.jobs)
-        else:
-            rows = sweep(system, args.n_max, args.t_max, budget)
+        rows = sweep_named(args.protocol, args.n_max, args.t_max, budget,
+                           jobs=args.jobs)
+    except KeyError:
+        print(f"unknown protocol {args.protocol!r}", file=sys.stderr)
+        return 2
     except SizeError as exc:
         print(f"sweep too large: {exc}", file=sys.stderr)
         return 1
@@ -154,7 +145,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_adversary(args) -> int:
     try:
-        system = _system(args)
+        system = build_protocol(args.protocol)
     except KeyError:
         print(f"unknown protocol {args.protocol!r}", file=sys.stderr)
         return 2
@@ -186,9 +177,7 @@ def cmd_tiling(args) -> int:
             _emit({"command": "tiling_bound", "q": q, "g": g, "dlt": dlt,
                    "c": c, "eps": args.eps, "value": value}, args.format)
             return 0
-        lang = LANGS[args.lang]
-        alphabet = ("a",) if args.lang == "la" else \
-            ("0", "1", "#") if args.lang == "pal_sharp" else ("0", "1")
+        lang, alphabet = LANGS[args.lang]
         value = tiling_complexity(lang, args.n, alphabet=alphabet)
         _emit({"command": "tiling", "lang": args.lang, "n": args.n,
                "value": value}, args.format)

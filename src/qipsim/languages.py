@@ -1,7 +1,9 @@
-"""Membership predicates for the languages the built-in protocols target."""
-from __future__ import annotations
+"""Membership predicates for the languages the built-in protocols target.
 
-from dataclasses import dataclass
+A language is a ``str -> bool`` predicate that tells whether a string is a
+member; the named languages below raise ``AlphabetError`` on foreign symbols.
+"""
+from __future__ import annotations
 
 from .automata import Dfa, Npfa, npfa_value
 from .qfa import AlphabetError
@@ -56,25 +58,25 @@ def _check(x: str, alphabet: str) -> None:
         raise AlphabetError(f"symbols {bad} outside alphabet {alphabet!r}")
 
 
-@dataclass(frozen=True)
-class LanguageId:
-    """Tagged language reference; parameterized variants carry their automaton."""
-
-    kind: str
-    automaton: object = None
-    parts: tuple = ()
-
-    def predicate(self):
-        return _PREDICATES[self.kind](self)
+def membership(lang, x: str) -> bool:
+    """Exact membership of ``x`` in the language ``lang``."""
+    return bool(lang(x))
 
 
-def _regular_pred(lid: LanguageId):
-    dfa: Dfa = lid.automaton
+ZERO = zero
+UPAL = upal
+PAL_SHARP = pal_sharp
+CENTER = center
+ODD = odd
+LA = la
+
+
+def regular(dfa: Dfa):
     return dfa.accepts
 
 
-def _npfa_pred(lid: LanguageId):
-    npfa: Npfa = lid.automaton
+def npfa_language(npfa: Npfa):
+    """Strings the npfa accepts with probability above 1/2 within its horizon."""
 
     def pred(x: str) -> bool:
         horizon = 4 * (len(x) + 2) ** 2 + 8
@@ -83,47 +85,5 @@ def _npfa_pred(lid: LanguageId):
     return pred
 
 
-def _union_pred(lid: LanguageId):
-    a, b = lid.parts
-    pa, pb = a.predicate(), b.predicate()
-    return lambda x: pa(x) or pb(x)
-
-
-_PREDICATES = {
-    "ZERO": lambda _l: zero,
-    "UPAL": lambda _l: upal,
-    "PAL_SHARP": lambda _l: pal_sharp,
-    "CENTER": lambda _l: center,
-    "ODD": lambda _l: odd,
-    "LA": lambda _l: la,
-    "REGULAR": _regular_pred,
-    "NPFA": _npfa_pred,
-    "UNION": _union_pred,
-}
-
-
-def membership(lang, x: str) -> bool:
-    """Exact membership for a LanguageId or a bare predicate."""
-    if isinstance(lang, LanguageId):
-        return bool(lang.predicate()(x))
-    return bool(lang(x))
-
-
-ZERO = LanguageId("ZERO")
-UPAL = LanguageId("UPAL")
-PAL_SHARP = LanguageId("PAL_SHARP")
-CENTER = LanguageId("CENTER")
-ODD = LanguageId("ODD")
-LA = LanguageId("LA")
-
-
-def regular(dfa: Dfa) -> LanguageId:
-    return LanguageId("REGULAR", automaton=dfa)
-
-
-def npfa_language(npfa: Npfa) -> LanguageId:
-    return LanguageId("NPFA", automaton=npfa)
-
-
-def union(a: LanguageId, b: LanguageId) -> LanguageId:
-    return LanguageId("UNION", parts=(a, b))
+def union(a, b):
+    return lambda x: a(x) or b(x)

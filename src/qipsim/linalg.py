@@ -55,21 +55,13 @@ def check_unitary(m, tol: float = UNITARY_TOL) -> bool:
         rows, cols = m.shape
         if rows != cols:
             raise DimensionError(f"operator is {rows}x{cols}, not square")
-        gram = (m.conj().T @ m).tocoo()
-        err = 0.0
-        for i, j, v in zip(gram.row, gram.col, gram.data):
-            target = 1.0 if i == j else 0.0
-            err = max(err, abs(v - target))
-        # diagonal entries that were pruned to exactly zero never appear in coo
-        diag = gram.diagonal()
-        err = max(err, float(np.max(np.abs(diag - 1.0))) if rows else 0.0)
-        return err <= tol
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"operator has shape {a.shape}, not square")
-    gram = a.conj().T @ a
-    err = np.max(np.abs(gram - np.eye(a.shape[0])))
-    return bool(err <= tol)
+        dev = (m.conj().T @ m - sp.identity(rows)).data
+    else:
+        a = np.asarray(m, dtype=complex)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DimensionError(f"operator has shape {a.shape}, not square")
+        dev = a.conj().T @ a - np.eye(a.shape[0])
+    return bool(np.abs(dev).max(initial=0.0) <= tol)
 
 
 def qft_matrix(n: int) -> np.ndarray:

@@ -631,7 +631,7 @@ def npfa_to_qip(npfa: Npfa, name: str = "npfa", error_bound: float = 0.0,
 
     honest = ScriptedProver(script_builder=script, name=f"{name}_choice_feeder")
     return QipSystem(name=name, verifier=spec, honest_prover=honest,
-                     language=languages.npfa_language(npfa).predicate(),
+                     language=languages.npfa_language(npfa),
                      claimed_bounds=(1.0 - error_bound, 1.0 - error_bound))
 
 
@@ -700,7 +700,7 @@ def union_protocol(s1: QipSystem, s2: QipSystem, name: str | None = None,
     a1, b1 = s1.claimed_bounds
     a2, b2 = s2.claimed_bounds
     return QipSystem(name=tb.name, verifier=spec, honest_prover=UnionHonest(),
-                     language=lambda x: lang1(x) or lang2(x),
+                     language=languages.union(lang1, lang2),
                      claimed_bounds=(min(a1, a2), min(b1, b2)))
 
 

@@ -27,8 +27,6 @@ class ReversibilityError(ValueError):
 class ProverStrategy:
     """Base contract; subclasses implement apply()."""
 
-    mode = "sparse"
-
     def initial_tape(self, x: str) -> str:
         return ""
 
@@ -110,9 +108,6 @@ class ClassicalProverTable:
     entries: dict[tuple[int, str, str], tuple[str, str]]
     initial_memory: str = "m0"
 
-    def rounds(self):
-        return sorted({i for (i, _g, _m) in self.entries})
-
 
 class TableProver(ProverStrategy):
     def __init__(self, table: ClassicalProverTable):
@@ -180,8 +175,6 @@ class DenseProver(ProverStrategy):
     identity.  The tape is a tuple of exactly c symbols (cell symbols can be
     multi-character strings, so plain concatenation would be ambiguous).
     """
-
-    mode = "dense"
 
     def __init__(self, comm_alphabet, tape_alphabet, c: int, matrices):
         self.comm_alphabet = tuple(comm_alphabet)
@@ -275,8 +268,10 @@ def complete_permutation(mapping: dict[int, int], dim: int) -> np.ndarray:
     """Permutation matrix sending each source in ``mapping`` to its image.
 
     The remaining sources go, in ascending order, to the unused destinations
-    in ascending order.
+    in ascending order.  Sources sharing an image raise ``ReversibilityError``.
     """
+    if len(set(mapping.values())) < len(mapping):
+        raise ReversibilityError(f"two sources share a destination in {mapping}")
     free_dst = iter(sorted(set(range(dim)) - set(mapping.values())))
     perm = np.zeros((dim, dim), dtype=complex)
     for src in range(dim):
@@ -288,9 +283,12 @@ def complete_permutation(mapping: dict[int, int], dim: int) -> np.ndarray:
 # Committed-prover check
 # ---------------------------------------------------------------------------
 
+COMMITTED_TOL = 1e-9
+MAX_TAPE_STATES = 4096
+
+
 def check_committed(prover: ProverStrategy, x: str, i_max: int,
-                    comm_alphabet=None, tol: float = 1e-9,
-                    max_states: int = 4096) -> bool:
+                    comm_alphabet=None) -> bool:
     """True iff the prover never disturbs a blank cell through round i_max.
 
     Walks the reachable tape contents round by round (the S_i sets): S_0 is
@@ -306,7 +304,7 @@ def check_committed(prover: ProverStrategy, x: str, i_max: int,
         nxt = set()
         for y in sorted(reachable):
             for (g2, y2, amp) in prover.apply(x, i, BLANK, y):
-                if abs(amp) <= tol:
+                if abs(amp) <= COMMITTED_TOL:
                     continue
                 if g2 != BLANK:
                     return False
@@ -315,9 +313,9 @@ def check_committed(prover: ProverStrategy, x: str, i_max: int,
                 if gamma == BLANK:
                     continue
                 for (_g2, y2, amp) in prover.apply(x, i, gamma, y):
-                    if abs(amp) > tol:
+                    if abs(amp) > COMMITTED_TOL:
                         nxt.add(y2)
-        if len(nxt) > max_states:
-            raise ValueError(f"reachable tape set exceeded {max_states} entries")
+        if len(nxt) > MAX_TAPE_STATES:
+            raise ValueError(f"reachable tape set exceeded {MAX_TAPE_STATES} entries")
         reachable = nxt
     return True

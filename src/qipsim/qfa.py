@@ -28,6 +28,9 @@ LEFT_END = "^"
 RIGHT_END = "$"
 BLANK = "#"
 
+# Inputs tested per length; longer lengths get a covering sample this size.
+MAX_INPUTS_PER_LENGTH = 64
+
 
 class HeadModel(str, Enum):
     MO_1WAY = "measure_once_1way"
@@ -249,7 +252,6 @@ def _orthonormality_violations(columns, pair_index, tol):
 
 def validate_and_complete(spec: QfaSpec, lengths=(0, 1, 2, 3, 4),
                           tol: float = UNITARY_TOL,
-                          max_inputs_per_length: int = 64,
                           ) -> tuple[QfaSpec, ValidationReport]:
     """Close a partial table up to a well-formed verifier.
 
@@ -276,7 +278,7 @@ def validate_and_complete(spec: QfaSpec, lengths=(0, 1, 2, 3, 4),
             else:
                 report.violations.append(
                     (sigma, f"columns {a} and {b} are not orthogonal (|<a,b>|={val:.6g})"))
-    if any("not orthogonal" in d or "norm" in d for _s, d in report.violations):
+    if report.violations:
         raise SpecError(
             "completion refused, specified columns are not orthonormal: "
             + "; ".join(f"[{s}] {d}" for s, d in report.violations))
@@ -340,7 +342,7 @@ def validate_and_complete(spec: QfaSpec, lengths=(0, 1, 2, 3, 4),
 
     for n in lengths:
         ok = True
-        for x in _test_inputs(completed.input_alphabet, n, max_inputs_per_length):
+        for x in _test_inputs(completed.input_alphabet, n, MAX_INPUTS_PER_LENGTH):
             u = build_step_operator(completed, x, sparse=True)
             if not check_unitary(u, tol):
                 ok = False
@@ -440,7 +442,7 @@ def check_structure(spec: QfaSpec, mode: StructureMode,
             from .provers import IdentityProver
             from .runtime import NO_MASS_TOL, measure_every_run
             for n in lengths:
-                for x in _test_inputs(spec.input_alphabet, n, 64):
+                for x in _test_inputs(spec.input_alphabet, n, MAX_INPUTS_PER_LENGTH):
                     res = measure_every_run(spec, IdentityProver(), x, len(x) + 2)
                     if res.p_cont > NO_MASS_TOL:
                         report.violations.append(

@@ -1,10 +1,12 @@
 import pytest
 
 from qipsim.adversary import (AdversaryBudget, AdversaryReport,
+                              _table_from_description, _table_to_dense,
                               best_classical_prover, prover_from_description,
                               replay, search_quantum_prover)
+from qipsim.linalg import check_unitary
 from qipsim.provers import IdentityProver
-from qipsim.runtime import run
+from qipsim.runtime import default_t_max, run
 
 
 def test_pal1_classical_soundness_bound(pal1):
@@ -134,3 +136,16 @@ def test_deterministic_given_seed(pal1):
     b = search_quantum_prover(pal1, "0#1", c=1, budget=budget)
     assert a.best_p_acc == b.best_p_acc
     assert a.best_strategy == b.best_strategy
+
+
+@pytest.mark.parametrize("x", ["0#1", "1#0", "01#0", "0#11", "10#00", "00#1",
+                               "0#0", "01#10"])
+def test_classical_seed_matrices_are_unitary(pal2, x):
+    steps = 2 * (len(x) + 2)
+    rep = best_classical_prover(pal2, x, AdversaryBudget(memory_states=2, steps=steps))
+    spec = pal2.verifier
+    seed = _table_to_dense(_table_from_description(rep.best_strategy),
+                           spec.comm_alphabet, spec.prover_alphabet, 1,
+                           min(steps, default_t_max(spec, x)))
+    assert all(check_unitary(m, 1e-9) for m in seed.matrices)
+    assert run(pal2, seed, x).p_acc == pytest.approx(rep.best_p_acc, abs=1e-9)

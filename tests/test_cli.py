@@ -127,3 +127,35 @@ def test_csv_format(capsys):
     assert code == 0
     header, row = out.strip().splitlines()[:2]
     assert "p_acc" in header
+
+
+@pytest.mark.parametrize("command", ["sweep", "adversary"])
+def test_unknown_protocol_exit_2_for_every_command(capsys, command):
+    argv = [command, "--protocol", "nope"]
+    if command == "sweep":
+        argv += ["--n-max", "1"]
+    code, _out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "unknown protocol" in err
+
+
+def test_sweep_with_jobs_builds_once_in_parent(capsys, monkeypatch):
+    import qipsim.cli
+    import qipsim.protocols
+
+    real = qipsim.protocols.build_protocol
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return real(name)
+
+    # pool workers build in their own processes, so ``calls`` holds only the
+    # parent's builds
+    monkeypatch.setattr(qipsim.protocols, "build_protocol", counting)
+    monkeypatch.setattr(qipsim.cli, "build_protocol", counting)
+    code, out, _ = run_cli(capsys, "sweep", "--protocol", "zero_public",
+                           "--n-max", "1", "--jobs", "2")
+    assert code == 0
+    assert [row["x"] for row in json.loads(out)] == ["", "0", "1"]
+    assert calls == ["zero_public"]

@@ -53,5 +53,5 @@ def test_union_language():
 
 def test_npfa_language_predicate():
     from qipsim.automata import npfa_single_a
-    pred = lang.npfa_language(npfa_single_a()).predicate()
+    pred = lang.npfa_language(npfa_single_a())
     assert pred("a") and not pred("") and not pred("aa")

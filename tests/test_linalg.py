@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,3 +99,12 @@ def test_prune_and_norm():
 def test_phase_literal():
     assert phase(1, 4) == pytest.approx(1j)
     assert phase(2, 2) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("m", [np.eye(3), np.array([[1, 1], [0, 1]]),
+                               np.array([[1, 0], [0, 0]]), np.zeros((0, 0))],
+                         ids=["identity", "shear", "zero_column", "empty"])
+def test_check_unitary_sparse_and_dense_agree(m):
+    dense = check_unitary(m.astype(complex), 1e-9)
+    assert check_unitary(sp.csr_matrix(m.astype(complex)), 1e-9) == dense
+    assert dense == (m.shape[0] == 0 or np.array_equal(m, np.eye(len(m))))

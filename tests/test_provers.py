@@ -3,8 +3,8 @@ import pytest
 
 from qipsim.provers import (ClassicalProverTable, DenseProver, EraseAllProver,
                             IdentityProver, ReversibilityError, ScriptedProver,
-                            check_committed, densify_schedule,
-                            make_classical_prover)
+                            check_committed, complete_permutation,
+                            densify_schedule, make_classical_prover)
 from qipsim.qfa import BLANK
 
 
@@ -75,3 +75,8 @@ def test_densify_schedule_reproduces_visible_pairs():
 def test_densify_rejects_small_tape():
     with pytest.raises(ValueError, match="cannot encode"):
         densify_schedule([(BLANK, BLANK)] * 30, (BLANK,), (BLANK, "a"), 2)
+
+
+def test_complete_permutation_refuses_shared_destination():
+    with pytest.raises(ReversibilityError):
+        complete_permutation({0: 2, 1: 2}, 3)
