@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import norm_sq
+from .linalg import UNITARY_TOL, ContractViolation, check_unitary, norm_sq
 from .provers import (ClassicalProverTable, DenseProver, IdentityProver,
                       TableProver, complete_permutation, make_classical_prover)
 from .qfa import BLANK
@@ -367,6 +367,9 @@ def prover_from_description(desc: dict):
         dim = len(desc["comm_alphabet"]) * len(desc["tape_alphabet"]) ** desc["c"]
         mats = [np.array([complex(re, im) for re, im in m], dtype=complex).reshape(dim, dim)
                 for m in desc["matrices"]]
+        for r, m in enumerate(mats, start=1):
+            if not check_unitary(m, UNITARY_TOL):
+                raise ContractViolation(f"round {r} matrix of the strategy is not unitary")
         return DenseProver(desc["comm_alphabet"], desc["tape_alphabet"], desc["c"], mats)
     raise ValueError(f"unknown strategy description {kind!r}")
 

@@ -43,25 +43,33 @@ class ContractViolation(ValueError):
 # Dense operators
 # ---------------------------------------------------------------------------
 
-def check_unitary(m, tol: float = UNITARY_TOL) -> bool:
-    """True iff max-entry norm of M†M − I is at most ``tol``.
+def unitary_deviation(m) -> float:
+    """Max-entry norm of M†M − I.
 
     Accepts a dense ndarray or a scipy sparse matrix (the latter is what the
     per-input step operators use; they have O(dim) nonzeros).
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
     if sp.issparse(m):
         rows, cols = m.shape
         if rows != cols:
             raise DimensionError(f"operator is {rows}x{cols}, not square")
-        dev = (m.conj().T @ m - sp.identity(rows)).data
+        # the stored off-diagonal entries of M†M and its diagonal minus one
+        gram = (m.conj().T @ m).tocsr()
+        row = np.repeat(np.arange(rows), np.diff(gram.indptr))
+        dev = np.concatenate((gram.data[row != gram.indices], gram.diagonal() - 1))
     else:
         a = np.asarray(m, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionError(f"operator has shape {a.shape}, not square")
         dev = a.conj().T @ a - np.eye(a.shape[0])
-    return bool(np.abs(dev).max(initial=0.0) <= tol)
+    return float(np.abs(dev).max(initial=0.0))
+
+
+def check_unitary(m, tol: float = UNITARY_TOL) -> bool:
+    """True iff `unitary_deviation` of ``m`` is at most ``tol``."""
+    if tol <= 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    return unitary_deviation(m) <= tol
 
 
 def qft_matrix(n: int) -> np.ndarray:

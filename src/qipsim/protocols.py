@@ -28,8 +28,6 @@ from .runtime import QipSystem, _apply_verifier, _measure, default_t_max
 
 _SQ2 = 1 / math.sqrt(2)
 
-DEFAULT_LENGTHS = (0, 1, 2, 3, 4)
-
 
 class TableBuilder:
     """Accumulates a partial table with per-state head directions."""
@@ -72,7 +70,7 @@ class TableBuilder:
             out.append((q2, g2, self.dirs[q2], complex(amp)))
         self.delta[key] = tuple(out)
 
-    def build(self, initial, lengths=DEFAULT_LENGTHS):
+    def build(self, initial):
         # the prover tape alphabet holds every cell symbol plus one filler, so
         # dense space-bounded twins have room for a round counter
         spec = QfaSpec(
@@ -87,7 +85,7 @@ class TableBuilder:
             head_model=self.head_model,
             delta=self.delta,
         )
-        completed, report = validate_and_complete(spec, lengths=lengths)
+        completed, report = validate_and_complete(spec)
         if not report.ok:
             raise SpecError(f"{self.name}: completion failed: {report.violations}")
         return completed
@@ -97,7 +95,7 @@ class TableBuilder:
 # Zero with a public 1qfa verifier
 # ---------------------------------------------------------------------------
 
-def zero_public_protocol(lengths=DEFAULT_LENGTHS) -> QipSystem:
+def zero_public_protocol() -> QipSystem:
     """Error-free public system for Zero = {x0}.
 
     The verifier announces its state each step; the honest prover blanks the
@@ -122,7 +120,7 @@ def zero_public_protocol(lengths=DEFAULT_LENGTHS) -> QipSystem:
         for b in ("0", "1"):
             tb.add(q1, b, g, (rejs[g], "q0"))
 
-    spec = tb.build(q0, lengths)
+    spec = tb.build(q0)
 
     def script(x):
         if not x:
@@ -138,7 +136,7 @@ def zero_public_protocol(lengths=DEFAULT_LENGTHS) -> QipSystem:
 # L_a with a measure-once verifier
 # ---------------------------------------------------------------------------
 
-def la_mo_protocol(lengths=DEFAULT_LENGTHS) -> QipSystem:
+def la_mo_protocol() -> QipSystem:
     """Certainty system for {a}^+ whose verifier measures only at the end."""
     tb = TableBuilder("la_mo", HeadModel.MO_1WAY, ("a",), (BLANK, "a"))
     q0 = tb.state("q0", "non")
@@ -153,7 +151,7 @@ def la_mo_protocol(lengths=DEFAULT_LENGTHS) -> QipSystem:
         tb.add(q0, RIGHT_END, b, (qrej, b))
     tb.add(q1, RIGHT_END, BLANK, (qacc, BLANK))
 
-    spec = tb.build(q0, lengths)
+    spec = tb.build(q0)
     return QipSystem(name="la_mo", verifier=spec, honest_prover=EraseAllProver(),
                      language=languages.la, claimed_bounds=(1.0, 1.0),
                      measure_once=True)
@@ -163,7 +161,7 @@ def la_mo_protocol(lengths=DEFAULT_LENGTHS) -> QipSystem:
 # Odd with one interaction
 # ---------------------------------------------------------------------------
 
-def odd_protocol(lengths=DEFAULT_LENGTHS) -> QipSystem:
+def odd_protocol() -> QipSystem:
     """Interaction-bounded system for 0^m 1 z, z with an odd number of 0s.
 
     The verifier queries once, at the first 1; a committed prover must erase
@@ -190,7 +188,7 @@ def odd_protocol(lengths=DEFAULT_LENGTHS) -> QipSystem:
     tb.add(q1, "0", "a", (qrej0, BLANK))
     tb.add(q1, "1", "a", (qrej0, BLANK))
 
-    spec = tb.build(q0, lengths)
+    spec = tb.build(q0)
     return QipSystem(name="odd", verifier=spec, honest_prover=EraseAllProver(),
                      language=languages.odd, claimed_bounds=(1.0, 1.0),
                      interaction_bounded=True)
@@ -200,8 +198,7 @@ def odd_protocol(lengths=DEFAULT_LENGTHS) -> QipSystem:
 # Regular languages via the eraser protocol
 # ---------------------------------------------------------------------------
 
-def eraser_protocol(dfa: Dfa, name: str | None = None,
-                    lengths=DEFAULT_LENGTHS) -> QipSystem:
+def eraser_protocol(dfa: Dfa, name: str | None = None) -> QipSystem:
     """Certainty system for any regular language.
 
     The verifier simulates the DFA and passes its previous state through the
@@ -223,7 +220,7 @@ def eraser_protocol(dfa: Dfa, name: str | None = None,
             tb.add(q, a, BLANK, (dfa.delta[(q, a)], q))
         tb.add(q, RIGHT_END, BLANK, (vacc if q in dfa.accepting else vrej, q))
 
-    spec = tb.build(dfa.initial, lengths)
+    spec = tb.build(dfa.initial)
     return QipSystem(name=tb.name, verifier=spec, honest_prover=EraseAllProver(),
                      language=dfa.accepts, claimed_bounds=(1.0, 1.0))
 
@@ -232,8 +229,7 @@ def eraser_protocol(dfa: Dfa, name: str | None = None,
 # Reversible automata, public variant
 # ---------------------------------------------------------------------------
 
-def rfa_public_protocol(rfa: Rfa, name: str = "rfa_public",
-                        lengths=DEFAULT_LENGTHS) -> QipSystem:
+def rfa_public_protocol(rfa: Rfa, name: str = "rfa_public") -> QipSystem:
     """Public certainty system echoing a reversible automaton's moves."""
     halting = set(rfa.accepting) | set(rfa.rejecting)
     comm = (BLANK,) + rfa.non_halting
@@ -250,7 +246,7 @@ def rfa_public_protocol(rfa: Rfa, name: str = "rfa_public",
         tgt = q if q not in halting else BLANK
         tb.add(p, sigma, src, (q, tgt))
 
-    spec = tb.build(rfa.initial, lengths)
+    spec = tb.build(rfa.initial)
     return QipSystem(name=name, verifier=spec, honest_prover=IdentityProver(),
                      language=lambda x: rfa.accepts(x) is True,
                      claimed_bounds=(1.0, 1.0), public=True)
@@ -260,7 +256,7 @@ def rfa_public_protocol(rfa: Rfa, name: str = "rfa_public",
 # Separated palindromes
 # ---------------------------------------------------------------------------
 
-def pal_sharp_protocol(d: int, lengths=DEFAULT_LENGTHS) -> QipSystem:
+def pal_sharp_protocol(d: int) -> QipSystem:
     """Worst-case linear-time system for y#y^R with soundness 1 - 1/2^d.
 
     The verifier runs d stages.  Each stage walks to the separator, splits
@@ -320,7 +316,7 @@ def pal_sharp_protocol(d: int, lengths=DEFAULT_LENGTHS) -> QipSystem:
             tb.add(q1, "#", g, (r1, g))
             tb.add(q2, "#", g, (r2, g))
 
-    spec = tb.build(q0(""), lengths)
+    spec = tb.build(q0(""))
 
     def script(x):
         if x.count("#") != 1:
@@ -353,7 +349,7 @@ def center_round_of_qft(x: str, n_branches: int) -> int:
     return 2 * n * n_branches + 8 * n + n_branches + 9
 
 
-def center_protocol(n_branches: int, lengths=DEFAULT_LENGTHS) -> QipSystem:
+def center_protocol(n_branches: int) -> QipSystem:
     """Polynomial-time system for Center = {x1y : |x| = |y|}.
 
     Phase 1 checks the length parity deterministically.  The prover signals
@@ -439,7 +435,7 @@ def center_protocol(n_branches: int, lengths=DEFAULT_LENGTHS) -> QipSystem:
                *[(f"t[{l}]", BLANK, phase(j * l, N) / math.sqrt(N))
                  for l in range(1, N + 1)])
 
-    spec = tb.build(q0, lengths)
+    spec = tb.build(q0)
 
     def script(x):
         if len(x) % 2 == 0:
@@ -464,7 +460,7 @@ def _enc(q: str, d: int) -> str:
     return f"{q},{d:+d}"
 
 
-def upal_protocol(n_branches: int, lengths=DEFAULT_LENGTHS) -> QipSystem:
+def upal_protocol(n_branches: int) -> QipSystem:
     """Public polynomial-time system for 0^n 1^n.
 
     The verifier announces every move through the cell and rejects the moment
@@ -536,7 +532,7 @@ def upal_protocol(n_branches: int, lengths=DEFAULT_LENGTHS) -> QipSystem:
                *[(f"t[{l}]", BLANK, phase(j * l, N) / math.sqrt(N))
                  for l in range(1, N + 1)])
 
-    spec = tb.build(p0, lengths)
+    spec = tb.build(p0)
     return QipSystem(name=f"upal[N={N}]", verifier=spec, honest_prover=IdentityProver(),
                      language=languages.upal, claimed_bounds=(1.0, 1.0 - 1.0 / N),
                      public=True)
@@ -549,8 +545,7 @@ def upal_protocol(n_branches: int, lengths=DEFAULT_LENGTHS) -> QipSystem:
 QUERY = "?"
 
 
-def npfa_to_qip(npfa: Npfa, name: str = "npfa", error_bound: float = 0.0,
-                lengths=DEFAULT_LENGTHS) -> QipSystem:
+def npfa_to_qip(npfa: Npfa, name: str = "npfa", error_bound: float = 0.0) -> QipSystem:
     """Compile a 2npfa into a verifier that outsources its choices.
 
     A fair coin becomes an equal-amplitude split whose marker the prover must
@@ -596,7 +591,7 @@ def npfa_to_qip(npfa: Npfa, name: str = "npfa", error_bound: float = 0.0,
     for key, targets in rows.items():
         tb.delta[key] = tuple((q2, g2, d, complex(a)) for (q2, g2, d, a) in targets)
 
-    spec = tb.build(npfa.initial, lengths)
+    spec = tb.build(npfa.initial)
 
     def script(x):
         horizon = default_t_max(spec, x)
@@ -639,8 +634,7 @@ def npfa_to_qip(npfa: Npfa, name: str = "npfa", error_bound: float = 0.0,
 # Union combinator
 # ---------------------------------------------------------------------------
 
-def union_protocol(s1: QipSystem, s2: QipSystem, name: str | None = None,
-                   lengths=DEFAULT_LENGTHS) -> QipSystem:
+def union_protocol(s1: QipSystem, s2: QipSystem, name: str | None = None) -> QipSystem:
     """Recognize L1 ∪ L2: ask the prover which branch accepts, then run it.
 
     Sub-verifier states get 'a:'/'b:' prefixes so the two tables cannot
@@ -681,7 +675,7 @@ def union_protocol(s1: QipSystem, s2: QipSystem, name: str | None = None,
     tb.delta[(wait, LEFT_END, "u2")] = (("b:" + s2.verifier.initial, BLANK, 0, 1.0 + 0j),)
     tb.add(wait, LEFT_END, BLANK, (urej, BLANK))
 
-    spec = tb.build(start, lengths)
+    spec = tb.build(start)
     lang1, lang2 = s1.language, s2.language
 
     class UnionHonest(ProverStrategy):

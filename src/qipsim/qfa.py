@@ -22,14 +22,19 @@ from enum import Enum
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import UNITARY_TOL, DomainError, check_amplitude, check_unitary
+from .linalg import (PRUNE_TOL, UNITARY_TOL, DomainError, check_amplitude,
+                     check_unitary, unitary_deviation)
 
 LEFT_END = "^"
 RIGHT_END = "$"
 BLANK = "#"
 
+# Input lengths whose step operators validation samples.
+DEFAULT_LENGTHS = (0, 1, 2, 3, 4)
 # Inputs tested per length; longer lengths get a covering sample this size.
 MAX_INPUTS_PER_LENGTH = 64
+# Singular values above this count towards the rank of a completion block.
+COMPLETION_RANK_TOL = 1e-10
 
 
 class HeadModel(str, Enum):
@@ -154,6 +159,7 @@ class ValidationReport:
     well_formed: dict[int, bool] = field(default_factory=dict)
     violations: list[tuple[str, str]] = field(default_factory=list)
     completed_transitions: int = 0
+    max_unitary_deviation: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -164,16 +170,58 @@ class ValidationReport:
 # Step operator
 # ---------------------------------------------------------------------------
 
-def _basis_index(spec: QfaSpec, n: int):
+def _step_table(spec: QfaSpec):
+    """delta compiled per tape symbol into integer arrays.
+
+    ``{sigma: (src, dst, move, amp)}``, one entry per transition target:
+    ``src`` and ``dst`` index (state, cell symbol) pairs as q·|Gamma| + gamma.
+    """
+    gsz = len(spec.comm_alphabet)
     q_idx = {q: i for i, q in enumerate(spec.states)}
     g_idx = {g: i for i, g in enumerate(spec.comm_alphabet)}
-    width = n + 2
+    entries: dict[str, list] = {}
+    for (q, sigma, gamma), targets in spec.delta.items():
+        found = entries.setdefault(sigma, [])
+        src = q_idx[q] * gsz + g_idx[gamma]
+        for (q2, g2, d, amp) in targets:
+            found.append((src, q_idx[q2] * gsz + g_idx[g2], d, amp))
+    table = {}
+    for sigma, found in entries.items():
+        if not found:  # only columns without targets
+            continue
+        src, dst, move, amp = zip(*found)
+        table[sigma] = (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
+                        np.array(move, dtype=np.intp), np.array(amp, dtype=complex))
+    return table
+
+
+def _step_operator(spec: QfaSpec, table, x: str, sparse: bool):
+    """`build_step_operator` from a table compiled by `_step_table`."""
+    spec.check_input(x)
+    width = len(x) + 2
     gsz = len(spec.comm_alphabet)
+    dim = len(spec.states) * width * gsz
+    positions: dict[str, list[int]] = {}
+    for k, sigma in enumerate((LEFT_END,) + tuple(x) + (RIGHT_END,)):
+        positions.setdefault(sigma, []).append(k)
 
-    def index(q: str, k: int, g: str) -> int:
-        return (q_idx[q] * width + k) * gsz + g_idx[g]
+    def index(pair, k):
+        # basis index of (q, k, gamma) is (q·width + k)·|Gamma| + gamma
+        return ((pair // gsz * width + k) * gsz + pair % gsz).ravel()
 
-    return index
+    empty = np.empty(0, dtype=np.intp)
+    rows, cols, data = [empty], [empty], [np.empty(0, dtype=complex)]
+    for sigma, (src, dst, move, amp) in table.items():
+        if sigma not in positions:
+            continue
+        k = np.array(positions[sigma])[:, None]
+        cols.append(index(src, k))
+        rows.append(index(dst, (k + move) % width))
+        data.append(np.tile(amp, len(k)))
+    mat = sp.csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim), dtype=complex)
+    return mat if sparse else mat.toarray()
 
 
 def build_step_operator(spec: QfaSpec, x: str, sparse: bool = False):
@@ -185,23 +233,7 @@ def build_step_operator(spec: QfaSpec, x: str, sparse: bool = False):
     ``sparse`` is set (the operators have O(dim) nonzeros, so the sparse form
     is what validation uses at larger sizes).
     """
-    spec.check_input(x)
-    n = len(x)
-    width = n + 2
-    dim = len(spec.states) * width * len(spec.comm_alphabet)
-    index = _basis_index(spec, n)
-    rows, cols, data = [], [], []
-    for (q, sigma, gamma), targets in spec.delta.items():
-        for k in range(width):
-            if symbol_at(x, k) != sigma:
-                continue
-            col = index(q, k, gamma)
-            for (q2, g2, d, amp) in targets:
-                rows.append(index(q2, (k + d) % width, g2))
-                cols.append(col)
-                data.append(amp)
-    mat = sp.csc_matrix((data, (rows, cols)), shape=(dim, dim), dtype=complex)
-    return mat if sparse else mat.toarray()
+    return _step_operator(spec, _step_table(spec), x, sparse)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +282,7 @@ def _orthonormality_violations(columns, pair_index, tol):
     return out
 
 
-def validate_and_complete(spec: QfaSpec, lengths=(0, 1, 2, 3, 4),
+def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
                           tol: float = UNITARY_TOL,
                           ) -> tuple[QfaSpec, ValidationReport]:
     """Close a partial table up to a well-formed verifier.
@@ -262,8 +294,9 @@ def validate_and_complete(spec: QfaSpec, lengths=(0, 1, 2, 3, 4),
     most ceil(|unspecified|/|Gamma|) of them are added per symbol block; their
     own outgoing columns are assigned an orthonormal basis of whatever image
     space is left, which keeps each per-symbol block unitary without touching
-    any specified behaviour.  The report carries orthonormality violations and
-    a unitarity verdict per tested input length.
+    any specified behaviour.  The report carries orthonormality violations, a
+    unitarity verdict per tested input length and the largest deviation from
+    unitarity over the tested inputs.
     """
     report = ValidationReport()
     groups = _column_groups(spec)
@@ -307,7 +340,7 @@ def validate_and_complete(spec: QfaSpec, lengths=(0, 1, 2, 3, 4),
         all_states = spec.states + fresh
         all_pairs = [(q, g) for q in all_states for g in spec.comm_alphabet]
         all_index = {p: i for i, p in enumerate(all_pairs)}
-        dim = len(all_pairs)
+        fresh_cols = [(f, g) for f in fresh for g in spec.comm_alphabet]
         for sigma in spec.tape_symbols:
             assigned_cols: list[dict[int, complex]] = []
             for key in sorted(groups[sigma]):
@@ -319,9 +352,7 @@ def validate_and_complete(spec: QfaSpec, lengths=(0, 1, 2, 3, 4),
                 assigned_cols.append({all_index[target]: 1.0 + 0j})
                 added += 1
             # leftover image space goes to the fresh states' own columns
-            fresh_cols = [(f, g) for f in fresh for g in spec.comm_alphabet]
-            leftover = _leftover_basis(assigned_cols, dim, len(fresh_cols),
-                                       all_pairs, tol)
+            leftover = _leftover_basis(assigned_cols, len(fresh_cols), all_pairs, tol)
             for (f, g), vec in zip(fresh_cols, leftover):
                 targets = []
                 for i, amp in vec:
@@ -340,10 +371,14 @@ def validate_and_complete(spec: QfaSpec, lengths=(0, 1, 2, 3, 4),
         )
         report.completed_transitions = added
 
+    table = _step_table(completed)
     for n in lengths:
         ok = True
         for x in _test_inputs(completed.input_alphabet, n, MAX_INPUTS_PER_LENGTH):
-            u = build_step_operator(completed, x, sparse=True)
+            u = _step_operator(completed, table, x, sparse=True)
+            report.max_unitary_deviation = max(report.max_unitary_deviation,
+                                               unitary_deviation(u))
+            # the verdict stays with check_unitary, which also refuses tol <= 0
             if not check_unitary(u, tol):
                 ok = False
                 report.violations.append((x, f"step operator not unitary at length {n}"))
@@ -351,39 +386,42 @@ def validate_and_complete(spec: QfaSpec, lengths=(0, 1, 2, 3, 4),
     return completed, report
 
 
-def _leftover_basis(assigned_cols, dim, count, all_pairs, tol):
+def _leftover_basis(assigned_cols, count, all_pairs, tol):
     """Orthonormal basis of the orthocomplement of the assigned columns.
 
-    Returned as ``count`` sparse vectors [(index, amp), ...].  Axis-aligned
-    tables (the common case) are completed exactly by pairing unused basis
-    vectors; otherwise the basis comes from an SVD.  Vectors landing on fresh
-    or halting states are handed out first so that completion junk stays, as
-    far as possible, inside the rejecting family.
+    Returned as ``count`` sparse vectors [(index, amp), ...].  Rows that no
+    assigned column touches become unit vectors, handed out first, those on
+    fresh rejecting states ahead of the rest, so that completion junk stays,
+    as far as possible, inside the rejecting family.  The rows touched by
+    columns that are not unit vectors form a block together with every column
+    that has an entry there; the block's orthocomplement comes from an SVD of
+    the block alone and is handed out last.  Axis-aligned tables (the common
+    case) have an empty block and are completed exactly.
     """
-    used_rows = set()
-    axis_aligned = True
+    touched = set()
+    block_rows = set()
     for col in assigned_cols:
-        used_rows.update(col)
+        touched.update(col)
         if len(col) != 1 or abs(abs(next(iter(col.values()))) - 1.0) > tol:
-            axis_aligned = False
-    if axis_aligned:
-        free = [i for i in range(dim) if i not in used_rows]
-        free.sort(key=lambda i: (0 if all_pairs[i][0].startswith("~rej") else 1, i))
-        assert len(free) == count
-        return [[(i, 1.0 + 0j)] for i in free]
-    mat = np.zeros((dim, len(assigned_cols)), dtype=complex)
-    for j, col in enumerate(assigned_cols):
-        for i, amp in col.items():
-            mat[i, j] = amp
-    # columns of u beyond the rank span the orthocomplement
-    u, s, _vh = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(s > 1e-10))
-    basis = u[:, rank:]
-    assert basis.shape[1] == count
-    out = []
-    for j in range(count):
-        vec = [(i, complex(basis[i, j])) for i in range(dim) if abs(basis[i, j]) > 1e-12]
-        out.append(vec)
+            block_rows.update(col)
+    free = [i for i in range(len(all_pairs)) if i not in touched]
+    free.sort(key=lambda i: (0 if all_pairs[i][0].startswith("~rej") else 1, i))
+    out = [[(i, 1.0 + 0j)] for i in free]
+    if block_rows:
+        rows = sorted(block_rows)
+        local = {i: r for r, i in enumerate(rows)}
+        block = [col for col in assigned_cols if not block_rows.isdisjoint(col)]
+        mat = np.zeros((len(rows), len(block)), dtype=complex)
+        for j, col in enumerate(block):
+            for i, amp in col.items():
+                mat[local[i], j] = amp
+        # columns of u beyond the rank span the block's orthocomplement
+        u, s, _vh = np.linalg.svd(mat, full_matrices=True)
+        rank = int(np.sum(s > COMPLETION_RANK_TOL))
+        for vec in u[:, rank:].T:
+            out.append([(rows[r], complex(vec[r]))
+                        for r in np.flatnonzero(np.abs(vec) > PRUNE_TOL)])
+    assert len(out) == count
     return out
 
 
@@ -421,7 +459,7 @@ def public_symbol(q: str, d: int, one_way: bool) -> str:
 
 
 def check_structure(spec: QfaSpec, mode: StructureMode,
-                    lengths=(0, 1, 2, 3, 4)) -> ValidationReport:
+                    lengths=DEFAULT_LENGTHS) -> ValidationReport:
     """Scan a validated spec against one of the restricted-model disciplines.
 
     Findings land in the report; nothing raises.  Completion-added transitions

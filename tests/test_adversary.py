@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 
 from qipsim.adversary import (AdversaryBudget, AdversaryReport,
                               _table_from_description, _table_to_dense,
                               best_classical_prover, prover_from_description,
                               replay, search_quantum_prover)
-from qipsim.linalg import check_unitary
+from qipsim.linalg import ContractViolation, check_unitary
+from qipsim.provers import DenseProver
 from qipsim.provers import IdentityProver
 from qipsim.runtime import default_t_max, run
 
@@ -149,3 +151,13 @@ def test_classical_seed_matrices_are_unitary(pal2, x):
                            min(steps, default_t_max(spec, x)))
     assert all(check_unitary(m, 1e-9) for m in seed.matrices)
     assert run(pal2, seed, x).p_acc == pytest.approx(rep.best_p_acc, abs=1e-9)
+
+
+def test_replay_refuses_a_non_unitary_round_matrix():
+    shear = np.eye(4, dtype=complex)
+    shear[0, 1] = 1.0
+    desc = DenseProver(("#", "a"), ("#", "a"), 1, [np.eye(4), shear]).describe()
+    with pytest.raises(ContractViolation, match="round 2"):
+        prover_from_description(desc)
+    desc["matrices"].pop()
+    assert isinstance(prover_from_description(desc), DenseProver)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qipsim.linalg import (ContractViolation, DimensionError, DomainError,
                            check_unitary, near_identity_power, norm_sq, phase,
-                           prune, qft_matrix)
+                           prune, qft_matrix, unitary_deviation)
 
 
 def test_check_unitary_identity():
@@ -108,3 +108,14 @@ def test_check_unitary_sparse_and_dense_agree(m):
     dense = check_unitary(m.astype(complex), 1e-9)
     assert check_unitary(sp.csr_matrix(m.astype(complex)), 1e-9) == dense
     assert dense == (m.shape[0] == 0 or np.array_equal(m, np.eye(len(m))))
+
+
+@pytest.mark.parametrize("m, dev", [(np.eye(3), 0.0), (np.array([[1, 1], [0, 1]]), 1.0),
+                                    (np.array([[1, 0], [0, 0]]), 1.0),
+                                    (np.array([[0.6, 0], [0, 1]]), 0.64),
+                                    (np.zeros((0, 0)), 0.0)],
+                         ids=["identity", "shear", "zero_column", "short_column", "empty"])
+def test_unitary_deviation_sparse_and_dense(m, dev):
+    m = m.astype(complex)
+    assert unitary_deviation(m) == pytest.approx(dev)
+    assert unitary_deviation(sp.csc_matrix(m)) == pytest.approx(dev)

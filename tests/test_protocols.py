@@ -51,7 +51,8 @@ def test_identity_prover_soundness_short_non_members(name):
 
 @pytest.mark.parametrize("name", ["zero_public", "la_mo", "odd", "eraser_zero",
                                   "rfa_even_a", "pal_sharp:d=2", "center:N=2",
-                                  "upal:N=3", "npfa_coin", "union_zero_end1"])
+                                  "upal:N=3", "npfa_coin", "union_zero_end1",
+                                  "upal:N=4", "pal_sharp:d=3", "center:N=4"])
 def test_step_operators_unitary_lengths_0_to_6(name):
     spec = build_protocol(name).verifier
     for n in range(7):
