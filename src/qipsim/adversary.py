@@ -3,11 +3,24 @@
 Classical search enumerates every deterministic prover table within a budget
 (step-indexed maps (round, cell symbol, memory) -> (cell', memory'), with
 reversibility enforced on the reachable pairs).  The enumeration walks the
-joint state: at each round it branches over all injective assignments on the
+joint state: at each round it branches over injective assignments on the
 pairs actually present, which covers every distinct table behaviour without
 writing out the full table space.  Subtrees are deduplicated by a canonical
 form of the continuation state (normalized, phase-fixed, memory relabelled),
 so the returned maximum is exact whenever the node cap is not hit.
+
+Branching is reduced by symmetry (Emerson & Sistla, "Symmetry and model
+checking", FMSD 9, 1996), restricted to symmetries that leave every result
+bit-identical.  At a node, two targets (cell', memory') are interchangeable
+when they have the same memory, the same blank-ness and, on every
+(state, tape symbol) row the node's labels sit on, the same non-rejecting
+part of their delta column.  Swapping interchangeable targets then changes
+only rejecting labels of the verifier move, which the measurement discards:
+the accepting mass and the continuation come out bit for bit the same, in
+the same dict order.  So each orbit of assignments under those swaps is
+represented by its lexicographically first member, which is also the first
+member the full enumeration reaches; the other members would only have been
+dropped as duplicates of it.
 
 Quantum search climbs over per-round dense unitaries acting on the cell and
 c prover-tape cells: random-unitary restarts followed by accept-if-better
@@ -25,11 +38,16 @@ import numpy as np
 from .linalg import UNITARY_TOL, ContractViolation, check_unitary, norm_sq
 from .provers import (ClassicalProverTable, DenseProver, IdentityProver,
                       TableProver, complete_permutation, make_classical_prover)
-from .qfa import BLANK
+from .qfa import BLANK, symbol_at
 from .runtime import QipSystem, _apply_verifier, _measure, default_t_max, run
 
 # Largest dense prover dimension |Gamma|·|Delta|^c the quantum search climbs in.
 DENSE_DIM_CAP = 64
+# Classical values closer than this are a tie: a branch whose bound does not
+# beat the best by more is pruned, and replay keeps the first of tied tables.
+TIE_TOL = 1e-12
+# A replayed strategy must reproduce its report's best_p_acc within this.
+REPLAY_TOL = 1e-9
 
 
 class BudgetError(RuntimeError):
@@ -70,7 +88,15 @@ class _ClassicalSearch:
         self.targets = [(g, m) for g in self.spec.comm_alphabet for m in self.memory]
         self.t_max = default_t_max(self.spec, x)
         self.steps = min(budget.steps, self.t_max)
+        self.tape = [symbol_at(x, k) for k in range(self.width)]
+        self.rejecting = frozenset(self.spec.rejecting)
+        # Blank is a class of its own, so one non-blank symbol leaves every
+        # class a single target.
+        self.class_cache: dict | None = (
+            {} if sum(g != BLANK for g in self.spec.comm_alphabet) > 1 else None)
+        self.row_kinds: dict = {}
         self.memo: dict = {}
+        self.tail_memo: dict = {}
         self.nodes = 0
         self.capped = False
 
@@ -97,14 +123,20 @@ class _ClassicalSearch:
         """Identity prover from round r on (past the table budget).
 
         ``state`` sits just after the round-r measurement, so the remaining
-        verifier rounds are r+1 .. t_max.
+        verifier rounds are r+1 .. t_max.  Memoized on the exact state, in
+        dict order, so a repeat returns the very float it would recompute.
         """
+        key = (r, tuple(state.items()))
+        hit = self.tail_memo.get(key)
+        if hit is not None:
+            return hit
         acc_total = 0.0
         for _r in range(r + 1, self.t_max + 1):
             acc, state = self._verifier_round(state)
             acc_total += acc
             if not state:
                 break
+        self.tail_memo[key] = acc_total
         return acc_total
 
     def _canonical(self, state):
@@ -124,15 +156,86 @@ class _ClassicalSearch:
             out.append((q, k, g, relabel[m], round(a.real, 9), round(a.imag, 9)))
         return tuple(out)
 
-    def _assignments(self, pairs):
-        """Injective maps from the reachable (gamma, memory) pairs."""
-        if self.budget.committed_only:
-            blank_idx = [i for i, (g, _m) in enumerate(pairs) if g == BLANK]
-            for combo in itertools.permutations(self.targets, len(pairs)):
-                if all(combo[i][0] == BLANK for i in blank_idx):
-                    yield combo
-        else:
-            yield from itertools.permutations(self.targets, len(pairs))
+    def _target_classes(self, state):
+        """Indices into ``targets`` of the interchangeable classes at ``state``.
+
+        None when every class is a single target.  Depends only on the
+        (state, tape symbol) rows of the labels, so it is cached per row set.
+        """
+        if self.class_cache is None:
+            return None
+        tape = self.tape
+        rows = frozenset((q, tape[k]) for (q, k, _g, _m) in state)
+        if rows in self.class_cache:
+            return self.class_cache[rows]
+        groups: dict = {}
+        for j, kind in enumerate(zip(*(self._symbol_kinds(row) for row in rows))):
+            groups.setdefault(kind, []).append(j)
+        n_mem = len(self.memory)
+        # targets[j * n_mem + i] is (comm_alphabet[j], memory[i])
+        classes = None if len(groups) == len(self.spec.comm_alphabet) else [
+            [j * n_mem + i for j in symbols]
+            for symbols in groups.values() for i in range(n_mem)]
+        self.class_cache[rows] = classes
+        return classes
+
+    def _symbol_kinds(self, row):
+        """Per cell symbol, an id shared by the non-blank symbols whose delta
+        columns on ``row`` agree outside the rejecting states."""
+        kinds = self.row_kinds.get(row)
+        if kinds is None:
+            q, s = row
+            ids: dict = {BLANK: 0}  # blank's own id
+            kinds = []
+            for g in self.spec.comm_alphabet:
+                col = self.spec.delta.get((q, s, g))
+                kept = BLANK if g == BLANK else col if col is None else tuple(
+                    t for t in col if t[0] not in self.rejecting)
+                kinds.append(ids.setdefault(kept, len(ids)))
+            self.row_kinds[row] = kinds
+        return kinds
+
+    def _orbit_firsts(self, classes, k):
+        """The lexicographically first k-tuple of each orbit, in index order.
+
+        Each position takes the lowest-indexed unused member of a class, so
+        the members used of a class are always a prefix of it.
+        """
+        targets = self.targets
+        used = [0] * len(classes)
+
+        def extend(prefix):
+            firsts = sorted((members[used[c]], c) for c, members in enumerate(classes)
+                            if used[c] < len(members))
+            if len(prefix) + 1 == k:
+                for i, _c in firsts:
+                    yield prefix + (targets[i],)
+                return
+            for i, c in firsts:
+                used[c] += 1
+                yield from extend(prefix + (targets[i],))
+                used[c] -= 1
+
+        return extend(())
+
+    def _assignments(self, state, pairs):
+        """Injective maps from the reachable (gamma, memory) pairs of ``state``.
+
+        One map per orbit of interchangeable targets (see the module
+        docstring), in ``itertools.permutations`` order: the maps left out
+        give the same accepting mass and continuation as the one kept before
+        them, so the search and its replay are unchanged.  With only single
+        classes this is ``itertools.permutations`` itself.  The
+        ``committed_only`` filter (blank pairs stay blank) holds for a whole
+        orbit or for none of it, since blank-ness is part of a class.
+        """
+        classes = self._target_classes(state)
+        combos = (itertools.permutations(self.targets, len(pairs)) if classes is None
+                  else self._orbit_firsts(classes, len(pairs)))
+        if not self.budget.committed_only:
+            return combos
+        blank_idx = [i for i, (g, _m) in enumerate(pairs) if g == BLANK]
+        return (c for c in combos if all(c[i][0] == BLANK for i in blank_idx))
 
     def _value(self, state, r) -> float:
         """Max future acceptance from just before the round-r prover move."""
@@ -152,7 +255,7 @@ class _ClassicalSearch:
         pairs = sorted({(g, m) for (_q, _k, g, m) in state})
         best = 0.0
         seen: set = set()
-        for combo in self._assignments(pairs):
+        for combo in self._assignments(state, pairs):
             acc, cont = self._verifier_round(
                 self._apply_table(state, dict(zip(pairs, combo))))
             ckey = self._canonical(cont)
@@ -161,12 +264,12 @@ class _ClassicalSearch:
                 continue
             seen.add(skey)
             bound = acc + norm_sq(cont)
-            if bound <= best + 1e-12:
+            if bound <= best + TIE_TOL:
                 continue
             val = acc + self._value(cont, r + 1)
             if val > best:
                 best = val
-                if best >= total - 1e-12:
+                if best >= total - TIE_TOL:
                     break
         if not self.capped:
             self.memo[key] = best / total if total > 0 else 0.0
@@ -186,11 +289,11 @@ class _ClassicalSearch:
         while state and r <= self.steps:
             pairs = sorted({(g, m) for (_q, _k, g, m) in state})
             best_val, best_combo, best_cont = -1.0, None, None
-            for combo in self._assignments(pairs):
+            for combo in self._assignments(state, pairs):
                 mapped = dict(zip(pairs, combo))
                 acc, cont = self._verifier_round(self._apply_table(state, mapped))
                 val = acc + self._value(cont, r + 1)
-                if val > best_val + 1e-12:
+                if val > best_val + TIE_TOL:
                     best_val, best_combo, best_cont = val, mapped, cont
             for (g, m), (g2, m2) in best_combo.items():
                 if (g, m) != (g2, m2):
@@ -213,7 +316,7 @@ def best_classical_prover(system: QipSystem, x: str,
     best, table = search.search()
     prover = make_classical_prover(table)
     achieved = run(system, prover, x).p_acc
-    if not search.capped and abs(achieved - best) > 1e-9:
+    if not search.capped and abs(achieved - best) > REPLAY_TOL:
         raise RuntimeError(
             f"replayed table achieves {achieved}, search reported {best}")
     return AdversaryReport(best_p_acc=achieved,
@@ -375,6 +478,6 @@ def prover_from_description(desc: dict):
 
 
 def replay(system: QipSystem, x: str, report: AdversaryReport) -> float:
-    """Re-run the reported strategy; must reproduce best_p_acc within 1e-9."""
+    """Re-run the reported strategy; must reproduce best_p_acc within REPLAY_TOL."""
     prover = prover_from_description(report.best_strategy)
     return run(system, prover, x).p_acc

@@ -1,14 +1,23 @@
+import dataclasses
+import itertools
+import json
+
 import numpy as np
 import pytest
 
-from qipsim.adversary import (AdversaryBudget, AdversaryReport,
-                              _table_from_description, _table_to_dense,
-                              best_classical_prover, prover_from_description,
-                              replay, search_quantum_prover)
+from qipsim import adversary
+from qipsim.adversary import (REPLAY_TOL, AdversaryBudget, AdversaryReport,
+                              _ClassicalSearch, _table_from_description,
+                              _table_to_dense, best_classical_prover,
+                              prover_from_description, replay,
+                              search_quantum_prover)
 from qipsim.linalg import ContractViolation, check_unitary
+from qipsim.protocols import build_protocol
 from qipsim.provers import DenseProver
 from qipsim.provers import IdentityProver
+from qipsim.qfa import BLANK
 from qipsim.runtime import default_t_max, run
+from tests.conftest import strings
 
 
 def test_pal1_classical_soundness_bound(pal1):
@@ -161,3 +170,93 @@ def test_replay_refuses_a_non_unitary_round_matrix():
         prover_from_description(desc)
     desc["matrices"].pop()
     assert isinstance(prover_from_description(desc), DenseProver)
+
+
+class _PermutationSearch(_ClassicalSearch):
+    """The classical search over every injective map, without orbits."""
+
+    def _assignments(self, state, pairs):
+        if self.budget.committed_only:
+            blank_idx = [i for i, (g, _m) in enumerate(pairs) if g == BLANK]
+            for combo in itertools.permutations(self.targets, len(pairs)):
+                if all(combo[i][0] == BLANK for i in blank_idx):
+                    yield combo
+        else:
+            yield from itertools.permutations(self.targets, len(pairs))
+
+
+def _oracle_cases(name):
+    """(system, inputs, steps, committed_only) of one oracle comparison."""
+    if name == "upal:N=2":
+        return build_protocol(name), strings("01", 3), 9, False
+    if name == "upal:N=3":
+        return build_protocol(name), strings("01", 2), 8, False
+    if name == "center:N=2":
+        system = build_protocol(name)
+        return system, [x for x in strings("01", 5)
+                        if len(x) % 2 == 1 and not system.member(x)], 60, False
+    if name == "pal_sharp:d=2":
+        return build_protocol(name), ["0#1", "1#0", "01#0", "0#11"], None, False
+    return build_protocol("odd"), ["11"], 5, True
+
+
+@pytest.mark.parametrize("name", ["upal:N=2", "upal:N=3", "center:N=2",
+                                  "pal_sharp:d=2", "odd-committed"])
+def test_orbit_search_matches_full_enumeration(monkeypatch, name):
+    system, inputs, steps, committed_only = _oracle_cases(name)
+    for x in inputs:
+        budget = AdversaryBudget(memory_states=2, steps=steps or 2 * (len(x) + 2),
+                                 committed_only=committed_only)
+        orbits = best_classical_prover(system, x, budget)
+        with monkeypatch.context() as m:
+            m.setattr(adversary, "_ClassicalSearch", _PermutationSearch)
+            full = best_classical_prover(system, x, budget)
+        assert orbits.best_p_acc.hex() == full.best_p_acc.hex(), x
+        assert orbits.strategies_tested == full.strategies_tested, x
+        assert orbits.best_strategy == full.best_strategy, x
+        assert orbits.is_exhaustive and full.is_exhaustive, x
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_orbit_enumeration_keeps_the_first_map_of_each_orbit(k):
+    search = _ClassicalSearch(build_protocol("upal:N=2"), "", AdversaryBudget())
+    search.targets = search.targets[:7]
+    classes = [[0, 3, 4], [1], [2, 6], [5]]
+    class_of = {i: c for c, members in enumerate(classes) for i in members}
+    firsts: dict = {}
+    for combo in itertools.permutations(range(7), k):
+        firsts.setdefault(tuple(class_of[i] for i in combo), combo)
+    expected = [tuple(search.targets[i] for i in combo) for combo in firsts.values()]
+    assert list(search._orbit_firsts(classes, k)) == expected
+
+
+def test_interchangeable_targets_share_a_class(upal4):
+    search = _ClassicalSearch(upal4, "1", AdversaryBudget(memory_states=2, steps=7))
+    _acc, state = search._verifier_round(
+        {(upal4.verifier.initial, 0, BLANK, "m0"): 1.0 + 0j})
+    classes = search._target_classes(state)
+    assert len(classes) < len(search.targets)
+    for members in classes:
+        assert len({search.targets[i][1] for i in members}) == 1
+        assert len({search.targets[i][0] == BLANK for i in members}) == 1
+
+
+def test_upal4_steps7_search_finishes(upal4):
+    rep = best_classical_prover(upal4, "1", AdversaryBudget(memory_states=2, steps=7))
+    assert rep.is_exhaustive
+    assert rep.best_p_acc == 0.25
+    assert replay(upal4, "1", rep) == pytest.approx(rep.best_p_acc, abs=REPLAY_TOL)
+
+
+def test_dense_strategy_replays_from_json(pal2):
+    identity = AdversaryReport(best_p_acc=run(pal2, IdentityProver(), "0#1").p_acc,
+                               best_strategy={"kind": "identity"},
+                               strategies_tested=0, is_exhaustive=False)
+    budget = AdversaryBudget(restarts=3, iterations=15, seed=0)
+    rep = search_quantum_prover(pal2, "0#1", c=1, budget=budget,
+                                classical_seed=identity)
+    assert rep.best_strategy["kind"] == "dense"
+    desc = json.loads(json.dumps(rep.best_strategy))
+    assert isinstance(prover_from_description(desc), DenseProver)
+    decoded = dataclasses.replace(rep, best_strategy=desc)
+    assert replay(pal2, "0#1", decoded) == pytest.approx(rep.best_p_acc, abs=REPLAY_TOL)
