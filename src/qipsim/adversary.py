@@ -5,9 +5,13 @@ Classical search enumerates every deterministic prover table within a budget
 reversibility enforced on the reachable pairs).  The enumeration walks the
 joint state: at each round it branches over injective assignments on the
 pairs actually present, which covers every distinct table behaviour without
-writing out the full table space.  Subtrees are deduplicated by a canonical
-form of the continuation state (normalized, phase-fixed, memory relabelled),
-so the returned maximum is exact whenever the node cap is not hit.
+writing out the full table space.  A memo keyed by a canonical form of the
+state (normalized, phase-fixed, memory relabelled) is the only deduplication;
+it holds each node's value per unit mass and best assignment.  Memory labels
+are interchangeable after round 1, so that assignment, mapped back through a
+state's own renaming, is optimal for every state sharing the key.  The table
+is read in one walk down the best path, and the maximum is exact whenever
+the node cap is not hit.
 
 Branching is reduced by symmetry (Emerson & Sistla, "Symmetry and model
 checking", FMSD 9, 1996), restricted to symmetries that leave every result
@@ -19,8 +23,8 @@ only rejecting labels of the verifier move, which the measurement discards:
 the accepting mass and the continuation come out bit for bit the same, in
 the same dict order.  So each orbit of assignments under those swaps is
 represented by its lexicographically first member, which is also the first
-member the full enumeration reaches; the other members would only have been
-dropped as duplicates of it.
+member the full enumeration reaches; the others give the same value and
+continuation.
 
 Quantum search climbs over per-round dense unitaries acting on the cell and
 c prover-tape cells: random-unitary restarts followed by accept-if-better
@@ -44,7 +48,7 @@ from .runtime import QipSystem, _apply_verifier, _measure, default_t_max, run
 # Largest dense prover dimension |Gamma|·|Delta|^c the quantum search climbs in.
 DENSE_DIM_CAP = 64
 # Classical values closer than this are a tie: a branch whose bound does not
-# beat the best by more is pruned, and replay keeps the first of tied tables.
+# beat the best by more is pruned, and a node this close to its mass stops.
 TIE_TOL = 1e-12
 # A replayed strategy must reproduce its report's best_p_acc within this.
 REPLAY_TOL = 1e-9
@@ -96,6 +100,7 @@ class _ClassicalSearch:
             {} if sum(g != BLANK for g in self.spec.comm_alphabet) > 1 else None)
         self.row_kinds: dict = {}
         self.memo: dict = {}
+        self.moves: dict = {}  # memo key -> best assignment, renamed like the key
         self.tail_memo: dict = {}
         self.nodes = 0
         self.capped = False
@@ -140,21 +145,21 @@ class _ClassicalSearch:
         return acc_total
 
     def _canonical(self, state):
-        if not state:
-            return ()
-        labels = sorted(state, key=repr)
-        norm = math.sqrt(norm_sq(state))
-        ref = state[labels[0]]
-        scale = 1.0 / (norm * (ref / abs(ref)))
+        """Memo key of ``state`` and its memory renaming, a bijection on ``memory``."""
         relabel: dict = {}
         out = []
-        for lbl in labels:
-            q, k, g, m = lbl
-            if m not in relabel:
-                relabel[m] = f"c{len(relabel)}"
-            a = state[lbl] * scale
-            out.append((q, k, g, relabel[m], round(a.real, 9), round(a.imag, 9)))
-        return tuple(out)
+        if state:
+            labels = sorted(state, key=repr)
+            norm = math.sqrt(norm_sq(state))
+            ref = state[labels[0]]
+            scale = 1.0 / (norm * (ref / abs(ref)))
+            for q, k, g, m in labels:
+                relabel.setdefault(m, f"c{len(relabel)}")
+                a = state[q, k, g, m] * scale
+                out.append((q, k, g, relabel[m], round(a.real, 9), round(a.imag, 9)))
+        for m in self.memory:
+            relabel.setdefault(m, f"c{len(relabel)}")
+        return tuple(out), relabel
 
     def _target_classes(self, state):
         """Indices into ``targets`` of the interchangeable classes at ``state``.
@@ -224,8 +229,8 @@ class _ClassicalSearch:
         One map per orbit of interchangeable targets (see the module
         docstring), in ``itertools.permutations`` order: the maps left out
         give the same accepting mass and continuation as the one kept before
-        them, so the search and its replay are unchanged.  With only single
-        classes this is ``itertools.permutations`` itself.  The
+        them, so the value and the recorded assignments are unchanged.  With
+        only single classes this is ``itertools.permutations`` itself.  The
         ``committed_only`` filter (blank pairs stay blank) holds for a whole
         orbit or for none of it, since blank-ness is part of a class.
         """
@@ -244,7 +249,8 @@ class _ClassicalSearch:
         if r > self.steps:
             return self._tail_value(state, r)
         total = norm_sq(state)
-        key = (r, self._canonical(state))
+        ckey, relabel = self._canonical(state)
+        key = (r, ckey)
         hit = self.memo.get(key)
         if hit is not None:
             return hit * total
@@ -254,21 +260,17 @@ class _ClassicalSearch:
             return self._tail_value(state, r)
         pairs = sorted({(g, m) for (_q, _k, g, m) in state})
         best = 0.0
-        seen: set = set()
         for combo in self._assignments(state, pairs):
             acc, cont = self._verifier_round(
                 self._apply_table(state, dict(zip(pairs, combo))))
-            ckey = self._canonical(cont)
-            skey = (round(acc, 12), ckey)
-            if skey in seen:
-                continue
-            seen.add(skey)
             bound = acc + norm_sq(cont)
             if bound <= best + TIE_TOL:
                 continue
             val = acc + self._value(cont, r + 1)
             if val > best:
                 best = val
+                self.moves[key] = {(g, relabel[m]): (g2, relabel[m2])
+                                   for (g, m), (g2, m2) in zip(pairs, combo)}
                 if best >= total - TIE_TOL:
                     break
         if not self.capped:
@@ -279,28 +281,17 @@ class _ClassicalSearch:
         init = {(self.spec.initial, 0, BLANK, self.memory[0]): 1.0 + 0j}
         acc0, state = self._verifier_round(init)
         best = acc0 + self._value(state, 1)
-        table = self._replay(state)
-        return best, table
-
-    def _replay(self, state) -> ClassicalProverTable:
-        """Greedy second pass recovering an optimal table from the memo."""
         entries: dict = {}
-        r = 1
-        while state and r <= self.steps:
-            pairs = sorted({(g, m) for (_q, _k, g, m) in state})
-            best_val, best_combo, best_cont = -1.0, None, None
-            for combo in self._assignments(state, pairs):
-                mapped = dict(zip(pairs, combo))
-                acc, cont = self._verifier_round(self._apply_table(state, mapped))
-                val = acc + self._value(cont, r + 1)
-                if val > best_val + TIE_TOL:
-                    best_val, best_combo, best_cont = val, mapped, cont
-            for (g, m), (g2, m2) in best_combo.items():
-                if (g, m) != (g2, m2):
-                    entries[(r, g, m)] = (g2, m2)
-            state = best_cont
-            r += 1
-        return ClassicalProverTable(entries=entries, initial_memory=self.memory[0])
+        for r in range(1, self.steps + 1):
+            ckey, relabel = self._canonical(state)
+            move = self.moves.get((r, ckey))
+            if move is None:  # best is 0 here, or the node cap cut the search
+                break
+            back = {c: m for m, c in relabel.items()}
+            mapped = {(g, back[c]): (g2, back[c2]) for (g, c), (g2, c2) in move.items()}
+            entries.update(((r, g, m), t) for (g, m), t in mapped.items() if (g, m) != t)
+            _acc, state = self._verifier_round(self._apply_table(state, mapped))
+        return best, ClassicalProverTable(entries=entries, initial_memory=self.memory[0])
 
 
 def best_classical_prover(system: QipSystem, x: str,

@@ -5,6 +5,9 @@ from dataclasses import dataclass
 
 from .qfa import LEFT_END, RIGHT_END
 
+# A later choice must beat the best by this much, so rounding never breaks a tie.
+POLICY_TIE_TOL = 1e-15
+
 
 class AutomatonError(ValueError):
     pass
@@ -197,7 +200,7 @@ def npfa_policy(npfa: Npfa, x: str, horizon: int):
             best, best_v = None, -1.0
             for sd in sorted(choices):
                 v = values[(sd[0], (k + sd[1]) % width)]
-                if v > best_v + 1e-15:
+                if v > best_v + POLICY_TIE_TOL:
                     best, best_v = sd, v
             policy[(q, k)] = best
     return policy, values

@@ -153,6 +153,10 @@ def make_classical_prover(table: ClassicalProverTable) -> TableProver:
 # Dense strategies
 # ---------------------------------------------------------------------------
 
+# A dense-matrix entry this small is rounding noise, not a move of the prover.
+DENSE_ENTRY_TOL = 1e-14
+
+
 def sufficient_dense_cells(spec, n: int) -> int:
     """Tape cells after which a space-bounded prover loses no power.
 
@@ -223,7 +227,7 @@ class DenseProver(ProverStrategy):
             for src in range(self.dim):
                 col = m[:, src]
                 entries = []
-                for row in np.nonzero(np.abs(col) > 1e-14)[0]:
+                for row in np.nonzero(np.abs(col) > DENSE_ENTRY_TOL)[0]:
                     g2, y2 = self._label(int(row))
                     entries.append((g2, y2, complex(col[row])))
                 cols.append(entries)

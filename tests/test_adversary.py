@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from qipsim.linalg import ContractViolation, check_unitary
 from qipsim.protocols import build_protocol
 from qipsim.provers import DenseProver
 from qipsim.provers import IdentityProver
-from qipsim.qfa import BLANK
-from qipsim.runtime import default_t_max, run
+from qipsim.qfa import BLANK, LEFT_END, HeadModel, QfaSpec, validate_and_complete
+from qipsim.runtime import QipSystem, default_t_max, run
 from tests.conftest import strings
 
 
@@ -241,11 +242,56 @@ def test_interchangeable_targets_share_a_class(upal4):
         assert len({search.targets[i][0] == BLANK for i in members}) == 1
 
 
-def test_upal4_steps7_search_finishes(upal4):
+def test_upal4_steps7_search_finishes(monkeypatch, upal4):
+    # count the verifier rounds made after the top-level _value returns
+    rounds = {"after": 0, "done": False}
+    value, verifier_round = _ClassicalSearch._value, _ClassicalSearch._verifier_round
+
+    def top_value(self, state, r):
+        out = value(self, state, r)
+        rounds["done"] |= r == 1
+        return out
+
+    def counted_round(self, state):
+        rounds["after"] += rounds["done"]
+        return verifier_round(self, state)
+
+    monkeypatch.setattr(_ClassicalSearch, "_value", top_value)
+    monkeypatch.setattr(_ClassicalSearch, "_verifier_round", counted_round)
     rep = best_classical_prover(upal4, "1", AdversaryBudget(memory_states=2, steps=7))
     assert rep.is_exhaustive
     assert rep.best_p_acc == 0.25
     assert replay(upal4, "1", rep) == pytest.approx(rep.best_p_acc, abs=REPLAY_TOL)
+    # the table is read in one walk, one verifier round per table round
+    assert rounds["after"] <= 7
+    # a search whose best is 0 returns the identity table
+    zero = best_classical_prover(build_protocol("upal:N=2"), "0",
+                                 AdversaryBudget(memory_states=2, steps=9))
+    assert zero.best_p_acc == 0.0
+    assert zero.best_strategy["entries"] == {}
+
+
+def test_proportional_continuations_are_searched_apart():
+    # writing a or b leaves the same continuation up to mass (0.2 vs 0.8)
+    s2, s8 = math.sqrt(0.2), math.sqrt(0.8)
+    spec = QfaSpec(
+        name="proportional", non_halting=("s", "w", "t"), accepting=("yes",),
+        rejecting=("r",), initial="s", input_alphabet=("0",),
+        comm_alphabet=(BLANK, "a", "b"), prover_alphabet=(BLANK, "a", "b"),
+        head_model=HeadModel.TWO_WAY,
+        delta={("s", LEFT_END, BLANK): (("w", BLANK, 0, 1.0),),
+               ("w", LEFT_END, "a"): (("t", BLANK, 0, s2), ("r", BLANK, 0, s8)),
+               ("w", LEFT_END, "b"): (("t", BLANK, 0, -s8), ("r", BLANK, 0, s2)),
+               ("t", LEFT_END, BLANK): (("yes", BLANK, 0, 1.0),)})
+    completed, report = validate_and_complete(spec)
+    assert report.ok, report.violations
+    system = QipSystem(name="proportional", verifier=completed,
+                       honest_prover=IdentityProver(), language=lambda x: False,
+                       claimed_bounds=(1.0, 0.0))
+    rep = best_classical_prover(system, "", AdversaryBudget(memory_states=2, steps=4))
+    assert rep.best_p_acc == pytest.approx(0.8, abs=REPLAY_TOL)
+    assert rep.is_exhaustive
+    assert replay(system, "", rep) == pytest.approx(rep.best_p_acc, abs=REPLAY_TOL)
 
 
 def test_dense_strategy_replays_from_json(pal2):

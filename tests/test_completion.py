@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import qipsim.qfa as qfa
+from qipsim.linalg import DomainError
 from qipsim.protocols import build_protocol
 from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec,
                         build_step_operator, symbol_at, validate_and_complete)
@@ -158,3 +159,10 @@ def test_report_carries_the_largest_unitarity_deviation():
     _completed, report = validate_and_complete(spec, lengths=(0, 1))
     assert report.well_formed == {0: True, 1: False}
     assert report.max_unitary_deviation == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9])
+def test_validation_refuses_a_non_positive_tolerance(tol):
+    # refused up front, even when no input length is sampled
+    with pytest.raises(DomainError, match="tolerance"):
+        validate_and_complete(hadamard_spec(), lengths=(), tol=tol)
