@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import sys
+from pathlib import Path
 
 from . import __version__
 from .adversary import (AdversaryBudget, best_classical_prover,
@@ -19,7 +20,8 @@ from .languages import center, la, odd, pal_sharp, upal, zero
 from .linalg import DomainError
 from .protocols import BUILTIN, build_protocol
 from .provers import EraseAllProver, IdentityProver, make_classical_prover
-from .qfa import SpecError, StructureMode, check_structure, validate_and_complete
+from .qfa import (AlphabetError, SpecError, StructureMode, check_structure,
+                  validate_and_complete)
 from .runtime import run
 from .specfile import ParseError, parse_prover_table, parse_spec
 from .sweep import sweep_named
@@ -62,6 +64,13 @@ def _parse_lengths(text: str):
     return tuple(int(t) for t in text.split(","))
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def _load_prover(name: str, system):
     if name == "honest":
         return system.honest_prover
@@ -69,21 +78,15 @@ def _load_prover(name: str, system):
         return IdentityProver()
     if name == "eraser":
         return EraseAllProver()
-    with open(name) as fh:
-        return make_classical_prover(parse_prover_table(fh.read()))
+    return make_classical_prover(parse_prover_table(_read(name)))
 
 
 def cmd_validate(args) -> int:
-    try:
-        with open(args.spec_file) as fh:
-            spec = parse_spec(fh.read())
-    except (OSError, ParseError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
     lengths = _parse_lengths(args.lengths)
     try:
+        spec = parse_spec(_read(args.spec_file))
         completed, report = validate_and_complete(spec, lengths=lengths)
-    except SpecError as exc:
+    except (SpecError, DomainError) as exc:
         print(f"validation failed: {exc}", file=sys.stderr)
         return 1
     payload = {"spec": spec.name,
@@ -149,6 +152,7 @@ def cmd_adversary(args) -> int:
     except KeyError:
         print(f"unknown protocol {args.protocol!r}", file=sys.stderr)
         return 2
+    system.verifier.check_input(args.input)
     budget = AdversaryBudget(memory_states=args.memory, steps=args.steps,
                              restarts=args.restarts, iterations=args.iterations,
                              seed=args.seed)
@@ -192,9 +196,8 @@ def make_parser() -> argparse.ArgumentParser:
         prog="qipsim",
         description="Simulate and analyse interactive proof systems with "
                     "quantum-finite-automaton verifiers.",
-        epilog="Tolerance profile: set QIPSIM_UNITARY_TOL, QIPSIM_PROB_TOL "
-               "and QIPSIM_PRUNE_TOL to override the built-in 1e-9 / 1e-6 / "
-               "1e-12 defaults.")
+        epilog="Tolerance profile: set QIPSIM_UNITARY_TOL and QIPSIM_PRUNE_TOL "
+               "to override the built-in 1e-9 / 1e-12 defaults.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -253,7 +256,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except AlphabetError as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

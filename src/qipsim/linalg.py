@@ -15,16 +15,13 @@ import numpy as np
 import scipy.sparse as sp
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    return float(raw) if raw else default
-
-
 # Documented defaults, overridable through the environment (the CLI's
 # tolerance profile) or per call where a knob is exposed.
-UNITARY_TOL = _env_float("QIPSIM_UNITARY_TOL", 1e-9)
-PROB_TOL = _env_float("QIPSIM_PROB_TOL", 1e-6)
-PRUNE_TOL = _env_float("QIPSIM_PRUNE_TOL", 1e-12)
+UNITARY_TOL = float(os.environ.get("QIPSIM_UNITARY_TOL") or 1e-9)
+PRUNE_TOL = float(os.environ.get("QIPSIM_PRUNE_TOL") or 1e-12)
+# Read by nothing in the library, whose probability comparisons use 1e-9
+# bounds named where they are made; perfbench/run.py prints it.
+PROB_TOL = 1e-6
 
 
 class DimensionError(ValueError):
@@ -118,13 +115,6 @@ def norm_sq(vec: dict) -> float:
 def prune(vec: dict, threshold: float = PRUNE_TOL) -> dict:
     """Drop entries with magnitude below ``threshold`` (returns a new dict)."""
     return {k: a for k, a in vec.items() if abs(a) >= threshold}
-
-
-def check_amplitude(a: complex, tol: float = UNITARY_TOL) -> None:
-    if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-        raise DomainError(f"non-finite amplitude {a}")
-    if abs(a) > 1.0 + tol:
-        raise DomainError(f"amplitude magnitude {abs(a)} exceeds 1")
 
 
 def phase(j: int, n: int) -> complex:

@@ -10,21 +10,29 @@ head position taken mod n+2: the input tape is circular.
 Partially specified tables (the usual way protocols are written down) are
 closed up to full unitaries by `validate_and_complete`, which routes every
 unspecified (state, symbol, cell) column to a fresh rejecting state.
+
+A spec compiles delta once, when it is made, into integer arrays per tape
+symbol (`_compile`): the only check of the transitions, and the table that
+validation, completion and `build_step_operator` read.
 """
 from __future__ import annotations
 
-import functools
+import cmath
 import itertools
 import math
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 # check_unitary is unused here; perfbench calls and wraps qipsim.qfa.check_unitary.
-from .linalg import (PRUNE_TOL, UNITARY_TOL, DomainError, check_amplitude,
-                     check_unitary, unitary_deviation)
+from .linalg import (PRUNE_TOL, UNITARY_TOL, DomainError, check_unitary,
+                     unitary_deviation)
 
 LEFT_END = "^"
 RIGHT_END = "$"
@@ -67,6 +75,16 @@ Transition = tuple[str, str, int, complex]
 DeltaKey = tuple[str, str, str]
 
 
+class _Block(NamedTuple):
+    """delta on one tape symbol; a (state, cell) pair is coded q·|Gamma| + gamma."""
+
+    cols: np.ndarray  # the specified source pairs, in delta order
+    src: np.ndarray   # src, dst, move and amp: one entry per transition target
+    dst: np.ndarray
+    move: np.ndarray
+    amp: np.ndarray
+
+
 @dataclass(frozen=True)
 class QfaSpec:
     name: str
@@ -78,44 +96,17 @@ class QfaSpec:
     comm_alphabet: tuple[str, ...]
     prover_alphabet: tuple[str, ...]
     head_model: HeadModel
-    delta: dict[DeltaKey, tuple[Transition, ...]]
+    delta: Mapping[DeltaKey, tuple[Transition, ...]]
     completion_states: tuple[str, ...] = ()
     completion_keys: frozenset[DeltaKey] = frozenset()
 
     def __post_init__(self):
-        classes = [set(self.non_halting), set(self.accepting), set(self.rejecting)]
-        for a, b in itertools.combinations(classes, 2):
-            overlap = a & b
-            if overlap:
-                raise SpecError(f"state classes overlap: {sorted(overlap)}")
-        if self.initial not in self.non_halting:
-            raise SpecError(f"initial state {self.initial!r} must be non-halting")
-        for mark in (LEFT_END, RIGHT_END):
-            if mark in self.input_alphabet:
-                raise SpecError(f"endmarker {mark!r} may not appear in the input alphabet")
-        if BLANK not in self.comm_alphabet:
-            raise SpecError("communication alphabet must contain the blank symbol")
-        if BLANK not in self.prover_alphabet:
-            raise SpecError("prover tape alphabet must contain the blank symbol")
-        states = set(self.states)
-        for (q, sigma, gamma), targets in self.delta.items():
-            if q not in states:
-                raise SpecError(f"transition from unknown state {q!r}")
-            if sigma not in self.tape_symbols:
-                raise SpecError(f"transition on unknown tape symbol {sigma!r}")
-            if gamma not in self.comm_alphabet:
-                raise SpecError(f"transition on unknown cell symbol {gamma!r}")
-            for (q2, g2, d, amp) in targets:
-                if q2 not in states:
-                    raise SpecError(f"transition into unknown state {q2!r}")
-                if g2 not in self.comm_alphabet:
-                    raise SpecError(f"transition writes unknown cell symbol {g2!r}")
-                if d not in (-1, 0, 1):
-                    raise SpecError(f"head move must be in -1/0/+1, got {d}")
-                if self.head_model.one_way and d != 1:
-                    raise SpecError(
-                        f"one-way verifier has a non-rightward move at {(q, sigma, gamma)}")
-                check_amplitude(complex(amp))
+        # a read-only view of a private copy, so that _table cannot go stale
+        object.__setattr__(self, "delta", MappingProxyType(dict(self.delta)))
+        # {tape symbol: _Block}; raises SpecError or DomainError on a malformed spec
+        object.__setattr__(self, "_table", _compile(self))
+        object.__setattr__(self, "_halting", frozenset(self.accepting + self.rejecting))
+        object.__setattr__(self, "_accepting_set", frozenset(self.accepting))
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -131,19 +122,81 @@ class QfaSpec:
     def is_accepting(self, q: str) -> bool:
         return q in self._accepting_set
 
-    @functools.cached_property
-    def _halting(self) -> frozenset:
-        return frozenset(self.accepting) | frozenset(self.rejecting)
-
-    @functools.cached_property
-    def _accepting_set(self) -> frozenset:
-        return frozenset(self.accepting)
-
     def check_input(self, x: str) -> None:
         sigma = set(self.input_alphabet)
         bad = [c for c in x if c not in sigma]
         if bad:
             raise AlphabetError(f"symbols {bad} of input {x!r} are outside the alphabet")
+
+
+def _compile(spec: QfaSpec) -> dict[str, _Block]:
+    """Check a spec and compile delta into one `_Block` per tape symbol: names
+    as it goes, then head moves and amplitudes with numpy on the arrays.
+    """
+    classes = [set(spec.non_halting), set(spec.accepting), set(spec.rejecting)]
+    for a, b in itertools.combinations(classes, 2):
+        overlap = a & b
+        if overlap:
+            raise SpecError(f"state classes overlap: {sorted(overlap)}")
+    for what, names in (("state names", spec.states),
+                        ("cell symbols", spec.comm_alphabet),
+                        ("input symbols", spec.input_alphabet)):
+        twice = sorted(n for n, c in Counter(names).items() if c > 1)
+        if twice:
+            raise SpecError(f"duplicate {what}: {twice}")
+    if spec.initial not in spec.non_halting:
+        raise SpecError(f"initial state {spec.initial!r} must be non-halting")
+    for mark in (LEFT_END, RIGHT_END):
+        if mark in spec.input_alphabet:
+            raise SpecError(f"endmarker {mark!r} may not appear in the input alphabet")
+    if BLANK not in spec.comm_alphabet:
+        raise SpecError("communication alphabet must contain the blank symbol")
+    if BLANK not in spec.prover_alphabet:
+        raise SpecError("prover tape alphabet must contain the blank symbol")
+
+    gsz = len(spec.comm_alphabet)
+    q_idx = {q: i for i, q in enumerate(spec.states)}
+    g_idx = {g: i for i, g in enumerate(spec.comm_alphabet)}
+    s_idx = {s: i for i, s in enumerate(spec.tape_symbols)}
+    cols: list[list[int]] = [[] for _ in s_idx]
+    entries: list[list] = [[] for _ in s_idx]  # (src, dst, move, amp) per target
+    for (q, sigma, gamma), targets in spec.delta.items():
+        if q not in q_idx:
+            raise SpecError(f"transition from unknown state {q!r}")
+        if sigma not in s_idx:
+            raise SpecError(f"transition on unknown tape symbol {sigma!r}")
+        if gamma not in g_idx:
+            raise SpecError(f"transition on unknown cell symbol {gamma!r}")
+        src = q_idx[q] * gsz + g_idx[gamma]
+        cols[s_idx[sigma]].append(src)
+        for (q2, g2, d, amp) in targets:
+            if q2 not in q_idx:
+                raise SpecError(f"transition into unknown state {q2!r}")
+            if g2 not in g_idx:
+                raise SpecError(f"transition writes unknown cell symbol {g2!r}")
+            entries[s_idx[sigma]].append((src, q_idx[q2] * gsz + g_idx[g2], d, amp))
+
+    # every symbol's targets in one run of arrays, checked at once, then split
+    ends = np.cumsum([len(e) for e in entries])
+    src, dst, move, amp = tuple(zip(*itertools.chain(*entries))) or ((),) * 4
+    move = np.array(move)
+    off = ~np.isin(move, (-1, 0, 1))
+    if off.any():
+        raise SpecError(f"head move must be in -1/0/+1, got {move[off][0]}")
+    if spec.head_model.one_way and (move != 1).any():
+        j = np.flatnonzero(move != 1)[0]
+        key = (spec.states[src[j] // gsz], spec.tape_symbols[np.searchsorted(ends, j, "right")],
+               spec.comm_alphabet[src[j] % gsz])
+        raise SpecError(f"one-way verifier has a non-rightward move at {key}")
+    amp = np.array(amp, dtype=complex)
+    bad = amp[~(np.abs(amp) <= 1.0 + UNITARY_TOL)]  # NaN fails <= too
+    if len(bad):
+        a = complex(bad[0])
+        raise DomainError(f"amplitude magnitude {abs(a)} exceeds 1" if cmath.isfinite(a)
+                          else f"non-finite amplitude {a}")
+    src, dst, move = (np.array(v, dtype=np.intp) for v in (src, dst, move))
+    return {sigma: _Block(np.array(c, dtype=np.intp), *(v[i:j] for v in (src, dst, move, amp)))
+            for sigma, c, i, j in zip(spec.tape_symbols, cols, [0, *ends[:-1]], ends)}
 
 
 def symbol_at(x: str, k: int) -> str:
@@ -171,60 +224,6 @@ class ValidationReport:
 # Step operator
 # ---------------------------------------------------------------------------
 
-def _step_table(spec: QfaSpec):
-    """delta compiled per tape symbol into integer arrays.
-
-    ``{sigma: (src, dst, move, amp)}``, one entry per transition target:
-    ``src`` and ``dst`` index (state, cell symbol) pairs as q·|Gamma| + gamma.
-    """
-    gsz = len(spec.comm_alphabet)
-    q_idx = {q: i for i, q in enumerate(spec.states)}
-    g_idx = {g: i for i, g in enumerate(spec.comm_alphabet)}
-    entries: dict[str, list] = {}
-    for (q, sigma, gamma), targets in spec.delta.items():
-        found = entries.setdefault(sigma, [])
-        src = q_idx[q] * gsz + g_idx[gamma]
-        for (q2, g2, d, amp) in targets:
-            found.append((src, q_idx[q2] * gsz + g_idx[g2], d, amp))
-    table = {}
-    for sigma, found in entries.items():
-        if not found:  # only columns without targets
-            continue
-        src, dst, move, amp = zip(*found)
-        table[sigma] = (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
-                        np.array(move, dtype=np.intp), np.array(amp, dtype=complex))
-    return table
-
-
-def _step_operator(spec: QfaSpec, table, x: str, sparse: bool):
-    """`build_step_operator` from a table compiled by `_step_table`."""
-    spec.check_input(x)
-    width = len(x) + 2
-    gsz = len(spec.comm_alphabet)
-    dim = len(spec.states) * width * gsz
-    positions: dict[str, list[int]] = {}
-    for k, sigma in enumerate((LEFT_END,) + tuple(x) + (RIGHT_END,)):
-        positions.setdefault(sigma, []).append(k)
-
-    def index(pair, k):
-        # basis index of (q, k, gamma) is (q·width + k)·|Gamma| + gamma
-        return ((pair // gsz * width + k) * gsz + pair % gsz).ravel()
-
-    empty = np.empty(0, dtype=np.intp)
-    rows, cols, data = [empty], [empty], [np.empty(0, dtype=complex)]
-    for sigma, (src, dst, move, amp) in table.items():
-        if sigma not in positions:
-            continue
-        k = np.array(positions[sigma])[:, None]
-        cols.append(index(src, k))
-        rows.append(index(dst, (k + move) % width))
-        data.append(np.tile(amp, len(k)))
-    mat = sp.csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim), dtype=complex)
-    return mat if sparse else mat.toarray()
-
-
 def build_step_operator(spec: QfaSpec, x: str, sparse: bool = False):
     """The linear operator induced by delta on input x.
 
@@ -232,55 +231,59 @@ def build_step_operator(spec: QfaSpec, x: str, sparse: bool = False):
     (q, k, gamma) to (q', k+d mod |x|+2, gamma') is delta(q, x_(k), gamma, q',
     gamma', d).  Returns a dense ndarray, or a scipy CSC matrix when
     ``sparse`` is set (the operators have O(dim) nonzeros, so the sparse form
-    is what validation uses at larger sizes).
+    is what validation uses).  Assembled from the spec's compiled table.
     """
-    return _step_operator(spec, _step_table(spec), x, sparse)
+    spec.check_input(x)
+    width = len(x) + 2
+    gsz = len(spec.comm_alphabet)
+    dim = len(spec.states) * width * gsz
+    tape = [spec._table[sigma] for sigma in (LEFT_END, *x, RIGHT_END)]
+    k = np.repeat(np.arange(width), [len(b.src) for b in tape])
+    src, dst, move, amp = (np.concatenate(v) for v in
+                           zip(*((b.src, b.dst, b.move, b.amp) for b in tape)))
+
+    def index(pair, k):
+        # basis index of (q, k, gamma) is (q·width + k)·|Gamma| + gamma
+        return (pair // gsz * width + k) * gsz + pair % gsz
+
+    mat = sp.csc_matrix((amp, (index(dst, (k + move) % width), index(src, k))),
+                        shape=(dim, dim), dtype=complex)
+    return mat if sparse else mat.toarray()
 
 
 # ---------------------------------------------------------------------------
 # Canonical completion
 # ---------------------------------------------------------------------------
 
-def _column_groups(spec: QfaSpec):
-    """delta keys grouped per tape symbol: {sigma: {(q, gamma): targets}}."""
-    groups: dict[str, dict[tuple[str, str], tuple[Transition, ...]]] = {
-        s: {} for s in spec.tape_symbols}
-    for (q, sigma, gamma), targets in spec.delta.items():
-        groups[sigma][(q, gamma)] = targets
-    return groups
-
-
-def _column_vector(targets, pair_index) -> dict[int, complex]:
-    vec: dict[int, complex] = {}
-    for (q2, g2, _d, amp) in targets:
-        i = pair_index[(q2, g2)]
-        vec[i] = vec.get(i, 0j) + amp
-    return vec
-
-
-def _orthonormality_violations(columns, pair_index, tol):
-    """Pairwise orthonormality of the given (q,gamma)->targets columns."""
-    out = []
-    vecs = {key: _column_vector(tgts, pair_index) for key, tgts in columns.items()}
-    for key, vec in vecs.items():
-        nrm = sum(abs(a) ** 2 for a in vec.values())
-        if abs(nrm - 1.0) > 2 * tol + tol * tol:
-            out.append((key, key, math.sqrt(nrm)))
-    by_row: dict[int, list] = {}
-    for key, vec in vecs.items():
-        for i in vec:
-            by_row.setdefault(i, []).append(key)
-    seen = set()
-    for keys in by_row.values():
-        for a, b in itertools.combinations(sorted(keys), 2):
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            ip = sum(vecs[a][i].conjugate() * vecs[b][i]
-                     for i in vecs[a] if i in vecs[b])
-            if abs(ip) > tol:
-                out.append((a, b, abs(ip)))
-    return out
+def _orthonormality_violations(spec: QfaSpec, columns, pairs, tol):
+    """(tape symbol, text) for each specified column whose norm is not 1 and
+    each overlapping pair of columns on one symbol, from ``columns``: every
+    symbol's specified columns in table order.  Only columns of one symbol
+    that share a row can overlap; if some do, one Gram product finds them.
+    Per symbol, norms come first, then pairs by the first target (in delta
+    order) that they share, then by key.
+    """
+    blocks = spec._table.values()
+    sym = np.repeat(np.arange(len(blocks)), [len(b.cols) for b in blocks])
+    key = np.concatenate([b.cols for b in blocks])  # pairs[key[j]] is column j's key
+    col_of = np.repeat(np.arange(len(key)), np.diff(columns.indptr))
+    norm = np.bincount(col_of, np.abs(columns.data) ** 2, len(key))
+    found = [(sym[j], 0, j, f"column {pairs[key[j]]} has norm {math.sqrt(norm[j]):.6g}, not 1")
+             for j in np.flatnonzero(np.abs(norm - 1.0) > 2 * tol + tol * tol)]
+    if len(np.unique(sym[col_of] * len(pairs) + columns.indices)) < len(col_of):
+        gram = (columns.conj().T @ columns).tocoo()
+        over = ((gram.row < gram.col) & (sym[gram.row] == sym[gram.col])
+                & (np.abs(gram.data) > tol))
+        # first position of each (symbol, target pair) among the targets
+        uses, first = np.unique(np.concatenate(
+            [s * len(pairs) + b.dst for s, b in enumerate(blocks)]), return_index=True)
+        for i, j, ip in zip(gram.row[over], gram.col[over], np.abs(gram.data[over])):
+            shared = sym[i] * len(pairs) + np.intersect1d(columns[:, i].indices,
+                                                          columns[:, j].indices)
+            a, b = sorted((pairs[key[i]], pairs[key[j]]))
+            found.append((sym[i], 1, first[np.searchsorted(uses, shared)].min(), a, b,
+                          f"columns {a} and {b} are not orthogonal (|<a,b>|={ip:.6g})"))
+    return [(spec.tape_symbols[f[0]], f[-1]) for f in sorted(found)]
 
 
 def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
@@ -302,83 +305,68 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     report = ValidationReport()
-    groups = _column_groups(spec)
-    pairs = [(q, g) for q in spec.states for g in spec.comm_alphabet]
-    pair_index = {p: i for i, p in enumerate(pairs)}
+    gsz = len(spec.comm_alphabet)
+    n_pairs = len(spec.states) * gsz
+    blocks = spec._table.values()
+    # delta keys are unique, so n_pairs - len(cols) columns are unspecified
+    n_fresh = max(-(-(n_pairs - len(b.cols)) // gsz) for b in blocks)
+    taken = sum(1 for s in spec.states if s.startswith("~rej"))
+    fresh = tuple(f"~rej{taken + i}" for i in range(n_fresh))
+    all_pairs = [(q, g) for q in spec.states + fresh for g in spec.comm_alphabet]
+    # every symbol's specified columns over target pairs, shared targets summed
+    starts = np.cumsum([0] + [len(b.cols) for b in blocks])
+    column = np.zeros(n_pairs, dtype=np.intp)
+    at = []  # the column of each target
+    for start, b in zip(starts, blocks):
+        column[b.cols] = start + np.arange(len(b.cols))
+        at.append(column[b.src])
+    columns = sp.csc_matrix(
+        (np.concatenate([b.amp for b in blocks]),
+         (np.concatenate([b.dst for b in blocks]), np.concatenate(at))),
+        shape=(len(all_pairs), starts[-1]), dtype=complex)
 
-    for sigma in spec.tape_symbols:
-        for a, b, val in _orthonormality_violations(groups[sigma], pair_index, tol):
-            if a == b:
-                report.violations.append(
-                    (sigma, f"column {a} has norm {val:.6g}, not 1"))
-            else:
-                report.violations.append(
-                    (sigma, f"columns {a} and {b} are not orthogonal (|<a,b>|={val:.6g})"))
+    report.violations = _orthonormality_violations(spec, columns, all_pairs, tol)
     if report.violations:
         raise SpecError(
             "completion refused, specified columns are not orthonormal: "
             + "; ".join(f"[{s}] {d}" for s, d in report.violations))
 
-    # head move recorded per (target state, written symbol); completions into
-    # an already-used pair must reuse it or the circular-tape overlap
-    # conditions can break
-    dmap: dict[tuple[str, str], int] = {}
-    for targets in spec.delta.values():
-        for (q2, g2, d, _amp) in targets:
-            dmap.setdefault((q2, g2), d)
-
-    gsz = len(spec.comm_alphabet)
-    missing = {sigma: [p for p in pairs if p not in groups[sigma]]
-               for sigma in spec.tape_symbols}
-    n_fresh = max((len(m) + gsz - 1) // gsz for m in missing.values()) if missing else 0
-    taken = sum(1 for s in spec.states if s.startswith("~rej"))
-    fresh = tuple(f"~rej{taken + i}" for i in range(n_fresh))
     if n_fresh == 0:
-        report.completed_transitions = 0
         completed = spec
     else:
+        # head move recorded per (target state, written symbol); completions
+        # into an already-used pair must reuse it or the circular-tape overlap
+        # conditions can break
+        dmap: dict[tuple[str, str], int] = {}
+        for targets in spec.delta.values():
+            for (q2, g2, d, _amp) in targets:
+                dmap.setdefault((q2, g2), d)
         default_d = 1 if spec.head_model.one_way else 0
         new_delta = dict(spec.delta)
-        added = 0
-        all_states = spec.states + fresh
-        all_pairs = [(q, g) for q in all_states for g in spec.comm_alphabet]
-        all_index = {p: i for i, p in enumerate(all_pairs)}
-        fresh_cols = [(f, g) for f in fresh for g in spec.comm_alphabet]
-        for sigma in spec.tape_symbols:
-            assigned_cols: list[dict[int, complex]] = []
-            for key in sorted(groups[sigma]):
-                assigned_cols.append(_column_vector(groups[sigma][key], all_index))
-            for i, (q, g) in enumerate(sorted(missing[sigma])):
-                target = (fresh[i // gsz], spec.comm_alphabet[i % gsz])
-                d = dmap.get(target, default_d)
-                new_delta[(q, sigma, g)] = ((target[0], target[1], d, 1.0 + 0j),)
-                assigned_cols.append({all_index[target]: 1.0 + 0j})
-                added += 1
+        fresh_cols = all_pairs[n_pairs:]
+        for start, (sigma, block) in zip(starts, spec._table.items()):
+            missing = sorted(set(all_pairs[:n_pairs]) - {all_pairs[c] for c in block.cols})
+            for (q, g), target in zip(missing, fresh_cols):
+                new_delta[(q, sigma, g)] = (
+                    (*target, dmap.get(target, default_d), 1.0 + 0j),)
             # leftover image space goes to the fresh states' own columns
-            leftover = _leftover_basis(assigned_cols, len(fresh_cols), all_pairs, tol)
+            leftover = _leftover_basis(columns, start, block.cols,
+                                       range(n_pairs, n_pairs + len(missing)), all_pairs, tol)
             for (f, g), vec in zip(fresh_cols, leftover):
-                targets = []
-                for i, amp in vec:
-                    q2, g2 = all_pairs[i]
-                    d = dmap.get((q2, g2), default_d)
-                    targets.append((q2, g2, d, amp))
-                new_delta[(f, sigma, g)] = tuple(targets)
-                added += 1
+                new_delta[(f, sigma, g)] = tuple(
+                    (*all_pairs[i], dmap.get(all_pairs[i], default_d), amp)
+                    for i, amp in vec)
         completed = replace(
-            spec,
-            rejecting=spec.rejecting + fresh,
-            delta=new_delta,
+            spec, rejecting=spec.rejecting + fresh, delta=new_delta,
             completion_states=spec.completion_states + fresh,
             completion_keys=frozenset(spec.completion_keys)
-            | (frozenset(new_delta) - frozenset(spec.delta)),
-        )
-        report.completed_transitions = added
+            | (new_delta.keys() - spec.delta.keys()))
+    report.completed_transitions = len(completed.delta) - len(spec.delta)
 
-    table = _step_table(completed)
     for n in lengths:
         ok = True
         for x in _test_inputs(completed.input_alphabet, n, MAX_INPUTS_PER_LENGTH):
-            dev = unitary_deviation(_step_operator(completed, table, x, sparse=True))
+            dev = unitary_deviation(build_step_operator(completed, x, sparse=True))
             report.max_unitary_deviation = max(report.max_unitary_deviation, dev)
             if dev > tol:
                 ok = False
@@ -387,42 +375,45 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
     return completed, report
 
 
-def _leftover_basis(assigned_cols, count, all_pairs, tol):
-    """Orthonormal basis of the orthocomplement of the assigned columns.
+def _leftover_basis(columns, start, cols, units, all_pairs, tol):
+    """Orthonormal basis of the orthocomplement of one symbol's assigned columns.
 
-    Returned as ``count`` sparse vectors [(index, amp), ...].  Rows that no
-    assigned column touches become unit vectors, handed out first, those on
-    fresh rejecting states ahead of the rest, so that completion junk stays,
-    as far as possible, inside the rejecting family.  The rows touched by
-    columns that are not unit vectors form a block together with every column
-    that has an entry there; the block's orthocomplement comes from an SVD of
-    the block alone and is handed out last.  Axis-aligned tables (the common
-    case) have an empty block and are completed exactly.
+    These are the specified columns, ``len(cols)`` of them from column
+    ``start`` of ``columns`` on, taken in key order, then unit vectors onto
+    the fresh pairs in ``units``, which the unspecified columns enter.
+    Returned as one sparse vector [(index, amp), ...] per fresh pair.  Rows
+    that no assigned column touches become unit vectors, handed out first,
+    those on fresh rejecting states ahead of the rest, so that completion
+    junk stays, as far as possible, inside the rejecting family.  The rows
+    touched by columns that are not unit vectors form a block together with
+    every column that has an entry there; the block's orthocomplement comes
+    from an SVD of the block alone and is handed out last.  Axis-aligned
+    tables (the common case) have an empty block and are completed exactly.
     """
-    touched = set()
-    block_rows = set()
-    for col in assigned_cols:
-        touched.update(col)
-        if len(col) != 1 or abs(abs(next(iter(col.values()))) - 1.0) > tol:
-            block_rows.update(col)
-    free = [i for i in range(len(all_pairs)) if i not in touched]
-    free.sort(key=lambda i: (0 if all_pairs[i][0].startswith("~rej") else 1, i))
+    ptr = columns.indptr[start:start + len(cols) + 1]
+    rows, amps = columns.indices[ptr[0]:ptr[-1]], columns.data[ptr[0]:ptr[-1]]
+    counts = np.diff(ptr)
+    entry_col = np.repeat(np.arange(len(cols)), counts)
+    # the rows of the columns that are not unit vectors
+    block_rows = np.unique(rows[(counts[entry_col] != 1) | (np.abs(np.abs(amps) - 1.0) > tol)])
+    free = sorted(set(range(len(all_pairs))).difference(rows.tolist(), units),
+                  key=lambda i: (0 if all_pairs[i][0].startswith("~rej") else 1, i))
     out = [[(i, 1.0 + 0j)] for i in free]
-    if block_rows:
-        rows = sorted(block_rows)
-        local = {i: r for r, i in enumerate(rows)}
-        block = [col for col in assigned_cols if not block_rows.isdisjoint(col)]
-        mat = np.zeros((len(rows), len(block)), dtype=complex)
-        for j, col in enumerate(block):
-            for i, amp in col.items():
-                mat[local[i], j] = amp
+    if len(block_rows):
+        # the block's columns, in key order, have all their entries in its rows
+        hit = np.isin(rows, block_rows)
+        block = sorted(set(entry_col[hit].tolist()), key=lambda j: all_pairs[cols[j]])
+        place = np.zeros(len(cols), dtype=np.intp)
+        place[block] = np.arange(len(block))
+        mat = np.zeros((len(block_rows), len(block)), dtype=complex)
+        mat[np.searchsorted(block_rows, rows[hit]), place[entry_col[hit]]] = amps[hit]
         # columns of u beyond the rank span the block's orthocomplement
         u, s, _vh = np.linalg.svd(mat, full_matrices=True)
         rank = int(np.sum(s > COMPLETION_RANK_TOL))
         for vec in u[:, rank:].T:
-            out.append([(rows[r], complex(vec[r]))
+            out.append([(int(block_rows[r]), complex(vec[r]))
                         for r in np.flatnonzero(np.abs(vec) > PRUNE_TOL)])
-    assert len(out) == count
+    assert len(out) == len(all_pairs) - units.start
     return out
 
 

@@ -50,6 +50,13 @@ class ParseError(ValueError):
     pass
 
 
+def _int(tok: str, what: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"bad {what} {tok!r}") from None
+
+
 def parse_real(tok: str) -> float:
     m = _SQRT_RE.match(tok)
     if m:
@@ -99,7 +106,10 @@ def parse_spec(text: str) -> QfaSpec:
     for required in ("meta", "states", "input_alphabet", "comm_alphabet", "transitions"):
         if required not in sec:
             raise ParseError(f"missing [{required}] section")
-    meta = {row[0]: row[1] for row in sec["meta"]}
+    for row in sec["meta"]:
+        if len(row) != 2:
+            raise ParseError(f"bad meta row {row}")
+    meta = dict(sec["meta"])
     try:
         head = HeadModel(meta.get("head_model", "one_way"))
     except ValueError:
@@ -137,7 +147,7 @@ def parse_spec(text: str) -> QfaSpec:
     for row in sec.get("directions", []):
         if len(row) != 2:
             raise ParseError(f"bad directions row {row}")
-        directions[row[0]] = int(row[1])
+        directions[row[0]] = _int(row[1], "head move")
 
     delta: dict = {}
     for row in sec["transitions"]:
@@ -159,10 +169,7 @@ def parse_spec(text: str) -> QfaSpec:
             if len(rhs) < 4:
                 raise ParseError(f"short transition rhs: {row}")
             q2, g2, amp_toks = rhs[0], rhs[1], rhs[3:]
-            try:
-                d = int(rhs[2])
-            except ValueError:
-                raise ParseError(f"bad head move {rhs[2]!r}") from None
+            d = _int(rhs[2], "head move")
         if len(amp_toks) == 1:
             amp = parse_complex(amp_toks[0])
             if amp is None:
@@ -222,13 +229,13 @@ def parse_prover_table(text: str) -> ClassicalProverTable:
     initial = "m0"
     entries: dict = {}
     for row in sec["prover_table"]:
-        if row[0] == "initial":
+        if row[0] == "initial" and len(row) == 2:
             initial = row[1]
             continue
         if "->" not in row or len(row) != 6 or row.index("->") != 3:
             raise ParseError(f"bad prover row {row}; want 'i gamma m -> gamma2 m2'")
         i, g, m, _arrow, g2, m2 = row
-        entries[(int(i), g, m)] = (g2, m2)
+        entries[(_int(i, "round"), g, m)] = (g2, m2)
     return ClassicalProverTable(entries=entries, initial_memory=initial)
 
 

@@ -159,3 +159,57 @@ def test_sweep_with_jobs_builds_once_in_parent(capsys, monkeypatch):
     assert code == 0
     assert [row["x"] for row in json.loads(out)] == ["", "0", "1"]
     assert calls == ["zero_public"]
+
+
+def spec_text(states="q0 non initial\nq1 non", rows="q0 a # -> q1 # +1 1 0",
+              meta="name tiny\nhead_model one_way", extra=""):
+    return (f"[meta]\n{meta}\n\n[states]\n{states}\n\n[input_alphabet]\na\n\n"
+            f"[comm_alphabet]\n#\n\n{extra}[transitions]\n{rows}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (spec_text(states="q0 non initial\nq0 non"), "duplicate state names: ['q0']"),
+    (spec_text(rows="zz a # -> q1 # +1 1 0"), "transition from unknown state 'zz'"),
+    (spec_text(rows="q0 a # -> q1 # +1 2 0"), "amplitude magnitude 2.0 exceeds 1"),
+], ids=["duplicate-state", "unknown-state", "amplitude-2"])
+def test_validate_construction_errors_exit_1(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.qfa"
+    path.write_text(text)
+    code, _out, err = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert err == f"validation failed: {message}\n"
+
+
+@pytest.mark.parametrize("text", [
+    spec_text(meta="name"),
+    spec_text(rows="q0 a # -> q1 #", extra="[directions]\nq0 +1\nq1 right\n\n"),
+], ids=["one-token-meta", "word-direction"])
+def test_validate_malformed_rows_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.qfa"
+    path.write_text(text)
+    code, _out, err = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("table", [
+    None,  # no such file
+    "[prover_table]\ninitial\n",
+    "[prover_table]\nfirst # m0 -> # m0\n",
+], ids=["missing", "initial-without-value", "word-round"])
+def test_run_with_bad_prover_file_exit_2(tmp_path, capsys, table):
+    path = tmp_path / "prover.txt"
+    if table is not None:
+        path.write_text(table)
+    code, out, err = run_cli(capsys, "run", "--protocol", "la_mo", "--input", "a",
+                             "--prover", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("command", [["run"], ["adversary", "--classical"],
+                                     ["adversary", "--quantum"]])
+def test_input_outside_alphabet_exit_1(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--protocol", "la_mo", "--input", "ab")
+    assert code == 1 and out == ""
+    assert "outside the alphabet" in err

@@ -1,15 +1,19 @@
 """Block-local completion and the compiled step table."""
 import functools
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qipsim.qfa as qfa
 from qipsim.linalg import DomainError
 from qipsim.protocols import build_protocol
-from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec,
+from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, SpecError,
                         build_step_operator, symbol_at, validate_and_complete)
 from tests.conftest import strings
 
@@ -166,3 +170,63 @@ def test_validation_refuses_a_non_positive_tolerance(tol):
     # refused up front, even when no input length is sampled
     with pytest.raises(DomainError, match="tolerance"):
         validate_and_complete(hadamard_spec(), lengths=(), tol=tol)
+
+
+def reference_violations(spec, tol=1e-9):
+    """Orthonormality violations straight from delta, column by column: per
+    symbol, norms in delta order, then overlapping pairs in the order their
+    first shared target row appears."""
+    out = []
+    for sigma in spec.tape_symbols:
+        vecs: dict = {}
+        for (q, s, g), targets in spec.delta.items():
+            if s == sigma:
+                vec = vecs.setdefault((q, g), {})
+                for (q2, g2, _d, amp) in targets:
+                    vec[(q2, g2)] = vec.get((q2, g2), 0j) + amp
+        for key, vec in vecs.items():
+            nrm = sum(abs(a) ** 2 for a in vec.values())
+            if abs(nrm - 1.0) > 2 * tol + tol * tol:
+                out.append(f"[{sigma}] column {key} has norm {math.sqrt(nrm):.6g}, not 1")
+        by_row: dict = {}
+        for key, vec in vecs.items():
+            for row in vec:
+                by_row.setdefault(row, []).append(key)
+        seen = set()
+        for keys in by_row.values():
+            for a, b in itertools.combinations(sorted(keys), 2):
+                if (a, b) in seen:
+                    continue
+                seen.add((a, b))
+                ip = sum(vecs[a][r].conjugate() * vecs[b][r] for r in vecs[a] if r in vecs[b])
+                if abs(ip) > tol:
+                    out.append(f"[{sigma}] columns {a} and {b} are not orthogonal "
+                               f"(|<a,b>|={abs(ip):.6g})")
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_orthonormality_violations_match_the_column_reference(seed):
+    rng = random.Random(seed)
+    states = tuple(f"s{i}" for i in range(rng.randint(1, 4)))
+    comm = (BLANK,) + (("g",) if rng.random() < 0.5 else ())
+    pairs = [(q, g) for q in states for g in comm]
+    h = 1 / math.sqrt(2)
+    delta = {}
+    for sigma in (LEFT_END, "a", RIGHT_END):
+        for (q, g) in rng.sample(pairs, rng.randint(0, len(pairs))):
+            delta[(q, sigma, g)] = tuple(
+                (*rng.choice(pairs), rng.choice([-1, 0, 1]), rng.choice([1, -1, 0.5, h, 1j * h]))
+                for _ in range(rng.randint(0, 3)))
+    spec = QfaSpec(name="r", non_halting=states, accepting=(), rejecting=(),
+                   initial=states[0], input_alphabet=("a",), comm_alphabet=comm,
+                   prover_alphabet=comm, head_model=HeadModel.TWO_WAY, delta=delta)
+    expected = reference_violations(spec)
+    if not expected:
+        validate_and_complete(spec, lengths=())
+        return
+    with pytest.raises(SpecError) as info:
+        validate_and_complete(spec, lengths=())
+    assert str(info.value) == ("completion refused, specified columns are not "
+                               "orthonormal: " + "; ".join(expected))

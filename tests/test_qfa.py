@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qipsim.linalg import check_unitary
+import qipsim.qfa as qfa
+from qipsim.linalg import DomainError, check_unitary
+from qipsim.protocols import build_protocol
 from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec,
                         SpecError, StructureMode, build_step_operator,
                         check_structure, symbol_at, validate_and_complete)
@@ -182,3 +185,82 @@ def test_random_partial_tables_complete_to_unitaries(seed):
                    delta=delta)
     completed, report = validate_and_complete(spec, lengths=(0, 1, 2, 3))
     assert report.ok, report.violations
+
+
+def test_delta_is_read_only():
+    spec = la_partial_spec()
+    with pytest.raises(TypeError):
+        spec.delta[("q1", "a", "a")] = (("q1", "a", 1, 1.0),)
+
+
+def test_spec_keeps_its_own_copy_of_delta():
+    spec = la_partial_spec()
+    delta = dict(spec.delta)
+    copy = dataclasses.replace(spec, delta=delta)
+    before = build_step_operator(copy, "a", sparse=True)
+    delta[("q1", "a", "a")] = (("q1", "a", 1, 1.0),)
+    del delta[("q0", "a", BLANK)]
+    assert copy.delta == spec.delta
+    assert (build_step_operator(copy, "a", sparse=True) != before).nnz == 0
+
+
+def one_row_spec(row):
+    key, target = row
+    return QfaSpec(name="bad", non_halting=("q",), accepting=(), rejecting=(),
+                   initial="q", input_alphabet=("a",), comm_alphabet=(BLANK,),
+                   prover_alphabet=(BLANK,), head_model=HeadModel.ONE_WAY,
+                   delta={key: (target,)})
+
+
+@pytest.mark.parametrize("row, error, text", [
+    ((("zz", "a", BLANK), ("q", BLANK, 1, 1.0)), SpecError,
+     "transition from unknown state 'zz'"),
+    ((("q", "b", BLANK), ("q", BLANK, 1, 1.0)), SpecError,
+     "transition on unknown tape symbol 'b'"),
+    ((("q", "a", "c"), ("q", BLANK, 1, 1.0)), SpecError,
+     "transition on unknown cell symbol 'c'"),
+    ((("q", "a", BLANK), ("zz", BLANK, 1, 1.0)), SpecError,
+     "transition into unknown state 'zz'"),
+    ((("q", "a", BLANK), ("q", "c", 1, 1.0)), SpecError,
+     "transition writes unknown cell symbol 'c'"),
+    ((("q", "a", BLANK), ("q", BLANK, 2, 1.0)), SpecError,
+     "head move must be in -1/0/+1, got 2"),
+    ((("q", "a", BLANK), ("q", BLANK, 0, 1.0)), SpecError,
+     "one-way verifier has a non-rightward move at ('q', 'a', '#')"),
+    ((("q", "a", BLANK), ("q", BLANK, 1, complex("nan"))), DomainError,
+     "non-finite amplitude (nan+0j)"),
+    ((("q", "a", BLANK), ("q", BLANK, 1, 1.5j)), DomainError,
+     "amplitude magnitude 1.5 exceeds 1"),
+])
+def test_construction_error_messages(row, error, text):
+    with pytest.raises(error) as info:
+        one_row_spec(row)
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("field, names, text", [
+    ("non_halting", ("q0", "q1", "q0"), "duplicate state names: ['q0']"),
+    ("comm_alphabet", (BLANK, "a", "a"), "duplicate cell symbols: ['a']"),
+    ("input_alphabet", ("a", "a"), "duplicate input symbols: ['a']"),
+])
+def test_duplicate_names_refused(field, names, text):
+    spec = la_partial_spec()
+    with pytest.raises(SpecError) as info:
+        dataclasses.replace(spec, **{field: names})
+    assert str(info.value) == text
+
+
+def test_each_spec_compiles_once(monkeypatch):
+    compiled = []
+    real = qfa._compile
+
+    def counting(spec):
+        compiled.append(spec.name)
+        return real(spec)
+
+    monkeypatch.setattr(qfa, "_compile", counting)
+    verifier = build_protocol("upal:N=4").verifier
+    for x in ("", "0", "01", "0011", "1", "10", "001", "110", "0101", "11"):
+        build_step_operator(verifier, x, sparse=True)
+    # the partial table and its completion
+    assert len(compiled) == 2
