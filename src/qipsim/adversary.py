@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import UNITARY_TOL, ContractViolation, check_unitary, norm_sq
-from .provers import (ClassicalProverTable, DenseProver, IdentityProver,
-                      TableProver, complete_permutation, make_classical_prover)
+from .provers import (ClassicalProverTable, DenseProver, EncodingError,
+                      IdentityProver, dense_from_table, make_classical_prover)
 from .qfa import BLANK, symbol_at
 from .runtime import QipSystem, _apply_verifier, _measure, default_t_max, run
 
@@ -337,30 +337,6 @@ def _givens(dim, i, j, theta, phi):
     return g
 
 
-def _table_to_dense(table: ClassicalProverTable, comm, tape, c, rounds) -> DenseProver:
-    mem_labels = sorted({table.initial_memory}
-                        | {m for (_i, _g, m) in table.entries}
-                        | {m2 for (_g2, m2) in table.entries.values()})
-    if len(mem_labels) > len(tape) ** c:
-        raise BudgetError(f"{len(mem_labels)} memory states do not fit in {c} tape cells")
-    probe = DenseProver(comm, tape, c, [])
-
-    def index(g, m):
-        return probe._index(g, probe.tape_word(mem_labels.index(m)))
-
-    pairs = [index(g, m) for g in comm for m in mem_labels]
-    matrices = []
-    for r in range(1, rounds + 1):
-        mapping = {index(g, m): index(g2, m2)
-                   for (i, g, m), (g2, m2) in table.entries.items() if i == r}
-        # an unlisted pair stays put unless a listed pair took its place;
-        # complete_permutation sends it to an unused destination
-        taken = set(mapping.values())
-        mapping.update((p, p) for p in pairs if p not in mapping and p not in taken)
-        matrices.append(complete_permutation(mapping, probe.dim))
-    return DenseProver(comm, tape, c, matrices)
-
-
 def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
                           budget: AdversaryBudget | None = None,
                           classical_seed: AdversaryReport | None = None,
@@ -393,22 +369,21 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
         best_p = classical_seed.best_p_acc
         best_desc = classical_seed.best_strategy
 
-    seed_matrices = None
+    seed = None
     if classical_seed.best_strategy.get("kind") == "classical_table":
         table = _table_from_description(classical_seed.best_strategy)
         try:
-            seed_matrices = _table_to_dense(table, comm, tape, c, rounds).matrices
-        except BudgetError:
-            seed_matrices = None
+            seed = dense_from_table(table, comm, tape, c, rounds)
+        except EncodingError:  # the table's memory does not fit in c cells
+            pass
 
     for restart in range(budget.restarts):
-        if restart == 0 and seed_matrices is not None:
-            mats = [m.copy() for m in seed_matrices]
-        elif restart == 1:
-            mats = [np.eye(dim, dtype=complex) for _ in range(rounds)]
+        if restart == 0 and seed is not None:
+            prover = seed
         else:
-            mats = [_random_unitary(rng, dim) for _ in range(rounds)]
-        prover = DenseProver(comm, tape, c, mats)
+            prover = DenseProver(comm, tape, c, [
+                np.eye(dim, dtype=complex) if restart == 1 else _random_unitary(rng, dim)
+                for _ in range(rounds)])
         cur = evaluate(prover)
         sigma = 0.8
         for _it in range(budget.iterations):
@@ -417,15 +392,10 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
             theta = rng.normal() * sigma
             phi = rng.uniform(0, 2 * math.pi)
             g = _givens(dim, int(i), int(j), theta, phi)
-            old = prover.matrices[r]
-            prover.matrices[r] = g @ old
-            prover.invalidate(r)
-            val = evaluate(prover)
+            candidate = prover.with_round(r, g @ prover.matrices[r])
+            val = evaluate(candidate)
             if val > cur:
-                cur = val
-            else:
-                prover.matrices[r] = old
-                prover.invalidate(r)
+                cur, prover = val, candidate
             sigma = max(0.05, sigma * 0.97)
         if cur > best_p:
             best_p = cur
@@ -456,7 +426,7 @@ def prover_from_description(desc: dict):
     if kind == "identity":
         return IdentityProver()
     if kind == "classical_table":
-        return TableProver(_table_from_description(desc))
+        return make_classical_prover(_table_from_description(desc))
     if kind == "dense":
         dim = len(desc["comm_alphabet"]) * len(desc["tape_alphabet"]) ** desc["c"]
         mats = [np.array([complex(re, im) for re, im in m], dtype=complex).reshape(dim, dim)

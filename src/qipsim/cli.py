@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .adversary import (AdversaryBudget, best_classical_prover,
+from .adversary import (AdversaryBudget, BudgetError, best_classical_prover,
                         search_quantum_prover)
 from .languages import center, la, odd, pal_sharp, upal, zero
 from .linalg import DomainError
@@ -58,10 +58,17 @@ def _jsonable(v):
 
 
 def _parse_lengths(text: str):
-    if ":" in text:
-        lo, hi = text.split(":")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(t) for t in text.split(","))
+    try:
+        if ":" in text:
+            lo, hi = text.split(":")
+            lengths = tuple(range(int(lo), int(hi) + 1))
+        else:
+            lengths = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise ParseError(f"--lengths {text!r} is not lo:hi or a comma list") from None
+    if not lengths or min(lengths) < 0:
+        raise ParseError(f"--lengths {text!r} is empty or negative")
+    return lengths
 
 
 def _read(path: str) -> str:
@@ -233,8 +240,9 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adversary", help="search for a cheating prover")
     p.add_argument("--protocol", required=True)
     p.add_argument("--input", default="")
-    p.add_argument("--classical", dest="quantum", action="store_false")
-    p.add_argument("--quantum", dest="quantum", action="store_true", default=False)
+    p.add_argument("--classical", dest="quantum", action="store_false",
+                   help="exhaustive classical table search (default)")
+    p.add_argument("--quantum", dest="quantum", action="store_true")
     p.add_argument("--memory", type=int, default=2)
     p.add_argument("--steps", type=int, default=16)
     p.add_argument("--restarts", type=int, default=8)
@@ -242,7 +250,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--tape-cells", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_adversary)
+    p.set_defaults(func=cmd_adversary, quantum=False)
 
     p = sub.add_parser("tiling", help="1-tiling complexity or the size bound")
     p.add_argument("--lang", choices=sorted(LANGS))
@@ -261,7 +269,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except AlphabetError as exc:
+    except (AlphabetError, BudgetError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 1
 

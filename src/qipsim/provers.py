@@ -13,6 +13,8 @@ whole visible space regardless of the rewrite map.
 """
 from __future__ import annotations
 
+import copy
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,72 +174,67 @@ def sufficient_dense_cells(spec, n: int) -> int:
         c += 1
     return c
 
+
+class EncodingError(ValueError):
+    """The tape cells cannot spell every memory state of a classical table."""
+
+
+def dense_basis(comm_alphabet, tape_alphabet, c: int) -> tuple:
+    """Dense basis labels (cell symbol, c-cell tape word): cell-major, high digit first."""
+    return tuple(itertools.product(comm_alphabet,
+                                   itertools.product(tape_alphabet, repeat=c)))
+
+
 class DenseProver(ProverStrategy):
     """Per-round unitaries over (cell symbol, first c tape cells).
 
-    ``matrices[i-1]`` acts at round i; rounds beyond the list are the
-    identity.  The tape is a tuple of exactly c symbols (cell symbols can be
-    multi-character strings, so plain concatenation would be ambiguous).
+    ``matrices[i-1]`` acts at round i; rounds beyond the tuple are the
+    identity.  Basis index j is ``labels[j]``.  The tape is a tuple of exactly
+    c symbols (cell symbols can be multi-character strings, so plain
+    concatenation would be ambiguous).  A prover is immutable.
     """
 
     def __init__(self, comm_alphabet, tape_alphabet, c: int, matrices):
         self.comm_alphabet = tuple(comm_alphabet)
         self.tape_alphabet = tuple(tape_alphabet)
         self.c = c
-        self.matrices = list(matrices)
-        self._g_idx = {g: i for i, g in enumerate(self.comm_alphabet)}
-        self._d_idx = {s: i for i, s in enumerate(self.tape_alphabet)}
-        self.dim = len(self.comm_alphabet) * len(self.tape_alphabet) ** c
-        self._columns: dict[int, list] = {}
+        self.labels = dense_basis(self.comm_alphabet, self.tape_alphabet, c)
+        self.index = {lbl: j for j, lbl in enumerate(self.labels)}
+        self.dim = len(self.labels)
+        self.matrices = tuple(matrices)
         for m in self.matrices:
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(f"round matrix must be {self.dim}x{self.dim}")
+            self._check_shape(m)
+        # per round, each column's nonzero (cell', tape', amplitude) entries
+        self._columns: list = [None] * len(self.matrices)
+
+    def _check_shape(self, m) -> None:
+        if m.shape != (self.dim, self.dim):
+            raise ValueError(f"round matrix must be {self.dim}x{self.dim}")
+
+    def with_round(self, i0: int, m) -> DenseProver:
+        """A copy with ``matrices[i0]`` replaced by ``m``; it shares the label
+        table and the cached columns of every other round."""
+        self._check_shape(m)
+        new = copy.copy(self)
+        new.matrices = self.matrices[:i0] + (m,) + self.matrices[i0 + 1:]
+        new._columns = self._columns[:i0] + [None] + self._columns[i0 + 1:]
+        return new
 
     def initial_tape(self, x):
         return (BLANK,) * self.c
 
-    def _index(self, gamma: str, y) -> int:
-        v = self._g_idx[gamma]
-        for sym in y:
-            v = v * len(self.tape_alphabet) + self._d_idx[sym]
-        return v
-
-    def tape_word(self, v: int) -> tuple:
-        """The c tape cells spelling v in base |tape alphabet|, high digit first."""
-        digits = []
-        base = len(self.tape_alphabet)
-        for _ in range(self.c):
-            digits.append(self.tape_alphabet[v % base])
-            v //= base
-        return tuple(reversed(digits))
-
-    def _label(self, idx: int):
-        words = len(self.tape_alphabet) ** self.c
-        return self.comm_alphabet[idx // words], self.tape_word(idx % words)
-
-    def invalidate(self, round_index0: int) -> None:
-        """Drop the cached columns of matrices[round_index0] after mutation."""
-        self._columns.pop(round_index0, None)
-
-    def _column_lists(self, i0: int):
-        cols = self._columns.get(i0)
-        if cols is None:
-            m = self.matrices[i0]
-            cols = []
-            for src in range(self.dim):
-                col = m[:, src]
-                entries = []
-                for row in np.nonzero(np.abs(col) > DENSE_ENTRY_TOL)[0]:
-                    g2, y2 = self._label(int(row))
-                    entries.append((g2, y2, complex(col[row])))
-                cols.append(entries)
-            self._columns[i0] = cols
-        return cols
-
     def apply(self, x, i, gamma, y):
         if i > len(self.matrices):
             return [(gamma, y, 1.0 + 0j)]
-        return self._column_lists(i - 1)[self._index(gamma, y)]
+        cols = self._columns[i - 1]
+        if cols is None:
+            m = self.matrices[i - 1]
+            kept = np.abs(m) > DENSE_ENTRY_TOL
+            cols = [[(*self.labels[row], complex(m[row, src]))
+                     for row in np.flatnonzero(kept[:, src])]
+                    for src in range(self.dim)]
+            self._columns[i - 1] = cols
+        return cols[self.index[gamma, y]]
 
     def describe(self):
         return {"kind": "dense",
@@ -248,24 +245,48 @@ class DenseProver(ProverStrategy):
                              for m in self.matrices]}
 
 
+def dense_from_table(table: ClassicalProverTable, comm_alphabet, tape_alphabet,
+                     c: int, rounds: int) -> DenseProver:
+    """Permutation unitaries realizing a classical table for ``rounds`` rounds.
+
+    Memory labels, the initial one first and the rest sorted, are spelled by
+    the tape words in order.  An unlisted pair stays put unless a listed pair
+    took its place; complete_permutation then sends it to an unused
+    destination.  ``EncodingError`` if the labels outnumber the tape words.
+    """
+    others = ({m for (_i, _g, m) in table.entries}
+              | {m2 for (_g2, m2) in table.entries.values()}) - {table.initial_memory}
+    memory = [table.initial_memory] + sorted(others)
+    words = list(itertools.product(tape_alphabet, repeat=c))
+    if len(memory) > len(words):
+        raise EncodingError(f"c={c} cannot encode {len(memory)} memory states")
+    index = {lbl: j for j, lbl in enumerate(dense_basis(comm_alphabet, tape_alphabet, c))}
+    word = dict(zip(memory, words))
+    pairs = [index[g, word[m]] for g in comm_alphabet for m in memory]
+    matrices = []
+    for r in range(1, rounds + 1):
+        mapping = {index[g, word[m]]: index[g2, word[m2]]
+                   for (i, g, m), (g2, m2) in table.entries.items() if i == r}
+        taken = set(mapping.values())
+        mapping.update((p, p) for p in pairs if p not in mapping and p not in taken)
+        matrices.append(complete_permutation(mapping, len(index)))
+    return DenseProver(comm_alphabet, tape_alphabet, c, matrices)
+
+
 def densify_schedule(visible: list[tuple[str, str]], comm_alphabet,
                      tape_alphabet, c: int) -> DenseProver:
     """Dense realization of a deterministic visible schedule.
 
     ``visible[i-1]`` is the (symbol seen, symbol written) pair at round i of
-    the honest run.  Each round becomes a permutation that maps the scheduled
-    pair with a round counter on the tape and completes the rest of the basis
-    lexicographically; off-schedule behaviour is arbitrary but unitary.
+    the honest run.  It becomes a table whose memory is a round counter:
+    round t+1 maps (seen, t) to (written, t+1).  Off-schedule behaviour is
+    arbitrary but unitary.
     """
-    if len(tape_alphabet) ** c < len(visible) + 1:
-        raise ValueError(f"c={c} cannot encode {len(visible)} rounds")
-    probe = DenseProver(comm_alphabet, tape_alphabet, c, [])
-    matrices = []
-    for t, (seen, written) in enumerate(visible):
-        src = probe._index(seen, probe.tape_word(t))
-        dst = probe._index(written, probe.tape_word(t + 1))
-        matrices.append(complete_permutation({src: dst}, probe.dim))
-    return DenseProver(comm_alphabet, tape_alphabet, c, matrices)
+    table = ClassicalProverTable(
+        entries={(t + 1, seen, t): (written, t + 1)
+                 for t, (seen, written) in enumerate(visible)},
+        initial_memory=0)
+    return dense_from_table(table, comm_alphabet, tape_alphabet, c, len(visible))
 
 
 def complete_permutation(mapping: dict[int, int], dim: int) -> np.ndarray:

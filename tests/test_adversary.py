@@ -9,13 +9,13 @@ import pytest
 from qipsim import adversary
 from qipsim.adversary import (REPLAY_TOL, AdversaryBudget, AdversaryReport,
                               _ClassicalSearch, _table_from_description,
-                              _table_to_dense, best_classical_prover,
-                              prover_from_description, replay,
-                              search_quantum_prover)
+                              best_classical_prover, prover_from_description,
+                              replay, search_quantum_prover)
 from qipsim.linalg import ContractViolation, check_unitary
 from qipsim.protocols import build_protocol
 from qipsim.provers import DenseProver
-from qipsim.provers import IdentityProver
+from qipsim.provers import IdentityProver, ReversibilityError
+from qipsim.provers import dense_from_table as _table_to_dense
 from qipsim.qfa import BLANK, LEFT_END, HeadModel, QfaSpec, validate_and_complete
 from qipsim.runtime import QipSystem, default_t_max, run
 from tests.conftest import strings
@@ -171,6 +171,17 @@ def test_replay_refuses_a_non_unitary_round_matrix():
         prover_from_description(desc)
     desc["matrices"].pop()
     assert isinstance(prover_from_description(desc), DenseProver)
+
+
+def test_replay_refuses_a_non_injective_classical_table(pal1):
+    desc = {"kind": "classical_table", "initial_memory": "m0",
+            "entries": {f"3|{g}|m0": ["1", "m0"] for g in ("#", "0", "1")}}
+    with pytest.raises(ReversibilityError, match="both map to"):
+        prover_from_description(desc)
+    report = AdversaryReport(best_p_acc=0.0, best_strategy=desc,
+                             strategies_tested=0, is_exhaustive=False)
+    with pytest.raises(ReversibilityError):
+        replay(pal1, "0#1", report)
 
 
 class _PermutationSearch(_ClassicalSearch):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qipsim.cli import main
+from qipsim.cli import main, make_parser
 from qipsim.specfile import serialize_spec
 
 
@@ -213,3 +213,30 @@ def test_input_outside_alphabet_exit_1(capsys, command):
     code, out, err = run_cli(capsys, *command, "--protocol", "la_mo", "--input", "ab")
     assert code == 1 and out == ""
     assert "outside the alphabet" in err
+
+
+def test_adversary_defaults_to_classical_search(capsys):
+    assert make_parser().parse_args(["adversary", "--protocol", "x"]).quantum is False
+    code, out, _ = run_cli(capsys, "adversary", "--protocol", "upal:N=2", "--input", "01")
+    assert code == 0
+    assert json.loads(out)["quantum"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["--protocol", "upal:N=2", "--input", "01"],
+    ["--protocol", "pal_sharp:d=1", "--input", "0#1", "--tape-cells", "3"],
+], ids=["upal-2", "pal-sharp-3-cells"])
+def test_adversary_dense_budget_error_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, "adversary", "--quantum", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("adversary failed: dense dimension")
+
+
+@pytest.mark.parametrize("lengths", ["a:b", "1,,2", "-1", "3:1", "1:2:3", "-2:1"])
+def test_validate_malformed_lengths_exit_2(tmp_path, capsys, lengths):
+    import qipsim as q
+    path = tmp_path / "la.qfa"
+    path.write_text(serialize_spec(q.build_protocol("la_mo").verifier))
+    code, out, err = run_cli(capsys, "validate", str(path), f"--lengths={lengths}")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: --lengths")

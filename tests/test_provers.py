@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,30 @@ def test_dense_prover_round_matrices_permute():
     p = DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1, mats)
     assert p.apply("x", 1, "a", ("b",)) == [("a", ("b",), 1.0)]
     assert p.apply("x", 9, "a", ("b",)) == [("a", ("b",), 1.0 + 0j)]
+
+
+def test_with_round_leaves_the_original_unchanged():
+    swap = np.eye(6, dtype=complex)[[1, 0, 2, 3, 4, 5]]
+    p = DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1,
+                    [np.eye(6, dtype=complex), np.eye(6, dtype=complex)])
+    assert isinstance(p.matrices, tuple)
+    before = p.apply("x", 1, BLANK, (BLANK,))  # round 1's columns are now cached
+    q = p.with_round(0, swap)
+    assert isinstance(q.matrices, tuple)
+    assert q.matrices[0] is swap and q.matrices[1] is p.matrices[1]
+    assert np.array_equal(p.matrices[0], np.eye(6))
+    assert p.apply("x", 1, BLANK, (BLANK,)) == before == [(BLANK, (BLANK,), 1.0)]
+    assert q.apply("x", 1, BLANK, (BLANK,)) == [(BLANK, ("a",), 1.0)]
+    assert q.apply("x", 2, "a", ("b",)) == p.apply("x", 2, "a", ("b",))
+    with pytest.raises(ValueError, match="6x6"):
+        p.with_round(1, np.eye(4))
+
+
+def test_dense_labels_follow_the_basis_order():
+    p = DenseProver((BLANK, "a"), (BLANK, "a"), 2, [])
+    assert p.labels == tuple((g, w) for g in (BLANK, "a")
+                             for w in itertools.product((BLANK, "a"), repeat=2))
+    assert all(p.index[lbl] == j for j, lbl in enumerate(p.labels))
 
 
 def test_densify_schedule_reproduces_visible_pairs():
