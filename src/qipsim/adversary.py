@@ -29,7 +29,12 @@ continuation.
 Quantum search climbs over per-round dense unitaries acting on the cell and
 c prover-tape cells: random-unitary restarts followed by accept-if-better
 Givens-rotation moves.  The identity prover and the best classical table are
-always in the restart pool, so the result can only improve on them.
+always in the restart pool, so the result can only improve on them.  Dense
+provers are evaluated in operator form by one `runtime.DenseRun` per search.
+Its forward pass keeps the state before every prover round, so a move on
+round r resumes there instead of replaying the unchanged prefix, and gives
+the floats a full pass would.  `runtime.run` stays the oracle: the identity
+baseline, the classical search's replay and `replay` go through it.
 """
 from __future__ import annotations
 
@@ -39,11 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARY_TOL, ContractViolation, check_unitary, norm_sq
+from .linalg import UNITARY_TOL, ContractViolation, DomainError, check_unitary, norm_sq
 from .provers import (ClassicalProverTable, DenseProver, EncodingError,
                       IdentityProver, dense_from_table, make_classical_prover)
 from .qfa import BLANK, symbol_at
-from .runtime import QipSystem, _apply_verifier, _measure, default_t_max, run
+from .runtime import (DenseRun, QipSystem, _apply_verifier, _measure, default_t_max,
+                      run)
 
 # Largest dense prover dimension |Gamma|·|Delta|^c the quantum search climbs in.
 DENSE_DIM_CAP = 64
@@ -58,8 +64,14 @@ class BudgetError(RuntimeError):
     pass
 
 
-@dataclass
+def dense_dimension(spec, c: int) -> int:
+    """|Gamma|·|Delta|^c, the dimension a dense prover with c tape cells acts in."""
+    return len(spec.comm_alphabet) * len(spec.prover_alphabet) ** c
+
+
+@dataclass(frozen=True)
 class AdversaryBudget:
+    """Search limits, checked when made; frozen, so they stay checked."""
     memory_states: int = 2
     steps: int = 16
     restarts: int = 8
@@ -67,6 +79,13 @@ class AdversaryBudget:
     seed: int = 0
     node_cap: int = 2_000_000
     committed_only: bool = False
+
+    def __post_init__(self):
+        for name, least in (("memory_states", 1), ("steps", 0), ("restarts", 0),
+                            ("iterations", 0), ("node_cap", 1)):
+            if getattr(self, name) < least:
+                raise DomainError(f"budget {name} must be at least {least}, "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -344,30 +363,36 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
     """Heuristic lower bound on the optimum over quantum provers.
 
     Never exhaustive; the report's strategy reproduces best_p_acc exactly.
+    The identity baseline is a `run`; every dense prover is evaluated by one
+    `DenseRun` built for the search, and a Givens move on round r resumes
+    from the current prover's forward pass just before that round.  With no
+    prover rounds in the budget there is nothing to climb, and the identity
+    or the classical seed is the result.
     """
     budget = budget or AdversaryBudget()
+    if c < 0:
+        raise DomainError(f"tape cells must be at least 0, got {c}")
     spec = system.verifier
     comm, tape = spec.comm_alphabet, spec.prover_alphabet
-    dim = len(comm) * len(tape) ** c
+    dim = dense_dimension(spec, c)
     if dim > DENSE_DIM_CAP:
         raise BudgetError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
     rounds = min(budget.steps, default_t_max(spec, x))
     rng = np.random.default_rng(budget.seed)
-    tested = 0
 
-    def evaluate(prover):
-        nonlocal tested
-        tested += 1
-        return run(system, prover, x).p_acc
-
-    best_p = evaluate(IdentityProver())
+    best_p = run(system, IdentityProver(), x).p_acc
     best_desc = {"kind": "identity"}
+    tested = 1
 
     if classical_seed is None:
         classical_seed = best_classical_prover(system, x, budget)
     if classical_seed.best_p_acc > best_p:
         best_p = classical_seed.best_p_acc
         best_desc = classical_seed.best_strategy
+    if rounds == 0:
+        return AdversaryReport(best_p_acc=best_p, best_strategy=best_desc,
+                               strategies_tested=tested, is_exhaustive=False,
+                               seed=budget.seed)
 
     seed = None
     if classical_seed.best_strategy.get("kind") == "classical_table":
@@ -377,6 +402,7 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
         except EncodingError:  # the table's memory does not fit in c cells
             pass
 
+    dense_run = DenseRun(system, x, c)
     for restart in range(budget.restarts):
         if restart == 0 and seed is not None:
             prover = seed
@@ -384,7 +410,8 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
             prover = DenseProver(comm, tape, c, [
                 np.eye(dim, dtype=complex) if restart == 1 else _random_unitary(rng, dim)
                 for _ in range(rounds)])
-        cur = evaluate(prover)
+        current = dense_run.run(prover)
+        tested += 1
         sigma = 0.8
         for _it in range(budget.iterations):
             r = int(rng.integers(rounds))
@@ -392,14 +419,14 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
             theta = rng.normal() * sigma
             phi = rng.uniform(0, 2 * math.pi)
             g = _givens(dim, int(i), int(j), theta, phi)
-            candidate = prover.with_round(r, g @ prover.matrices[r])
-            val = evaluate(candidate)
-            if val > cur:
-                cur, prover = val, candidate
+            moved = dense_run.resume(current, r, g @ current.prover.matrices[r])
+            tested += 1
+            if moved.p_acc > current.p_acc:
+                current = moved
             sigma = max(0.05, sigma * 0.97)
-        if cur > best_p:
-            best_p = cur
-            best_desc = prover.describe()
+        if current.p_acc > best_p:
+            best_p = current.p_acc
+            best_desc = current.prover.describe()
 
     return AdversaryReport(best_p_acc=best_p, best_strategy=best_desc,
                            strategies_tested=tested, is_exhaustive=False,

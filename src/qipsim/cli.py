@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (AlphabetError, BudgetError) as exc:
+    except (AlphabetError, BudgetError, DomainError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 1
 

@@ -17,13 +17,19 @@ search, ``None`` where no prover takes part.
 
 Measure-once systems skip the intermediate measurements; a single measurement
 follows verifier step n+2.
+
+`DenseRun` evaluates dense provers on one input in operator form, for the
+quantum prover search; `run` stays the oracle it is tested against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+import numpy as np
+
+from . import qfa
 from .linalg import PRUNE_TOL, norm_sq, prune
-from .provers import ProverStrategy
+from .provers import DenseProver, ProverStrategy, dense_basis
 from .qfa import BLANK, AlphabetError, HeadModel, QfaSpec, symbol_at
 
 CONSERVATION_TOL = 1e-9
@@ -129,16 +135,33 @@ def measure_every_run(spec: QfaSpec, prover: ProverStrategy, x: str,
     return _run(spec, prover, x, t_max, measure_once=False)
 
 
-def _run(spec: QfaSpec, prover: ProverStrategy, x: str, t_max, measure_once):
+def _run_length(spec: QfaSpec, x: str, t_max, measure_once) -> int:
+    """The checked input's round limit: ``t_max``, its default, capped at n+2
+    for one-way heads."""
     spec.check_input(x)
-    n = len(x)
-    width = n + 2
     if t_max is None:
         t_max = default_t_max(spec, x)
     if spec.head_model.one_way:
-        t_max = min(t_max, n + 2)
+        t_max = min(t_max, len(x) + 2)
     if measure_once and spec.head_model is not HeadModel.MO_1WAY:
         raise RunError("measure-once runs need a measure-once 1-way verifier")
+    return t_max
+
+
+def _check_end(spec: QfaSpec, n: int, rounds: int, p_cont: float, max_err: float) -> None:
+    """Refuse a run that leaves one-way mass running or loses probability."""
+    if (spec.head_model is HeadModel.ONE_WAY and rounds >= n + 2
+            and p_cont > NO_MASS_TOL):
+        raise RunError(
+            f"one-way verifier keeps continuation mass {p_cont:.3g} after n+2 steps")
+    if max_err > CONSERVATION_TOL * max(1, rounds):
+        raise RunError(f"probability conservation violated by {max_err:.3g}")
+
+
+def _run(spec: QfaSpec, prover: ProverStrategy, x: str, t_max, measure_once):
+    t_max = _run_length(spec, x, t_max, measure_once)
+    n = len(x)
+    width = n + 2
 
     state = {(spec.initial, 0, BLANK, prover.initial_tape(x)): 1.0 + 0j}
     p_acc = p_rej = 0.0
@@ -167,16 +190,145 @@ def _run(spec: QfaSpec, prover: ProverStrategy, x: str, t_max, measure_once):
 
     p_cont = norm_sq(state)
     truncated = (not spec.head_model.one_way) and p_cont >= PRUNE_TOL
-    if (spec.head_model is HeadModel.ONE_WAY and rounds >= n + 2
-            and p_cont > NO_MASS_TOL):
-        raise RunError(
-            f"one-way verifier keeps continuation mass {p_cont:.3g} after n+2 steps")
-    if max_err > CONSERVATION_TOL * max(1, rounds):
-        raise RunError(f"probability conservation violated by {max_err:.3g}")
+    _check_end(spec, n, rounds, p_cont, max_err)
     return RunResult(p_acc=p_acc, p_rej=p_rej, p_cont=p_cont,
                      halting_profile=profile, rounds_executed=rounds,
                      truncated=truncated, cont_trace=cont_trace,
                      max_conservation_error=max_err)
+
+
+# ---------------------------------------------------------------------------
+# Dense provers in operator form
+# ---------------------------------------------------------------------------
+
+def _mass(a: np.ndarray) -> float:
+    return float(np.vdot(a, a).real)
+
+
+@dataclass(frozen=True)
+class DensePass:
+    """One `DenseRun` pass: the prover, `run`'s masses, and the saved forward pass.
+
+    ``saved[i-1]`` is (state, p_acc, p_rej, max_err) just before prover round
+    i, for every round i that acted and has a matrix.
+    """
+
+    prover: DenseProver = field(repr=False)
+    p_acc: float
+    p_rej: float
+    p_cont: float
+    rounds_executed: int
+    saved: tuple = field(repr=False)
+
+
+class DenseRun:
+    """`run` of `DenseProver`s with ``c`` tape cells on one input, in operator form.
+
+    Set-up restricts ``build_step_operator(spec, x, sparse=True)`` to the
+    (state, head) pairs a prover can reach: the closure of the operator's pair
+    graph from the initial pair, with the prover writing any cell symbol.
+    Halting pairs are measured off at once, so their moves do not count;
+    measure-once systems keep them until round n+2.  The continuing, then
+    accepting, then rejecting rows go into one CSR matrix, so a round is one
+    sparse product.  The state is an array of shape (pairs·|Gamma|, |Delta|^c);
+    prover round i reshapes it to (pairs, |Gamma|·|Delta|^c) and multiplies it
+    on the right by the transpose of ``matrices[i-1]``, whose basis is
+    ``DenseProver.labels``.  The round loop, the stop when the continuing
+    mass falls below PRUNE_TOL and the end checks are `_run`'s.  No amplitude
+    is pruned and a transition missing from delta shows up only as lost mass,
+    so the masses agree with `run`'s up to rounding.
+    """
+
+    def __init__(self, system: QipSystem, x: str, c: int):
+        spec = self.spec = system.verifier
+        self.measure_once = system.measure_once
+        self.t_max = _run_length(spec, x, None, self.measure_once)
+        self.n = n = len(x)
+        self.c = c
+        width, gsz = n + 2, len(spec.comm_alphabet)
+        self.words = len(spec.prover_alphabet) ** c
+        # through the module, where perfbench's traced run wraps it
+        step = qfa.build_step_operator(spec, x, sparse=True).tocoo()
+        # pair p = q·width + k is continuing (0), accepting (1) or rejecting (2)
+        kind = np.repeat([0] * len(spec.non_halting) + [1] * len(spec.accepting)
+                         + [2] * len(spec.rejecting), width)
+        src, dst = step.col // gsz, step.row // gsz
+        if not self.measure_once:
+            moves = kind[src] == 0
+            src, dst = src[moves], dst[moves]
+        start = spec.states.index(spec.initial) * width
+        reach = np.zeros(len(kind), dtype=bool)
+        reach[start] = True
+        while True:  # one more move per pass until nothing new is reached
+            grown = reach.copy()
+            grown[dst[reach[src]]] = True
+            if (grown == reach).all():
+                break
+            reach = grown
+        pairs = np.flatnonzero(reach)
+        pairs = pairs[np.argsort(kind[pairs], kind="stable")]
+        n_cont, n_acc = np.bincount(kind[pairs], minlength=3)[:2] * gsz
+        rows = (pairs[:, None] * gsz + np.arange(gsz)).ravel()
+        cols = rows if self.measure_once else rows[:n_cont]
+        self.step = step.tocsr()[rows][:, cols]
+        self.n_cont, self.acc_end = n_cont, n_cont + n_acc
+        self.initial = np.zeros((len(cols), self.words), dtype=complex)
+        j = dense_basis(spec.comm_alphabet, spec.prover_alphabet, c).index(
+            (BLANK, (BLANK,) * c))
+        row = np.flatnonzero(pairs == start)[0] * gsz + j // self.words
+        self.initial[row, j % self.words] = 1.0
+
+    def run(self, prover: DenseProver) -> DensePass:
+        """The full pass of ``prover``."""
+        spec = self.spec
+        if (prover.comm_alphabet, prover.tape_alphabet, prover.c) != (
+                spec.comm_alphabet, spec.prover_alphabet, self.c):
+            raise ValueError("the dense prover's alphabets or tape cells do not "
+                             "match this run")
+        return self._forward(prover, 1, self.initial, 0.0, 0.0, 0.0, [])
+
+    def resume(self, base: DensePass, i0: int, m: np.ndarray) -> DensePass:
+        """The pass of ``base.prover.with_round(i0, m)``.
+
+        The pass restarts from the state saved before prover round i0+1, so
+        its floats are those of a full pass.  When that round never acted,
+        the masses are ``base``'s.
+        """
+        prover = base.prover.with_round(i0, m)
+        if i0 >= len(base.saved):
+            return replace(base, prover=prover)
+        state, p_acc, p_rej, max_err = base.saved[i0]
+        return self._forward(prover, i0 + 2, self._prover_step(state, m),
+                             p_acc, p_rej, max_err, list(base.saved[:i0 + 1]))
+
+    def _prover_step(self, state: np.ndarray, m: np.ndarray) -> np.ndarray:
+        return (state.reshape(-1, m.shape[0]) @ m.T).reshape(-1, self.words)
+
+    def _forward(self, prover, r0, state, p_acc, p_rej, max_err, saved) -> DensePass:
+        """Rounds r0.. of a pass; ``state`` is the array before verifier move r0."""
+        matrices = prover.matrices
+        n_cont, acc_end = self.n_cont, self.acc_end
+        rounds = r0 - 1
+        for r in range(r0, self.t_max + 1):
+            rounds = r
+            state = self.step @ state
+            if not self.measure_once or r == self.n + 2:
+                # in a measure-once run this is the last round
+                p_acc += _mass(state[n_cont:acc_end])
+                p_rej += _mass(state[acc_end:])
+                state = state[:n_cont]
+            cont = _mass(state)
+            max_err = max(max_err, abs(p_acc + p_rej + cont - 1.0))
+            if cont < PRUNE_TOL:
+                state = state[:0]
+                break
+            if r < self.t_max and r <= len(matrices):
+                saved.append((state, p_acc, p_rej, max_err))
+                state = self._prover_step(state, matrices[r - 1])
+        p_cont = _mass(state)
+        _check_end(self.spec, self.n, rounds, p_cont, max_err)
+        return DensePass(prover=prover, p_acc=p_acc, p_rej=p_rej, p_cont=p_cont,
+                         rounds_executed=rounds, saved=tuple(saved))
 
 
 def expected_halting_time(system: QipSystem, prover: ProverStrategy, x: str,
@@ -268,13 +420,8 @@ def count_interactions(system: QipSystem, prover: ProverStrategy, x: str,
     if not system.interaction_bounded:
         raise RunError(f"system {system.name} is not interaction-bounded")
     spec = system.verifier
-    spec.check_input(x)
-    n = len(x)
-    width = n + 2
-    if t_max is None:
-        t_max = default_t_max(spec, x)
-    if spec.head_model.one_way:
-        t_max = min(t_max, n + 2)
+    t_max = _run_length(spec, x, t_max, measure_once=False)
+    width = len(x) + 2
     if not check_committed(prover, x, t_max, comm_alphabet=spec.comm_alphabet):
         raise RunError("count_interactions requires a committed prover")
 

@@ -11,7 +11,7 @@ from qipsim.adversary import (REPLAY_TOL, AdversaryBudget, AdversaryReport,
                               _ClassicalSearch, _table_from_description,
                               best_classical_prover, prover_from_description,
                               replay, search_quantum_prover)
-from qipsim.linalg import ContractViolation, check_unitary
+from qipsim.linalg import ContractViolation, DomainError, check_unitary
 from qipsim.protocols import build_protocol
 from qipsim.provers import DenseProver
 from qipsim.provers import IdentityProver, ReversibilityError
@@ -47,12 +47,18 @@ def test_replay_reproduces_reported_probability(pal1, center2):
         assert replay(system, x, rep) == pytest.approx(rep.best_p_acc, abs=1e-9)
 
 
+def _climbed(budget):
+    # the identity run, then per restart its start and one move per iteration
+    return 1 + budget.restarts * (budget.iterations + 1)
+
+
 def test_quantum_zero_iterations_identity_seed(zero_public):
     budget = AdversaryBudget(memory_states=1, steps=4, restarts=2, iterations=0, seed=3)
     rep = search_quantum_prover(zero_public, "0", c=1, budget=budget)
     identity_p = run(zero_public, IdentityProver(), "0").p_acc
     assert rep.best_p_acc >= identity_p
     assert not rep.is_exhaustive
+    assert rep.strategies_tested == _climbed(budget)
 
 
 def test_quantum_at_least_classical(pal1):
@@ -62,6 +68,7 @@ def test_quantum_at_least_classical(pal1):
     quantum = search_quantum_prover(pal1, "0#1", c=1, budget=budget,
                                     classical_seed=classical)
     assert quantum.best_p_acc >= classical.best_p_acc - 1e-12
+    assert quantum.strategies_tested == _climbed(budget)
 
 
 def test_quantum_search_respects_paper_cap(pal1):
@@ -69,6 +76,7 @@ def test_quantum_search_respects_paper_cap(pal1):
                              iterations=40, seed=5)
     rep = search_quantum_prover(pal1, "0#1", c=1, budget=budget)
     assert rep.best_p_acc <= 0.5 + 1e-3
+    assert rep.strategies_tested == _climbed(budget)
 
 
 def test_center_classical_bound(center2):
@@ -83,6 +91,7 @@ def test_center_quantum_search_capped_by_branch_timing(center2):
                              iterations=20, seed=13)
     rep = search_quantum_prover(center2, "001", c=1, budget=budget)
     assert rep.best_p_acc <= 0.5 + 1e-3
+    assert rep.strategies_tested == _climbed(budget)
 
 
 def test_center_three_branches_tighter_bound():
@@ -100,6 +109,7 @@ def test_quantum_replay_of_dense_strategy(pal1):
                              iterations=15, seed=9)
     rep = search_quantum_prover(pal1, "0#1", c=1, budget=budget)
     assert replay(pal1, "0#1", rep) == pytest.approx(rep.best_p_acc, abs=1e-9)
+    assert rep.strategies_tested == _climbed(budget)
 
 
 def test_committed_only_search(odd):
@@ -148,6 +158,7 @@ def test_deterministic_given_seed(pal1):
     b = search_quantum_prover(pal1, "0#1", c=1, budget=budget)
     assert a.best_p_acc == b.best_p_acc
     assert a.best_strategy == b.best_strategy
+    assert a.strategies_tested == b.strategies_tested == _climbed(budget)
 
 
 @pytest.mark.parametrize("x", ["0#1", "1#0", "01#0", "0#11", "10#00", "00#1",
@@ -313,7 +324,35 @@ def test_dense_strategy_replays_from_json(pal2):
     rep = search_quantum_prover(pal2, "0#1", c=1, budget=budget,
                                 classical_seed=identity)
     assert rep.best_strategy["kind"] == "dense"
+    assert rep.strategies_tested == _climbed(budget)
     desc = json.loads(json.dumps(rep.best_strategy))
     assert isinstance(prover_from_description(desc), DenseProver)
     decoded = dataclasses.replace(rep, best_strategy=desc)
     assert replay(pal2, "0#1", decoded) == pytest.approx(rep.best_p_acc, abs=REPLAY_TOL)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("memory_states", 0), ("steps", -1), ("restarts", -1), ("iterations", -1),
+    ("node_cap", 0)])
+def test_budget_refuses_values_outside_its_domain(field, value):
+    with pytest.raises(DomainError, match=f"budget {field} must be at least"):
+        AdversaryBudget(**{field: value})
+    budget = AdversaryBudget(**{field: value + 1})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(budget, field, value)
+
+
+def test_quantum_search_refuses_negative_tape_cells(pal1):
+    with pytest.raises(DomainError, match="tape cells"):
+        search_quantum_prover(pal1, "0#1", c=-1)
+
+
+def test_quantum_search_without_prover_rounds_returns_its_seed(pal1):
+    budget = AdversaryBudget(steps=0, restarts=2, iterations=3)
+    classical = best_classical_prover(pal1, "0#1", budget)
+    rep = search_quantum_prover(pal1, "0#1", c=1, budget=budget,
+                                classical_seed=classical)
+    identity_p = run(pal1, IdentityProver(), "0#1").p_acc
+    assert rep.best_p_acc == max(identity_p, classical.best_p_acc)
+    assert rep.strategies_tested == 1
+    assert replay(pal1, "0#1", rep) == pytest.approx(rep.best_p_acc, abs=REPLAY_TOL)

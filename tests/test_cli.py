@@ -240,3 +240,32 @@ def test_validate_malformed_lengths_exit_2(tmp_path, capsys, lengths):
     code, out, err = run_cli(capsys, "validate", str(path), f"--lengths={lengths}")
     assert code == 2 and out == ""
     assert err.startswith("parse error: --lengths")
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("adversary", ["--memory", "-3"], "budget memory_states must be at least 1"),
+    ("adversary", ["--steps", "-1"], "budget steps must be at least 0"),
+    ("adversary", ["--quantum", "--restarts", "-1"], "budget restarts must be at least 0"),
+    ("adversary", ["--quantum", "--iterations", "-2"],
+     "budget iterations must be at least 0"),
+    ("adversary", ["--quantum", "--tape-cells", "-1"], "tape cells must be at least 0"),
+    ("sweep", ["--n-max", "1", "--memory", "-1"], "budget memory_states must be at least 1"),
+    ("sweep", ["--n-max", "1", "--steps", "-1"], "budget steps must be at least 0"),
+], ids=["memory-neg", "steps-neg", "restarts-neg", "iterations-neg", "tape-cells-neg",
+        "sweep-memory-neg", "sweep-steps-neg"])
+def test_bad_budget_exit_1(capsys, command, argv, message):
+    input_args = ["--input", "0#1"] if command == "adversary" else []
+    code, out, err = run_cli(capsys, command, "--protocol", "pal_sharp:d=1",
+                             *input_args, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"{command} failed: {message}, got -")
+
+
+def test_quantum_adversary_without_prover_rounds(capsys):
+    code, out, _err = run_cli(capsys, "adversary", "--protocol", "pal_sharp:d=1",
+                              "--input", "0#1", "--quantum", "--steps", "0",
+                              "--iterations", "3")
+    assert code == 0
+    record = json.loads(out)
+    assert record["strategies_tested"] == 1
+    assert record["best_strategy"]["kind"] in ("identity", "classical_table")
