@@ -210,7 +210,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a spec file for well-formedness")
     p.add_argument("spec_file")
-    p.add_argument("--lengths", default="0:4", help="lo:hi or comma list")
+    p.add_argument("--lengths", default="0:4",
+                   help="input lengths, lo:hi or comma list; unitarity is certified "
+                        "for every input of each, and lengths >= 3 share one certificate")
     p.add_argument("--structure", choices=[m.value for m in StructureMode])
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_validate)

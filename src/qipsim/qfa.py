@@ -14,6 +14,12 @@ unspecified (state, symbol, cell) column to a fresh rejecting state.
 A spec compiles delta once, when it is made, into integer arrays per tape
 symbol (`_compile`): the only check of the transitions, and the table that
 validation, completion and `build_step_operator` read.
+
+Validation certifies the step operator unitary for every input of each
+requested length at once (`certify_unitarity`): an entry of M†M depends only
+on two tape symbols and their distance on the circular tape, so the verdict
+comes from one sparse Gram product on the table, and every length from 3 on
+shares one verdict.
 """
 from __future__ import annotations
 
@@ -31,16 +37,15 @@ import numpy as np
 import scipy.sparse as sp
 
 # check_unitary is unused here; perfbench calls and wraps qipsim.qfa.check_unitary.
-from .linalg import (PRUNE_TOL, UNITARY_TOL, DomainError, check_unitary,
-                     unitary_deviation)
+from .linalg import PRUNE_TOL, UNITARY_TOL, DomainError, check_unitary
 
 LEFT_END = "^"
 RIGHT_END = "$"
 BLANK = "#"
 
-# Input lengths whose step operators validation samples.
+# Input lengths validated by default; lengths 3 and up share one certificate.
 DEFAULT_LENGTHS = (0, 1, 2, 3, 4)
-# Inputs tested per length; longer lengths get a covering sample this size.
+# Inputs per length that check_structure runs; longer lengths get a sample.
 MAX_INPUTS_PER_LENGTH = 64
 # Singular values above this count towards the rank of a completion block.
 COMPLETION_RANK_TOL = 1e-10
@@ -298,12 +303,18 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
     most ceil(|unspecified|/|Gamma|) of them are added per symbol block; their
     own outgoing columns are assigned an orthonormal basis of whatever image
     space is left, which keeps each per-symbol block unitary without touching
-    any specified behaviour.  The report carries orthonormality violations, a
-    unitarity verdict per tested input length and the largest deviation from
-    unitarity over the tested inputs.
+    any specified behaviour.
+
+    The completed spec's step operator is then certified (`certify_unitarity`)
+    for every input of each length in ``lengths``.  The report carries a
+    verdict per length, the largest deviation from unitarity over all those
+    inputs, and one violation per failing length, naming an input of that
+    length whose step operator deviates most.  A non-positive ``tol`` or a
+    negative length raises DomainError.
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
+    lengths = _checked_lengths(lengths)
     report = ValidationReport()
     gsz = len(spec.comm_alphabet)
     n_pairs = len(spec.states) * gsz
@@ -363,15 +374,11 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
             | (new_delta.keys() - spec.delta.keys()))
     report.completed_transitions = len(completed.delta) - len(spec.delta)
 
-    for n in lengths:
-        ok = True
-        for x in _test_inputs(completed.input_alphabet, n, MAX_INPUTS_PER_LENGTH):
-            dev = unitary_deviation(build_step_operator(completed, x, sparse=True))
-            report.max_unitary_deviation = max(report.max_unitary_deviation, dev)
-            if dev > tol:
-                ok = False
-                report.violations.append((x, f"step operator not unitary at length {n}"))
-        report.well_formed[n] = ok
+    for n, (dev, witness) in certify_unitarity(completed, lengths).items():
+        report.max_unitary_deviation = max(report.max_unitary_deviation, dev)
+        report.well_formed[n] = dev <= tol
+        if dev > tol:
+            report.violations.append((witness, f"step operator not unitary at length {n}"))
     return completed, report
 
 
@@ -426,9 +433,8 @@ def _test_inputs(alphabet, n, cap):
         for tup in itertools.product(alphabet, repeat=n):
             yield "".join(tup)
         return
-    # deterministic covering sample: uniform strings plus a rotating mix, so
-    # every 3-window of adjacent symbols (which is what the circular-tape
-    # unitarity conditions see) shows up
+    # deterministic sample: uniform strings, every 3-window of adjacent
+    # symbols repeated, then seeded random strings up to the cap
     seen = set()
     for a in alphabet:
         seen.add(a * n)
@@ -439,6 +445,109 @@ def _test_inputs(alphabet, n, cap):
     while len(seen) < cap:
         seen.add("".join(rng.choice(list(alphabet)) for _ in range(n)))
     yield from sorted(seen)
+
+
+# ---------------------------------------------------------------------------
+# Unitarity for every input length
+# ---------------------------------------------------------------------------
+
+def _checked_lengths(lengths) -> tuple[int, ...]:
+    lengths = tuple(lengths)
+    for n in lengths:
+        if n < 0:
+            raise DomainError(f"input length must be non-negative, got {n}")
+    return lengths
+
+
+def certify_unitarity(spec: QfaSpec, lengths) -> dict[int, tuple[float, str | None]]:
+    """For each input length n: the largest deviation from unitarity (the
+    max-entry norm of M†M − I) of the step operator M over every input of
+    length n, and an input that attains it (None when the deviation is 0).
+
+    Column (p, k) of M, for a (state, cell) pair p at head position k, is
+    Σ_d e_(k+d) ⊗ L_d[:, σ_k·P + p]: L_d stacks every tape symbol's targets
+    that move the head by d, over the P = |Q|·|Gamma| pairs.  So the entry of
+    M†M between (p1, k1) and (p2, k2) is the (σ_k1·P + p1, σ_k2·P + p2) entry
+    of H_r = Σ L_d1ᴴ L_d2 over the moves with d1 − d2 ≡ r = k2 − k1 mod the
+    width w = n + 2: it depends on two tape symbols and r alone.  The maximum
+    over all inputs of length n is therefore the maximum of H_r (minus I at
+    r = 0) over the blocks (σ, τ, r) that two cells r apart can hold.  The
+    offsets d1 − d2 lie in −2..2 and are distinct mod w once w ≥ 5, so every
+    n ≥ 3 shares the blocks and the verdict of n = 3.
+    """
+    lengths = _checked_lengths(lengths)
+    t = len(spec.tape_symbols)
+    p = len(spec.states) * len(spec.comm_alphabet)
+    blocks = spec._table.values()
+    sym = np.repeat(np.arange(t), [len(b.src) for b in blocks])
+    src, dst, move, amp = (np.concatenate(v) for v in
+                           zip(*((b.src, b.dst, b.move, b.amp) for b in blocks)))
+    # [L_-1 L_0 L_+1] as one matrix: its Gram holds the nine products L_d1ᴴ L_d2
+    stacked = sp.csr_matrix((amp, (dst, ((move + 1) * t + sym) * p + src)),
+                            shape=(p, 3 * t * p))
+    gram = (stacked.conj().T @ stacked).tocoo()
+    d1, row = np.divmod(gram.row, t * p)
+    d2, col = np.divmod(gram.col, t * p)
+    worst = {}  # width, 5 standing for every width >= 5 -> (deviation, σ, τ, offset)
+    out = {}
+    for n in lengths:
+        w = min(n + 2, 5)
+        if w not in worst:
+            worst[w] = _worst_block(gram.data, d1 - d2, row, col, _cells(t, w), p)
+        dev, sigma, tau, offset = worst[w]
+        out[n] = (dev, None if sigma is None else _witness(spec, n, sigma, tau, offset))
+    return out
+
+
+def _cells(t, w):
+    """Which of the t tape symbols (endmarkers first and last) cell k of a
+    tape of width w can hold, as a (w, t) boolean array."""
+    cells = np.zeros((w, t), dtype=bool)
+    cells[0, 0] = cells[-1, -1] = True
+    cells[1:-1, 1:-1] = True
+    return cells
+
+
+def _worst_block(data, diff, row, col, cells, p):
+    """(deviation, σ, τ, offset) of the block of M†M − I that deviates most
+    among those that occur on a tape whose cells are ``cells``, with the
+    offset k2 − k1 as a representative in −2..2, or (0.0, None, None, None)
+    when nothing deviates or no tape exists.  ``data``, ``row`` and ``col``
+    are the entries of the products L_d1ᴴ L_d2 and their places in them,
+    ``diff`` their d1 − d2."""
+    w, t = cells.shape
+    if not cells.any(axis=1).all():  # an empty input alphabet gives no tape
+        return 0.0, None, None, None
+    tp = t * p
+    diag = np.arange(tp)
+    # H_r − [r = 0]·I stacked over the residues r mod w; csr sums the duplicates
+    h = sp.csr_matrix((np.concatenate([data, np.full(tp, -1.0)]),
+                       (np.concatenate([diff % w * tp + row, diag]),
+                        np.concatenate([col, diag]))), shape=(w * tp, tp))
+    r, row = np.divmod(np.repeat(np.arange(w * tp), np.diff(h.indptr)), tp)
+    dev = np.zeros((w, t, t))
+    np.maximum.at(dev, (r, row // p, h.indices // p), np.abs(h.data))
+    # occurs[r, σ, τ]: some cell k can hold σ while cell k + r holds τ
+    shifted = cells[(np.arange(w)[:, None] + np.arange(w)) % w]
+    occurs = np.einsum("ks,rkt->rst", cells.astype(int), shifted.astype(int)) > 0
+    occurs[0] = np.diag(cells.any(axis=0))
+    dev[~occurs] = 0.0
+    r, sigma, tau = np.unravel_index(np.argmax(dev), dev.shape)
+    if dev[r, sigma, tau] == 0.0:
+        return 0.0, None, None, None
+    return float(dev[r, sigma, tau]), sigma, tau, (r + 2) % w - 2
+
+
+def _witness(spec, n, sigma, tau, offset):
+    """An input of length n with tape symbol σ at some cell k and τ at
+    k + offset (mod n + 2); every other input symbol is the first one."""
+    w = n + 2
+    cells = _cells(len(spec.tape_symbols), w)
+    r = offset % w
+    k = next(k for k in range(w) if cells[k, sigma] and cells[(k + r) % w, tau])
+    tape = [1] * w
+    tape[k], tape[(k + r) % w] = sigma, tau
+    return "".join(spec.tape_symbols[s] for s in tape[1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -454,9 +563,11 @@ def check_structure(spec: QfaSpec, mode: StructureMode,
                     lengths=DEFAULT_LENGTHS) -> ValidationReport:
     """Scan a validated spec against one of the restricted-model disciplines.
 
-    Findings land in the report; nothing raises.  Completion-added transitions
-    are exempt (they only exist to close the unitary and always reject).
+    Findings land in the report; a negative length or an unknown mode raises
+    DomainError.  Completion-added transitions are exempt (they only exist to
+    close the unitary and always reject).
     """
+    lengths = _checked_lengths(lengths)
     report = ValidationReport()
     own = [(key, tgt) for key, tgts in spec.delta.items()
            if key not in spec.completion_keys for tgt in tgts]

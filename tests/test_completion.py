@@ -1,4 +1,5 @@
 """Block-local completion and the compiled step table."""
+import cmath
 import functools
 import itertools
 import math
@@ -7,14 +8,15 @@ import random
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qipsim.qfa as qfa
-from qipsim.linalg import DomainError
+from qipsim.linalg import DomainError, unitary_deviation
 from qipsim.protocols import build_protocol
 from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, SpecError,
-                        build_step_operator, symbol_at, validate_and_complete)
+                        StructureMode, build_step_operator, certify_unitarity,
+                        check_structure, symbol_at, validate_and_complete)
 from tests.conftest import strings
 
 # Every built-in at its default parameters plus the larger instances.
@@ -167,9 +169,124 @@ def test_report_carries_the_largest_unitarity_deviation():
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9])
 def test_validation_refuses_a_non_positive_tolerance(tol):
-    # refused up front, even when no input length is sampled
+    # refused up front, even when no input length is certified
     with pytest.raises(DomainError, match="tolerance"):
         validate_and_complete(hadamard_spec(), lengths=(), tol=tol)
+
+
+def test_validation_refuses_a_negative_length():
+    with pytest.raises(DomainError, match="length must be non-negative, got -1"):
+        validate_and_complete(hadamard_spec(), lengths=(0, -1))
+
+
+@pytest.mark.parametrize("mode", list(StructureMode))
+def test_structure_check_refuses_a_negative_length(mode):
+    completed, _report = validate_and_complete(hadamard_spec(), lengths=())
+    with pytest.raises(DomainError, match="length must be non-negative, got -2"):
+        check_structure(completed, mode, lengths=(1, -2))
+
+
+def exhaustive_deviation(spec, n):
+    """The largest `unitary_deviation` of the step operator over every input
+    of length n."""
+    return max(unitary_deviation(build_step_operator(spec, "".join(x), sparse=True))
+               for x in itertools.product(spec.input_alphabet, repeat=n))
+
+
+def random_orthonormal_spec(rng):
+    """1-3 states, 1-3 input symbols, one or two cell symbols, any head model.
+    Each tape symbol maps a random set of pairs to distinct targets with
+    random phases, some pairs of columns mixed by a Hadamard, so the columns
+    are orthonormal and completion accepts the table.  Two-way moves are
+    drawn per target pair or, half the time, per transition; the latter
+    usually breaks unitarity on the circular tape."""
+    head = rng.choice(list(HeadModel))
+    states = tuple(f"s{i}" for i in range(rng.randint(1, 3)))
+    comm = (BLANK,) + (("g",) if rng.random() < 0.5 else ())
+    sigma = tuple("abc"[:rng.randint(1, 3)])
+    pairs = [(q, g) for q in states for g in comm]
+    per_target = rng.random() < 0.5
+    dmap = {}
+
+    def move(target):
+        if head.one_way:
+            return 1
+        if per_target:
+            return dmap.setdefault(target, rng.choice([-1, 0, 1]))
+        return rng.choice([-1, 0, 1])
+
+    def column(*entries):
+        # one random phase per column keeps the columns orthonormal
+        phase = cmath.exp(2j * math.pi * rng.random())
+        return tuple((*target, move(target), amp * phase) for target, amp in entries)
+
+    h = 1 / math.sqrt(2)
+    delta = {}
+    for s in (LEFT_END, *sigma, RIGHT_END):
+        sources = rng.sample(pairs, rng.randint(0, len(pairs)))
+        targets = rng.sample(pairs, len(sources))
+        while sources:
+            if len(sources) > 1 and rng.random() < 0.5:
+                ((q1, g1), (q2, g2)), (u, v) = sources[:2], targets[:2]
+                delta[(q1, s, g1)] = column((u, h), (v, h))
+                delta[(q2, s, g2)] = column((u, h), (v, -h))
+                sources, targets = sources[2:], targets[2:]
+            else:
+                (q, g), u = sources[0], targets[0]
+                delta[(q, s, g)] = column((u, 1.0))
+                sources, targets = sources[1:], targets[1:]
+    return QfaSpec(name="random", non_halting=states, accepting=(), rejecting=(),
+                   initial=states[0], input_alphabet=sigma, comm_alphabet=comm,
+                   prover_alphabet=comm, head_model=head, delta=delta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 30))
+@example(5)  # fails at every length
+@example(95)  # fails at lengths 1-5
+def test_unitarity_certificate_matches_every_step_operator(seed):
+    spec = random_orthonormal_spec(random.Random(seed))
+    completed, report = validate_and_complete(spec, lengths=range(6))
+    deviation = certify_unitarity(completed, range(6))
+    failing = []
+    for n in range(6):
+        expected = exhaustive_deviation(completed, n)
+        assert abs(deviation[n][0] - expected) <= 1e-12, (n, deviation[n], expected)
+        assert report.well_formed[n] == (expected <= 1e-9), n
+        if expected > 1e-9:
+            failing.append(n)
+    assert report.max_unitary_deviation == max(dev for dev, _x in deviation.values())
+    assert [text for _x, text in report.violations] == [
+        f"step operator not unitary at length {n}" for n in failing]
+    for (x, _text), n in zip(report.violations, failing):
+        # the witness attains the largest deviation of its length
+        assert len(x) == n
+        dev = unitary_deviation(build_step_operator(completed, x, sparse=True))
+        assert dev > 1e-9
+        assert abs(dev - deviation[n][0]) <= 1e-12
+
+
+def test_certificate_tells_width_four_from_wider_tapes():
+    # (p, ^) and (p, a) enter u and v with opposite moves.  Two cells apart
+    # they share the target (u, k+1); on a tape of width 4, where offsets +2
+    # and -2 coincide, they also share (v, k-1).  So width 4 deviates by 1
+    # and every wider tape by 1/sqrt(2).
+    h = 1 / math.sqrt(2)
+    spec = QfaSpec(name="ring", non_halting=("p", "u", "v"), accepting=(),
+                   rejecting=(), initial="p", input_alphabet=("a",),
+                   comm_alphabet=(BLANK,), prover_alphabet=(BLANK,),
+                   head_model=HeadModel.TWO_WAY,
+                   delta={("p", LEFT_END, BLANK): (("u", BLANK, 1, h), ("v", BLANK, -1, h)),
+                          ("p", "a", BLANK): (("u", BLANK, -1, h), ("v", BLANK, 1, -h))})
+    completed, report = validate_and_complete(spec, lengths=range(7))
+    deviation = certify_unitarity(completed, range(7))
+    for n in range(7):
+        assert deviation[n][0] == pytest.approx(exhaustive_deviation(completed, n), abs=1e-12)
+    assert deviation[2][0] == pytest.approx(1.0)
+    assert deviation[3][0] == deviation[6][0] == pytest.approx(h)
+    assert report.well_formed == {0: True, **{n: False for n in range(1, 7)}}
+    assert report.violations == [("a" * n, f"step operator not unitary at length {n}")
+                                 for n in range(1, 7)]
 
 
 def reference_violations(spec, tol=1e-9):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 import qipsim.languages as lang
+import qipsim.qfa as qfa
 from qipsim.automata import (all_a_rfa, end_one_dfa, even_a_rfa, npfa_choice,
                              npfa_coin, npfa_single_a, npfa_value, zero_dfa)
 from qipsim.linalg import check_unitary
@@ -56,14 +57,7 @@ def test_identity_prover_soundness_short_non_members(name):
 def test_step_operators_unitary_lengths_0_to_6(name):
     spec = build_protocol(name).verifier
     for n in range(7):
-        total = len(spec.input_alphabet) ** n
-        sample = strings(spec.input_alphabet, n) if total <= 64 else None
-        words = [x for x in (sample or [])] if sample else None
-        if words is None:
-            continue
-        for x in words:
-            if len(x) != n:
-                continue
+        for x in qfa._test_inputs(spec.input_alphabet, n, 64):
             assert check_unitary(build_step_operator(spec, x, sparse=True), 1e-9), (name, x)
 
 

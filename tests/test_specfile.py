@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +97,11 @@ def test_round_trip_bit_exact_for_all_builtins():
         assert back.delta == spec.delta, name
         assert back.states == spec.states, name
         assert serialize_spec(back) == text, name
+
+
+def test_shipped_example_is_the_serialized_la_mo_verifier():
+    text = (Path(__file__).parents[1] / "specs" / "la_mo.qfa").read_text()
+    assert text == serialize_spec(q.build_protocol("la_mo").verifier)
 
 
 def test_parse_errors():
