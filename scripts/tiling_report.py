@@ -7,20 +7,19 @@ for one-way-verifier systems at small parameter values.
 """
 import argparse
 
-import qipsim.languages as lang
 from qipsim.automata import universal_dfa, zero_star_dfa
-from qipsim.languages import regular
+from qipsim.languages import LANGUAGES, regular
 from qipsim.tiling import tiling_bound, tiling_complexity
 
 LANGS = [
-    ("Zero", lang.ZERO, ("0", "1")),
-    ("Odd", lang.ODD, ("0", "1")),
-    ("L_a", lang.LA, ("a",)),
+    ("Zero", *LANGUAGES["zero"]),
+    ("Odd", *LANGUAGES["odd"]),
+    ("L_a", *LANGUAGES["la"]),
     ("0*", regular(zero_star_dfa()), ("0", "1")),
     ("Sigma*", regular(universal_dfa()), ("0", "1")),
-    ("Upal", lang.UPAL, ("0", "1")),
-    ("Center", lang.CENTER, ("0", "1")),
-    ("Pal#", lang.PAL_SHARP, ("0", "1", "#")),
+    ("Upal", *LANGUAGES["upal"]),
+    ("Center", *LANGUAGES["center"]),
+    ("Pal#", *LANGUAGES["pal_sharp"]),
 ]
 
 

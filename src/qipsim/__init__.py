@@ -11,7 +11,6 @@ from .provers import (ClassicalProverTable, DenseProver, EraseAllProver,
 from .runtime import (QipSystem, RunResult, count_interactions,
                       expected_halting_time, query_weight, run,
                       visible_schedule)
-from .languages import membership
 from .protocols import (BUILTIN, build_protocol, center_protocol,
                         eraser_protocol, la_mo_protocol, npfa_to_qip,
                         odd_protocol, pal_sharp_protocol, rfa_public_protocol,

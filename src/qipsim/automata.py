@@ -185,11 +185,11 @@ def npfa_policy(npfa: Npfa, x: str, horizon: int):
                 if not choices:
                     nxt[(q, k)] = 0.0
                 elif q in npfa.prob_states:
-                    nxt[(q, k)] = 0.5 * sum(values[(s, (k + d) % width)]
-                                            for (s, d) in choices)
+                    nxt[(q, k)] = 0.5 * sum(successor_value(values, k, c, width)
+                                            for c in choices)
                 else:
-                    nxt[(q, k)] = max(values[(s, (k + d) % width)]
-                                      for (s, d) in choices)
+                    nxt[(q, k)] = max(successor_value(values, k, c, width)
+                                      for c in choices)
         values = nxt
     policy = {}
     for q in npfa.nondet_states:
@@ -199,11 +199,19 @@ def npfa_policy(npfa: Npfa, x: str, horizon: int):
                 continue
             best, best_v = None, -1.0
             for sd in sorted(choices):
-                v = values[(sd[0], (k + sd[1]) % width)]
+                v = successor_value(values, k, sd, width)
                 if v > best_v + POLICY_TIE_TOL:
                     best, best_v = sd, v
             policy[(q, k)] = best
     return policy, values
+
+
+def successor_value(values, k: int, choice: tuple[str, int], width: int) -> float:
+    """The value of taking ``choice`` = (state, head move) at head position k
+    of a circular tape with ``width`` cells, read from an `npfa_policy`
+    value table."""
+    s, d = choice
+    return values[(s, (k + d) % width)]
 
 
 # ---------------------------------------------------------------------------

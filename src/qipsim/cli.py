@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .adversary import (AdversaryBudget, BudgetError, best_classical_prover,
                         search_quantum_prover)
-from .languages import center, la, odd, pal_sharp, upal, zero
+from .languages import LANGUAGES
 from .linalg import DomainError
 from .protocols import BUILTIN, build_protocol
 from .provers import EraseAllProver, IdentityProver, make_classical_prover
@@ -26,12 +26,6 @@ from .runtime import run
 from .specfile import ParseError, parse_prover_table, parse_spec
 from .sweep import sweep_named
 from .tiling import SizeError, tiling_bound, tiling_complexity
-
-LANGS = {"zero": (zero, ("0", "1")), "upal": (upal, ("0", "1")),
-         "pal_sharp": (pal_sharp, ("0", "1", "#")),
-         "center": (center, ("0", "1")), "odd": (odd, ("0", "1")),
-         "la": (la, ("a",))}
-
 
 def _emit(payload, fmt: str) -> None:
     if fmt == "json":
@@ -103,7 +97,7 @@ def cmd_validate(args) -> int:
                "states_after_completion": len(completed.states)}
     if args.structure:
         mode = StructureMode(args.structure)
-        sreport = check_structure(completed, mode, lengths=lengths)
+        sreport = check_structure(completed, mode)
         payload["structure_mode"] = mode.value
         payload["structure_ok"] = sreport.ok
         payload["structure_violations"] = sreport.violations
@@ -188,7 +182,7 @@ def cmd_tiling(args) -> int:
             _emit({"command": "tiling_bound", "q": q, "g": g, "dlt": dlt,
                    "c": c, "eps": args.eps, "value": value}, args.format)
             return 0
-        lang, alphabet = LANGS[args.lang]
+        lang, alphabet = LANGUAGES[args.lang]
         value = tiling_complexity(lang, args.n, alphabet=alphabet)
         _emit({"command": "tiling", "lang": args.lang, "n": args.n,
                "value": value}, args.format)
@@ -255,7 +249,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adversary, quantum=False)
 
     p = sub.add_parser("tiling", help="1-tiling complexity or the size bound")
-    p.add_argument("--lang", choices=sorted(LANGS))
+    p.add_argument("--lang", choices=sorted(LANGUAGES))
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--bound", nargs=4, type=int, metavar=("Q", "G", "DLT", "C"))
     p.add_argument("--eps", type=float, default=0.0)

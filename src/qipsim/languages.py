@@ -1,7 +1,8 @@
 """Membership predicates for the languages the built-in protocols target.
 
 A language is a ``str -> bool`` predicate that tells whether a string is a
-member; the named languages below raise ``AlphabetError`` on foreign symbols.
+member; the named languages below raise ``AlphabetError`` on foreign symbols,
+and `LANGUAGES` lists them by name with their alphabets.
 """
 from __future__ import annotations
 
@@ -58,17 +59,11 @@ def _check(x: str, alphabet: str) -> None:
         raise AlphabetError(f"symbols {bad} outside alphabet {alphabet!r}")
 
 
-def membership(lang, x: str) -> bool:
-    """Exact membership of ``x`` in the language ``lang``."""
-    return bool(lang(x))
-
-
-ZERO = zero
-UPAL = upal
-PAL_SHARP = pal_sharp
-CENTER = center
-ODD = odd
-LA = la
+# name -> (predicate, alphabet) for every named language above
+LANGUAGES = {"zero": (zero, ("0", "1")), "upal": (upal, ("0", "1")),
+             "pal_sharp": (pal_sharp, ("0", "1", "#")),
+             "center": (center, ("0", "1")), "odd": (odd, ("0", "1")),
+             "la": (la, ("a",))}
 
 
 def regular(dfa: Dfa):

@@ -19,7 +19,7 @@ import math
 from . import languages
 from .automata import (Dfa, Npfa, Rfa, all_a_rfa, end_one_dfa, even_a_rfa,
                        npfa_choice, npfa_coin, npfa_policy, npfa_single_a,
-                       zero_dfa)
+                       successor_value, zero_dfa)
 from .linalg import phase
 from .provers import EraseAllProver, IdentityProver, ProverStrategy, ScriptedProver
 from .qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, SpecError,
@@ -612,7 +612,7 @@ def npfa_to_qip(npfa: Npfa, name: str = "npfa", error_bound: float = 0.0) -> Qip
                     choice = policy.get((q[:-1], k))
                     if choice is None:
                         continue
-                    v = values[(choice[0], (k + choice[1]) % width)]
+                    v = successor_value(values, k, choice, width)
                     if v > best_v:
                         best_v = v
                         rule[QUERY] = _enc(*choice)

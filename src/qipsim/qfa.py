@@ -20,6 +20,10 @@ requested length at once (`certify_unitarity`): an entry of M†M depends only
 on two tape symbols and their distance on the circular tape, so the verdict
 comes from one sparse Gram product on the table, and every length from 3 on
 shares one verdict.
+
+The restricted-model checks (`check_structure`) read the table alone, so
+their verdict holds for every input length and no run is simulated; this
+module depends on `linalg` only.
 """
 from __future__ import annotations
 
@@ -45,8 +49,6 @@ BLANK = "#"
 
 # Input lengths validated by default; lengths 3 and up share one certificate.
 DEFAULT_LENGTHS = (0, 1, 2, 3, 4)
-# Inputs per length that check_structure runs; longer lengths get a sample.
-MAX_INPUTS_PER_LENGTH = 64
 # Singular values above this count towards the rank of a completion block.
 COMPLETION_RANK_TOL = 1e-10
 
@@ -151,6 +153,9 @@ def _compile(spec: QfaSpec) -> dict[str, _Block]:
             raise SpecError(f"duplicate {what}: {twice}")
     if spec.initial not in spec.non_halting:
         raise SpecError(f"initial state {spec.initial!r} must be non-halting")
+    not_rejecting = sorted(set(spec.completion_states) - set(spec.rejecting))
+    if not_rejecting:
+        raise SpecError(f"completion states must be rejecting: {not_rejecting}")
     for mark in (LEFT_END, RIGHT_END):
         if mark in spec.input_alphabet:
             raise SpecError(f"endmarker {mark!r} may not appear in the input alphabet")
@@ -424,29 +429,6 @@ def _leftover_basis(columns, start, cols, units, all_pairs, tol):
     return out
 
 
-def _test_inputs(alphabet, n, cap):
-    if n == 0:
-        yield ""
-        return
-    total = len(alphabet) ** n
-    if total <= cap:
-        for tup in itertools.product(alphabet, repeat=n):
-            yield "".join(tup)
-        return
-    # deterministic sample: uniform strings, every 3-window of adjacent
-    # symbols repeated, then seeded random strings up to the cap
-    seen = set()
-    for a in alphabet:
-        seen.add(a * n)
-    for tup in itertools.product(alphabet, repeat=min(3, n)):
-        s = ("".join(tup) * (n // len(tup) + 1))[:n]
-        seen.add(s)
-    rng = np.random.default_rng(20040722)
-    while len(seen) < cap:
-        seen.add("".join(rng.choice(list(alphabet)) for _ in range(n)))
-    yield from sorted(seen)
-
-
 # ---------------------------------------------------------------------------
 # Unitarity for every input length
 # ---------------------------------------------------------------------------
@@ -559,15 +541,32 @@ def public_symbol(q: str, d: int, one_way: bool) -> str:
     return q if one_way else f"{q},{d:+d}"
 
 
-def check_structure(spec: QfaSpec, mode: StructureMode,
-                    lengths=DEFAULT_LENGTHS) -> ValidationReport:
-    """Scan a validated spec against one of the restricted-model disciplines.
+def check_structure(spec: QfaSpec, mode: StructureMode) -> ValidationReport:
+    """Scan a spec's transition table against one of the restricted-model
+    disciplines.  The verdict holds for every input length and is recorded as
+    ``well_formed[0]``; findings land in the report, and an unknown mode
+    raises DomainError.  Completion-added transitions (``completion_keys``)
+    are exempt except where noted: they only close the unitary, and the
+    states completion adds are rejecting.
 
-    Findings land in the report; a negative length or an unknown mode raises
-    DomainError.  Completion-added transitions are exempt (they only exist to
-    close the unitary and always reject).
+    ONE_WAY_HALTING: the head is one-way, every non-halting (q, $, gamma) has
+    a row, and every target of a $ row halts unless the row is a completion
+    row out of a halting state.  That decides halting in a run that measures
+    after every round, for every input and every prover: a one-way head starts
+    on ^ and moves right at each step, so it reads $ in round n+2 and in no
+    other.  The earlier measurements leave only non-halting labels, and the
+    prover changes only the cell and its own tape, so the mass entering that
+    round sits on columns (q, $, gamma) with q non-halting.  Each has a row
+    whose targets all halt, and the measurement after the round leaves no
+    non-halting label.  A measure-once run is not covered: its halting
+    labels persist until round n+2, and completion rows lead out of them.
+
+    PUBLIC: every transition into a non-halting state q' with head move d
+    writes ``public_symbol(q', d)``.
+
+    MEASURE_ONCE: the head is measure-once 1-way and no transition enters a
+    halting state before $.
     """
-    lengths = _checked_lengths(lengths)
     report = ValidationReport()
     own = [(key, tgt) for key, tgts in spec.delta.items()
            if key not in spec.completion_keys for tgt in tgts]
@@ -575,21 +574,18 @@ def check_structure(spec: QfaSpec, mode: StructureMode,
     if mode is StructureMode.ONE_WAY_HALTING:
         if not spec.head_model.one_way:
             report.violations.append(("", "head model is not one-way"))
-        for (q, sigma, gamma), (q2, _g2, _d, _amp) in own:
-            if sigma == RIGHT_END and not spec.is_halting(q2):
-                report.violations.append(
-                    (sigma, f"transition {(q, sigma, gamma)} -> {q2} does not halt at $"))
-        if not report.violations:
-            from .provers import IdentityProver
-            from .runtime import NO_MASS_TOL, measure_every_run
-            for n in lengths:
-                for x in _test_inputs(spec.input_alphabet, n, MAX_INPUTS_PER_LENGTH):
-                    res = measure_every_run(spec, IdentityProver(), x, len(x) + 2)
-                    if res.p_cont > NO_MASS_TOL:
-                        report.violations.append(
-                            (x, f"continuation mass {res.p_cont:.3g} after n+2 steps"))
-        for n in lengths:
-            report.well_formed[n] = not any(v for v in report.violations)
+        for key, targets in spec.delta.items():
+            if key[1] != RIGHT_END or (spec.is_halting(key[0]) and key in spec.completion_keys):
+                continue
+            for (q2, _g2, _d, _amp) in targets:
+                if not spec.is_halting(q2):
+                    report.violations.append(
+                        (RIGHT_END, f"transition {key} -> {q2} does not halt at $"))
+        for q in spec.non_halting:
+            for gamma in spec.comm_alphabet:
+                if (q, RIGHT_END, gamma) not in spec.delta:
+                    report.violations.append(
+                        (RIGHT_END, f"no transition for {(q, RIGHT_END, gamma)}"))
 
     elif mode is StructureMode.PUBLIC:
         one_way = spec.head_model.one_way
@@ -599,7 +595,6 @@ def check_structure(spec: QfaSpec, mode: StructureMode,
                     (sigma,
                      f"transition {(q, sigma, gamma)} -> ({q2}, {g2!r}) does not "
                      f"announce {public_symbol(q2, d, one_way)!r}"))
-        report.well_formed[0] = not report.violations
 
     elif mode is StructureMode.MEASURE_ONCE:
         if spec.head_model is not HeadModel.MO_1WAY:
@@ -609,7 +604,7 @@ def check_structure(spec: QfaSpec, mode: StructureMode,
                 report.violations.append(
                     (sigma,
                      f"transition {(q, sigma, gamma)} -> {q2} halts before the final step"))
-        report.well_formed[0] = not report.violations
     else:
         raise DomainError(f"unknown structure mode {mode}")
+    report.well_formed[0] = not report.violations
     return report

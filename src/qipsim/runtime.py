@@ -129,12 +129,6 @@ def run(system: QipSystem, prover: ProverStrategy, x: str,
                 measure_once=system.measure_once)
 
 
-def measure_every_run(spec: QfaSpec, prover: ProverStrategy, x: str,
-                      t_max: int | None = None) -> RunResult:
-    """Bare-spec run with a measurement after every verifier move."""
-    return _run(spec, prover, x, t_max, measure_once=False)
-
-
 def _run_length(spec: QfaSpec, x: str, t_max, measure_once) -> int:
     """The checked input's round limit: ``t_max``, its default, capped at n+2
     for one-way heads."""

@@ -14,7 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .languages import membership
 from .linalg import DomainError
 
 
@@ -38,7 +37,7 @@ class TilingInstance:
         strings = all_strings(alphabet, n)
         if len(strings) ** 2 > cap:
             raise SizeError(f"{len(strings)}^2 matrix entries exceed the cap")
-        matrix = [[1 if membership(lang, x + y) else 0 for y in strings]
+        matrix = [[1 if lang(x + y) else 0 for y in strings]
                   for x in strings]
         return cls(n=n, index=strings, matrix=matrix)
 

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import qipsim as q
@@ -10,6 +11,29 @@ def strings(alphabet, n_max):
     for n in range(1, n_max + 1):
         out.extend("".join(t) for t in itertools.product(alphabet, repeat=n))
     return out
+
+
+def sample_inputs(alphabet, n, cap):
+    """Every input of length n when there are at most ``cap`` of them, else a
+    deterministic sample of ``cap``: the uniform strings, every 3-window of
+    adjacent symbols repeated, then seeded random strings."""
+    if n == 0:
+        yield ""
+        return
+    if len(alphabet) ** n <= cap:
+        for tup in itertools.product(alphabet, repeat=n):
+            yield "".join(tup)
+        return
+    seen = set()
+    for a in alphabet:
+        seen.add(a * n)
+    for tup in itertools.product(alphabet, repeat=min(3, n)):
+        s = ("".join(tup) * (n // len(tup) + 1))[:n]
+        seen.add(s)
+    rng = np.random.default_rng(20040722)
+    while len(seen) < cap:
+        seen.add("".join(rng.choice(list(alphabet)) for _ in range(n)))
+    yield from sorted(seen)
 
 
 @pytest.fixture(scope="session")

@@ -20,11 +20,10 @@ from qipsim.protocols import build_protocol
 from qipsim.provers import IdentityProver, ScriptedProver, densify_schedule
 from qipsim.qfa import (BLANK, StructureMode, build_step_operator,
                         check_structure, validate_and_complete)
-from qipsim.qfa import _test_inputs
 from qipsim.runtime import (count_interactions, default_t_max, query_weight,
                             run, visible_schedule)
 from qipsim.tiling import tiling_bound, tiling_complexity
-from tests.conftest import strings
+from tests.conftest import sample_inputs, strings
 
 
 def report(criterion, ok, elapsed, limit):
@@ -220,7 +219,7 @@ def test_criterion_09_invariant_suites():
     for name in ALL_BUILTINS:
         spec = build_protocol(name).verifier
         for n in range(9):
-            for x in _test_inputs(spec.input_alphabet, n, 16):
+            for x in sample_inputs(spec.input_alphabet, n, 16):
                 ok &= check_unitary(build_step_operator(spec, x, sparse=True), 1e-9)
     # dense/sparse agreement on space-bounded honest twins
     for name, c in (("zero_public", 3), ("odd", 3), ("la_mo", 3), ("eraser_zero", 3)):
@@ -246,7 +245,7 @@ def test_criterion_09_invariant_suites():
 
 def test_criterion_10_tiling():
     t0 = time.time()
-    ok = tiling_complexity(lang.LA, 1, alphabet=("a",)) == 2
+    ok = tiling_complexity(lang.la, 1, alphabet=("a",)) == 2
     for lid, alphabet in ((regular(zero_star_dfa()), ("0", "1")),
                          (regular(universal_dfa()), ("0", "1"))):
         values = [tiling_complexity(lid, n, alphabet=alphabet) for n in range(4)]

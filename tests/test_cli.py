@@ -180,6 +180,18 @@ def test_validate_construction_errors_exit_1(tmp_path, capsys, text, message):
     assert err == f"validation failed: {message}\n"
 
 
+def test_validate_refuses_a_non_rejecting_completion_state(tmp_path, capsys):
+    # q1 would exempt the $ row into it from the structure check, and a run
+    # that ends in q1 keeps its mass past $
+    path = tmp_path / "gap.qfa"
+    path.write_text(spec_text(states="q0 non initial\nq1 non completion",
+                              rows="q0 ^ # -> q0 # +1 1 0\nq0 a # -> q0 # +1 1 0\n"
+                                   "q0 $ # -> q1 # +1 1 0"))
+    code, out, err = run_cli(capsys, "validate", str(path), "--structure", "one_way_halting")
+    assert (code, out) == (1, "")
+    assert err == "validation failed: completion states must be rejecting: ['q1']\n"
+
+
 @pytest.mark.parametrize("text", [
     spec_text(meta="name"),
     spec_text(rows="q0 a # -> q1 #", extra="[directions]\nq0 +1\nq1 right\n\n"),

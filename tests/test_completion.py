@@ -15,8 +15,8 @@ import qipsim.qfa as qfa
 from qipsim.linalg import DomainError, unitary_deviation
 from qipsim.protocols import build_protocol
 from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, SpecError,
-                        StructureMode, build_step_operator, certify_unitarity,
-                        check_structure, symbol_at, validate_and_complete)
+                        build_step_operator, certify_unitarity, symbol_at,
+                        validate_and_complete)
 from tests.conftest import strings
 
 # Every built-in at its default parameters plus the larger instances.
@@ -177,13 +177,6 @@ def test_validation_refuses_a_non_positive_tolerance(tol):
 def test_validation_refuses_a_negative_length():
     with pytest.raises(DomainError, match="length must be non-negative, got -1"):
         validate_and_complete(hadamard_spec(), lengths=(0, -1))
-
-
-@pytest.mark.parametrize("mode", list(StructureMode))
-def test_structure_check_refuses_a_negative_length(mode):
-    completed, _report = validate_and_complete(hadamard_spec(), lengths=())
-    with pytest.raises(DomainError, match="length must be non-negative, got -2"):
-        check_structure(completed, mode, lengths=(1, -2))
 
 
 def exhaustive_deviation(spec, n):

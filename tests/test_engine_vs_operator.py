@@ -13,16 +13,15 @@ from qipsim.runtime import _apply_verifier
 
 NAMES = ["zero_public", "la_mo", "odd", "pal_sharp:d=1", "center:N=2",
          "upal:N=2", "eraser_zero", "npfa_coin", "union_zero_end1"]
+INPUTS = ["", "0", "01", "0#0", "aa", "010"]
+# each protocol's verifier alphabet, so that only its own inputs are collected
+ALPHABETS = {name: set(build_protocol(name).verifier.input_alphabet) for name in NAMES}
 
 
-@pytest.mark.parametrize("name", NAMES)
-@pytest.mark.parametrize("x", ["", "0", "01", "0#0", "aa", "010"])
+@pytest.mark.parametrize("x, name", [(x, name) for x in INPUTS for name in NAMES
+                                     if set(x) <= ALPHABETS[name]])
 def test_one_round_matches_matrix_action(name, x):
     spec = build_protocol(name).verifier
-    try:
-        spec.check_input(x)
-    except Exception:
-        pytest.skip("input outside this protocol's alphabet")
     n = len(x)
     width = n + 2
     u = build_step_operator(spec, x)

@@ -8,16 +8,16 @@ from qipsim.qfa import AlphabetError
 
 
 def test_examples():
-    assert lang.membership(lang.ZERO, "10")
-    assert lang.membership(lang.PAL_SHARP, "01#10")
-    assert lang.membership(lang.UPAL, "")
-    assert not lang.membership(lang.ZERO, "")
-    assert lang.membership(lang.CENTER, "011")
-    assert not lang.membership(lang.CENTER, "0110")
-    assert lang.membership(lang.ODD, "010")
-    assert not lang.membership(lang.ODD, "0100")
-    assert not lang.membership(lang.ODD, "000")
-    assert lang.membership(lang.LA, "a") and not lang.membership(lang.LA, "")
+    assert lang.zero("10")
+    assert lang.pal_sharp("01#10")
+    assert lang.upal("")
+    assert not lang.zero("")
+    assert lang.center("011")
+    assert not lang.center("0110")
+    assert lang.odd("010")
+    assert not lang.odd("0100")
+    assert not lang.odd("000")
+    assert lang.la("a") and not lang.la("")
 
 
 def test_alphabet_mismatch():
@@ -47,8 +47,8 @@ def test_upal_blocks(m, n):
 
 
 def test_union_language():
-    u = lang.union(lang.ZERO, lang.ZERO)
-    assert lang.membership(u, "00") and not lang.membership(u, "01")
+    u = lang.union(lang.zero, lang.zero)
+    assert u("00") and not u("01")
 
 
 def test_npfa_language_predicate():

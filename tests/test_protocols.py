@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 import qipsim.languages as lang
-import qipsim.qfa as qfa
 from qipsim.automata import (all_a_rfa, end_one_dfa, even_a_rfa, npfa_choice,
                              npfa_coin, npfa_single_a, npfa_value, zero_dfa)
 from qipsim.linalg import check_unitary
@@ -15,7 +14,7 @@ from qipsim.provers import IdentityProver, ScriptedProver
 from qipsim.qfa import (BLANK, StructureMode, build_step_operator,
                         check_structure)
 from qipsim.runtime import default_t_max, run
-from tests.conftest import strings
+from tests.conftest import sample_inputs, strings
 
 
 def members(system, n_max, alphabet=None):
@@ -57,7 +56,7 @@ def test_identity_prover_soundness_short_non_members(name):
 def test_step_operators_unitary_lengths_0_to_6(name):
     spec = build_protocol(name).verifier
     for n in range(7):
-        for x in qfa._test_inputs(spec.input_alphabet, n, 64):
+        for x in sample_inputs(spec.input_alphabet, n, 64):
             assert check_unitary(build_step_operator(spec, x, sparse=True), 1e-9), (name, x)
 
 
@@ -76,8 +75,7 @@ def test_declared_modes_match_structure_checks():
         if system.measure_once:
             assert check_structure(spec, StructureMode.MEASURE_ONCE).ok, name
         if spec.head_model.one_way:
-            assert check_structure(spec, StructureMode.ONE_WAY_HALTING,
-                                   lengths=(0, 1, 2, 3)).ok, name
+            assert check_structure(spec, StructureMode.ONE_WAY_HALTING).ok, name
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -1,5 +1,8 @@
+import cmath
 import dataclasses
+import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,9 +12,12 @@ from hypothesis import strategies as st
 import qipsim.qfa as qfa
 from qipsim.linalg import DomainError, check_unitary
 from qipsim.protocols import build_protocol
+from qipsim.provers import DenseProver, IdentityProver
 from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec,
                         SpecError, StructureMode, build_step_operator,
                         check_structure, symbol_at, validate_and_complete)
+from qipsim.runtime import NO_MASS_TOL, QipSystem, RunError, run
+from tests.conftest import strings
 
 
 def la_partial_spec():
@@ -146,10 +152,121 @@ def test_check_structure_public(zero_public, pal1):
 
 
 def test_check_structure_one_way_halting(zero_public, odd):
-    assert check_structure(zero_public.verifier, StructureMode.ONE_WAY_HALTING,
-                           lengths=(0, 1, 2, 3)).ok
-    assert check_structure(odd.verifier, StructureMode.ONE_WAY_HALTING,
-                           lengths=(0, 1, 2, 3)).ok
+    assert check_structure(zero_public.verifier, StructureMode.ONE_WAY_HALTING).ok
+    assert check_structure(odd.verifier, StructureMode.ONE_WAY_HALTING).ok
+
+
+def test_one_way_halting_needs_every_non_halting_dollar_column():
+    # la_partial lacks (q1, $, a); a run that reaches it has no row to follow
+    report = check_structure(la_partial_spec(), StructureMode.ONE_WAY_HALTING)
+    assert report.violations == [(RIGHT_END, "no transition for ('q1', '$', 'a')")]
+    assert report.well_formed == {0: False}
+
+
+def test_one_way_halting_checks_completion_rows_out_of_non_halting_states():
+    spec = dataclasses.replace(
+        la_partial_spec(), completion_keys=frozenset({("q0", RIGHT_END, BLANK)}),
+        delta={**la_partial_spec().delta,
+               ("q0", RIGHT_END, BLANK): (("q1", "a", 1, 1.0),),
+               ("q1", RIGHT_END, "a"): (("q_rej", BLANK, 1, 1.0),)})
+    report = check_structure(spec, StructureMode.ONE_WAY_HALTING)
+    assert report.violations == [
+        (RIGHT_END, "transition ('q0', '$', '#') -> q1 does not halt at $")]
+
+
+@pytest.mark.parametrize("state", ["q1", "q_acc", "q9"])
+def test_completion_states_must_be_rejecting(state):
+    # a completion state exempts every row into it from the structure checks
+    with pytest.raises(SpecError) as info:
+        dataclasses.replace(la_partial_spec(), completion_states=(state,))
+    assert str(info.value) == f"completion states must be rejecting: [{state!r}]"
+
+
+def random_one_way_spec(rng):
+    """A one-way verifier (measure-once or not) with orthonormal columns:
+    1-3 non-halting states, one accepting and one rejecting state, one or two
+    input and cell symbols.  Each tape symbol maps random pairs to distinct
+    random targets, some column pairs mixed by a Hadamard.  For about half
+    the specs the $ rows enter halting pairs only, so that both verdicts of
+    the $ rule occur."""
+    non = tuple(f"s{i}" for i in range(rng.randint(1, 3)))
+    comm = (BLANK,) + (("g",) if rng.random() < 0.5 else ())
+    sigma = tuple("ab"[:rng.randint(1, 2)])
+    pairs = [(q, g) for q in non + ("acc", "rej") for g in comm]
+    halting = [(q, g) for q in ("acc", "rej") for g in comm]
+    halt_at_end = rng.random() < 0.5
+    h = 1 / math.sqrt(2)
+    delta = {}
+    for s in (LEFT_END, *sigma, RIGHT_END):
+        pool = halting if s == RIGHT_END and halt_at_end else pairs
+        sources = rng.sample(pairs, rng.randint(0, len(pool)))
+        targets = rng.sample(pool, len(sources))
+        while sources:
+            phase = cmath.exp(2j * math.pi * rng.random())
+            if len(sources) > 1 and rng.random() < 0.5:
+                ((q1, g1), (q2, g2)), (u, v) = sources[:2], targets[:2]
+                delta[(q1, s, g1)] = ((*u, 1, h * phase), (*v, 1, h * phase))
+                delta[(q2, s, g2)] = ((*u, 1, h * phase), (*v, 1, -h * phase))
+                sources, targets = sources[2:], targets[2:]
+            else:
+                (q, g), u = sources[0], targets[0]
+                delta[(q, s, g)] = ((*u, 1, phase),)
+                sources, targets = sources[1:], targets[1:]
+    return QfaSpec(name="random", non_halting=non, accepting=("acc",), rejecting=("rej",),
+                   initial=non[0], input_alphabet=sigma, comm_alphabet=comm,
+                   prover_alphabet=comm,
+                   head_model=rng.choice([HeadModel.ONE_WAY, HeadModel.MO_1WAY]),
+                   delta=delta)
+
+
+def measuring_every_round(spec):
+    return QipSystem(name=spec.name, verifier=spec, honest_prover=IdentityProver(),
+                     language=None, claimed_bounds=(1.0, 0.0))
+
+
+def sampled_one_way_halting(spec):
+    """The sampled check that the table rule replaced: no $ row outside the
+    completion enters a non-halting state, and identity-prover runs that
+    measure after every round leave no mass on any input of length <= 4; a
+    RunError counts as a failure."""
+    for (q, sigma, gamma), targets in spec.delta.items():
+        if (sigma == RIGHT_END and (q, sigma, gamma) not in spec.completion_keys
+                and not all(spec.is_halting(q2) for (q2, _g, _d, _a) in targets)):
+            return False
+    system = measuring_every_round(spec)
+    for x in strings(spec.input_alphabet, 4):
+        try:
+            if run(system, IdentityProver(), x).p_cont > NO_MASS_TOL:
+                return False
+        except RunError:
+            return False
+    return True
+
+
+def random_cell_prover(spec, rng, rounds):
+    """A prover acting on the cell alone by a random unitary each round."""
+    dim = len(spec.comm_alphabet)
+    mats = [np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+            for _ in range(rounds)]
+    return DenseProver(spec.comm_alphabet, spec.comm_alphabet, 0, mats)
+
+
+def test_one_way_halting_table_rule_matches_the_sampled_check():
+    verdicts = Counter()
+    rng = np.random.default_rng(0)
+    for seed in range(200):
+        completed, report = validate_and_complete(random_one_way_spec(random.Random(seed)))
+        assert report.ok, seed
+        ok = check_structure(completed, StructureMode.ONE_WAY_HALTING).ok
+        assert ok == sampled_one_way_halting(completed), seed
+        verdicts[completed.head_model, ok] += 1
+        if ok:
+            # nothing runs past $, whatever the prover writes into the cell
+            system = measuring_every_round(completed)
+            for x in strings(completed.input_alphabet, 4):
+                prover = random_cell_prover(completed, rng, len(x) + 1)
+                assert run(system, prover, x).p_cont == 0.0, (seed, x)
+    assert len(verdicts) == 4 and min(verdicts.values()) >= 10, verdicts
 
 
 def test_alphabet_error():

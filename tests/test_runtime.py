@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -8,7 +9,7 @@ import qipsim.languages as lang
 from qipsim.provers import DenseProver, EraseAllProver, IdentityProver, densify_schedule
 from qipsim.qfa import BLANK
 from qipsim.runtime import (RunError, count_interactions, expected_halting_time,
-                            measure_every_run, query_weight, run, visible_schedule)
+                            query_weight, run, visible_schedule)
 
 
 def assert_conserved(res):
@@ -87,7 +88,7 @@ def test_measure_once_equals_measure_every_when_no_early_halt(la_mo):
     # intermediate measurements take no mass and both runs agree
     for x in ("", "a", "aa", "aaa"):
         mo = run(la_mo, la_mo.honest_prover, x)
-        me = measure_every_run(la_mo.verifier, la_mo.honest_prover, x)
+        me = run(dataclasses.replace(la_mo, measure_once=False), la_mo.honest_prover, x)
         assert mo.p_acc == pytest.approx(me.p_acc, abs=1e-9)
         assert mo.p_rej == pytest.approx(me.p_rej, abs=1e-9)
 

@@ -19,11 +19,11 @@ def test_universal_language_single_tile():
 
 
 def test_la_needs_two_tiles():
-    assert tiling_complexity(lang.LA, 1, alphabet=("a",)) == 2
+    assert tiling_complexity(lang.la, 1, alphabet=("a",)) == 2
 
 
 def test_la_constant_over_lengths():
-    values = [tiling_complexity(lang.LA, n, alphabet=("a",)) for n in (1, 2, 3)]
+    values = [tiling_complexity(lang.la, n, alphabet=("a",)) for n in (1, 2, 3)]
     assert values == [2, 2, 2]
 
 
@@ -33,7 +33,7 @@ def test_zero_star_constant_including_empty_corner():
 
 
 def test_regular_monotone_and_bounded():
-    for lid in (lang.ZERO, regular(zero_star_dfa())):
+    for lid in (lang.zero, regular(zero_star_dfa())):
         values = [tiling_complexity(lid, n) for n in range(4)]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert max(values) <= 4
@@ -41,17 +41,17 @@ def test_regular_monotone_and_bounded():
 
 def test_returned_tiling_is_verified_cover():
     for n in (1, 2):
-        size, tiling = tiling_complexity(lang.ZERO, n, return_tiling=True)
-        inst = TilingInstance.build(lang.ZERO, n)
+        size, tiling = tiling_complexity(lang.zero, n, return_tiling=True)
+        inst = TilingInstance.build(lang.zero, n)
         assert verify_tiling(inst, tiling)
         assert len(tiling.tiles) == size
 
 
 def test_minimality_certificate():
     # ZERO at n=1 has cover size 2; no single maximal tile covers all 1s
-    size, tiling = tiling_complexity(lang.ZERO, 1, return_tiling=True)
+    size, tiling = tiling_complexity(lang.zero, 1, return_tiling=True)
     assert size == 2
-    inst = TilingInstance.build(lang.ZERO, 1)
+    inst = TilingInstance.build(lang.zero, 1)
     ones = {(r, c) for r, row in enumerate(inst.matrix)
             for c, v in enumerate(row) if v}
     from qipsim.tiling import maximal_tiles
@@ -80,10 +80,10 @@ def test_bound_domain_errors():
 
 def test_size_cap():
     with pytest.raises(SizeError):
-        TilingInstance.build(lang.ZERO, 4, cap=100)
+        TilingInstance.build(lang.zero, 4, cap=100)
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2))
 def test_complexity_monotone_for_zero(n):
-    assert tiling_complexity(lang.ZERO, n) <= tiling_complexity(lang.ZERO, n + 1)
+    assert tiling_complexity(lang.zero, n) <= tiling_complexity(lang.zero, n + 1)
