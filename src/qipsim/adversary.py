@@ -11,7 +11,8 @@ it holds each node's value per unit mass and best assignment.  Memory labels
 are interchangeable after round 1, so that assignment, mapped back through a
 state's own renaming, is optimal for every state sharing the key.  The table
 is read in one walk down the best path, and the maximum is exact whenever
-the node cap is not hit.
+the node cap is not hit.  Each verifier round is one `runtime._round`,
+whose continuing mass is the next node's mass.
 
 Branching is reduced by symmetry (Emerson & Sistla, "Symmetry and model
 checking", FMSD 9, 1996), restricted to symmetries that leave every result
@@ -44,12 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARY_TOL, ContractViolation, DomainError, check_unitary, norm_sq
+from .linalg import UNITARY_TOL, ContractViolation, DomainError, check_unitary
 from .provers import (ClassicalProverTable, DenseProver, EncodingError,
                       IdentityProver, dense_from_table, make_classical_prover)
 from .qfa import BLANK, symbol_at
-from .runtime import (DenseRun, QipSystem, _apply_verifier, _measure, default_t_max,
-                      run)
+from .runtime import DenseRun, QipSystem, _round, default_t_max, run
 
 # Largest dense prover dimension |Gamma|·|Delta|^c the quantum search climbs in.
 DENSE_DIM_CAP = 64
@@ -104,7 +104,6 @@ class AdversaryReport:
 class _ClassicalSearch:
     def __init__(self, system: QipSystem, x: str, budget: AdversaryBudget):
         self.spec = system.verifier
-        self.x = x
         self.width = len(x) + 2
         self.budget = budget
         self.memory = tuple(f"m{i}" for i in range(budget.memory_states))
@@ -125,12 +124,6 @@ class _ClassicalSearch:
         self.capped = False
 
     # -- engine pieces over labels (q, k, gamma, m) --
-
-    def _verifier_round(self, state):
-        """Accepting mass and non-halting part after one verifier move."""
-        acc, _rej, cont = _measure(
-            self.spec, _apply_verifier(self.spec, self.x, state, self.width))
-        return acc, cont
 
     @staticmethod
     def _apply_table(state, mapped):
@@ -156,20 +149,20 @@ class _ClassicalSearch:
             return hit
         acc_total = 0.0
         for _r in range(r + 1, self.t_max + 1):
-            acc, state = self._verifier_round(state)
+            acc, _rej, state, _mass = _round(self.spec, self.tape, state, self.width)
             acc_total += acc
             if not state:
                 break
         self.tail_memo[key] = acc_total
         return acc_total
 
-    def _canonical(self, state):
-        """Memo key of ``state`` and its memory renaming, a bijection on ``memory``."""
+    def _canonical(self, state, total):
+        """Memo key of ``state``, of mass ``total``, and its renaming of ``memory``."""
         relabel: dict = {}
         out = []
         if state:
             labels = sorted(state, key=repr)
-            norm = math.sqrt(norm_sq(state))
+            norm = math.sqrt(total)
             ref = state[labels[0]]
             scale = 1.0 / (norm * (ref / abs(ref)))
             for q, k, g, m in labels:
@@ -261,14 +254,13 @@ class _ClassicalSearch:
         blank_idx = [i for i, (g, _m) in enumerate(pairs) if g == BLANK]
         return (c for c in combos if all(c[i][0] == BLANK for i in blank_idx))
 
-    def _value(self, state, r) -> float:
-        """Max future acceptance from just before the round-r prover move."""
+    def _value(self, state, r, total) -> float:
+        """Max future acceptance of ``state``, of mass ``total``, before prover move r."""
         if not state:
             return 0.0
         if r > self.steps:
             return self._tail_value(state, r)
-        total = norm_sq(state)
-        ckey, relabel = self._canonical(state)
+        ckey, relabel = self._canonical(state, total)
         key = (r, ckey)
         hit = self.memo.get(key)
         if hit is not None:
@@ -280,12 +272,12 @@ class _ClassicalSearch:
         pairs = sorted({(g, m) for (_q, _k, g, m) in state})
         best = 0.0
         for combo in self._assignments(state, pairs):
-            acc, cont = self._verifier_round(
-                self._apply_table(state, dict(zip(pairs, combo))))
-            bound = acc + norm_sq(cont)
+            moved = self._apply_table(state, dict(zip(pairs, combo)))
+            acc, _rej, cont, mass = _round(self.spec, self.tape, moved, self.width)
+            bound = acc + mass
             if bound <= best + TIE_TOL:
                 continue
-            val = acc + self._value(cont, r + 1)
+            val = acc + self._value(cont, r + 1, mass)
             if val > best:
                 best = val
                 self.moves[key] = {(g, relabel[m]): (g2, relabel[m2])
@@ -297,19 +289,21 @@ class _ClassicalSearch:
         return best
 
     def search(self):
-        init = {(self.spec.initial, 0, BLANK, self.memory[0]): 1.0 + 0j}
-        acc0, state = self._verifier_round(init)
-        best = acc0 + self._value(state, 1)
+        spec, tape, width = self.spec, self.tape, self.width
+        init = {(spec.initial, 0, BLANK, self.memory[0]): 1.0 + 0j}
+        acc0, _rej, state, mass = _round(spec, tape, init, width)
+        best = acc0 + self._value(state, 1, mass)
         entries: dict = {}
         for r in range(1, self.steps + 1):
-            ckey, relabel = self._canonical(state)
+            ckey, relabel = self._canonical(state, mass)
             move = self.moves.get((r, ckey))
             if move is None:  # best is 0 here, or the node cap cut the search
                 break
             back = {c: m for m, c in relabel.items()}
             mapped = {(g, back[c]): (g2, back[c2]) for (g, c), (g2, c2) in move.items()}
             entries.update(((r, g, m), t) for (g, m), t in mapped.items() if (g, m) != t)
-            _acc, state = self._verifier_round(self._apply_table(state, mapped))
+            moved = self._apply_table(state, mapped)
+            _acc, _rej, state, mass = _round(spec, tape, moved, width)
         return best, ClassicalProverTable(entries=entries, initial_memory=self.memory[0])
 
 

@@ -109,7 +109,7 @@ def near_identity_power(u, x, eps: float, n_max: int,
 # ---------------------------------------------------------------------------
 
 def norm_sq(vec: dict) -> float:
-    return sum(abs(a) ** 2 for a in vec.values())
+    return sum((abs(a) ** 2 for a in vec.values()), 0.0)
 
 
 def prune(vec: dict, threshold: float = PRUNE_TOL) -> dict:

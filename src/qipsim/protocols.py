@@ -23,8 +23,8 @@ from .automata import (Dfa, Npfa, Rfa, all_a_rfa, end_one_dfa, even_a_rfa,
 from .linalg import phase
 from .provers import EraseAllProver, IdentityProver, ProverStrategy, ScriptedProver
 from .qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, SpecError,
-                  validate_and_complete)
-from .runtime import QipSystem, _apply_verifier, _measure, default_t_max
+                  symbol_at, validate_and_complete)
+from .runtime import QipSystem, _round, default_t_max
 
 _SQ2 = 1 / math.sqrt(2)
 
@@ -597,10 +597,11 @@ def npfa_to_qip(npfa: Npfa, name: str = "npfa", error_bound: float = 0.0) -> Qip
         horizon = default_t_max(spec, x)
         policy, values = npfa_policy(npfa, x, horizon)
         width = len(x) + 2
+        tape = [symbol_at(x, k) for k in range(width)]
         state = {(spec.initial, 0, BLANK, None): 1.0 + 0j}
         rounds: dict[int, dict[str, str]] = {}
         for r in range(1, horizon + 1):
-            _acc, _rej, state = _measure(spec, _apply_verifier(spec, x, state, width))
+            _acc, _rej, state, _mass = _round(spec, tape, state, width)
             if not state:
                 break
             rule: dict[str, str] = {}

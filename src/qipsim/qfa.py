@@ -126,9 +126,6 @@ class QfaSpec:
     def is_halting(self, q: str) -> bool:
         return q in self._halting
 
-    def is_accepting(self, q: str) -> bool:
-        return q in self._accepting_set
-
     def check_input(self, x: str) -> None:
         sigma = set(self.input_alphabet)
         bad = [c for c in x if c not in sigma]

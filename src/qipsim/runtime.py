@@ -8,12 +8,12 @@ accepting / rejecting / non-halting state classes, accumulates the halting
 masses and keeps the unnormalized non-halting part, so the accumulated masses
 are exact unconditional probabilities.
 
-`_apply_verifier` is the only code that moves amplitudes through delta and
-`_measure` the only code that splits off the halting classes; every caller
-goes through them: runs, interaction counting, the query weight, the
-classical prover search and the npfa choice script.  The tag rides along
-unchanged: the prover tape in runs, the prover memory in the classical
-search, ``None`` where no prover takes part.
+`_round` is the only code that moves amplitudes through delta and splits
+off the halting classes, dropping amplitudes below PRUNE_TOL on the way in
+and out; every caller goes through it: runs, interaction counting, the query
+weight, the classical prover search and the npfa choice script.  The tag
+rides along unchanged: the prover tape in runs, the prover memory in the
+classical search, ``None`` where no prover takes part.
 
 Measure-once systems skip the intermediate measurements; a single measurement
 follows verifier step n+2.
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import qfa
-from .linalg import PRUNE_TOL, norm_sq, prune
+from .linalg import PRUNE_TOL, prune
 from .provers import DenseProver, ProverStrategy, dense_basis
 from .qfa import BLANK, AlphabetError, HeadModel, QfaSpec, symbol_at
 
@@ -77,12 +77,19 @@ def default_t_max(spec: QfaSpec, x: str) -> int:
     return TWO_WAY_ROUND_FACTOR * (n + 2) ** 2
 
 
-def _apply_verifier(spec: QfaSpec, x: str, state: dict, width: int) -> dict:
-    """One verifier move on labels (q, k, gamma, tag): the tag is untouched."""
+def _round(spec: QfaSpec, tape, state: dict, width: int,
+           measure: bool = True) -> tuple[float, float, dict, float]:
+    """One verifier move on labels (q, k, gamma, tag), then the measurement.
+
+    ``tape[k]`` is the symbol under head k.  Returns the accepting and
+    rejecting masses, the continuing part and its mass; without ``measure``
+    every label continues."""
     out: dict = {}
     delta = spec.delta
     for (q, k, g, y), amp in state.items():
-        key = (q, symbol_at(x, k), g)
+        if abs(amp) < PRUNE_TOL:
+            continue
+        key = (q, tape[k], g)
         targets = delta.get(key)
         if targets is None:
             if g not in spec.comm_alphabet:
@@ -93,7 +100,23 @@ def _apply_verifier(spec: QfaSpec, x: str, state: dict, width: int) -> dict:
             lbl = (q2, (k + d) % width, g2, y)
             v = out.get(lbl)
             out[lbl] = amp * a if v is None else v + amp * a
-    return prune(out)
+    halting = spec._halting if measure else ()
+    accepting = spec._accepting_set
+    acc = rej = mass = 0.0
+    cont: dict = {}
+    for lbl, amp in out.items():
+        p = abs(amp)
+        if p < PRUNE_TOL:
+            continue
+        p = p ** 2
+        if lbl[0] not in halting:
+            cont[lbl] = amp
+            mass += p
+        elif lbl[0] in accepting:
+            acc += p
+        else:
+            rej += p
+    return acc, rej, cont, mass
 
 
 def _apply_prover(prover: ProverStrategy, x: str, i: int, state: dict) -> dict:
@@ -103,23 +126,7 @@ def _apply_prover(prover: ProverStrategy, x: str, i: int, state: dict) -> dict:
             lbl = (q, k, g2, y2)
             v = out.get(lbl)
             out[lbl] = amp * a if v is None else v + amp * a
-    return prune(out)
-
-
-def _measure(spec: QfaSpec, state: dict) -> tuple[float, float, dict]:
-    """Accepting mass, rejecting mass and the non-halting part of ``state``."""
-    acc = rej = 0.0
-    cont: dict = {}
-    for lbl, amp in state.items():
-        q = lbl[0]
-        if spec.is_halting(q):
-            if spec.is_accepting(q):
-                acc += abs(amp) ** 2
-            else:
-                rej += abs(amp) ** 2
-        else:
-            cont[lbl] = amp
-    return acc, rej, cont
+    return out
 
 
 def run(system: QipSystem, prover: ProverStrategy, x: str,
@@ -156,36 +163,34 @@ def _run(spec: QfaSpec, prover: ProverStrategy, x: str, t_max, measure_once):
     t_max = _run_length(spec, x, t_max, measure_once)
     n = len(x)
     width = n + 2
+    tape = [symbol_at(x, k) for k in range(width)]
 
     state = {(spec.initial, 0, BLANK, prover.initial_tape(x)): 1.0 + 0j}
     p_acc = p_rej = 0.0
+    cont = 1.0
     profile: list[tuple[int, float, float]] = []
     cont_trace: list[float] = []
     max_err = 0.0
     rounds = 0
     for r in range(1, t_max + 1):
         rounds = r
-        state = _apply_verifier(spec, x, state, width)
-        final_round = r == t_max
-        if not measure_once or r == n + 2:
-            acc, rej, state = _measure(spec, state)
-            p_acc += acc
-            p_rej += rej
-            if acc > 0 or rej > 0:
-                profile.append((r, acc, rej))
-        cont = norm_sq(state)
+        acc, rej, state, cont = _round(spec, tape, state, width,
+                                       not measure_once or r == n + 2)
+        p_acc += acc
+        p_rej += rej
+        if acc > 0 or rej > 0:
+            profile.append((r, acc, rej))
         cont_trace.append(cont)
         max_err = max(max_err, abs(p_acc + p_rej + cont - 1.0))
         if cont < PRUNE_TOL:
-            state = {}
+            cont = 0.0
             break
-        if not final_round:
+        if r < t_max:
             state = _apply_prover(prover, x, r, state)
 
-    p_cont = norm_sq(state)
-    truncated = (not spec.head_model.one_way) and p_cont >= PRUNE_TOL
-    _check_end(spec, n, rounds, p_cont, max_err)
-    return RunResult(p_acc=p_acc, p_rej=p_rej, p_cont=p_cont,
+    truncated = (not spec.head_model.one_way) and cont >= PRUNE_TOL
+    _check_end(spec, n, rounds, cont, max_err)
+    return RunResult(p_acc=p_acc, p_rej=p_rej, p_cont=cont,
                      halting_profile=profile, rounds_executed=rounds,
                      truncated=truncated, cont_trace=cont_trace,
                      max_conservation_error=max_err)
@@ -384,13 +389,14 @@ def _step_paths(step, state: dict, counts: dict) -> tuple[dict, dict]:
 
     Each label goes through ``step`` with unit amplitude.  A child's amplitude
     is the amplitude-weighted sum of these over its parents, so it equals
-    ``step(state)``; its count is the maximum over the parents that reach it.
+    ``step(state)``, pruned per parent and summed; its count is the maximum
+    over the parents that reach it.
     """
     amps: dict = {}
     inherited: dict = {}
     for lbl, amp in state.items():
         c = counts[lbl]
-        for child, a in step({lbl: 1.0 + 0j}).items():
+        for child, a in prune(step({lbl: 1.0 + 0j})).items():
             v = amps.get(child)
             amps[child] = amp * a if v is None else v + amp * a
             if c > inherited.get(child, -1):
@@ -416,6 +422,7 @@ def count_interactions(system: QipSystem, prover: ProverStrategy, x: str,
     spec = system.verifier
     t_max = _run_length(spec, x, t_max, measure_once=False)
     width = len(x) + 2
+    tape = [symbol_at(x, k) for k in range(width)]
     if not check_committed(prover, x, t_max, comm_alphabet=spec.comm_alphabet):
         raise RunError("count_interactions requires a committed prover")
 
@@ -423,12 +430,12 @@ def count_interactions(system: QipSystem, prover: ProverStrategy, x: str,
     counts = {next(iter(state)): 0}
     best = 0
     for r in range(1, t_max + 1):
-        moved, inherited = _step_paths(
-            lambda s: _apply_verifier(spec, x, s, width), state, counts)
-        _acc, _rej, state = _measure(spec, moved)
+        # halting children, measured off per label, inherit counts already in best
+        state, inherited = _step_paths(
+            lambda s: _round(spec, tape, s, width)[2], state, counts)
         # a non-halting child holding a non-blank symbol is a query
         counts = {lbl: inherited[lbl] + (lbl[2] != BLANK) for lbl in state}
-        best = max([best, *inherited.values(), *counts.values()])
+        best = max([best, *counts.values()])
         if not state:
             break
         state, counts = _step_paths(
@@ -455,12 +462,13 @@ def query_weight(spec: QfaSpec, x_prefix: str, y: str) -> float:
     spec.check_input(word)
     n = len(word)
     width = n + 2
+    tape = [symbol_at(word, k) for k in range(width)]
     lo, hi = len(x_prefix) + 1, len(x_prefix) + len(y)  # positions holding y
     state = {(spec.initial, 0, BLANK, None): 1.0 + 0j}
     weight = 0.0
     for r in range(1, n + 2):
         pos = r - 1  # a one-way head scans position r-1 at round r
-        _acc, _rej, cont = _measure(spec, _apply_verifier(spec, word, state, width))
+        _acc, _rej, cont, _mass = _round(spec, tape, state, width)
         state = {}  # the projection onto blank discards the rest of cont
         for lbl, amp in cont.items():
             if lbl[2] == BLANK:

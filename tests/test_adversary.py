@@ -17,7 +17,7 @@ from qipsim.provers import DenseProver
 from qipsim.provers import IdentityProver, ReversibilityError
 from qipsim.provers import dense_from_table as _table_to_dense
 from qipsim.qfa import BLANK, LEFT_END, HeadModel, QfaSpec, validate_and_complete
-from qipsim.runtime import QipSystem, default_t_max, run
+from qipsim.runtime import QipSystem, _round, default_t_max, run
 from tests.conftest import strings
 
 
@@ -255,8 +255,9 @@ def test_orbit_enumeration_keeps_the_first_map_of_each_orbit(k):
 
 def test_interchangeable_targets_share_a_class(upal4):
     search = _ClassicalSearch(upal4, "1", AdversaryBudget(memory_states=2, steps=7))
-    _acc, state = search._verifier_round(
-        {(upal4.verifier.initial, 0, BLANK, "m0"): 1.0 + 0j})
+    _acc, _rej, state, _mass = _round(
+        upal4.verifier, search.tape, {(upal4.verifier.initial, 0, BLANK, "m0"): 1.0 + 0j},
+        search.width)
     classes = search._target_classes(state)
     assert len(classes) < len(search.targets)
     for members in classes:
@@ -267,19 +268,19 @@ def test_interchangeable_targets_share_a_class(upal4):
 def test_upal4_steps7_search_finishes(monkeypatch, upal4):
     # count the verifier rounds made after the top-level _value returns
     rounds = {"after": 0, "done": False}
-    value, verifier_round = _ClassicalSearch._value, _ClassicalSearch._verifier_round
+    value = _ClassicalSearch._value
 
-    def top_value(self, state, r):
-        out = value(self, state, r)
+    def top_value(self, state, r, total):
+        out = value(self, state, r, total)
         rounds["done"] |= r == 1
         return out
 
-    def counted_round(self, state):
+    def counted_round(*args):
         rounds["after"] += rounds["done"]
-        return verifier_round(self, state)
+        return _round(*args)
 
     monkeypatch.setattr(_ClassicalSearch, "_value", top_value)
-    monkeypatch.setattr(_ClassicalSearch, "_verifier_round", counted_round)
+    monkeypatch.setattr(adversary, "_round", counted_round)
     rep = best_classical_prover(upal4, "1", AdversaryBudget(memory_states=2, steps=7))
     assert rep.is_exhaustive
     assert rep.best_p_acc == 0.25

@@ -2,14 +2,16 @@
 
 The run loop scatters amplitudes transition by transition; the step operator
 is built independently as an explicit matrix.  Fixing the prover tape (one
-identity-prover round at a time), the two must agree entry for entry.
+identity-prover round at a time), the two must agree entry for entry: the
+unmeasured round with U v, the measured round with the accepting, rejecting
+and continuing projections of U v.
 """
 import numpy as np
 import pytest
 
 from qipsim.protocols import build_protocol
 from qipsim.qfa import BLANK, build_step_operator, symbol_at
-from qipsim.runtime import _apply_verifier
+from qipsim.runtime import _round
 
 NAMES = ["zero_public", "la_mo", "odd", "pal_sharp:d=1", "center:N=2",
          "upal:N=2", "eraser_zero", "npfa_coin", "union_zero_end1"]
@@ -42,12 +44,29 @@ def test_one_round_matches_matrix_action(name, x):
         q, k, g = labels[i]
         state[(q, k, g, "")] = complex(rng.normal(), rng.normal())
 
-    moved = _apply_verifier(spec, x, state, width)
+    tape = [symbol_at(x, k) for k in range(width)]
     vec = np.zeros(u.shape[0], dtype=complex)
     for (q, k, g, _y), amp in state.items():
         vec[index(q, k, g)] = amp
     expect = u @ vec
-    got = np.zeros_like(expect)
-    for (q, k, g, _y), amp in moved.items():
-        got[index(q, k, g)] = amp
-    assert np.allclose(got, expect, atol=1e-10)
+
+    def dense(labels):
+        out = np.zeros_like(expect)
+        for (q, k, g, _y), amp in labels.items():
+            out[index(q, k, g)] = amp
+        return out
+
+    acc, rej, moved, mass = _round(spec, tape, state, width, measure=False)
+    assert (acc, rej) == (0.0, 0.0)
+    assert np.allclose(dense(moved), expect, atol=1e-10)
+    assert mass == pytest.approx(np.vdot(expect, expect).real, abs=1e-10)
+
+    acc, rej, cont, mass = _round(spec, tape, state, width)
+    # row index (q_idx * width + k) * |comm| + g_idx, so each state owns a block
+    block = width * len(comm)
+    kind = np.repeat([0] * len(spec.non_halting) + [1] * len(spec.accepting)
+                     + [2] * len(spec.rejecting), block)
+    proj = [np.where(kind == j, expect, 0) for j in range(3)]
+    assert np.allclose(dense(cont), proj[0], atol=1e-10)
+    for got, part in zip((mass, acc, rej), proj):
+        assert got == pytest.approx(np.vdot(part, part).real, abs=1e-10)

@@ -1,0 +1,283 @@
+"""The fused verifier round against the loop it replaced.
+
+`runtime._round` moves, prunes and measures in two passes.  The reference
+below is the earlier engine, kept here verbatim in behaviour: a verifier move
+that prunes its output, a separate measurement, a mass summed afterwards, and
+a prover step that prunes its own output.  Every float must agree to the bit.
+"""
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from qipsim.adversary import DENSE_DIM_CAP, dense_dimension
+from qipsim.linalg import PRUNE_TOL
+from qipsim.protocols import BUILTIN, build_protocol
+from qipsim.provers import DenseProver, IdentityProver, ProverStrategy, check_committed
+from qipsim.qfa import BLANK, symbol_at
+from qipsim.runtime import (_run_length, count_interactions, default_t_max,
+                            query_weight, run)
+
+N_MAX = 3
+
+
+# -- the reference engine ----------------------------------------------------
+
+def ref_norm_sq(vec):
+    # `sum` of floats adds left to right up to Python 3.11; spelled out so that
+    # the reference does not depend on the interpreter's summation
+    total = 0.0
+    for a in vec.values():
+        total += abs(a) ** 2
+    return total
+
+
+def ref_prune(vec):
+    return {k: a for k, a in vec.items() if abs(a) >= PRUNE_TOL}
+
+
+def ref_apply_verifier(spec, x, state, width):
+    out = {}
+    for (q, k, g, y), amp in state.items():
+        for (q2, g2, d, a) in spec.delta[(q, symbol_at(x, k), g)]:
+            lbl = (q2, (k + d) % width, g2, y)
+            v = out.get(lbl)
+            out[lbl] = amp * a if v is None else v + amp * a
+    return ref_prune(out)
+
+
+def ref_apply_prover(prover, x, i, state):
+    out = {}
+    for (q, k, g, y), amp in state.items():
+        for (g2, y2, a) in prover.apply(x, i, g, y):
+            lbl = (q, k, g2, y2)
+            v = out.get(lbl)
+            out[lbl] = amp * a if v is None else v + amp * a
+    return ref_prune(out)
+
+
+def ref_measure(spec, state):
+    acc = rej = 0.0
+    cont = {}
+    for lbl, amp in state.items():
+        if spec.is_halting(lbl[0]):
+            if lbl[0] in spec.accepting:
+                acc += abs(amp) ** 2
+            else:
+                rej += abs(amp) ** 2
+        else:
+            cont[lbl] = amp
+    return acc, rej, cont
+
+
+def ref_run(system, prover, x):
+    spec = system.verifier
+    t_max = _run_length(spec, x, None, system.measure_once)
+    n = len(x)
+    width = n + 2
+    state = {(spec.initial, 0, BLANK, prover.initial_tape(x)): 1.0 + 0j}
+    p_acc = p_rej = 0.0
+    profile, cont_trace = [], []
+    for r in range(1, t_max + 1):
+        state = ref_apply_verifier(spec, x, state, width)
+        if not system.measure_once or r == n + 2:
+            acc, rej, state = ref_measure(spec, state)
+            p_acc += acc
+            p_rej += rej
+            if acc > 0 or rej > 0:
+                profile.append((r, acc, rej))
+        cont = ref_norm_sq(state)
+        cont_trace.append(cont)
+        if cont < PRUNE_TOL:
+            state = {}
+            break
+        if r != t_max:
+            state = ref_apply_prover(prover, x, r, state)
+    return p_acc, p_rej, ref_norm_sq(state), profile, cont_trace
+
+
+def ref_step_paths(step, state, counts):
+    amps, inherited = {}, {}
+    for lbl, amp in state.items():
+        c = counts[lbl]
+        for child, a in step({lbl: 1.0 + 0j}).items():
+            v = amps.get(child)
+            amps[child] = amp * a if v is None else v + amp * a
+            if c > inherited.get(child, -1):
+                inherited[child] = c
+    amps = ref_prune(amps)
+    return amps, {lbl: inherited[lbl] for lbl in amps}
+
+
+def ref_count_interactions(system, prover, x):
+    spec = system.verifier
+    t_max = default_t_max(spec, x)
+    width = len(x) + 2
+    state = {(spec.initial, 0, BLANK, prover.initial_tape(x)): 1.0 + 0j}
+    counts = {next(iter(state)): 0}
+    best = 0
+    for r in range(1, t_max + 1):
+        moved, inherited = ref_step_paths(
+            lambda s: ref_apply_verifier(spec, x, s, width), state, counts)
+        _acc, _rej, state = ref_measure(spec, moved)
+        counts = {lbl: inherited[lbl] + (lbl[2] != BLANK) for lbl in state}
+        best = max([best, *inherited.values(), *counts.values()])
+        if not state:
+            break
+        state, counts = ref_step_paths(
+            lambda s: ref_apply_prover(prover, x, r, s), state, counts)
+    return best
+
+
+def ref_query_weight(spec, x_prefix, y):
+    word = x_prefix + y
+    n = len(word)
+    lo, hi = len(x_prefix) + 1, len(x_prefix) + len(y)
+    state = {(spec.initial, 0, BLANK, None): 1.0 + 0j}
+    weight = 0.0
+    for r in range(1, n + 2):
+        pos = r - 1
+        _acc, _rej, cont = ref_measure(spec, ref_apply_verifier(spec, word, state, n + 2))
+        state = {}
+        for lbl, amp in cont.items():
+            if lbl[2] == BLANK:
+                state[lbl] = amp
+            elif lo <= pos <= hi:
+                weight += abs(amp) ** 2
+        if not state:
+            break
+    return weight
+
+
+# -- provers -------------------------------------------------------------------
+
+class FaintBranchProver(ProverStrategy):
+    """Writes, next to each cell symbol, a faint branch on every other symbol.
+
+    The kept symbol has amplitude √(1 − 1e-26) and each branch 1e-13, so a
+    branch falls under PRUNE_TOL unless it lands on a label that already
+    holds mass.  The move is unitary up to about 1e-13.
+    """
+
+    def __init__(self, comm_alphabet):
+        self.comm = tuple(comm_alphabet)
+
+    def apply(self, x, i, gamma, y):
+        return [(g, y, complex(math.sqrt(1 - 1e-26) if g == gamma else 1e-13))
+                for g in self.comm]
+
+
+def random_dense_provers(spec, seed, count=2, rounds=4):
+    dim = dense_dimension(spec, 1)
+    if dim > DENSE_DIM_CAP:
+        return []
+    rng = np.random.default_rng(seed)
+    provers = []
+    for _ in range(count):
+        mats = []
+        for _r in range(rounds):
+            z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            qm, rm = np.linalg.qr(z)
+            mats.append(qm * (np.diagonal(rm) / np.abs(np.diagonal(rm))))
+        provers.append(DenseProver(spec.comm_alphabet, spec.prover_alphabet, 1, mats))
+    return provers
+
+
+def inputs(alphabet, n_max):
+    return ["".join(t) for n in range(n_max + 1) for t in itertools.product(alphabet, repeat=n)]
+
+
+def hexed(p_acc, p_rej, p_cont, profile, cont_trace):
+    return (p_acc.hex(), p_rej.hex(), float(p_cont).hex(),
+            [(r, a.hex(), b.hex()) for (r, a, b) in profile],
+            [float(c).hex() for c in cont_trace])
+
+
+# -- tests -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_fused_round_matches_the_reference_loop(name):
+    system = build_protocol(name)
+    spec = system.verifier
+    provers = [("honest", system.honest_prover), ("identity", IdentityProver()),
+               ("faint", FaintBranchProver(spec.comm_alphabet))]
+    provers += [(f"dense{j}", p) for j, p in
+                enumerate(random_dense_provers(spec, seed=sorted(BUILTIN).index(name)))]
+    for x in inputs(spec.input_alphabet, N_MAX):
+        for label, prover in provers:
+            res = run(system, prover, x)
+            got = hexed(res.p_acc, res.p_rej, res.p_cont, res.halting_profile,
+                        res.cont_trace)
+            assert got == hexed(*ref_run(system, prover, x)), (label, x)
+
+
+def _answer_system():
+    """Reads the cell in a Hadamard: a blank cell and a ``?`` cell both go to
+    m and n, so a branch on ``?`` would add to the blank cell's children."""
+    from qipsim.qfa import LEFT_END, RIGHT_END, HeadModel, QfaSpec, validate_and_complete
+    from qipsim.runtime import QipSystem
+
+    h = 1 / math.sqrt(2)
+    delta = {
+        ("s", LEFT_END, BLANK): (("q", BLANK, 1, 1 + 0j),),
+        ("q", "a", BLANK): (("m", BLANK, 1, h + 0j), ("n", BLANK, 1, h + 0j)),
+        ("q", "a", "?"): (("m", BLANK, 1, h + 0j), ("n", BLANK, 1, -h + 0j)),
+        ("m", RIGHT_END, BLANK): (("acc", BLANK, 1, 1 + 0j),),
+        ("n", RIGHT_END, BLANK): (("rej", BLANK, 1, 1 + 0j),),
+    }
+    spec = QfaSpec(name="answer", non_halting=("s", "q", "m", "n"), accepting=("acc",),
+                   rejecting=("rej",), initial="s", input_alphabet=("a",),
+                   comm_alphabet=(BLANK, "?"), prover_alphabet=(BLANK,),
+                   head_model=HeadModel.ONE_WAY, delta=delta)
+    spec, report = validate_and_complete(spec)
+    assert report.ok
+    return QipSystem(name="answer", verifier=spec, honest_prover=IdentityProver(),
+                     language=lambda x: True, claimed_bounds=(0.5, 0.5))
+
+
+def test_a_faint_branch_is_dropped_before_the_verifier_move():
+    system = _answer_system()
+    faint = FaintBranchProver(system.verifier.comm_alphabet)
+    res = run(system, faint, "a")
+    assert hexed(res.p_acc, res.p_rej, res.p_cont, res.halting_profile,
+                 res.cont_trace) == hexed(*ref_run(system, faint, "a"))
+    # the kept amplitude is exactly 1.0, so without its branch the run is the
+    # identity prover's to the bit
+    ident = run(system, IdentityProver(), "a")
+    assert (res.p_acc.hex(), res.p_rej.hex()) == (ident.p_acc.hex(), ident.p_rej.hex())
+
+
+def test_measure_once_rounds_keep_every_label():
+    system = build_protocol("la_mo")
+    assert system.measure_once
+    for x in inputs("a", 6):
+        for prover in (system.honest_prover, IdentityProver(),
+                       FaintBranchProver(system.verifier.comm_alphabet)):
+            res = run(system, prover, x)
+            assert hexed(res.p_acc, res.p_rej, res.p_cont, res.halting_profile,
+                         res.cont_trace) == hexed(*ref_run(system, prover, x)), x
+            # nothing halts before the single measurement after round n+2
+            assert [r for (r, _a, _b) in res.halting_profile] in ([], [len(x) + 2])
+
+
+def test_interaction_count_and_query_weight_match_the_reference(odd):
+    spec = odd.verifier
+    for x in inputs("01", 5):
+        for prover in (odd.honest_prover, IdentityProver()):
+            assert check_committed(prover, x, default_t_max(spec, x),
+                                   comm_alphabet=spec.comm_alphabet)
+            assert count_interactions(odd, prover, x) == ref_count_interactions(odd, prover, x)
+        for i in range(len(x) + 1):
+            got = query_weight(spec, x[:i], x[i:])
+            assert got.hex() == ref_query_weight(spec, x[:i], x[i:]).hex(), (x, i)
+
+
+def test_continuation_mass_is_always_a_float():
+    system = build_protocol("pal_sharp:d=2")
+    for x in ("01#10", "0#1", ""):
+        res = run(system, system.honest_prover, x)
+        assert type(res.p_cont) is float
+        assert all(type(c) is float for c in res.cont_trace)
+    # the last run's state emptied, the case that used to give the int 0
+    assert res.cont_trace[-1] == 0.0
