@@ -108,10 +108,6 @@ def near_identity_power(u, x, eps: float, n_max: int,
 # Sparse amplitude maps
 # ---------------------------------------------------------------------------
 
-def norm_sq(vec: dict) -> float:
-    return sum((abs(a) ** 2 for a in vec.values()), 0.0)
-
-
 def prune(vec: dict, threshold: float = PRUNE_TOL) -> dict:
     """Drop entries with magnitude below ``threshold`` (returns a new dict)."""
     return {k: a for k, a in vec.items() if abs(a) >= threshold}

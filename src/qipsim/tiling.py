@@ -1,18 +1,24 @@
-"""1-tiling complexity: exact brute force at desk scale, plus the size bound.
+"""1-tiling complexity: exact minimal covers, certified, plus the size bound.
 
 The membership matrix M(n) over strings of length <= n has entry (x, y) = 1
 iff xy is in the language.  A 1-tile is an all-ones submatrix given by a row
 set and a column set; the 1-tiling complexity is the minimum number of
 1-tiles covering all 1-entries.  Candidates are the maximal all-ones
-rectangles (closed row/column pairs); the cover is solved exactly by
-branch-and-bound set cover with iterative deepening, so minimality at size k
-is certified by having exhausted covers of size k-1.
+rectangles.  HiGHS solves the cover as a MILP (minimise sum x subject to
+A x >= 1, x binary; one row of A per 1-entry, one column per maximal tile).
+A dual vector of its LP relaxation (maximise sum y subject to A^T y <= 1,
+y >= 0), checked in exact rationals, proves the cover minimal (cover/LP
+duality: Lovasz, Discrete Math. 13, 1975).
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+import scipy.sparse as sp
 
 from .linalg import DomainError
 
@@ -92,76 +98,68 @@ def maximal_tiles(matrix) -> list[tuple[int, int]]:
     return kept
 
 
-def _cover_cells(tiles, nrows, ncols):
-    covers = []
-    for rows, cols in tiles:
-        mask = 0
-        for r in range(nrows):
-            if rows >> r & 1:
-                mask |= cols << (r * ncols)
-        covers.append(mask)
-    return covers
+def _members(mask: int, size: int) -> tuple[int, ...]:
+    return tuple(i for i in range(size) if mask >> i & 1)
 
 
-def _exact_cover_size(universe: int, covers: list[int]) -> tuple[int, tuple[int, ...]]:
-    """Minimum number of covers whose union contains the universe."""
-    if universe == 0:
-        return 0, ()
-    greedy_pick: list[int] = []
-    remaining = universe
-    while remaining:
-        best = max(range(len(covers)), key=lambda i: (covers[i] & remaining).bit_count())
-        if not covers[i_best := best] & remaining:
-            raise SizeError("1-entries not coverable by the candidate tiles")
-        greedy_pick.append(i_best)
-        remaining &= ~covers[i_best]
-    upper = len(greedy_pick)
-    max_tile = max(c.bit_count() for c in covers)
-    lower = (universe.bit_count() + max_tile - 1) // max_tile
+def _dual_bound(cells, tiles, y) -> Fraction:
+    """Exact lower bound on the size of every cover of ``cells`` by tiles.
 
-    def dfs(remaining: int, chosen: list[int], budget: int) -> tuple[int, ...] | None:
-        if remaining == 0:
-            return tuple(chosen)
-        if budget == 0:
-            return None
-        cell = (remaining & -remaining).bit_length() - 1
-        for i, cov in enumerate(covers):
-            if cov >> cell & 1:
-                found = dfs(remaining & ~cov, chosen + [i], budget - 1)
-                if found is not None:
-                    return found
-        return None
-
-    for k in range(lower, upper):
-        found = dfs(universe, [], k)
-        if found is not None:
-            return k, found
-    return upper, tuple(greedy_pick)
+    ``y`` holds one weight per 1-entry.  It is rounded to rationals, clipped
+    at 0 and divided by its largest sum over a maximal tile when that sum is
+    above 1.  The result is feasible for the dual of the cover LP, and every
+    tile lies inside a maximal one, so by weak duality its total bounds every
+    cover from below, whatever tolerance the solver that proposed it used.
+    """
+    weights = {cell: Fraction(v).limit_denominator()
+               for cell, v in zip(cells, y) if v > 0}
+    total = sum(weights.values(), Fraction(0))
+    worst = max(sum((w for (r, c), w in weights.items()
+                     if rows >> r & 1 and cols >> c & 1), Fraction(0))
+                for rows, cols in tiles)
+    return total / worst if worst > 1 else total
 
 
 def tiling_complexity(lang, n: int, alphabet=("0", "1"),
                       return_tiling: bool = False):
-    """Exact minimal 1-tiling size of the membership matrix at length n."""
+    """Exact minimal 1-tiling size of the membership matrix at length n.
+
+    Raises ``RuntimeError`` when a solver fails, its cover is not one, or the
+    dual bound does not prove the cover minimal, which happens whenever the
+    LP relaxation lies a whole tile or more below the optimum.
+    """
+    # scipy.optimize adds about 0.3 s to `import qipsim`; only this needs it
+    from scipy.optimize import LinearConstraint, linprog, milp
+
     inst = TilingInstance.build(lang, n, alphabet)
     nrows = len(inst.index)
-    universe = 0
-    for r in range(nrows):
-        for c in range(nrows):
-            if inst.matrix[r][c]:
-                universe |= 1 << (r * nrows + c)
-    if universe == 0:
+    cells = [(r, c) for r, row in enumerate(inst.matrix)
+             for c, v in enumerate(row) if v]
+    if not cells:
         return (0, Tiling(tiles=())) if return_tiling else 0
     tiles = maximal_tiles(inst.matrix)
-    covers = _cover_cells(tiles, nrows, nrows)
-    size, picked = _exact_cover_size(universe, covers)
-    if not return_tiling:
-        return size
-    chosen = []
-    for i in picked:
-        rows, cols = tiles[i]
-        chosen.append((tuple(r for r in range(nrows) if rows >> r & 1),
-                       tuple(c for c in range(nrows) if cols >> c & 1)))
-    return size, Tiling(tiles=tuple(chosen))
+    index = {cell: i for i, cell in enumerate(cells)}
+    entries = [(index[r, c], j) for j, (rows, cols) in enumerate(tiles)
+               for r in _members(rows, nrows) for c in _members(cols, nrows)]
+    a = sp.csr_array((np.ones(len(entries)), tuple(zip(*entries))),
+                     shape=(len(cells), len(tiles)))
+    ones = np.ones(len(tiles))
+    cover = milp(ones, constraints=LinearConstraint(a, lb=1),
+                 integrality=ones, bounds=(0, 1))
+    dual = linprog(-np.ones(len(cells)), A_ub=a.T, b_ub=ones,
+                   bounds=(0, None))
+    if not (cover.success and dual.success):
+        raise RuntimeError(f"solver failed: {cover.message} / {dual.message}")
+    tiling = Tiling(tiles=tuple(
+        (_members(rows, nrows), _members(cols, nrows))
+        for (rows, cols), x in zip(tiles, cover.x) if x > 0.5))
+    size = len(tiling.tiles)
+    if not verify_tiling(inst, tiling):
+        raise RuntimeError(f"the solver's {size} tiles are not a cover")
+    bound = _dual_bound(cells, tiles, dual.x)
+    if bound <= size - 1:
+        raise RuntimeError(f"dual bound {bound} does not prove {size} tiles minimal")
+    return (size, tiling) if return_tiling else size
 
 
 def verify_tiling(inst: TilingInstance, tiling: Tiling) -> bool:
@@ -187,8 +185,6 @@ def tiling_bound(q: int, g: int, dlt: int, c: int, eps) -> int:
     by integer square-root comparison, so boundary values are not at the
     mercy of floating point.
     """
-    from fractions import Fraction
-
     if not (0 <= eps < 0.5):
         raise DomainError(f"eps must lie in [0, 1/2), got {eps}")
     if min(q, g, dlt, c) < 1:

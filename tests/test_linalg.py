@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qipsim.linalg import (ContractViolation, DimensionError, DomainError,
-                           check_unitary, near_identity_power, norm_sq, phase,
+                           check_unitary, near_identity_power, phase,
                            prune, qft_matrix, unitary_deviation)
 
 
@@ -93,7 +93,6 @@ def test_prune_and_norm():
     vec = {"a": 0.6, "b": 1e-15, "c": 0.8j}
     out = prune(vec)
     assert set(out) == {"a", "c"}
-    assert norm_sq(out) == pytest.approx(1.0)
 
 
 def test_phase_literal():
