@@ -7,14 +7,18 @@ worst case next to the claimed soundness b.  The search gives lower bounds on
 the optimal cheat, so 'worst found <= 1 - b' is the empirical check that the
 analytic bound holds on the tested slice.  With --quantum, a protocol whose
 one-cell dense prover is too large for the quantum search (BudgetError) gets
-the classical value only, and its row says so in the last column.
+the classical value only, and its row says so in the `search` column.  The
+last column, `covers`, says whether every input's table budget `steps`
+reaches the horizon of its pair graph less one (`runtime.pair_layers`): then
+no run can outlast the table, and the classical value is the optimum over
+tables of every length, not a truncation.
 """
 import argparse
 
 from qipsim.adversary import (AdversaryBudget, BudgetError, best_classical_prover,
                               search_quantum_prover)
 from qipsim.protocols import build_protocol
-from qipsim.runtime import default_t_max
+from qipsim.runtime import default_t_max, pair_layers
 from qipsim.tiling import all_strings
 
 
@@ -32,17 +36,20 @@ def main():
     args = parser.parse_args()
 
     print(f"{'protocol':>18} {'claimed b':>10} {'worst cheat':>12} "
-          f"{'margin':>10} {'inputs':>7}" + (f" {'search':>9}" if args.quantum else ""))
+          f"{'margin':>10} {'inputs':>7}" + (f" {'search':>9}" if args.quantum else "")
+          + f" {'covers':>6}")
     for name in args.protocols:
         system = build_protocol(name)
         _a, b = system.claimed_bounds
         quantum = args.quantum
-        worst, count = 0.0, 0
+        worst, count, covers = 0.0, 0, True
         for x in all_strings(system.verifier.input_alphabet, args.n_max):
             if system.member(x):
                 continue
             count += 1
             steps = min(default_t_max(system.verifier, x), 64)
+            horizon = pair_layers(system, x).horizon
+            covers &= horizon is not None and steps >= horizon - 1
             budget = AdversaryBudget(memory_states=args.memory, steps=steps,
                                      restarts=args.restarts,
                                      iterations=args.iterations, seed=args.seed)
@@ -57,7 +64,8 @@ def main():
             worst = max(worst, found)
         search = f" {'quantum' if quantum else 'classical':>9}" if args.quantum else ""
         print(f"{system.name:>18} {b:>10.4f} {worst:>12.6f} "
-              f"{(1 - b) - worst:>10.2e} {count:>7}" + search)
+              f"{(1 - b) - worst:>10.2e} {count:>7}" + search
+              + f" {'yes' if covers else 'no':>6}")
 
 
 if __name__ == "__main__":

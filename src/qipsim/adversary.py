@@ -29,13 +29,15 @@ continuation.
 
 Quantum search climbs over per-round dense unitaries acting on the cell and
 c prover-tape cells: random-unitary restarts followed by accept-if-better
-Givens-rotation moves.  The identity prover and the best classical table are
-always in the restart pool, so the result can only improve on them.  Dense
-provers are evaluated in operator form by one `runtime.DenseRun` per search.
-Its forward pass keeps the state before every prover round, so a move on
-round r resumes there instead of replaying the unchanged prefix, and gives
-the floats a full pass would.  `runtime.run` stays the oracle: the identity
-baseline, the classical search's replay and `replay` go through it.
+Givens-rotation moves, each of which rotates two rows of one round's matrix.
+The identity prover and the best classical table are always in the restart
+pool, so the result can only improve on them.  Dense provers are evaluated
+in operator form by one `runtime.DenseRun` per search, one small dense block
+per round of the input's pair-graph layers.  Its forward pass keeps the
+state before every prover round, so a move on round r resumes there instead
+of replaying the unchanged prefix, and gives the floats a full pass would.
+`runtime.run` stays the oracle: the identity baseline, the classical search's
+replay and `replay` go through it.
 """
 from __future__ import annotations
 
@@ -340,16 +342,6 @@ def _random_unitary(rng, dim):
     return qmat * (np.diagonal(rmat) / np.abs(np.diagonal(rmat)))
 
 
-def _givens(dim, i, j, theta, phi):
-    g = np.eye(dim, dtype=complex)
-    c, s = math.cos(theta), math.sin(theta)
-    g[i, i] = c
-    g[j, j] = c
-    g[i, j] = -s * np.exp(-1j * phi)
-    g[j, i] = s * np.exp(1j * phi)
-    return g
-
-
 def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
                           budget: AdversaryBudget | None = None,
                           classical_seed: AdversaryReport | None = None,
@@ -358,10 +350,11 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
 
     Never exhaustive; the report's strategy reproduces best_p_acc exactly.
     The identity baseline is a `run`; every dense prover is evaluated by one
-    `DenseRun` built for the search, and a Givens move on round r resumes
-    from the current prover's forward pass just before that round.  With no
-    prover rounds in the budget there is nothing to climb, and the identity
-    or the classical seed is the result.
+    `DenseRun` built for the search, and a Givens move, which rotates rows i
+    and j of round r's matrix, resumes from the current prover's forward
+    pass just before that round.  With no prover rounds in the budget there
+    is nothing to climb, and the identity or the classical seed is the
+    result.
     """
     budget = budget or AdversaryBudget()
     if c < 0:
@@ -412,8 +405,12 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
             i, j = rng.choice(dim, size=2, replace=False)
             theta = rng.normal() * sigma
             phi = rng.uniform(0, 2 * math.pi)
-            g = _givens(dim, int(i), int(j), theta, phi)
-            moved = dense_run.resume(current, r, g @ current.prover.matrices[r])
+            # the Givens rotation in the (i, j) plane, applied to rows i and j
+            cos, sin = math.cos(theta), math.sin(theta)
+            m = current.prover.matrices[r].copy()
+            m[[i, j]] = (cos * m[i] - sin * np.exp(-1j * phi) * m[j],
+                         sin * np.exp(1j * phi) * m[i] + cos * m[j])
+            moved = dense_run.resume(current, r, m)
             tested += 1
             if moved.p_acc > current.p_acc:
                 current = moved

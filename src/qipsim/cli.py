@@ -187,7 +187,7 @@ def cmd_tiling(args) -> int:
         _emit({"command": "tiling", "lang": args.lang, "n": args.n,
                "value": value}, args.format)
         return 0
-    except (SizeError, DomainError) as exc:
+    except (SizeError, DomainError, RuntimeError) as exc:  # RuntimeError: no exact certificate
         print(f"tiling failed: {exc}", file=sys.stderr)
         return 1
 

@@ -18,8 +18,12 @@ classical search, ``None`` where no prover takes part.
 Measure-once systems skip the intermediate measurements; a single measurement
 follows verifier step n+2.
 
-`DenseRun` evaluates dense provers on one input in operator form, for the
-quantum prover search; `run` stays the oracle it is tested against.
+`pair_layers` cuts one input's (state, head) pair graph into rounds: the
+pairs the verifier can occupy before each move, whatever the prover writes,
+and the horizon past which no run goes, or None when the graph has a cycle.
+`DenseRun` evaluates dense provers on one input in operator form on those
+layers, one small dense block per round, for the quantum prover search;
+`run` stays the oracle it is tested against.
 """
 from __future__ import annotations
 
@@ -204,6 +208,109 @@ def _mass(a: np.ndarray) -> float:
     return float(np.vdot(a, a).real)
 
 
+@dataclass(frozen=True, eq=False)
+class PairLayers:
+    """One input's (state, head) pair graph, cut into the rounds of a run.
+
+    Pair p = q·width + k, with q indexing ``spec.states``.  ``layers[i]``
+    holds, sorted, the pairs the verifier can occupy before move i+1, with the
+    prover writing any cell symbol.  ``targets[i]`` splits the pairs that move
+    reaches into continuing, accepting and rejecting ones; the continuing
+    ones are the next layer.  Halting pairs are measured off at once, except
+    in measure-once systems, which keep them until move n+2.  A one-way
+    head's last move is n+2, so its layers stop there.
+
+    ``blocks[i]`` is move i+1 as a dense matrix from the basis (pair, cell
+    symbol) of ``layers[i]`` to that of the continuing, then accepting, then
+    rejecting targets.  When a layer repeats an earlier one, ``loop`` is that
+    one's index, and the rounds after the last layer cycle through
+    ``layers[loop:]``.  ``horizon`` is 1 + the number of layers when the graph
+    has no cycle, so every run ends before round ``horizon``, and None when
+    it has one.
+    """
+
+    layers: tuple
+    targets: tuple
+    blocks: tuple = field(repr=False)
+    loop: int | None
+    horizon: int | None
+
+    def index(self, r: int) -> int | None:
+        """The index of round r's layer; None past the last one."""
+        i = r - 1
+        if i < len(self.layers):
+            return i
+        if self.loop is not None:
+            return self.loop + (i - self.loop) % (len(self.layers) - self.loop)
+        if self.horizon is None:  # a cycle that no layer repeated within the limit
+            raise IndexError(f"round {r} is past the {len(self.layers)} rounds kept")
+        return None
+
+    def layer(self, r: int) -> np.ndarray:
+        """The pairs the verifier can occupy before move r."""
+        i = self.index(r)
+        return self.layers[i] if i is not None else self.layers[0][:0]
+
+
+def pair_layers(system: QipSystem, x: str) -> PairLayers:
+    """The layers of ``x``'s pair graph, from its step operator.
+
+    A two-way graph is followed until a layer is empty or repeats an earlier
+    one.  A path through more layers than there are pairs has a cycle, so the
+    walk also stops there once it covers the run's round limit.
+    """
+    spec = system.verifier
+    t_max = _run_length(spec, x, None, system.measure_once)
+    n, gsz = len(x), len(spec.comm_alphabet)
+    width = n + 2
+    # through the module, where perfbench's traced run wraps it; a CSC matrix
+    # lists each basis column's entries together, so a pair's are contiguous
+    step = qfa.build_step_operator(spec, x, sparse=True)
+    ptr = step.indptr[::gsz].tolist()  # pair p's entries are ptr[p]:ptr[p+1]
+    to_pair, to_cell = np.divmod(step.indices, gsz)
+    from_cell = np.repeat(np.arange(step.shape[1]) % gsz, np.diff(step.indptr))
+    # states are listed continuing, accepting, rejecting, so pairs p = q·width + k
+    # are too, and these are the first accepting and the first rejecting pair
+    bounds = np.cumsum([len(spec.non_halting), len(spec.accepting)]) * width
+    n_pairs = len(spec.states) * width
+    one_way = spec.head_model.one_way
+    cap = t_max if one_way else max(t_max, n_pairs)
+    count = np.arange(max(n_pairs, step.nnz))
+    at = np.zeros(n_pairs, dtype=np.intp)  # a pair's position among the targets
+    hit = np.zeros(n_pairs, dtype=bool)
+    here = np.array([spec.states.index(spec.initial) * width], dtype=np.intp)
+    layers, targets, blocks, seen = [], [], [], {}
+    loop = horizon = None
+    for r in range(1, cap + 1):
+        seen[here.tobytes()] = r - 1
+        layers.append(here)
+        spans = [count[ptr[p]:ptr[p + 1]] for p in here.tolist()]
+        moves = spans[0] if len(spans) == 1 else np.concatenate(spans)
+        dst = to_pair[moves]
+        hit[dst] = True
+        reached = np.flatnonzero(hit)
+        hit[reached] = False
+        a, b = ((len(reached),) * 2 if system.measure_once and r < n + 2
+                else reached.searchsorted(bounds).tolist())
+        split = (reached[:a], reached[a:b], reached[b:])
+        targets.append(split)
+        at[reached] = count[:len(reached)]
+        block = np.zeros((len(reached) * gsz, len(here) * gsz), dtype=complex)
+        block[at[dst] * gsz + to_cell[moves],
+              np.repeat(count[:len(here)] * gsz, [len(sp) for sp in spans])
+              + from_cell[moves]] = step.data[moves]
+        blocks.append(block)
+        here = split[0]
+        if not len(here) or (one_way and r == cap):
+            horizon = r + 1
+            break
+        loop = seen.get(here.tobytes())
+        if loop is not None:
+            break
+    return PairLayers(layers=tuple(layers), targets=tuple(targets),
+                      blocks=tuple(blocks), loop=loop, horizon=horizon)
+
+
 @dataclass(frozen=True)
 class DensePass:
     """One `DenseRun` pass: the prover, `run`'s masses, and the saved forward pass.
@@ -223,59 +330,42 @@ class DensePass:
 class DenseRun:
     """`run` of `DenseProver`s with ``c`` tape cells on one input, in operator form.
 
-    Set-up restricts ``build_step_operator(spec, x, sparse=True)`` to the
-    (state, head) pairs a prover can reach: the closure of the operator's pair
-    graph from the initial pair, with the prover writing any cell symbol.
-    Halting pairs are measured off at once, so their moves do not count;
-    measure-once systems keep them until round n+2.  The continuing, then
-    accepting, then rejecting rows go into one CSR matrix, so a round is one
-    sparse product.  The state is an array of shape (pairs·|Gamma|, |Delta|^c);
-    prover round i reshapes it to (pairs, |Gamma|·|Delta|^c) and multiplies it
-    on the right by the transpose of ``matrices[i-1]``, whose basis is
-    ``DenseProver.labels``.  The round loop, the stop when the continuing
-    mass falls below PRUNE_TOL and the end checks are `_run`'s.  No amplitude
-    is pruned and a transition missing from delta shows up only as lost mass,
-    so the masses agree with `run`'s up to rounding.
+    Set-up takes the input's `pair_layers`; round r is one product of its
+    layer's small dense block with the state, whose rows are the (pair, cell
+    symbol) basis of the layer and whose columns are the |Delta|^c tape
+    words.  The block's accepting and rejecting rows are measured off, and
+    the continuing ones are the next layer's.  Prover round i reshapes the
+    state to (pairs, |Gamma|·|Delta|^c) and multiplies it on the right by the
+    transpose of ``matrices[i-1]``, whose basis is ``DenseProver.labels``.
+    The round loop, the stop when the continuing mass falls below PRUNE_TOL
+    and the end checks are `_run`'s.  No amplitude is pruned and a transition
+    missing from delta shows up only as lost mass, so the masses agree with
+    `run`'s up to rounding.
     """
 
     def __init__(self, system: QipSystem, x: str, c: int):
         spec = self.spec = system.verifier
-        self.measure_once = system.measure_once
-        self.t_max = _run_length(spec, x, None, self.measure_once)
-        self.n = n = len(x)
+        self.t_max = _run_length(spec, x, None, system.measure_once)
+        self.n = len(x)
         self.c = c
-        width, gsz = n + 2, len(spec.comm_alphabet)
+        gsz = len(spec.comm_alphabet)
         self.words = len(spec.prover_alphabet) ** c
-        # through the module, where perfbench's traced run wraps it
-        step = qfa.build_step_operator(spec, x, sparse=True).tocoo()
-        # pair p = q·width + k is continuing (0), accepting (1) or rejecting (2)
-        kind = np.repeat([0] * len(spec.non_halting) + [1] * len(spec.accepting)
-                         + [2] * len(spec.rejecting), width)
-        src, dst = step.col // gsz, step.row // gsz
-        if not self.measure_once:
-            moves = kind[src] == 0
-            src, dst = src[moves], dst[moves]
-        start = spec.states.index(spec.initial) * width
-        reach = np.zeros(len(kind), dtype=bool)
-        reach[start] = True
-        while True:  # one more move per pass until nothing new is reached
-            grown = reach.copy()
-            grown[dst[reach[src]]] = True
-            if (grown == reach).all():
+        layers = pair_layers(system, x)
+        per_layer = [(block, len(cont) * gsz, (len(cont) + len(acc)) * gsz)
+                     for block, (cont, acc, _rej) in zip(layers.blocks, layers.targets)]
+        # (block, continuing rows, continuing and accepting rows) per round;
+        # an acyclic run stops at its last layer, whose block has no continuing rows
+        self.moves = []
+        for r in range(1, self.t_max + 1):
+            i = layers.index(r)
+            if i is None:
                 break
-            reach = grown
-        pairs = np.flatnonzero(reach)
-        pairs = pairs[np.argsort(kind[pairs], kind="stable")]
-        n_cont, n_acc = np.bincount(kind[pairs], minlength=3)[:2] * gsz
-        rows = (pairs[:, None] * gsz + np.arange(gsz)).ravel()
-        cols = rows if self.measure_once else rows[:n_cont]
-        self.step = step.tocsr()[rows][:, cols]
-        self.n_cont, self.acc_end = n_cont, n_cont + n_acc
-        self.initial = np.zeros((len(cols), self.words), dtype=complex)
+            self.moves.append(per_layer[i])
+        # layer 1 is the initial pair alone
+        self.initial = np.zeros((gsz, self.words), dtype=complex)
         j = dense_basis(spec.comm_alphabet, spec.prover_alphabet, c).index(
             (BLANK, (BLANK,) * c))
-        row = np.flatnonzero(pairs == start)[0] * gsz + j // self.words
-        self.initial[row, j % self.words] = 1.0
+        self.initial[j // self.words, j % self.words] = 1.0
 
     def run(self, prover: DenseProver) -> DensePass:
         """The full pass of ``prover``."""
@@ -306,16 +396,16 @@ class DenseRun:
     def _forward(self, prover, r0, state, p_acc, p_rej, max_err, saved) -> DensePass:
         """Rounds r0.. of a pass; ``state`` is the array before verifier move r0."""
         matrices = prover.matrices
-        n_cont, acc_end = self.n_cont, self.acc_end
         rounds = r0 - 1
         for r in range(r0, self.t_max + 1):
             rounds = r
-            state = self.step @ state
-            if not self.measure_once or r == self.n + 2:
-                # in a measure-once run this is the last round
+            block, n_cont, acc_end = self.moves[r - 1]
+            state = block @ state
+            if acc_end > n_cont:
                 p_acc += _mass(state[n_cont:acc_end])
+            if len(state) > acc_end:
                 p_rej += _mass(state[acc_end:])
-                state = state[:n_cont]
+            state = state[:n_cont]
             cont = _mass(state)
             max_err = max(max_err, abs(p_acc + p_rej + cont - 1.0))
             if cont < PRUNE_TOL:

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from qipsim.cli import main, make_parser
+from qipsim.languages import LANGUAGES
 from qipsim.specfile import serialize_spec
+from tests.test_tiling import GAP_LANGUAGE
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +47,15 @@ def test_tiling_cli(capsys):
     code, out, _ = run_cli(capsys, "tiling", "--bound", "1", "1", "1", "1",
                            "--eps", "0")
     assert code == 0 and json.loads(out)["value"] == 2916
+
+
+def test_tiling_refused_by_the_lp_dual_exits_1(capsys, monkeypatch):
+    # the cover LP of this language has an integrality gap at n = 2, so
+    # tiling_complexity refuses it with RuntimeError
+    monkeypatch.setitem(LANGUAGES, "gap", (GAP_LANGUAGE.__contains__, ("0", "1")))
+    code, out, err = run_cli(capsys, "tiling", "--lang", "gap", "--n", "2")
+    assert (code, out) == (1, "")
+    assert err == "tiling failed: dual bound 5 does not prove 6 tiles minimal\n"
 
 
 def test_adversary_cli(capsys):

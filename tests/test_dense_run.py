@@ -2,17 +2,22 @@
 
 `runtime.run` is the oracle: for random dense provers, `DenseRun` must give
 its masses and round count.  A resumed climb move must give the very floats
-of a full pass.
+of a full pass.  Every run stays inside the layers of its pair graph and
+ends before their horizon.
 """
 import functools
+import math
 
 import numpy as np
 import pytest
 
+from qipsim import runtime
 from qipsim.adversary import DENSE_DIM_CAP, _random_unitary, dense_dimension
 from qipsim.protocols import BUILTIN, build_protocol
-from qipsim.provers import DenseProver
-from qipsim.runtime import DenseRun, RunError, run
+from qipsim.provers import DenseProver, IdentityProver
+from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec,
+                        validate_and_complete)
+from qipsim.runtime import DenseRun, QipSystem, RunError, pair_layers, run
 from tests.conftest import strings
 
 # The built-ins whose dense prover fits DENSE_DIM_CAP, per tape-cell count.
@@ -139,3 +144,94 @@ def test_resumed_moves_match_full_passes(name, x, rounds):
             current = resumed
     if system.verifier.head_model.one_way:
         assert never_acted > 0
+
+
+# ---------------------------------------------------------------------------
+# Per-round layers of the pair graph
+# ---------------------------------------------------------------------------
+
+def _rounds_in_layers(monkeypatch, system, prover, x, layers):
+    """Run ``prover`` on ``x``, asserting that each round's support lies in
+    that round's layer; returns the run's result."""
+    spec = system.verifier
+    width = len(x) + 2
+    supports = []
+    step = runtime._round
+
+    def recording_round(spec_, tape, state, width_, measure=True):
+        supports.append({spec.states.index(q) * width + k for (q, k, _g, _y) in state})
+        return step(spec_, tape, state, width_, measure)
+
+    monkeypatch.setattr(runtime, "_round", recording_round)
+    res = run(system, prover, x)
+    monkeypatch.setattr(runtime, "_round", step)
+    assert len(supports) == res.rounds_executed
+    for r, support in enumerate(supports, start=1):
+        assert support <= set(layers.layer(r).tolist()), (x, r)
+    return res
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_runs_stay_in_their_layers_and_end_by_the_horizon(monkeypatch, name):
+    system = _system(name)
+    spec = system.verifier
+    rng = np.random.default_rng(sum(map(ord, name)))
+    fits = dense_dimension(spec, 1) <= DENSE_DIM_CAP
+    for x in strings(spec.input_alphabet, 3):
+        layers = pair_layers(system, x)
+        # no built-in verifier can loop, so every run ends before the horizon
+        assert layers.horizon == len(layers.layers) + 1 and layers.loop is None, x
+        if spec.head_model.one_way:
+            assert layers.horizon <= len(x) + 3, x
+        provers = [system.honest_prover, IdentityProver()]
+        if fits:
+            provers.append(_random_prover(system, 1, layers.horizon, rng))
+        for prover in provers:
+            res = _rounds_in_layers(monkeypatch, system, prover, x, layers)
+            assert res.rounds_executed < layers.horizon, (x, prover)
+        assert not len(layers.layer(layers.horizon)), x
+
+
+def _ring():
+    """A two-way verifier whose head can circle the tape forever.
+
+    On a blank cell the head moves right and half the amplitude accepts; on
+    ``x`` it moves left and half rejects.  Each round halves the continuing
+    mass, so runs stop at PRUNE_TOL, long before ``t_max``.
+    """
+    h = 1 / math.sqrt(2)
+    delta = {}
+    for sigma in (LEFT_END, "a", RIGHT_END):
+        delta[("q", sigma, BLANK)] = (("q", BLANK, 1, h), ("acc", BLANK, 0, h))
+        delta[("acc", sigma, BLANK)] = (("q", BLANK, 1, h), ("acc", BLANK, 0, -h))
+        delta[("q", sigma, "x")] = (("q", "x", -1, h), ("rej", "x", 0, h))
+        delta[("rej", sigma, "x")] = (("q", "x", -1, h), ("rej", "x", 0, -h))
+        delta[("acc", sigma, "x")] = (("acc", "x", 0, 1.0),)
+        delta[("rej", sigma, BLANK)] = (("rej", BLANK, 0, 1.0),)
+    spec = QfaSpec(name="ring", non_halting=("q",), accepting=("acc",),
+                   rejecting=("rej",), initial="q", input_alphabet=("a",),
+                   comm_alphabet=(BLANK, "x"), prover_alphabet=(BLANK,),
+                   head_model=HeadModel.TWO_WAY, delta=delta)
+    spec, report = validate_and_complete(spec)
+    assert report.ok and not report.completed_transitions
+    return QipSystem(name="ring", verifier=spec, honest_prover=IdentityProver(),
+                     language=lambda x: False, claimed_bounds=(0.5, 0.5))
+
+
+def test_a_graph_with_a_cycle_has_no_horizon(monkeypatch):
+    system = _ring()
+    rng = np.random.default_rng(3)
+    for x in ("", "a", "aa", "aaa"):
+        layers = pair_layers(system, x)
+        assert layers.horizon is None and layers.loop is not None, x
+        dense_run = DenseRun(system, x, 1)
+        for rounds in (0, 2, 60):
+            prover = _random_prover(system, 1, rounds, rng)
+            got = dense_run.run(prover)
+            want = _rounds_in_layers(monkeypatch, system, prover, x, layers)
+            # the run outlasts the stored layers, so later rounds cycle through them
+            assert want.rounds_executed > len(layers.layers), (x, rounds)
+            assert got.p_acc == pytest.approx(want.p_acc, abs=1e-12), (x, rounds)
+            assert got.p_rej == pytest.approx(want.p_rej, abs=1e-12), (x, rounds)
+            assert got.p_cont == pytest.approx(want.p_cont, abs=1e-12), (x, rounds)
+            assert got.rounds_executed == want.rounds_executed, (x, rounds)
