@@ -27,6 +27,23 @@ represented by its lexicographically first member, which is also the first
 member the full enumeration reaches; the others give the same value and
 continuation.
 
+Memory labels are a scalarset (Ip & Dill, "Better verification through
+symmetry", FMSD 9, 1996): renaming the target memories of an assignment
+renames the memory tag of the continuation and nothing else, since neither
+the prover move nor the verifier round reads the tag.  The accepting mass,
+the continuing mass and the continuation's amplitudes come out bit for bit
+the same, in the same dict order.  So of each class of renamings only the
+map whose target memories first appear in the order m0, m1, ... along the
+sorted pairs is searched.  It is the lexicographically first of its class,
+since ``targets`` lists symbols first and memories second, so the full
+enumeration reaches it first, and with the strict ``>`` on the best value a
+later renaming, whose subtree has the same exact value, does not replace it.
+(Only a subtree that, searched in another pair order, rounded higher could;
+on every search compared against the full enumeration none did.)  Renamings
+map interchangeable targets to interchangeable targets, so the two
+reductions compose: the orbit firsts in first-use order are one map per
+orbit of both.
+
 Quantum search climbs over per-round dense unitaries acting on the cell and
 c prover-tape cells: random-unitary restarts followed by accept-if-better
 Givens-rotation moves, each of which rotates two rows of one round's matrix.
@@ -109,6 +126,7 @@ class _ClassicalSearch:
         self.width = len(x) + 2
         self.budget = budget
         self.memory = tuple(f"m{i}" for i in range(budget.memory_states))
+        self.memory_rank = {m: i for i, m in enumerate(self.memory)}
         self.targets = [(g, m) for g in self.spec.comm_alphabet for m in self.memory]
         self.t_max = default_t_max(self.spec, x)
         self.steps = min(budget.steps, self.t_max)
@@ -118,7 +136,7 @@ class _ClassicalSearch:
         # class a single target.
         self.class_cache: dict | None = (
             {} if sum(g != BLANK for g in self.spec.comm_alphabet) > 1 else None)
-        self.row_kinds: dict = {}
+        self.row_kinds = self.spec._row_kinds  # shared by every search on the verifier
         self.memo: dict = {}
         self.moves: dict = {}  # memo key -> best assignment, renamed like the key
         self.tail_memo: dict = {}
@@ -240,21 +258,38 @@ class _ClassicalSearch:
     def _assignments(self, state, pairs):
         """Injective maps from the reachable (gamma, memory) pairs of ``state``.
 
-        One map per orbit of interchangeable targets (see the module
-        docstring), in ``itertools.permutations`` order: the maps left out
-        give the same accepting mass and continuation as the one kept before
-        them, so the value and the recorded assignments are unchanged.  With
-        only single classes this is ``itertools.permutations`` itself.  The
-        ``committed_only`` filter (blank pairs stay blank) holds for a whole
-        orbit or for none of it, since blank-ness is part of a class.
+        One map per orbit of interchangeable targets and renamings of memory
+        (see the module docstring), in ``itertools.permutations`` order: the
+        orbit firsts (with only single classes, ``itertools.permutations``
+        itself) whose target memories first appear in the order of
+        ``memory``.  The maps left out give the same accepting mass and
+        continuation as the one kept before them, up to a renaming of
+        memory, so the value and the recorded assignments are unchanged.
+        The ``committed_only`` filter (blank pairs stay blank) holds for a
+        whole orbit or for none of it, since blank-ness is part of a class
+        and renaming keeps symbols.
         """
         classes = self._target_classes(state)
-        combos = (itertools.permutations(self.targets, len(pairs)) if classes is None
-                  else self._orbit_firsts(classes, len(pairs)))
+        combos = filter(self._in_first_use_order,
+                        itertools.permutations(self.targets, len(pairs)) if classes is None
+                        else self._orbit_firsts(classes, len(pairs)))
         if not self.budget.committed_only:
             return combos
         blank_idx = [i for i, (g, _m) in enumerate(pairs) if g == BLANK]
         return (c for c in combos if all(c[i][0] == BLANK for i in blank_idx))
+
+    def _in_first_use_order(self, combo) -> bool:
+        """Whether the memories of ``combo`` first appear in the order of
+        ``memory``: the restricted-growth member of its renamings, which is
+        also the lexicographically first."""
+        rank, fresh = self.memory_rank, 0
+        for _g, m in combo:
+            i = rank[m]
+            if i == fresh:
+                fresh += 1
+            elif i > fresh:
+                return False
+        return True
 
     def _value(self, state, r, total) -> float:
         """Max future acceptance of ``state``, of mass ``total``, before prover move r."""

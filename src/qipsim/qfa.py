@@ -114,6 +114,9 @@ class QfaSpec:
         object.__setattr__(self, "_table", _compile(self))
         object.__setattr__(self, "_halting", frozenset(self.accepting + self.rejecting))
         object.__setattr__(self, "_accepting_set", frozenset(self.accepting))
+        # {(state, tape symbol): per cell symbol kind}, filled by the classical
+        # prover search (adversary._ClassicalSearch._symbol_kinds)
+        object.__setattr__(self, "_row_kinds", {})
 
     @property
     def states(self) -> tuple[str, ...]:

@@ -12,7 +12,6 @@ duality: Lovasz, Discrete Math. 13, 1975).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,15 +42,26 @@ class TilingInstance:
         strings = all_strings(alphabet, n)
         if len(strings) ** 2 > cap:
             raise SizeError(f"{len(strings)}^2 matrix entries exceed the cap")
-        matrix = [[1 if lang(x + y) else 0 for y in strings]
-                  for x in strings]
-        return cls(n=n, index=strings, matrix=matrix)
+        # Many (x, y) pairs spell one word, so the predicate runs once per word
+        # of length <= 2n.  In all_strings order, x + y is word number
+        # start[|x| + |y|] + rank(x)·a^|y| + rank(y), where a string's rank is
+        # its place among the strings of its length.
+        a = len(alphabet)
+        member = np.array([1 if lang(w) else 0 for w in all_strings(alphabet, 2 * n)])
+        count = [a ** length for length in range(2 * n + 1)]
+        start = np.cumsum([0] + count[:-1])
+        length = np.repeat(np.arange(n + 1), count[:n + 1])
+        rank = np.arange(len(strings)) - start[length]
+        word = start[length[:, None] + length] + rank[:, None] * a ** length + rank
+        return cls(n=n, index=strings, matrix=member[word].tolist())
 
 
 def all_strings(alphabet, n: int) -> list[str]:
-    out = [""]
-    for length in range(1, n + 1):
-        out.extend("".join(t) for t in itertools.product(alphabet, repeat=length))
+    """Strings of length <= n, shortest first, each length in product order."""
+    out, last = [""], [""]
+    for _ in range(n):
+        last = [w + s for w in last for s in alphabet]
+        out += last
     return out
 
 

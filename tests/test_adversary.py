@@ -265,6 +265,84 @@ def test_interchangeable_targets_share_a_class(upal4):
         assert len({search.targets[i][0] == BLANK for i in members}) == 1
 
 
+def test_symbol_kinds_are_kept_once_per_verifier(upal4):
+    first = _ClassicalSearch(upal4, "1", AdversaryBudget(memory_states=2, steps=7))
+    first.search()
+    assert first.row_kinds
+    second = _ClassicalSearch(upal4, "01", AdversaryBudget(memory_states=3))
+    assert second.row_kinds is first.row_kinds is upal4.verifier._row_kinds
+    assert dataclasses.replace(upal4.verifier)._row_kinds == {}
+
+
+@pytest.mark.parametrize("name, inputs, steps", [
+    ("upal:N=2", strings("01", 2), 9),
+    ("center:N=2", ["001", "100", "011"], 30),
+    ("pal_sharp:d=2", ["0#1", "01#0"], None)])
+def test_memory3_search_matches_full_enumeration(monkeypatch, name, inputs, steps):
+    system = build_protocol(name)
+    for x in inputs:
+        budget = AdversaryBudget(memory_states=3, steps=steps or 2 * (len(x) + 2))
+        reduced = best_classical_prover(system, x, budget)
+        with monkeypatch.context() as m:
+            m.setattr(adversary, "_ClassicalSearch", _PermutationSearch)
+            full = best_classical_prover(system, x, budget)
+        assert reduced.best_p_acc.hex() == full.best_p_acc.hex(), x
+        assert reduced.strategies_tested == full.strategies_tested, x
+        assert reduced.best_strategy == full.best_strategy, x
+        assert reduced.is_exhaustive and full.is_exhaustive, x
+
+
+def _renamed_by_first_use(combo, memory):
+    """``combo`` with its memories renamed to memory[0], memory[1], ... in
+    order of first use; two maps are renamings of each other iff these agree."""
+    rename: dict = {}
+    for _g, m in combo:
+        if m not in rename:
+            rename[m] = memory[len(rename)]
+    return tuple((g, rename[m]) for g, m in combo)
+
+
+def _upal4_node(upal4, node):
+    """The round-1 node of the upal:N=4 search on "1" at steps 7, or its first
+    round-7 node with 4 reachable pairs; both carry memory m0 only."""
+    budget = AdversaryBudget(memory_states=2, steps=7)
+    if node == "round 1":
+        search = _ClassicalSearch(upal4, "1", budget)
+        _acc, _rej, state, _mass = _round(
+            upal4.verifier, search.tape,
+            {(upal4.verifier.initial, 0, BLANK, "m0"): 1.0 + 0j}, search.width)
+        return state
+    seen = []
+
+    class Recording(_ClassicalSearch):
+        def _value(self, state, r, total):
+            if r == 7 and len({(g, m) for (_q, _k, g, m) in state}) == 4:
+                seen.append(state)
+            return super()._value(state, r, total)
+
+    Recording(upal4, "1", budget).search()
+    return seen[0]
+
+
+@pytest.mark.parametrize("memory", [2, 3])
+@pytest.mark.parametrize("node", ["round 1", "round 7"])
+def test_assignments_keep_one_map_per_renaming_of_memory(upal4, node, memory):
+    state = _upal4_node(upal4, node)
+    search = _ClassicalSearch(upal4, "1", AdversaryBudget(memory_states=memory, steps=7))
+    pairs = sorted({(g, m) for (_q, _k, g, m) in state})
+    classes = search._target_classes(state)
+    assert classes is not None
+    firsts = list(search._orbit_firsts(classes, len(pairs)))
+    kept = list(search._assignments(state, pairs))
+    kept_set = set(kept)
+    assert kept == [c for c in firsts if c in kept_set]  # in enumeration order
+    assert all(_renamed_by_first_use(c, search.memory) == c for c in kept)
+    assert len({_renamed_by_first_use(c, search.memory) for c in kept}) == len(kept)
+    assert {_renamed_by_first_use(c, search.memory) for c in firsts} == kept_set
+    if memory == 2:
+        assert 2 * len(kept) == len(firsts)
+
+
 def test_upal4_steps7_search_finishes(monkeypatch, upal4):
     # count the verifier rounds made after the top-level _value returns
     rounds = {"after": 0, "done": False}

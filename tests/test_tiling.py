@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -91,6 +92,29 @@ def test_bound_domain_errors():
 def test_size_cap():
     with pytest.raises(SizeError):
         TilingInstance.build(lang.zero, 4, cap=100)
+
+
+def test_all_strings_in_product_order():
+    for alphabet, n in ((("0", "1"), 3), (("0", "1", "#"), 2), (("a",), 4), (("0",), 0)):
+        assert all_strings(alphabet, n) == [
+            "".join(t) for length in range(n + 1)
+            for t in itertools.product(alphabet, repeat=length)]
+
+
+@pytest.mark.parametrize("name, n", [("pal_sharp", 2), ("upal", 3), ("la", 3), ("center", 0)])
+def test_matrix_asks_the_predicate_once_per_word(name, n):
+    predicate, alphabet = LANGUAGES[name]
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return predicate(w)
+
+    inst = TilingInstance.build(counted, n, alphabet)
+    strings = all_strings(alphabet, n)
+    assert inst.index == strings
+    assert inst.matrix == [[1 if predicate(x + y) else 0 for y in strings] for x in strings]
+    assert sorted(calls) == sorted({x + y for x in strings for y in strings})
 
 
 @settings(max_examples=10, deadline=None)
