@@ -11,8 +11,22 @@ it holds each node's value per unit mass and best assignment.  Memory labels
 are interchangeable after round 1, so that assignment, mapped back through a
 state's own renaming, is optimal for every state sharing the key.  The table
 is read in one walk down the best path, and the maximum is exact whenever
-the node cap is not hit.  Each verifier round is one `runtime._round`,
-whose continuing mass is the next node's mass.
+the node cap is not hit.
+
+A node's prover moves share one move table.  For each live label
+(q, k, gamma, m) and each target (gamma', m') that a move sends its pair
+to, it holds the label's contributions through
+``delta[q, tape[k], gamma']``: ((q'', k+d mod width, gamma'', m'), amp·a).
+Entries are filled on first use, since many nodes try only one or two
+moves.  A move then adds, label by label in state order, each label's entry
+for its pair's target, and `runtime._measure` measures the sum; the
+continuing mass is the next node's mass.  This changes no float: a move is
+injective on pairs, so it merges no labels and every moved amplitude is the
+state's own, and the products amp·a are the ones `runtime._round` forms,
+added in the same order, so the masses and the continuation, in its dict
+order, come out bit for bit as one `_round` on the moved state.  The walk
+down the best path, the identity tail past the table budget and every run
+still go through `_round`.
 
 Branching is reduced by symmetry (Emerson & Sistla, "Symmetry and model
 checking", FMSD 9, 1996), restricted to symmetries that leave every result
@@ -64,11 +78,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARY_TOL, ContractViolation, DomainError, check_unitary
+from .linalg import (PRUNE_TOL, UNITARY_TOL, ContractViolation, DomainError,
+                     check_unitary)
 from .provers import (ClassicalProverTable, DenseProver, EncodingError,
                       IdentityProver, dense_from_table, make_classical_prover)
 from .qfa import BLANK, symbol_at
-from .runtime import DenseRun, QipSystem, _round, default_t_max, run
+from .runtime import (DenseRun, QipSystem, _measure, _no_transition, _round,
+                      default_t_max, run)
 
 # Largest dense prover dimension |Gamma|·|Delta|^c the quantum search climbs in.
 DENSE_DIM_CAP = 64
@@ -128,6 +144,7 @@ class _ClassicalSearch:
         self.memory = tuple(f"m{i}" for i in range(budget.memory_states))
         self.memory_rank = {m: i for i, m in enumerate(self.memory)}
         self.targets = [(g, m) for g in self.spec.comm_alphabet for m in self.memory]
+        self.target_rank = [self.memory_rank[m] for _g, m in self.targets]
         self.t_max = default_t_max(self.spec, x)
         self.steps = min(budget.steps, self.t_max)
         self.tape = [symbol_at(x, k) for k in range(self.width)]
@@ -145,16 +162,47 @@ class _ClassicalSearch:
 
     # -- engine pieces over labels (q, k, gamma, m) --
 
-    @staticmethod
-    def _apply_table(state, mapped):
-        """The prover move that sends each (gamma, memory) pair as ``mapped``."""
-        moved: dict = {}
-        for (q, k, g, m), amp in state.items():
-            g2, m2 = mapped[(g, m)]
-            lbl = (q, k, g2, m2)
-            v = moved.get(lbl)
-            moved[lbl] = amp if v is None else v + amp
-        return moved
+    def _move_rounds(self, state, pairs):
+        """The verifier round after each prover move of ``state``'s node.
+
+        Yields (assignment, accepting mass, continuation, its mass) for each
+        of `_assignments`, in order: the floats of one `runtime._round` on
+        the moved state, computed from the node's move table (see the
+        module docstring).  A missing delta row raises `_round`'s error.
+        """
+        spec, tape, width = self.spec, self.tape, self.width
+        index = {pair: i for i, pair in enumerate(pairs)}
+        # per live label, in state order: its pair's index, its table row, and
+        # what fills the row
+        live = [(index[g, m], {}, q, k, amp)
+                for (q, k, g, m), amp in state.items() if abs(amp) >= PRUNE_TOL]
+        for combo in self._assignments(state, pairs):
+            out: dict = {}
+            get = out.get
+            for i, row, q, k, amp in live:
+                target = combo[i]
+                entry = row.get(target)
+                if entry is not None:
+                    for lbl, c in entry:
+                        v = get(lbl)
+                        out[lbl] = c if v is None else v + c
+                    continue
+                # first use: fill the entry while adding it, which is cheaper at
+                # the many nodes that try one or two moves
+                g2, m2 = target
+                key = (q, tape[k], g2)
+                moves = spec.delta.get(key)
+                if moves is None:
+                    raise _no_transition(spec, key)
+                entry = row[target] = []
+                for q2, g3, d, a in moves:
+                    lbl = (q2, (k + d) % width, g3, m2)
+                    c = amp * a
+                    entry.append((lbl, c))
+                    v = get(lbl)
+                    out[lbl] = c if v is None else v + c
+            acc, _rej, cont, mass = _measure(spec, out)
+            yield combo, acc, cont, mass
 
     def _tail_value(self, state, r) -> float:
         """Identity prover from round r on (past the table budget).
@@ -233,36 +281,41 @@ class _ClassicalSearch:
         return kinds
 
     def _orbit_firsts(self, classes, k):
-        """The lexicographically first k-tuple of each orbit, in index order.
+        """The lexicographically first k-tuple of each orbit whose memories
+        first appear in the order of ``memory``, in index order.
 
         Each position takes the lowest-indexed unused member of a class, so
-        the members used of a class are always a prefix of it.
+        the members used of a class are always a prefix of it.  A member
+        whose memory is neither used yet nor the next fresh one is skipped
+        with every tuple it would start, since a tuple is in first-use order
+        only if each of its prefixes is; so this yields the unpruned orbit
+        firsts that `_in_first_use_order` keeps, in the same order.
         """
-        targets = self.targets
+        targets, rank = self.targets, self.target_rank
         used = [0] * len(classes)
 
-        def extend(prefix):
+        def extend(prefix, fresh):
             firsts = sorted((members[used[c]], c) for c, members in enumerate(classes)
-                            if used[c] < len(members))
+                            if used[c] < len(members) and rank[members[used[c]]] <= fresh)
             if len(prefix) + 1 == k:
                 for i, _c in firsts:
                     yield prefix + (targets[i],)
                 return
             for i, c in firsts:
                 used[c] += 1
-                yield from extend(prefix + (targets[i],))
+                yield from extend(prefix + (targets[i],), fresh + (rank[i] == fresh))
                 used[c] -= 1
 
-        return extend(())
+        return extend((), 0)
 
     def _assignments(self, state, pairs):
         """Injective maps from the reachable (gamma, memory) pairs of ``state``.
 
         One map per orbit of interchangeable targets and renamings of memory
         (see the module docstring), in ``itertools.permutations`` order: the
-        orbit firsts (with only single classes, ``itertools.permutations``
-        itself) whose target memories first appear in the order of
-        ``memory``.  The maps left out give the same accepting mass and
+        orbit firsts whose target memories first appear in the order of
+        ``memory``, pruned while `_orbit_firsts` builds them (with only single
+        classes, ``itertools.permutations`` itself, filtered).  The maps left out give the same accepting mass and
         continuation as the one kept before them, up to a renaming of
         memory, so the value and the recorded assignments are unchanged.
         The ``committed_only`` filter (blank pairs stay blank) holds for a
@@ -270,9 +323,9 @@ class _ClassicalSearch:
         and renaming keeps symbols.
         """
         classes = self._target_classes(state)
-        combos = filter(self._in_first_use_order,
-                        itertools.permutations(self.targets, len(pairs)) if classes is None
-                        else self._orbit_firsts(classes, len(pairs)))
+        combos = (filter(self._in_first_use_order,
+                         itertools.permutations(self.targets, len(pairs)))
+                  if classes is None else self._orbit_firsts(classes, len(pairs)))
         if not self.budget.committed_only:
             return combos
         blank_idx = [i for i, (g, _m) in enumerate(pairs) if g == BLANK]
@@ -308,9 +361,7 @@ class _ClassicalSearch:
             return self._tail_value(state, r)
         pairs = sorted({(g, m) for (_q, _k, g, m) in state})
         best = 0.0
-        for combo in self._assignments(state, pairs):
-            moved = self._apply_table(state, dict(zip(pairs, combo)))
-            acc, _rej, cont, mass = _round(self.spec, self.tape, moved, self.width)
+        for combo, acc, cont, mass in self._move_rounds(state, pairs):
             bound = acc + mass
             if bound <= best + TIE_TOL:
                 continue
@@ -339,7 +390,7 @@ class _ClassicalSearch:
             back = {c: m for m, c in relabel.items()}
             mapped = {(g, back[c]): (g2, back[c2]) for (g, c), (g2, c2) in move.items()}
             entries.update(((r, g, m), t) for (g, m), t in mapped.items() if (g, m) != t)
-            moved = self._apply_table(state, mapped)
+            moved = {(q, k, *mapped[g, m]): amp for (q, k, g, m), amp in state.items()}
             _acc, _rej, state, mass = _round(spec, tape, moved, width)
         return best, ClassicalProverTable(entries=entries, initial_memory=self.memory[0])
 

@@ -54,8 +54,9 @@ def la(x: str) -> bool:
 
 
 def _check(x: str, alphabet: str) -> None:
-    bad = [c for c in x if c not in alphabet]
-    if bad:
+    # strip leaves nothing exactly when every symbol is in the alphabet
+    if x.strip(alphabet):
+        bad = [c for c in x if c not in alphabet]
         raise AlphabetError(f"symbols {bad} outside alphabet {alphabet!r}")
 
 

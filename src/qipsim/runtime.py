@@ -8,15 +8,19 @@ accepting / rejecting / non-halting state classes, accumulates the halting
 masses and keeps the unnormalized non-halting part, so the accumulated masses
 are exact unconditional probabilities.
 
-`_round` is the only code that moves amplitudes through delta and splits
-off the halting classes, dropping amplitudes below PRUNE_TOL on the way in
-and out; every caller goes through it: runs, interaction counting, the query
-weight, the classical prover search and the npfa choice script.  The tag
-rides along unchanged: the prover tape in runs, the prover memory in the
-classical search, ``None`` where no prover takes part.
+`_round` moves amplitudes through delta and then calls `_measure`, the only
+code that splits off the halting classes; `_round` drops amplitudes below
+PRUNE_TOL on the way in and `_measure` on the way out.  Runs, interaction counting, the query
+weight, the classical prover search and the npfa choice script go through
+`_round`; the classical search's node evaluation reads delta's rows from a
+move table of its own and measures with `_measure`.  The tag rides along
+unchanged: the prover tape in runs, the prover memory in the classical
+search, ``None`` where no prover takes part.
 
 Measure-once systems skip the intermediate measurements; a single measurement
-follows verifier step n+2.
+follows verifier step n+2, and as in a measure-once automaton (Moore &
+Crutchfield, Theoret. Comput. Sci. 237, 2000) it rejects every label it does
+not accept, so no mass is left running after it.
 
 `pair_layers` cuts one input's (state, head) pair graph into rounds: the
 pairs the verifier can occupy before each move, whatever the prover writes,
@@ -83,7 +87,7 @@ def default_t_max(spec: QfaSpec, x: str) -> int:
 
 def _round(spec: QfaSpec, tape, state: dict, width: int,
            measure: bool = True) -> tuple[float, float, dict, float]:
-    """One verifier move on labels (q, k, gamma, tag), then the measurement.
+    """One verifier move on labels (q, k, gamma, tag), then `_measure`.
 
     ``tape[k]`` is the symbol under head k.  Returns the accepting and
     rejecting masses, the continuing part and its mass; without ``measure``
@@ -96,14 +100,26 @@ def _round(spec: QfaSpec, tape, state: dict, width: int,
         key = (q, tape[k], g)
         targets = delta.get(key)
         if targets is None:
-            if g not in spec.comm_alphabet:
-                raise AlphabetError(
-                    f"prover wrote {g!r}, outside the communication alphabet")
-            raise RunError(f"no transition for {key}; run validate_and_complete first")
+            raise _no_transition(spec, key)
         for (q2, g2, d, a) in targets:
             lbl = (q2, (k + d) % width, g2, y)
             v = out.get(lbl)
             out[lbl] = amp * a if v is None else v + amp * a
+    return _measure(spec, out, measure)
+
+
+def _no_transition(spec: QfaSpec, key) -> Exception:
+    """The error for a label whose delta row ``key`` = (q, tape symbol, gamma)
+    is missing."""
+    if key[2] not in spec.comm_alphabet:
+        return AlphabetError(f"prover wrote {key[2]!r}, outside the communication alphabet")
+    return RunError(f"no transition for {key}; run validate_and_complete first")
+
+
+def _measure(spec: QfaSpec, out: dict, measure: bool = True) -> tuple[float, float, dict, float]:
+    """The measurement after a verifier move: ``out``'s accepting and rejecting
+    masses, its continuing part and that part's mass, dropping amplitudes below
+    PRUNE_TOL; without ``measure`` every label continues."""
     halting = spec._halting if measure else ()
     accepting = spec._accepting_set
     acc = rej = mass = 0.0
@@ -191,6 +207,13 @@ def _run(spec: QfaSpec, prover: ProverStrategy, x: str, t_max, measure_once):
             break
         if r < t_max:
             state = _apply_prover(prover, x, r, state)
+    if measure_once and rounds == n + 2 and cont > 0:
+        # the one measurement rejects what it does not accept
+        p_rej += cont
+        if acc > 0 or rej > 0:
+            profile.pop()
+        profile.append((rounds, acc, rej + cont))
+        cont_trace[-1] = cont = 0.0
 
     truncated = (not spec.head_model.one_way) and cont >= PRUNE_TOL
     _check_end(spec, n, rounds, cont, max_err)
@@ -337,8 +360,9 @@ class DenseRun:
     the continuing ones are the next layer's.  Prover round i reshapes the
     state to (pairs, |Gamma|·|Delta|^c) and multiplies it on the right by the
     transpose of ``matrices[i-1]``, whose basis is ``DenseProver.labels``.
-    The round loop, the stop when the continuing mass falls below PRUNE_TOL
-    and the end checks are `_run`'s.  No amplitude is pruned and a transition
+    The round loop, the stop when the continuing mass falls below PRUNE_TOL,
+    the measure-once rejection of what is left after move n+2 and the end
+    checks are `_run`'s.  No amplitude is pruned and a transition
     missing from delta shows up only as lost mass, so the masses agree with
     `run`'s up to rounding.
     """
@@ -346,6 +370,7 @@ class DenseRun:
     def __init__(self, system: QipSystem, x: str, c: int):
         spec = self.spec = system.verifier
         self.t_max = _run_length(spec, x, None, system.measure_once)
+        self.measure_once = system.measure_once
         self.n = len(x)
         self.c = c
         gsz = len(spec.comm_alphabet)
@@ -415,6 +440,8 @@ class DenseRun:
                 saved.append((state, p_acc, p_rej, max_err))
                 state = self._prover_step(state, matrices[r - 1])
         p_cont = _mass(state)
+        if self.measure_once and rounds == self.n + 2:
+            p_rej, p_cont = p_rej + p_cont, 0.0  # as in `_run`
         _check_end(self.spec, self.n, rounds, p_cont, max_err)
         return DensePass(prover=prover, p_acc=p_acc, p_rej=p_rej, p_cont=p_cont,
                          rounds_executed=rounds, saved=tuple(saved))

@@ -240,16 +240,92 @@ def test_orbit_search_matches_full_enumeration(monkeypatch, name):
         assert orbits.is_exhaustive and full.is_exhaustive, x
 
 
+def _unpruned_orbit_firsts(targets, classes, k):
+    """The first k-tuple of ``targets`` in ``itertools.permutations`` order of
+    each orbit under swaps within ``classes``, in that order; no memory is
+    pruned.  An orbit's first map uses only the lowest members of each class
+    (swapping in a lower unused one would give an earlier map of the orbit),
+    so permuting the k lowest of each class finds the same maps in the same
+    order."""
+    class_of = {i: c for c, members in enumerate(classes) for i in members}
+    lowest = sorted(i for members in classes for i in sorted(members)[:k])
+    firsts: dict = {}
+    for combo in itertools.permutations(lowest, k):
+        firsts.setdefault(tuple(class_of[i] for i in combo), combo)
+    return [tuple(targets[i] for i in combo) for combo in firsts.values()]
+
+
+def _apply_table(state, mapped):
+    """The prover move that sends each (gamma, memory) pair as ``mapped``."""
+    moved: dict = {}
+    for (q, k, g, m), amp in state.items():
+        g2, m2 = mapped[(g, m)]
+        lbl = (q, k, g2, m2)
+        v = moved.get(lbl)
+        moved[lbl] = amp if v is None else v + amp
+    return moved
+
+
+class _RoundSearch(_ClassicalSearch):
+    """The classical search with each prover move applied to the state and
+    the verifier round made by `runtime._round`, without the move table."""
+
+    def _move_rounds(self, state, pairs):
+        for combo in self._assignments(state, pairs):
+            moved = _apply_table(state, dict(zip(pairs, combo)))
+            acc, _rej, cont, mass = _round(self.spec, self.tape, moved, self.width)
+            yield combo, acc, cont, mass
+
+
+def _bits_of(move_rounds):
+    return [(combo, acc.hex(), mass.hex(),
+             [(lbl, a.real.hex(), a.imag.hex()) for lbl, a in cont.items()])
+            for combo, acc, cont, mass in move_rounds]
+
+
+@pytest.mark.parametrize("name, memory", [
+    ("upal:N=2", 2), ("upal:N=3", 2), ("center:N=2", 2), ("pal_sharp:d=2", 2),
+    ("odd-committed", 2), ("upal:N=4", 2), ("upal:N=4", 3)])
+def test_move_table_gives_the_floats_of_moves_through_round(monkeypatch, name, memory):
+    if name == "upal:N=4":
+        system, inputs, steps, committed_only = build_protocol(name), ["1"], 7, False
+    else:
+        system, inputs, steps, committed_only = _oracle_cases(name)
+    for x in inputs:
+        budget = AdversaryBudget(memory_states=memory, steps=steps or 2 * (len(x) + 2),
+                                 committed_only=committed_only)
+        nodes = []
+
+        class Recording(_ClassicalSearch):
+            def _move_rounds(self, state, pairs):
+                nodes.append((state, pairs))
+                return super()._move_rounds(state, pairs)
+
+        with monkeypatch.context() as m:
+            m.setattr(adversary, "_ClassicalSearch", Recording)
+            table = best_classical_prover(system, x, budget)
+            m.setattr(adversary, "_ClassicalSearch", _RoundSearch)
+            rounds = best_classical_prover(system, x, budget)
+        assert table.best_p_acc.hex() == rounds.best_p_acc.hex(), x
+        assert table.strategies_tested == rounds.strategies_tested, x
+        assert table.best_strategy == rounds.best_strategy, x
+        assert table.is_exhaustive and rounds.is_exhaustive, x
+        # every move of every node: the same masses and continuation, in the
+        # same dict order, to the bit
+        search = _ClassicalSearch(system, x, budget)
+        for state, pairs in nodes:
+            assert (_bits_of(search._move_rounds(state, pairs))
+                    == _bits_of(_RoundSearch._move_rounds(search, state, pairs))), x
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_orbit_enumeration_keeps_the_first_map_of_each_orbit(k):
     search = _ClassicalSearch(build_protocol("upal:N=2"), "", AdversaryBudget())
     search.targets = search.targets[:7]
     classes = [[0, 3, 4], [1], [2, 6], [5]]
-    class_of = {i: c for c, members in enumerate(classes) for i in members}
-    firsts: dict = {}
-    for combo in itertools.permutations(range(7), k):
-        firsts.setdefault(tuple(class_of[i] for i in combo), combo)
-    expected = [tuple(search.targets[i] for i in combo) for combo in firsts.values()]
+    firsts = _unpruned_orbit_firsts(search.targets, classes, k)
+    expected = [c for c in firsts if _renamed_by_first_use(c, search.memory) == c]
+    assert len(expected) < len(firsts)
     assert list(search._orbit_firsts(classes, k)) == expected
 
 
@@ -332,11 +408,11 @@ def test_assignments_keep_one_map_per_renaming_of_memory(upal4, node, memory):
     pairs = sorted({(g, m) for (_q, _k, g, m) in state})
     classes = search._target_classes(state)
     assert classes is not None
-    firsts = list(search._orbit_firsts(classes, len(pairs)))
+    firsts = _unpruned_orbit_firsts(search.targets, classes, len(pairs))
     kept = list(search._assignments(state, pairs))
     kept_set = set(kept)
-    assert kept == [c for c in firsts if c in kept_set]  # in enumeration order
-    assert all(_renamed_by_first_use(c, search.memory) == c for c in kept)
+    # in enumeration order
+    assert kept == [c for c in firsts if _renamed_by_first_use(c, search.memory) == c]
     assert len({_renamed_by_first_use(c, search.memory) for c in kept}) == len(kept)
     assert {_renamed_by_first_use(c, search.memory) for c in firsts} == kept_set
     if memory == 2:

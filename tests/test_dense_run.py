@@ -14,7 +14,8 @@ import pytest
 from qipsim import runtime
 from qipsim.adversary import DENSE_DIM_CAP, _random_unitary, dense_dimension
 from qipsim.protocols import BUILTIN, build_protocol
-from qipsim.provers import DenseProver, IdentityProver
+from qipsim.provers import (ClassicalProverTable, DenseProver, IdentityProver,
+                             dense_from_table, make_classical_prover)
 from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec,
                         validate_and_complete)
 from qipsim.runtime import DenseRun, QipSystem, RunError, pair_layers, run
@@ -89,6 +90,22 @@ def test_measure_once_keeps_halting_pairs_until_the_end(la_mo):
         got, want = DenseRun(la_mo, x, 1).run(prover), run(la_mo, prover, x)
         assert (got.p_acc, got.p_rej, got.p_cont) == pytest.approx(
             (want.p_acc, want.p_rej, want.p_cont), abs=1e-12), x
+
+
+def test_measure_once_runs_end_in_one_measurement(la_mo):
+    # writing a in round 1 sends the verifier along completion rows that are
+    # still in a non-halting state after move n+2; the one measurement there
+    # rejects that mass instead of leaving it running
+    table = ClassicalProverTable({(1, BLANK, "m0"): ("a", "m0")})
+    spec = la_mo.verifier
+    dense = dense_from_table(table, spec.comm_alphabet, spec.prover_alphabet, 1, 3)
+    sparse = run(la_mo, make_classical_prover(table), "aa")
+    assert (sparse.p_acc, sparse.p_rej, sparse.p_cont) == (0.0, 1.0, 0.0)
+    assert sparse.halting_profile == [(4, 0.0, 1.0)]
+    assert sparse.cont_trace[-1] == 0.0
+    got = DenseRun(la_mo, "aa", 1).run(dense)
+    assert (got.p_acc, got.p_rej, got.p_cont) == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
+    assert run(la_mo, dense, "aa").p_rej == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dense_run_refuses_a_run_that_loses_mass(odd):

@@ -83,6 +83,9 @@ def ref_run(system, prover, x):
         state = ref_apply_verifier(spec, x, state, width)
         if not system.measure_once or r == n + 2:
             acc, rej, state = ref_measure(spec, state)
+            if system.measure_once:  # the one measurement rejects what it does not accept
+                rej += ref_norm_sq(state)
+                state = {}
             p_acc += acc
             p_rej += rej
             if acc > 0 or rej > 0:
