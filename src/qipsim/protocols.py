@@ -680,14 +680,23 @@ def union_protocol(s1: QipSystem, s2: QipSystem, name: str | None = None) -> Qip
     lang1, lang2 = s1.language, s2.language
 
     class UnionHonest(ProverStrategy):
+        @staticmethod
+        def _first(x):
+            return lang1(x) or not lang2(x)
+
         def apply(self, x, i, gamma, y):
             if i == 1:
-                idx = "u1" if lang1(x) or not lang2(x) else "u2"
-                return [(idx, y + gamma, 1.0 + 0j)]
+                return [("u1" if self._first(x) else "u2", y + gamma, 1.0 + 0j)]
             if i == 2:
                 return [(gamma, y, 1.0 + 0j)]
-            inner = s1.honest_prover if (lang1(x) or not lang2(x)) else s2.honest_prover
+            inner = s1.honest_prover if self._first(x) else s2.honest_prover
             return inner.apply(x, i - 2, gamma, y)
+
+        def idle(self, x, i):
+            if i < 3:
+                return i == 2
+            inner = s1.honest_prover if self._first(x) else s2.honest_prover
+            return inner.idle(x, i - 2)
 
         def describe(self):
             return {"kind": "union_honest", "parts": [s1.name, s2.name]}

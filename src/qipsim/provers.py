@@ -27,7 +27,14 @@ class ReversibilityError(ValueError):
 
 
 class ProverStrategy:
-    """Base contract; subclasses implement apply()."""
+    """Base contract; subclasses implement apply() and may refine idle().
+
+    ``idle(x, i)`` promises that round i leaves every (cell, tape) pair
+    unchanged with amplitude exactly 1, so that ``apply(x, i, gamma, y)`` is
+    ``[(gamma, y, 1+0j)]`` for every gamma and y; the engine then skips the
+    prover step of that round.  The default is False, so a prover that does
+    not refine it acts in every round.
+    """
 
     def initial_tape(self, x: str) -> str:
         return ""
@@ -35,6 +42,10 @@ class ProverStrategy:
     def apply(self, x: str, i: int, gamma: str, y: str):
         """Return a list of (gamma', y', amplitude) for round i."""
         raise NotImplementedError
+
+    def idle(self, x: str, i: int) -> bool:
+        """True when round i is the identity with amplitude 1 on every pair."""
+        return False
 
     def describe(self) -> dict:
         return {"kind": type(self).__name__}
@@ -45,6 +56,9 @@ class IdentityProver(ProverStrategy):
 
     def apply(self, x, i, gamma, y):
         return [(gamma, y, 1.0 + 0j)]
+
+    def idle(self, x, i):
+        return True
 
     def describe(self):
         return {"kind": "identity"}
@@ -75,6 +89,9 @@ class ScriptedProver(ProverStrategy):
         if rule is None:
             return [(gamma, y, 1.0 + 0j)]
         return [(rule.get(gamma, gamma), f"{y}|{gamma}", 1.0 + 0j)]
+
+    def idle(self, x, i):
+        return i not in self._script(x)
 
     def describe(self):
         return {"kind": "scripted", "name": self.name}
@@ -114,6 +131,7 @@ class ClassicalProverTable:
 class TableProver(ProverStrategy):
     def __init__(self, table: ClassicalProverTable):
         self.table = table
+        self._steps = frozenset(i for (i, _g, _m) in table.entries)
 
     def initial_tape(self, x):
         return self.table.initial_memory
@@ -121,6 +139,9 @@ class TableProver(ProverStrategy):
     def apply(self, x, i, gamma, y):
         g2, m2 = self.table.entries.get((i, gamma, y), (gamma, y))
         return [(g2, m2, 1.0 + 0j)]
+
+    def idle(self, x, i):
+        return i not in self._steps
 
     def describe(self):
         return {"kind": "classical_table",
@@ -235,6 +256,9 @@ class DenseProver(ProverStrategy):
                     for src in range(self.dim)]
             self._columns[i - 1] = cols
         return cols[self.index[gamma, y]]
+
+    def idle(self, x, i):
+        return i > len(self.matrices)
 
     def describe(self):
         return {"kind": "dense",

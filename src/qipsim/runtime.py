@@ -3,10 +3,13 @@
 The global state is a sparse amplitude map over labels (inner state, head
 position, cell symbol, tag).  One round is: prover action (absent in
 round 1 — equivalently, the prover for round i acts right after the i-th
-measurement), verifier step, measurement.  Measurement projects onto the
-accepting / rejecting / non-halting state classes, accumulates the halting
-masses and keeps the unnormalized non-halting part, so the accumulated masses
-are exact unconditional probabilities.
+measurement), verifier step, measurement.  A round the prover calls idle
+(`ProverStrategy.idle`) skips the prover action: it would rebuild the state
+label by label with amplitude 1, changing at most the sign of a zero
+component.  Measurement projects onto the accepting / rejecting / non-halting
+state classes, accumulates the halting masses and keeps the unnormalized
+non-halting part, so the accumulated masses are exact unconditional
+probabilities.
 
 `_round` moves amplitudes through delta and then calls `_measure`, the only
 code that splits off the halting classes; `_round` drops amplitudes below
@@ -140,6 +143,9 @@ def _measure(spec: QfaSpec, out: dict, measure: bool = True) -> tuple[float, flo
 
 
 def _apply_prover(prover: ProverStrategy, x: str, i: int, state: dict) -> dict:
+    """Prover round i on ``state``; an idle round returns ``state`` itself."""
+    if prover.idle(x, i):
+        return state
     out: dict = {}
     for (q, k, g, y), amp in state.items():
         for (g2, y2, a) in prover.apply(x, i, g, y):

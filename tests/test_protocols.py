@@ -286,6 +286,17 @@ def test_union_rejects_bad_branch_reply():
     assert res.p_rej == pytest.approx(1.0, abs=1e-9)
 
 
+def test_union_honest_is_idle_where_its_chosen_prover_is():
+    s1 = build_protocol("zero_public")  # a scripted honest prover
+    s2 = eraser_protocol(end_one_dfa(), "eraser_end1")
+    honest = union_protocol(s1, s2).honest_prover
+    for x in strings(("0", "1"), 4):
+        inner = s1.honest_prover if s1.member(x) or not s2.member(x) else s2.honest_prover
+        assert [honest.idle(x, 1), honest.idle(x, 2)] == [False, True]
+        assert [honest.idle(x, i + 2) for i in range(1, 8)] == [
+            inner.idle(x, i) for i in range(1, 8)], x
+
+
 def test_union_needs_common_alphabet():
     from qipsim.qfa import SpecError
     with pytest.raises(SpecError, match="alphabet"):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qipsim.provers import (ClassicalProverTable, DenseProver, EraseAllProver,
-                            IdentityProver, ReversibilityError, ScriptedProver,
-                            check_committed, complete_permutation,
+                            IdentityProver, ProverStrategy, ReversibilityError,
+                            ScriptedProver, check_committed, complete_permutation,
                             densify_schedule, make_classical_prover)
 from qipsim.qfa import BLANK
 
@@ -101,6 +101,19 @@ def test_densify_schedule_reproduces_visible_pairs():
 def test_densify_rejects_small_tape():
     with pytest.raises(ValueError, match="cannot encode"):
         densify_schedule([(BLANK, BLANK)] * 30, (BLANK,), (BLANK, "a"), 2)
+
+
+def test_idle_rounds_of_each_prover():
+    assert not ProverStrategy().idle("x", 1)
+    assert IdentityProver().idle("x", 1)
+    assert not any(EraseAllProver().idle("x", i) for i in range(1, 5))
+    scripted = ScriptedProver(script_builder=lambda x: {2: {"a": BLANK}}, name="t")
+    assert [scripted.idle("x", i) for i in (1, 2, 3)] == [True, False, True]
+    table = make_classical_prover(ClassicalProverTable(entries={
+        (1, "a", "m0"): ("a", "m0"), (3, "a", "m0"): ("b", "m1")}))
+    assert [table.idle("x", i) for i in (1, 2, 3, 4)] == [False, True, False, True]
+    dense = DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1, [np.eye(6)] * 2)
+    assert [dense.idle("x", i) for i in (1, 2, 3)] == [False, False, True]
 
 
 def test_complete_permutation_refuses_shared_destination():

@@ -4,6 +4,10 @@
 below is the earlier engine, kept here verbatim in behaviour: a verifier move
 that prunes its output, a separate measurement, a mass summed afterwards, and
 a prover step that prunes its own output.  Every float must agree to the bit.
+
+The reference applies the prover in every round, so it also pins the engine's
+skip of idle prover rounds; the idle contract itself (an idle round leaves
+every pair it meets alone, with amplitude 1) is checked on every built-in.
 """
 import itertools
 import math
@@ -11,10 +15,12 @@ import math
 import numpy as np
 import pytest
 
-from qipsim.adversary import DENSE_DIM_CAP, dense_dimension
+from qipsim.adversary import (DENSE_DIM_CAP, AdversaryBudget, best_classical_prover,
+                              dense_dimension, prover_from_description)
 from qipsim.linalg import PRUNE_TOL
 from qipsim.protocols import BUILTIN, build_protocol
-from qipsim.provers import DenseProver, IdentityProver, ProverStrategy, check_committed
+from qipsim.provers import (ClassicalProverTable, DenseProver, IdentityProver,
+                            ProverStrategy, check_committed, make_classical_prover)
 from qipsim.qfa import BLANK, symbol_at
 from qipsim.runtime import (_run_length, count_interactions, default_t_max,
                             query_weight, run)
@@ -187,6 +193,35 @@ def random_dense_provers(spec, seed, count=2, rounds=4):
     return provers
 
 
+def gap_table_prover(spec):
+    """A classical table whose steps 1 and 3 each swap two (cell, memory)
+    pairs and whose step 2 is empty."""
+    g = next(s for s in spec.comm_alphabet if s != BLANK)
+    return make_classical_prover(ClassicalProverTable(entries={
+        (1, BLANK, "m0"): (g, "m1"), (1, g, "m1"): (BLANK, "m0"),
+        (3, g, "m0"): (BLANK, "m1"), (3, BLANK, "m1"): (g, "m0")}))
+
+
+def best_table_prover(system, x):
+    report = best_classical_prover(system, x, AdversaryBudget(memory_states=2))
+    return prover_from_description(report.best_strategy)
+
+
+class TapeLog(ProverStrategy):
+    """``prover`` acting in every round, logging the tapes each round meets."""
+
+    def __init__(self, prover):
+        self.prover = prover
+        self.tapes: dict = {}
+
+    def initial_tape(self, x):
+        return self.prover.initial_tape(x)
+
+    def apply(self, x, i, gamma, y):
+        self.tapes.setdefault(i, set()).add(y)
+        return self.prover.apply(x, i, gamma, y)
+
+
 def inputs(alphabet, n_max):
     return ["".join(t) for n in range(n_max + 1) for t in itertools.product(alphabet, repeat=n)]
 
@@ -213,6 +248,48 @@ def test_fused_round_matches_the_reference_loop(name):
             got = hexed(res.p_acc, res.p_rej, res.p_cont, res.halting_profile,
                         res.cont_trace)
             assert got == hexed(*ref_run(system, prover, x)), (label, x)
+
+
+# built-ins whose best memory-2 classical tables join the reference check
+TABLE_SEARCHED = ("center", "eraser_zero", "npfa_choice", "union_zero_end1", "zero_public")
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_table_provers_match_the_reference_loop(name):
+    system = build_protocol(name)
+    spec = system.verifier
+    gap = gap_table_prover(spec)
+    for x in inputs(spec.input_alphabet, N_MAX):
+        provers = [("gap table", gap)]
+        if name in TABLE_SEARCHED:
+            provers.append(("best table", best_table_prover(system, x)))
+        for label, prover in provers:
+            res = run(system, prover, x)
+            got = hexed(res.p_acc, res.p_rej, res.p_cont, res.halting_profile,
+                        res.cont_trace)
+            assert got == hexed(*ref_run(system, prover, x)), (label, x)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_idle_rounds_leave_every_pair_alone(name):
+    system = build_protocol(name)
+    spec = system.verifier
+    provers = [system.honest_prover, IdentityProver(), gap_table_prover(spec),
+               *random_dense_provers(spec, seed=sorted(BUILTIN).index(name), count=1)]
+    idle = 0
+    for x in inputs(spec.input_alphabet, N_MAX):
+        for prover in provers:
+            log = TapeLog(prover)
+            run(system, log, x)
+            for i, tapes in sorted(log.tapes.items()):
+                if not prover.idle(x, i):
+                    continue
+                idle += 1
+                for gamma in spec.comm_alphabet:
+                    for y in tapes:
+                        assert prover.apply(x, i, gamma, y) == [(gamma, y, 1 + 0j)], (
+                            prover.describe()["kind"], x, i, gamma, y)
+    assert idle
 
 
 def _answer_system():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qipsim.languages as lang
-from qipsim.provers import DenseProver, EraseAllProver, IdentityProver, densify_schedule
+from qipsim.provers import (DenseProver, EraseAllProver, IdentityProver, ScriptedProver,
+                            densify_schedule)
 from qipsim.qfa import BLANK
 from qipsim.runtime import (RunError, count_interactions, expected_halting_time,
                             query_weight, run, visible_schedule)
@@ -35,6 +36,29 @@ def test_run_pal_sharp_honest_member(pal2):
 def test_run_pal_sharp_identity_rejects(pal2):
     res = run(pal2, IdentityProver(), "01#10", 64)
     assert res.p_rej >= 0.75
+
+
+def test_run_skips_the_prover_step_on_idle_rounds(pal2):
+    calls = []
+
+    class Counted(ScriptedProver):
+        def apply(self, x, i, gamma, y):
+            calls.append(i)
+            return super().apply(x, i, gamma, y)
+
+    class CountedIdentity(IdentityProver):
+        def apply(self, x, i, gamma, y):
+            calls.append(i)
+            return super().apply(x, i, gamma, y)
+
+    x = "01#10"
+    honest = pal2.honest_prover
+    counted = Counted(script_builder=honest.script_builder, name="counted")
+    assert run(pal2, counted, x) == run(pal2, honest, x)
+    assert calls and not any(counted.idle(x, i) for i in calls)
+    calls.clear()
+    assert run(pal2, CountedIdentity(), x).rounds_executed > 1
+    assert calls == []
 
 
 def test_expected_halting_time_values(zero_public, la_mo, pal1):
