@@ -33,13 +33,14 @@ checking", FMSD 9, 1996), restricted to symmetries that leave every result
 bit-identical.  At a node, two targets (cell', memory') are interchangeable
 when they have the same memory, the same blank-ness and, on every
 (state, tape symbol) row the node's labels sit on, the same non-rejecting
-part of their delta column.  Swapping interchangeable targets then changes
-only rejecting labels of the verifier move, which the measurement discards:
-the accepting mass and the continuation come out bit for bit the same, in
-the same dict order.  So each orbit of assignments under those swaps is
-represented by its lexicographically first member, which is also the first
-member the full enumeration reaches; the others give the same value and
-continuation.
+part of their delta column (the whole column on a measure-once verifier,
+whose rejecting labels run on until its one measurement).  Swapping
+interchangeable targets then changes only rejecting labels of the verifier
+move, which the measurement discards: the accepting mass and the
+continuation come out bit for bit the same, in the same dict order.  So
+each orbit of assignments under those swaps is represented by its
+lexicographically first member, which is also the first member the full
+enumeration reaches; the others give the same value and continuation.
 
 Memory labels are a scalarset (Ip & Dill, "Better verification through
 symmetry", FMSD 9, 1996): renaming the target memories of an assignment
@@ -84,7 +85,7 @@ from .provers import (ClassicalProverTable, DenseProver, EncodingError,
                       IdentityProver, dense_from_table, make_classical_prover)
 from .qfa import BLANK, symbol_at
 from .runtime import (DenseRun, QipSystem, _measure, _no_transition, _round,
-                      default_t_max, run)
+                      _run_length, default_t_max, run)
 
 # Largest dense prover dimension |Gamma|·|Delta|^c the quantum search climbs in.
 DENSE_DIM_CAP = 64
@@ -145,10 +146,11 @@ class _ClassicalSearch:
         self.memory_rank = {m: i for i, m in enumerate(self.memory)}
         self.targets = [(g, m) for g in self.spec.comm_alphabet for m in self.memory]
         self.target_rank = [self.memory_rank[m] for _g, m in self.targets]
-        self.t_max = default_t_max(self.spec, x)
+        # the round limit and `runtime._measure`'s ``once``, for a checked input
+        self.t_max, self.once = _run_length(self.spec, x, None)
         self.steps = min(budget.steps, self.t_max)
         self.tape = [symbol_at(x, k) for k in range(self.width)]
-        self.rejecting = frozenset(self.spec.rejecting)
+        self.rejecting = frozenset(self.spec.rejecting if self.once is None else ())
         # Blank is a class of its own, so one non-blank symbol leaves every
         # class a single target.
         self.class_cache: dict | None = (
@@ -162,15 +164,15 @@ class _ClassicalSearch:
 
     # -- engine pieces over labels (q, k, gamma, m) --
 
-    def _move_rounds(self, state, pairs):
-        """The verifier round after each prover move of ``state``'s node.
+    def _move_rounds(self, state, pairs, r):
+        """Verifier move r after each prover move of ``state``'s node.
 
         Yields (assignment, accepting mass, continuation, its mass) for each
         of `_assignments`, in order: the floats of one `runtime._round` on
         the moved state, computed from the node's move table (see the
         module docstring).  A missing delta row raises `_round`'s error.
         """
-        spec, tape, width = self.spec, self.tape, self.width
+        spec, tape, width, once = self.spec, self.tape, self.width, self.once
         index = {pair: i for i, pair in enumerate(pairs)}
         # per live label, in state order: its pair's index, its table row, and
         # what fills the row
@@ -201,7 +203,7 @@ class _ClassicalSearch:
                     entry.append((lbl, c))
                     v = get(lbl)
                     out[lbl] = c if v is None else v + c
-            acc, _rej, cont, mass = _measure(spec, out)
+            acc, _rej, cont, mass = _measure(spec, out, r, once)
             yield combo, acc, cont, mass
 
     def _tail_value(self, state, r) -> float:
@@ -216,8 +218,9 @@ class _ClassicalSearch:
         if hit is not None:
             return hit
         acc_total = 0.0
-        for _r in range(r + 1, self.t_max + 1):
-            acc, _rej, state, _mass = _round(self.spec, self.tape, state, self.width)
+        for move in range(r + 1, self.t_max + 1):
+            acc, _rej, state, _mass = _round(self.spec, self.tape, state, self.width,
+                                             move, self.once)
             acc_total += acc
             if not state:
                 break
@@ -361,7 +364,7 @@ class _ClassicalSearch:
             return self._tail_value(state, r)
         pairs = sorted({(g, m) for (_q, _k, g, m) in state})
         best = 0.0
-        for combo, acc, cont, mass in self._move_rounds(state, pairs):
+        for combo, acc, cont, mass in self._move_rounds(state, pairs, r + 1):
             bound = acc + mass
             if bound <= best + TIE_TOL:
                 continue
@@ -379,7 +382,7 @@ class _ClassicalSearch:
     def search(self):
         spec, tape, width = self.spec, self.tape, self.width
         init = {(spec.initial, 0, BLANK, self.memory[0]): 1.0 + 0j}
-        acc0, _rej, state, mass = _round(spec, tape, init, width)
+        acc0, _rej, state, mass = _round(spec, tape, init, width, 1, self.once)
         best = acc0 + self._value(state, 1, mass)
         entries: dict = {}
         for r in range(1, self.steps + 1):
@@ -391,7 +394,7 @@ class _ClassicalSearch:
             mapped = {(g, back[c]): (g2, back[c2]) for (g, c), (g2, c2) in move.items()}
             entries.update(((r, g, m), t) for (g, m), t in mapped.items() if (g, m) != t)
             moved = {(q, k, *mapped[g, m]): amp for (q, k, g, m), amp in state.items()}
-            _acc, _rej, state, mass = _round(spec, tape, moved, width)
+            _acc, _rej, state, mass = _round(spec, tape, moved, width, r + 1, self.once)
         return best, ClassicalProverTable(entries=entries, initial_memory=self.memory[0])
 
 

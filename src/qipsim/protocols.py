@@ -153,8 +153,7 @@ def la_mo_protocol() -> QipSystem:
 
     spec = tb.build(q0)
     return QipSystem(name="la_mo", verifier=spec, honest_prover=EraseAllProver(),
-                     language=languages.la, claimed_bounds=(1.0, 1.0),
-                     measure_once=True)
+                     language=languages.la, claimed_bounds=(1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ move table of its own and measures with `_measure`.  The tag rides along
 unchanged: the prover tape in runs, the prover memory in the classical
 search, ``None`` where no prover takes part.
 
-Measure-once systems skip the intermediate measurements; a single measurement
-follows verifier step n+2, and as in a measure-once automaton (Moore &
-Crutchfield, Theoret. Comput. Sci. 237, 2000) it rejects every label it does
-not accept, so no mass is left running after it.
+The verifier's head model decides the measurement, by one rule in
+`_measure`: after every move for a measure-many verifier; once, after move
+n+2, for a measure-once one, which as in a measure-once automaton (Moore &
+Crutchfield, Theoret. Comput. Sci. 237, 2000) rejects all it does not accept.
 
 `pair_layers` cuts one input's (state, head) pair graph into rounds: the
 pairs the verifier can occupy before each move, whatever the prover writes,
@@ -62,7 +62,6 @@ class QipSystem:
     language: object  # callable str -> bool
     claimed_bounds: tuple[float, float]
     public: bool = False
-    measure_once: bool = False
     interaction_bounded: bool = False
 
     def member(self, x: str) -> bool:
@@ -88,13 +87,13 @@ def default_t_max(spec: QfaSpec, x: str) -> int:
     return TWO_WAY_ROUND_FACTOR * (n + 2) ** 2
 
 
-def _round(spec: QfaSpec, tape, state: dict, width: int,
-           measure: bool = True) -> tuple[float, float, dict, float]:
-    """One verifier move on labels (q, k, gamma, tag), then `_measure`.
+def _round(spec: QfaSpec, tape, state: dict, width: int, r: int = 0,
+           once: int | None = None) -> tuple[float, float, dict, float]:
+    """Verifier move r on labels (q, k, gamma, tag), then `_measure`.
 
     ``tape[k]`` is the symbol under head k.  Returns the accepting and
-    rejecting masses, the continuing part and its mass; without ``measure``
-    every label continues."""
+    rejecting masses, the continuing part and its mass; ``once`` is
+    `_measure`'s."""
     out: dict = {}
     delta = spec.delta
     for (q, k, g, y), amp in state.items():
@@ -108,7 +107,7 @@ def _round(spec: QfaSpec, tape, state: dict, width: int,
             lbl = (q2, (k + d) % width, g2, y)
             v = out.get(lbl)
             out[lbl] = amp * a if v is None else v + amp * a
-    return _measure(spec, out, measure)
+    return _measure(spec, out, r, once)
 
 
 def _no_transition(spec: QfaSpec, key) -> Exception:
@@ -119,11 +118,14 @@ def _no_transition(spec: QfaSpec, key) -> Exception:
     return RunError(f"no transition for {key}; run validate_and_complete first")
 
 
-def _measure(spec: QfaSpec, out: dict, measure: bool = True) -> tuple[float, float, dict, float]:
-    """The measurement after a verifier move: ``out``'s accepting and rejecting
+def _measure(spec: QfaSpec, out: dict, r: int = 0,
+             once: int | None = None) -> tuple[float, float, dict, float]:
+    """The measurement after verifier move r: ``out``'s accepting and rejecting
     masses, its continuing part and that part's mass, dropping amplitudes below
-    PRUNE_TOL; without ``measure`` every label continues."""
-    halting = spec._halting if measure else ()
+    PRUNE_TOL.  A measure-many verifier (``once`` None) measures off its
+    halting states; a measure-once one measures nothing before move ``once`` =
+    n+2 (`_run_length`) and there rejects all it does not accept."""
+    halting = spec._halting if once is None or r >= once else ()
     accepting = spec._accepting_set
     acc = rej = mass = 0.0
     cont: dict = {}
@@ -139,7 +141,9 @@ def _measure(spec: QfaSpec, out: dict, measure: bool = True) -> tuple[float, flo
             acc += p
         else:
             rej += p
-    return acc, rej, cont, mass
+    if once is None or r < once:
+        return acc, rej, cont, mass
+    return acc, rej + mass, {}, 0.0
 
 
 def _apply_prover(prover: ProverStrategy, x: str, i: int, state: dict) -> dict:
@@ -158,21 +162,19 @@ def _apply_prover(prover: ProverStrategy, x: str, i: int, state: dict) -> dict:
 def run(system: QipSystem, prover: ProverStrategy, x: str,
         t_max: int | None = None) -> RunResult:
     """Execute the protocol on input x and account for all probability mass."""
-    return _run(system.verifier, prover, x, t_max,
-                measure_once=system.measure_once)
+    return _run(system.verifier, prover, x, t_max)
 
 
-def _run_length(spec: QfaSpec, x: str, t_max, measure_once) -> int:
-    """The checked input's round limit: ``t_max``, its default, capped at n+2
-    for one-way heads."""
+def _run_length(spec: QfaSpec, x: str, t_max) -> tuple[int, int | None]:
+    """The checked input's round limit, ``t_max`` or its default, capped at
+    n+2 for one-way heads; and `_measure`'s ``once``: n+2 for a measure-once
+    verifier, None for a measure-many one."""
     spec.check_input(x)
     if t_max is None:
         t_max = default_t_max(spec, x)
     if spec.head_model.one_way:
         t_max = min(t_max, len(x) + 2)
-    if measure_once and spec.head_model is not HeadModel.MO_1WAY:
-        raise RunError("measure-once runs need a measure-once 1-way verifier")
-    return t_max
+    return t_max, len(x) + 2 if spec.head_model is HeadModel.MO_1WAY else None
 
 
 def _check_end(spec: QfaSpec, n: int, rounds: int, p_cont: float, max_err: float) -> None:
@@ -185,8 +187,8 @@ def _check_end(spec: QfaSpec, n: int, rounds: int, p_cont: float, max_err: float
         raise RunError(f"probability conservation violated by {max_err:.3g}")
 
 
-def _run(spec: QfaSpec, prover: ProverStrategy, x: str, t_max, measure_once):
-    t_max = _run_length(spec, x, t_max, measure_once)
+def _run(spec: QfaSpec, prover: ProverStrategy, x: str, t_max):
+    t_max, once = _run_length(spec, x, t_max)
     n = len(x)
     width = n + 2
     tape = [symbol_at(x, k) for k in range(width)]
@@ -200,8 +202,7 @@ def _run(spec: QfaSpec, prover: ProverStrategy, x: str, t_max, measure_once):
     rounds = 0
     for r in range(1, t_max + 1):
         rounds = r
-        acc, rej, state, cont = _round(spec, tape, state, width,
-                                       not measure_once or r == n + 2)
+        acc, rej, state, cont = _round(spec, tape, state, width, r, once)
         p_acc += acc
         p_rej += rej
         if acc > 0 or rej > 0:
@@ -213,13 +214,6 @@ def _run(spec: QfaSpec, prover: ProverStrategy, x: str, t_max, measure_once):
             break
         if r < t_max:
             state = _apply_prover(prover, x, r, state)
-    if measure_once and rounds == n + 2 and cont > 0:
-        # the one measurement rejects what it does not accept
-        p_rej += cont
-        if acc > 0 or rej > 0:
-            profile.pop()
-        profile.append((rounds, acc, rej + cont))
-        cont_trace[-1] = cont = 0.0
 
     truncated = (not spec.head_model.one_way) and cont >= PRUNE_TOL
     _check_end(spec, n, rounds, cont, max_err)
@@ -244,10 +238,9 @@ class PairLayers:
     Pair p = q·width + k, with q indexing ``spec.states``.  ``layers[i]``
     holds, sorted, the pairs the verifier can occupy before move i+1, with the
     prover writing any cell symbol.  ``targets[i]`` splits the pairs that move
-    reaches into continuing, accepting and rejecting ones; the continuing
-    ones are the next layer.  Halting pairs are measured off at once, except
-    in measure-once systems, which keep them until move n+2.  A one-way
-    head's last move is n+2, so its layers stop there.
+    reaches into continuing, accepting and rejecting ones by `_measure`'s rule,
+    which the head model picks; the continuing ones are the next layer.  A
+    one-way head's last move is n+2, so its layers stop there.
 
     ``blocks[i]`` is move i+1 as a dense matrix from the basis (pair, cell
     symbol) of ``layers[i]`` to that of the continuing, then accepting, then
@@ -289,9 +282,9 @@ def pair_layers(system: QipSystem, x: str) -> PairLayers:
     walk also stops there once it covers the run's round limit.
     """
     spec = system.verifier
-    t_max = _run_length(spec, x, None, system.measure_once)
-    n, gsz = len(x), len(spec.comm_alphabet)
-    width = n + 2
+    t_max, once = _run_length(spec, x, None)
+    gsz = len(spec.comm_alphabet)
+    width = len(x) + 2
     # through the module, where perfbench's traced run wraps it; a CSC matrix
     # lists each basis column's entries together, so a pair's are contiguous
     step = qfa.build_step_operator(spec, x, sparse=True)
@@ -319,9 +312,12 @@ def pair_layers(system: QipSystem, x: str) -> PairLayers:
         hit[dst] = True
         reached = np.flatnonzero(hit)
         hit[reached] = False
-        a, b = ((len(reached),) * 2 if system.measure_once and r < n + 2
+        a, b = ((len(reached),) * 2 if once is not None and r < once
                 else reached.searchsorted(bounds).tolist())
         split = (reached[:a], reached[a:b], reached[b:])
+        if r == once:  # the one measurement rejects what it does not accept
+            split = (reached[:0], split[1], np.concatenate((split[0], split[2])))
+            reached = np.concatenate(split)
         targets.append(split)
         at[reached] = count[:len(reached)]
         block = np.zeros((len(reached) * gsz, len(here) * gsz), dtype=complex)
@@ -366,17 +362,16 @@ class DenseRun:
     the continuing ones are the next layer's.  Prover round i reshapes the
     state to (pairs, |Gamma|·|Delta|^c) and multiplies it on the right by the
     transpose of ``matrices[i-1]``, whose basis is ``DenseProver.labels``.
-    The round loop, the stop when the continuing mass falls below PRUNE_TOL,
-    the measure-once rejection of what is left after move n+2 and the end
-    checks are `_run`'s.  No amplitude is pruned and a transition
+    The layers carry `_measure`'s rule, and the round loop, the stop when
+    the continuing mass falls below PRUNE_TOL and the end checks are
+    `_run`'s.  No amplitude is pruned and a transition
     missing from delta shows up only as lost mass, so the masses agree with
     `run`'s up to rounding.
     """
 
     def __init__(self, system: QipSystem, x: str, c: int):
         spec = self.spec = system.verifier
-        self.t_max = _run_length(spec, x, None, system.measure_once)
-        self.measure_once = system.measure_once
+        self.t_max = _run_length(spec, x, None)[0]
         self.n = len(x)
         self.c = c
         gsz = len(spec.comm_alphabet)
@@ -446,8 +441,6 @@ class DenseRun:
                 saved.append((state, p_acc, p_rej, max_err))
                 state = self._prover_step(state, matrices[r - 1])
         p_cont = _mass(state)
-        if self.measure_once and rounds == self.n + 2:
-            p_rej, p_cont = p_rej + p_cont, 0.0  # as in `_run`
         _check_end(self.spec, self.n, rounds, p_cont, max_err)
         return DensePass(prover=prover, p_acc=p_acc, p_rej=p_rej, p_cont=p_cont,
                          rounds_executed=rounds, saved=tuple(saved))
@@ -532,18 +525,19 @@ def count_interactions(system: QipSystem, prover: ProverStrategy, x: str,
                        t_max: int | None = None) -> int:
     """Maximum number of query configurations along any computation path.
 
-    A query configuration is a non-halting configuration holding a non-blank
-    cell symbol right after a verifier move.  Paths are chains through the
-    parent->child links of the sparse evolution; when paths merge, the query
-    count merges by maximum (the conservative reading of a per-path count).
-    Requires an interaction-bounded system and a committed prover.
+    A query configuration is one that the measurement after a verifier move
+    leaves running and that holds a non-blank cell symbol.  Paths are chains
+    through the parent->child links of the sparse evolution; when paths
+    merge, the query count merges by maximum (the conservative reading of a
+    per-path count).  Requires an interaction-bounded system and a committed
+    prover.
     """
     from .provers import check_committed
 
     if not system.interaction_bounded:
         raise RunError(f"system {system.name} is not interaction-bounded")
     spec = system.verifier
-    t_max = _run_length(spec, x, t_max, measure_once=False)
+    t_max, once = _run_length(spec, x, t_max)
     width = len(x) + 2
     tape = [symbol_at(x, k) for k in range(width)]
     if not check_committed(prover, x, t_max, comm_alphabet=spec.comm_alphabet):
@@ -553,10 +547,10 @@ def count_interactions(system: QipSystem, prover: ProverStrategy, x: str,
     counts = {next(iter(state)): 0}
     best = 0
     for r in range(1, t_max + 1):
-        # halting children, measured off per label, inherit counts already in best
+        # children measured off per label inherit counts already in best
         state, inherited = _step_paths(
-            lambda s: _round(spec, tape, s, width)[2], state, counts)
-        # a non-halting child holding a non-blank symbol is a query
+            lambda s: _round(spec, tape, s, width, r, once)[2], state, counts)
+        # a child left running that holds a non-blank symbol is a query
         counts = {lbl: inherited[lbl] + (lbl[2] != BLANK) for lbl in state}
         best = max([best, *counts.values()])
         if not state:

@@ -66,11 +66,13 @@ def all_strings(alphabet, n: int) -> list[str]:
 
 
 def maximal_tiles(matrix) -> list[tuple[int, int]]:
-    """Maximal all-ones rectangles as (row bitmask, column bitmask) pairs.
+    """Maximal all-ones rectangles as (row bitmask, column bitmask) pairs,
+    largest area first.
 
     Computed as the closure of row-subset intersections: start from single
     rows' 1-column sets, intersect pairwise to a fixpoint, then take for each
-    closed column set the full set of rows covering it.  Distinct row
+    closed column set the full set of rows covering it, a maximal rectangle
+    since its columns are all those common to its rows.  Distinct row
     patterns are few for the structured languages this runs on.
     """
     nrows = len(matrix)
@@ -99,13 +101,9 @@ def maximal_tiles(matrix) -> list[tuple[int, int]]:
             if rm & cols == cols:
                 rows |= 1 << r
         tiles.append((rows, cols))
-    # drop non-maximal rectangles (both masks dominated by another tile)
+    # the order of the MILP's columns
     tiles.sort(key=lambda t: -(t[0].bit_count() * t[1].bit_count()))
-    kept: list[tuple[int, int]] = []
-    for rows, cols in tiles:
-        if not any(rows & kr == rows and cols & kc == cols for kr, kc in kept):
-            kept.append((rows, cols))
-    return kept
+    return tiles
 
 
 def _members(mask: int, size: int) -> tuple[int, ...]:

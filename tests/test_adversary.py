@@ -14,9 +14,11 @@ from qipsim.adversary import (REPLAY_TOL, AdversaryBudget, AdversaryReport,
 from qipsim.linalg import ContractViolation, DomainError, check_unitary
 from qipsim.protocols import build_protocol
 from qipsim.provers import DenseProver
-from qipsim.provers import IdentityProver, ReversibilityError
+from qipsim.provers import (ClassicalProverTable, IdentityProver, ReversibilityError,
+                            make_classical_prover)
 from qipsim.provers import dense_from_table as _table_to_dense
-from qipsim.qfa import BLANK, LEFT_END, HeadModel, QfaSpec, validate_and_complete
+from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, AlphabetError, HeadModel, QfaSpec,
+                        validate_and_complete)
 from qipsim.runtime import QipSystem, _round, default_t_max, run
 from tests.conftest import strings
 
@@ -270,10 +272,11 @@ class _RoundSearch(_ClassicalSearch):
     """The classical search with each prover move applied to the state and
     the verifier round made by `runtime._round`, without the move table."""
 
-    def _move_rounds(self, state, pairs):
+    def _move_rounds(self, state, pairs, r):
         for combo in self._assignments(state, pairs):
             moved = _apply_table(state, dict(zip(pairs, combo)))
-            acc, _rej, cont, mass = _round(self.spec, self.tape, moved, self.width)
+            acc, _rej, cont, mass = _round(self.spec, self.tape, moved, self.width,
+                                           r, self.once)
             yield combo, acc, cont, mass
 
 
@@ -297,9 +300,9 @@ def test_move_table_gives_the_floats_of_moves_through_round(monkeypatch, name, m
         nodes = []
 
         class Recording(_ClassicalSearch):
-            def _move_rounds(self, state, pairs):
-                nodes.append((state, pairs))
-                return super()._move_rounds(state, pairs)
+            def _move_rounds(self, state, pairs, r):
+                nodes.append((state, pairs, r))
+                return super()._move_rounds(state, pairs, r)
 
         with monkeypatch.context() as m:
             m.setattr(adversary, "_ClassicalSearch", Recording)
@@ -313,9 +316,9 @@ def test_move_table_gives_the_floats_of_moves_through_round(monkeypatch, name, m
         # every move of every node: the same masses and continuation, in the
         # same dict order, to the bit
         search = _ClassicalSearch(system, x, budget)
-        for state, pairs in nodes:
-            assert (_bits_of(search._move_rounds(state, pairs))
-                    == _bits_of(_RoundSearch._move_rounds(search, state, pairs))), x
+        for state, pairs, r in nodes:
+            assert (_bits_of(search._move_rounds(state, pairs, r))
+                    == _bits_of(_RoundSearch._move_rounds(search, state, pairs, r))), x
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -469,6 +472,75 @@ def test_proportional_continuations_are_searched_apart():
     assert rep.best_p_acc == pytest.approx(0.8, abs=REPLAY_TOL)
     assert rep.is_exhaustive
     assert replay(system, "", rep) == pytest.approx(rep.best_p_acc, abs=REPLAY_TOL)
+
+
+def _measure_once_system(name, non_halting, rejecting, comm, delta):
+    """A completed measure-once verifier over {a} that starts in q0, accepts
+    in acc and whose cell and prover tape hold ``comm``, wrapped with the
+    identity prover."""
+    completed, report = validate_and_complete(QfaSpec(
+        name=name, non_halting=non_halting, accepting=("acc",), rejecting=rejecting,
+        initial="q0", input_alphabet=("a",), comm_alphabet=comm, prover_alphabet=comm,
+        head_model=HeadModel.MO_1WAY, delta=delta))
+    assert report.ok, report.violations
+    return QipSystem(name=name, verifier=completed, honest_prover=IdentityProver(),
+                     language=lambda x: False, claimed_bounds=(1.0, 0.0))
+
+
+def _best_memoryless_run(system, x):
+    """The best `run` over every memory-1 table: one permutation of the cell
+    symbols per prover round 1 .. n+1."""
+    comm = system.verifier.comm_alphabet
+    best = 0.0
+    for perms in itertools.product(itertools.permutations(comm), repeat=len(x) + 1):
+        entries = {(r, g, "m0"): (g2, "m0") for r, perm in enumerate(perms, start=1)
+                   for g, g2 in zip(comm, perm) if g != g2}
+        prover = make_classical_prover(ClassicalProverTable(entries, initial_memory="m0"))
+        best = max(best, run(system, prover, x).p_acc)
+    return best
+
+
+def test_classical_search_measures_measure_once_verifiers_once():
+    # the verifier accepts on the left endmarker; measured once, that label
+    # runs on through completion rows into rejection, unless the prover steers it
+    one = 1.0 + 0j
+    system = _measure_once_system("early_accept", ("q0",), ("rej",), (BLANK, "a"), {
+        ("q0", LEFT_END, BLANK): (("acc", BLANK, 1, one),),
+        ("q0", "a", BLANK): (("q0", BLANK, 1, one),),
+        ("q0", RIGHT_END, BLANK): (("rej", BLANK, 1, one),)})
+    for x in ("", "a", "aa", "aaa"):
+        rep = best_classical_prover(system, x, AdversaryBudget(memory_states=2, steps=8))
+        assert rep.is_exhaustive, x
+        assert replay(system, x, rep) == rep.best_p_acc, x
+        one_memory = best_classical_prover(system, x, AdversaryBudget(memory_states=1, steps=8))
+        assert one_memory.best_p_acc == _best_memoryless_run(system, x), x
+    assert [best_classical_prover(system, x).best_p_acc for x in ("", "a", "aa")] == [
+        0.0, 0.0, 1.0]
+
+
+def test_measure_once_search_keeps_symbols_apart_that_differ_in_rejecting_states():
+    # b and c send (q0, a) to rejecting states only, so a measure-many search
+    # may swap them; measured once, rej moves on to acc on the right endmarker
+    # and rej2 does not, so only c, the later symbol, is accepted
+    one = 1.0 + 0j
+    system = _measure_once_system("late_reject", ("q0", "q1"), ("rej", "rej2"),
+                                  (BLANK, "b", "c"), {
+        ("q0", LEFT_END, BLANK): (("q0", BLANK, 1, one),),
+        ("q0", "a", BLANK): (("q1", BLANK, 1, one),),
+        ("q0", "a", "b"): (("rej2", BLANK, 1, one),),
+        ("q0", "a", "c"): (("rej", BLANK, 1, one),),
+        ("rej", RIGHT_END, BLANK): (("acc", BLANK, 1, one),),
+        ("q1", RIGHT_END, BLANK): (("rej2", BLANK, 1, one),)})
+    rep = best_classical_prover(system, "a", AdversaryBudget(memory_states=1, steps=4))
+    assert rep.best_p_acc == _best_memoryless_run(system, "a") == 1.0
+    assert replay(system, "a", rep) == 1.0
+
+
+@pytest.mark.parametrize("name, x", [("pal_sharp:d=1", "0z"), ("odd", "0z"),
+                                     ("zero_public", "1z")])
+def test_classical_search_refuses_an_input_outside_the_alphabet(name, x):
+    with pytest.raises(AlphabetError):
+        best_classical_prover(build_protocol(name), x)
 
 
 def test_dense_strategy_replays_from_json(pal2):

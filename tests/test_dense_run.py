@@ -175,9 +175,9 @@ def _rounds_in_layers(monkeypatch, system, prover, x, layers):
     supports = []
     step = runtime._round
 
-    def recording_round(spec_, tape, state, width_, measure=True):
+    def recording_round(spec_, tape, state, width_, *rule):
         supports.append({spec.states.index(q) * width + k for (q, k, _g, _y) in state})
-        return step(spec_, tape, state, width_, measure)
+        return step(spec_, tape, state, width_, *rule)
 
     monkeypatch.setattr(runtime, "_round", recording_round)
     res = run(system, prover, x)

@@ -58,7 +58,8 @@ def test_one_round_matches_matrix_action(name, x):
             out[index(q, k, g)] = amp
         return out
 
-    acc, rej, moved, mass = _round(spec, tape, state, width, measure=False)
+    # move 1 of a verifier that measures once, after move 2, measures nothing
+    acc, rej, moved, mass = _round(spec, tape, state, width, r=1, once=2)
     assert (acc, rej) == (0.0, 0.0)
     assert np.allclose(dense(moved), expect, atol=1e-10)
     assert mass == pytest.approx(np.vdot(expect, expect).real, abs=1e-10)

@@ -11,7 +11,7 @@ from qipsim.protocols import (build_protocol, center_protocol, eraser_protocol,
                               rfa_public_protocol, union_protocol,
                               upal_protocol)
 from qipsim.provers import IdentityProver, ScriptedProver
-from qipsim.qfa import (BLANK, StructureMode, build_step_operator,
+from qipsim.qfa import (BLANK, HeadModel, StructureMode, build_step_operator,
                         check_structure)
 from qipsim.runtime import default_t_max, run
 from tests.conftest import sample_inputs, strings
@@ -72,7 +72,7 @@ def test_declared_modes_match_structure_checks():
         spec = system.verifier
         if system.public:
             assert check_structure(spec, StructureMode.PUBLIC).ok, name
-        if system.measure_once:
+        if spec.head_model is HeadModel.MO_1WAY:
             assert check_structure(spec, StructureMode.MEASURE_ONCE).ok, name
         if spec.head_model.one_way:
             assert check_structure(spec, StructureMode.ONE_WAY_HALTING).ok, name

@@ -220,7 +220,8 @@ def random_one_way_spec(rng):
 
 
 def measuring_every_round(spec):
-    return QipSystem(name=spec.name, verifier=spec, honest_prover=IdentityProver(),
+    every = dataclasses.replace(spec, head_model=HeadModel.ONE_WAY)
+    return QipSystem(name=spec.name, verifier=every, honest_prover=IdentityProver(),
                      language=None, claimed_bounds=(1.0, 0.0))
 
 

@@ -21,7 +21,7 @@ from qipsim.linalg import PRUNE_TOL
 from qipsim.protocols import BUILTIN, build_protocol
 from qipsim.provers import (ClassicalProverTable, DenseProver, IdentityProver,
                             ProverStrategy, check_committed, make_classical_prover)
-from qipsim.qfa import BLANK, symbol_at
+from qipsim.qfa import BLANK, HeadModel, symbol_at
 from qipsim.runtime import (_run_length, count_interactions, default_t_max,
                             query_weight, run)
 
@@ -79,7 +79,8 @@ def ref_measure(spec, state):
 
 def ref_run(system, prover, x):
     spec = system.verifier
-    t_max = _run_length(spec, x, None, system.measure_once)
+    t_max = _run_length(spec, x, None)[0]
+    measure_once = spec.head_model is HeadModel.MO_1WAY
     n = len(x)
     width = n + 2
     state = {(spec.initial, 0, BLANK, prover.initial_tape(x)): 1.0 + 0j}
@@ -87,9 +88,9 @@ def ref_run(system, prover, x):
     profile, cont_trace = [], []
     for r in range(1, t_max + 1):
         state = ref_apply_verifier(spec, x, state, width)
-        if not system.measure_once or r == n + 2:
+        if not measure_once or r == n + 2:
             acc, rej, state = ref_measure(spec, state)
-            if system.measure_once:  # the one measurement rejects what it does not accept
+            if measure_once:  # the one measurement rejects what it does not accept
                 rej += ref_norm_sq(state)
                 state = {}
             p_acc += acc
@@ -330,7 +331,7 @@ def test_a_faint_branch_is_dropped_before_the_verifier_move():
 
 def test_measure_once_rounds_keep_every_label():
     system = build_protocol("la_mo")
-    assert system.measure_once
+    assert system.verifier.head_model is HeadModel.MO_1WAY
     for x in inputs("a", 6):
         for prover in (system.honest_prover, IdentityProver(),
                        FaintBranchProver(system.verifier.comm_alphabet)):

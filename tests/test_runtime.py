@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import qipsim.languages as lang
 from qipsim.provers import (DenseProver, EraseAllProver, IdentityProver, ScriptedProver,
                             densify_schedule)
-from qipsim.qfa import BLANK
+from qipsim.qfa import BLANK, HeadModel
 from qipsim.runtime import (RunError, count_interactions, expected_halting_time,
                             query_weight, run, visible_schedule)
 
@@ -112,7 +112,8 @@ def test_measure_once_equals_measure_every_when_no_early_halt(la_mo):
     # intermediate measurements take no mass and both runs agree
     for x in ("", "a", "aa", "aaa"):
         mo = run(la_mo, la_mo.honest_prover, x)
-        me = run(dataclasses.replace(la_mo, measure_once=False), la_mo.honest_prover, x)
+        every = dataclasses.replace(la_mo.verifier, head_model=HeadModel.ONE_WAY)
+        me = run(dataclasses.replace(la_mo, verifier=every), la_mo.honest_prover, x)
         assert mo.p_acc == pytest.approx(me.p_acc, abs=1e-9)
         assert mo.p_rej == pytest.approx(me.p_rej, abs=1e-9)
 

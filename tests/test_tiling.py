@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import os
 import subprocess
 import sys
@@ -70,6 +72,35 @@ def test_minimality_certificate():
         cells = {(r, c) for r in range(len(inst.matrix)) if rows >> r & 1
                  for c in range(len(inst.matrix)) if cols >> c & 1}
         assert cells != ones  # size 1 is impossible
+
+
+def _row_masks(matrix):
+    return [sum(1 << c for c, v in enumerate(row) if v) for row in matrix]
+
+
+@pytest.mark.parametrize("name", sorted(LANGUAGES))
+def test_maximal_tiles_are_the_maximal_all_ones_rectangles(name):
+    language, alphabet = LANGUAGES[name]
+    for n in range(3 if len(alphabet) > 2 else 4):
+        matrix = TilingInstance.build(language, n, alphabet).matrix
+        masks, tiles = _row_masks(matrix), maximal_tiles(matrix)
+        assert len(set(tiles)) == len(tiles), (name, n)
+        for rows, cols in tiles:
+            inside = [m for r, m in enumerate(masks) if rows >> r & 1]
+            common = functools.reduce(operator.and_, inside)
+            # all ones, and no column or row outside it can join it
+            assert common == cols, (name, n)
+            assert all(m & cols != cols for r, m in enumerate(masks) if not rows >> r & 1)
+        # every all-ones rectangle (R, C) lies in the one whose columns are all
+        # those common to R; shared[R] is built up over the row subsets R
+        shared = [0] * (1 << len(masks))
+        shared[0] = (1 << len(matrix[0])) - 1
+        for subset in range(1, 1 << len(masks)):
+            low = subset & -subset
+            shared[subset] = shared[subset ^ low] & masks[low.bit_length() - 1]
+            if shared[subset]:
+                assert any(subset & rows == subset and shared[subset] & cols == shared[subset]
+                           for rows, cols in tiles), (name, n, subset)
 
 
 def test_bound_hand_values():
