@@ -66,8 +66,13 @@ The identity prover and the best classical table are always in the restart
 pool, so the result can only improve on them.  Dense provers are evaluated
 in operator form by one `runtime.DenseRun` per search, one small dense block
 per round of the input's pair-graph layers.  Its forward pass keeps the
-state before every prover round, so a move on round r resumes there instead
-of replaying the unchanged prefix, and gives the floats a full pass would.
+state before and after every prover round, so a move on round r resumes
+there instead of replaying the unchanged prefix, and gives the floats a full
+pass would.  A move whose rotated rows meet no column the state occupies
+leaves the state after round r bit for bit as it was; it then costs no
+verifier round, since the rest of the pass would repeat the current one.
+This is common on a climb from a permutation, the classical seed or the
+identity.  A random restart draws all its round matrices in one call.
 `runtime.run` stays the oracle: the identity baseline, the classical search's
 replay and `replay` go through it.
 """
@@ -425,10 +430,18 @@ def best_classical_prover(system: QipSystem, x: str,
 # Quantum hill climbing
 # ---------------------------------------------------------------------------
 
-def _random_unitary(rng, dim):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    qmat, rmat = np.linalg.qr(z)
-    return qmat * (np.diagonal(rmat) / np.abs(np.diagonal(rmat)))
+def _random_unitaries(rng, n, dim):
+    """n random dim x dim unitaries, drawn in one call.
+
+    Matrix k takes the real and then the imaginary part of its Gaussian
+    draw before matrix k+1, and its QR factor's columns are fixed by the
+    phases of R's diagonal, so it is bit for bit the matrix that the k-th
+    of n single draws would give, and ``rng`` ends in the same state.
+    """
+    z = rng.normal(size=(n, 2, dim, dim))
+    qmat, rmat = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    diag = np.diagonal(rmat, axis1=1, axis2=2)
+    return qmat * (diag / np.abs(diag))[:, None, :]
 
 
 def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
@@ -441,8 +454,10 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
     The identity baseline is a `run`; every dense prover is evaluated by one
     `DenseRun` built for the search, and a Givens move, which rotates rows i
     and j of round r's matrix, resumes from the current prover's forward
-    pass just before that round.  With no prover rounds in the budget there
-    is nothing to climb, and the identity or the classical seed is the
+    pass just before that round; a move that leaves the state after that
+    round unchanged costs no verifier round.  With no prover rounds in the
+    budget, or a one-dimensional prover space, whose unitaries are phases,
+    there is nothing to climb, and the identity or the classical seed is the
     result.
     """
     budget = budget or AdversaryBudget()
@@ -465,7 +480,7 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
     if classical_seed.best_p_acc > best_p:
         best_p = classical_seed.best_p_acc
         best_desc = classical_seed.best_strategy
-    if rounds == 0:
+    if rounds == 0 or dim == 1:  # nothing to climb; a 1x1 unitary is a phase
         return AdversaryReport(best_p_acc=best_p, best_strategy=best_desc,
                                strategies_tested=tested, is_exhaustive=False,
                                seed=budget.seed)
@@ -482,10 +497,11 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
     for restart in range(budget.restarts):
         if restart == 0 and seed is not None:
             prover = seed
+        elif restart == 1:
+            prover = DenseProver(comm, tape, c,
+                                 [np.eye(dim, dtype=complex) for _ in range(rounds)])
         else:
-            prover = DenseProver(comm, tape, c, [
-                np.eye(dim, dtype=complex) if restart == 1 else _random_unitary(rng, dim)
-                for _ in range(rounds)])
+            prover = DenseProver(comm, tape, c, _random_unitaries(rng, rounds, dim))
         current = dense_run.run(prover)
         tested += 1
         sigma = 0.8
@@ -496,9 +512,10 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
             phi = rng.uniform(0, 2 * math.pi)
             # the Givens rotation in the (i, j) plane, applied to rows i and j
             cos, sin = math.cos(theta), math.sin(theta)
-            m = current.prover.matrices[r].copy()
-            m[[i, j]] = (cos * m[i] - sin * np.exp(-1j * phi) * m[j],
-                         sin * np.exp(1j * phi) * m[i] + cos * m[j])
+            base = current.prover.matrices[r]
+            m = base.copy()
+            m[i] = cos * base[i] - sin * np.exp(-1j * phi) * base[j]
+            m[j] = sin * np.exp(1j * phi) * base[i] + cos * base[j]
             moved = dense_run.resume(current, r, m)
             tested += 1
             if moved.p_acc > current.p_acc:

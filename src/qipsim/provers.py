@@ -13,7 +13,6 @@ whole visible space regardless of the rewrite map.
 """
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 
@@ -236,9 +235,10 @@ class DenseProver(ProverStrategy):
         """A copy with ``matrices[i0]`` replaced by ``m``; it shares the label
         table and the cached columns of every other round."""
         self._check_shape(m)
-        new = copy.copy(self)
-        new.matrices = self.matrices[:i0] + (m,) + self.matrices[i0 + 1:]
-        new._columns = self._columns[:i0] + [None] + self._columns[i0 + 1:]
+        new = object.__new__(type(self))
+        new.__dict__ = {**self.__dict__,
+                        "matrices": self.matrices[:i0] + (m,) + self.matrices[i0 + 1:],
+                        "_columns": self._columns[:i0] + [None] + self._columns[i0 + 1:]}
         return new
 
     def initial_tape(self, x):

@@ -290,7 +290,8 @@ def pair_layers(system: QipSystem, x: str) -> PairLayers:
     step = qfa.build_step_operator(spec, x, sparse=True)
     ptr = step.indptr[::gsz].tolist()  # pair p's entries are ptr[p]:ptr[p+1]
     to_pair, to_cell = np.divmod(step.indices, gsz)
-    from_cell = np.repeat(np.arange(step.shape[1]) % gsz, np.diff(step.indptr))
+    from_pair, from_cell = np.divmod(
+        np.repeat(np.arange(step.shape[1]), np.diff(step.indptr)), gsz)
     # states are listed continuing, accepting, rejecting, so pairs p = q·width + k
     # are too, and these are the first accepting and the first rejecting pair
     bounds = np.cumsum([len(spec.non_halting), len(spec.accepting)]) * width
@@ -298,10 +299,12 @@ def pair_layers(system: QipSystem, x: str) -> PairLayers:
     one_way = spec.head_model.one_way
     cap = t_max if one_way else max(t_max, n_pairs)
     count = np.arange(max(n_pairs, step.nnz))
-    at = np.zeros(n_pairs, dtype=np.intp)  # a pair's position among the targets
+    # a pair's position among the last round's targets; the continuing ones
+    # come first, so for this round's pairs it is their position in the layer
+    at = np.zeros(n_pairs, dtype=np.intp)
     hit = np.zeros(n_pairs, dtype=bool)
     here = np.array([spec.states.index(spec.initial) * width], dtype=np.intp)
-    layers, targets, blocks, seen = [], [], [], {}
+    layers, targets, entries, seen = [], [], [], {}
     loop = horizon = None
     for r in range(1, cap + 1):
         seen[here.tobytes()] = r - 1
@@ -319,12 +322,11 @@ def pair_layers(system: QipSystem, x: str) -> PairLayers:
             split = (reached[:0], split[1], np.concatenate((split[0], split[2])))
             reached = np.concatenate(split)
         targets.append(split)
+        source = at[from_pair[moves]]
         at[reached] = count[:len(reached)]
-        block = np.zeros((len(reached) * gsz, len(here) * gsz), dtype=complex)
-        block[at[dst] * gsz + to_cell[moves],
-              np.repeat(count[:len(here)] * gsz, [len(sp) for sp in spans])
-              + from_cell[moves]] = step.data[moves]
-        blocks.append(block)
+        # each of the round's entries: its step-operator index, target and
+        # source position, and the block's shape in pairs
+        entries.append((moves, at[dst], source, len(reached), len(here)))
         here = split[0]
         if not len(here) or (one_way and r == cap):
             horizon = r + 1
@@ -333,15 +335,40 @@ def pair_layers(system: QipSystem, x: str) -> PairLayers:
         if loop is not None:
             break
     return PairLayers(layers=tuple(layers), targets=tuple(targets),
-                      blocks=tuple(blocks), loop=loop, horizon=horizon)
+                      blocks=_scatter_blocks(step, gsz, to_cell, from_cell, entries),
+                      loop=loop, horizon=horizon)
+
+
+def _scatter_blocks(step, gsz, to_cell, from_cell, entries) -> tuple:
+    """Each round's block, scattered from ``step`` into one buffer at once.
+
+    ``entries[i]`` lists round i's step-operator entries with their target
+    and source positions, and the numbers of targets and sources.  An entry
+    goes to row target·|Gamma| + its cell symbol and column source·|Gamma| +
+    its cell symbol of block i, a C-contiguous slice of the buffer.
+    """
+    moves, target, source, n_targets, n_sources = zip(*entries)
+    shapes = [(m * gsz, n * gsz) for m, n in zip(n_targets, n_sources)]
+    ends = np.cumsum([m * n for m, n in shapes]).tolist()
+    per_round = [len(mv) for mv in moves]
+    moves = np.concatenate(moves)
+    n_cols = np.repeat([n for _m, n in shapes], per_round)
+    flat = (np.repeat([0] + ends[:-1], per_round)
+            + (np.concatenate(target) * gsz + to_cell[moves]) * n_cols
+            + np.concatenate(source) * gsz + from_cell[moves])
+    buffer = np.zeros(ends[-1], dtype=complex)
+    buffer[flat] = step.data[moves]
+    return tuple(buffer[end - m * n:end].reshape(m, n)
+                 for end, (m, n) in zip(ends, shapes))
 
 
 @dataclass(frozen=True)
 class DensePass:
     """One `DenseRun` pass: the prover, `run`'s masses, and the saved forward pass.
 
-    ``saved[i-1]`` is (state, p_acc, p_rej, max_err) just before prover round
-    i, for every round i that acted and has a matrix.
+    ``saved[i-1]`` is (state, p_acc, p_rej, max_err, moved) for every round i
+    that acted and has a matrix: the state just before prover round i, the
+    masses so far, and the state after that prover round.
     """
 
     prover: DenseProver = field(repr=False)
@@ -407,14 +434,20 @@ class DenseRun:
 
         The pass restarts from the state saved before prover round i0+1, so
         its floats are those of a full pass.  When that round never acted,
-        the masses are ``base``'s.
+        or ``m`` leaves the state after it bit for bit as it was (rows that
+        ``m`` changes meet no column the state occupies), the rest of the
+        pass would repeat ``base``'s float operations on equal inputs: the
+        masses and saved states are ``base``'s, and no verifier round runs.
         """
         prover = base.prover.with_round(i0, m)
         if i0 >= len(base.saved):
             return replace(base, prover=prover)
-        state, p_acc, p_rej, max_err = base.saved[i0]
-        return self._forward(prover, i0 + 2, self._prover_step(state, m),
-                             p_acc, p_rej, max_err, list(base.saved[:i0 + 1]))
+        state, p_acc, p_rej, max_err, was = base.saved[i0]
+        moved = self._prover_step(state, m)
+        if np.array_equal(moved, was):
+            return replace(base, prover=prover)
+        return self._forward(prover, i0 + 2, moved, p_acc, p_rej, max_err,
+                             [*base.saved[:i0], (state, p_acc, p_rej, max_err, moved)])
 
     def _prover_step(self, state: np.ndarray, m: np.ndarray) -> np.ndarray:
         return (state.reshape(-1, m.shape[0]) @ m.T).reshape(-1, self.words)
@@ -438,8 +471,9 @@ class DenseRun:
                 state = state[:0]
                 break
             if r < self.t_max and r <= len(matrices):
-                saved.append((state, p_acc, p_rej, max_err))
-                state = self._prover_step(state, matrices[r - 1])
+                moved = self._prover_step(state, matrices[r - 1])
+                saved.append((state, p_acc, p_rej, max_err, moved))
+                state = moved
         p_cont = _mass(state)
         _check_end(self.spec, self.n, rounds, p_cont, max_err)
         return DensePass(prover=prover, p_acc=p_acc, p_rej=p_rej, p_cont=p_cont,

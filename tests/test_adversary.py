@@ -8,9 +8,10 @@ import pytest
 
 from qipsim import adversary
 from qipsim.adversary import (REPLAY_TOL, AdversaryBudget, AdversaryReport,
-                              _ClassicalSearch, _table_from_description,
-                              best_classical_prover, prover_from_description,
-                              replay, search_quantum_prover)
+                              _ClassicalSearch, _random_unitaries,
+                              _table_from_description, best_classical_prover,
+                              dense_dimension, prover_from_description, replay,
+                              search_quantum_prover)
 from qipsim.linalg import ContractViolation, DomainError, check_unitary
 from qipsim.protocols import build_protocol
 from qipsim.provers import DenseProver
@@ -19,7 +20,7 @@ from qipsim.provers import (ClassicalProverTable, IdentityProver, ReversibilityE
 from qipsim.provers import dense_from_table as _table_to_dense
 from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, AlphabetError, HeadModel, QfaSpec,
                         validate_and_complete)
-from qipsim.runtime import QipSystem, _round, default_t_max, run
+from qipsim.runtime import DenseRun, QipSystem, _round, default_t_max, run
 from tests.conftest import strings
 
 
@@ -583,3 +584,121 @@ def test_quantum_search_without_prover_rounds_returns_its_seed(pal1):
     assert rep.best_p_acc == max(identity_p, classical.best_p_acc)
     assert rep.strategies_tested == 1
     assert replay(pal1, "0#1", rep) == pytest.approx(rep.best_p_acc, abs=REPLAY_TOL)
+
+
+def test_quantum_search_of_a_one_dimensional_prover_returns_its_seed():
+    # one cell symbol and no tape cells: the prover's unitary is a phase, which
+    # changes no probability, and no Givens move exists
+    h = 1 / math.sqrt(2)
+    one = 1.0 + 0j
+    spec, report = validate_and_complete(QfaSpec(
+        name="coin", non_halting=("q0",), accepting=("acc",), rejecting=("rej",),
+        initial="q0", input_alphabet=("a",), comm_alphabet=(BLANK,),
+        prover_alphabet=(BLANK,), head_model=HeadModel.ONE_WAY, delta={
+            ("q0", LEFT_END, BLANK): (("q0", BLANK, 1, one),),
+            ("q0", "a", BLANK): (("q0", BLANK, 1, one),),
+            ("q0", RIGHT_END, BLANK): (("acc", BLANK, 1, h), ("rej", BLANK, 1, h))}))
+    assert report.ok, report.violations
+    system = QipSystem(name="coin", verifier=spec, honest_prover=IdentityProver(),
+                       language=lambda x: False, claimed_bounds=(0.5, 0.5))
+    assert dense_dimension(spec, 0) == 1
+    budget = AdversaryBudget(steps=3, restarts=2, iterations=3)
+    rep = search_quantum_prover(system, "a", c=0, budget=budget)
+    assert rep.best_p_acc == run(system, IdentityProver(), "a").p_acc
+    assert rep.best_strategy == {"kind": "identity"}
+    assert rep.strategies_tested == 1
+    assert replay(system, "a", rep) == rep.best_p_acc
+
+
+def _random_unitary(rng, dim):
+    """One random unitary, drawn as the climb drew each round's matrix before
+    its restarts were drawn in one stacked call."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    qmat, rmat = np.linalg.qr(z)
+    return qmat * (np.diagonal(rmat) / np.abs(np.diagonal(rmat)))
+
+
+@pytest.mark.parametrize("n, dim", [(1, 3), (4, 3), (5, 4), (3, 12), (2, 16)])
+def test_stacked_draw_is_the_sequential_draws(n, dim):
+    for seed in range(20):
+        one_by_one, stacked = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [_random_unitary(one_by_one, dim) for _ in range(n)]
+        got = _random_unitaries(stacked, n, dim)
+        assert got.shape == (n, dim, dim)
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in want], seed
+        assert stacked.bit_generator.state == one_by_one.bit_generator.state, seed
+        assert stacked.random() == one_by_one.random()
+
+
+def _reference_climb(system, x, c, budget, classical):
+    """`search_quantum_prover`'s climb in its plainest form: each random
+    start drawn one round at a time, each Givens move built by fancy
+    indexing, and each move evaluated by a full `DenseRun.run`."""
+    spec = system.verifier
+    comm, tape = spec.comm_alphabet, spec.prover_alphabet
+    dim = dense_dimension(spec, c)
+    rounds = min(budget.steps, default_t_max(spec, x))
+    rng = np.random.default_rng(budget.seed)
+    best_p, best_desc, tested = run(system, IdentityProver(), x).p_acc, {"kind": "identity"}, 1
+    if classical.best_p_acc > best_p:
+        best_p, best_desc = classical.best_p_acc, classical.best_strategy
+    seed = None
+    if classical.best_strategy.get("kind") == "classical_table":
+        seed = _table_to_dense(_table_from_description(classical.best_strategy),
+                               comm, tape, c, rounds)
+    dense_run = DenseRun(system, x, c)
+    for restart in range(budget.restarts):
+        if restart == 0 and seed is not None:
+            prover = seed
+        else:
+            prover = DenseProver(comm, tape, c, [
+                np.eye(dim, dtype=complex) if restart == 1 else _random_unitary(rng, dim)
+                for _ in range(rounds)])
+        current = dense_run.run(prover)
+        tested += 1
+        sigma = 0.8
+        for _it in range(budget.iterations):
+            r = int(rng.integers(rounds))
+            i, j = rng.choice(dim, size=2, replace=False)
+            theta = rng.normal() * sigma
+            phi = rng.uniform(0, 2 * math.pi)
+            cos, sin = math.cos(theta), math.sin(theta)
+            m = current.prover.matrices[r].copy()
+            m[[i, j]] = (cos * m[i] - sin * np.exp(-1j * phi) * m[j],
+                         sin * np.exp(1j * phi) * m[i] + cos * m[j])
+            moved = dense_run.run(current.prover.with_round(r, m))
+            tested += 1
+            if moved.p_acc > current.p_acc:
+                current = moved
+            sigma = max(0.05, sigma * 0.97)
+        if current.p_acc > best_p:
+            best_p, best_desc = current.p_acc, current.prover.describe()
+    return best_p, best_desc, tested
+
+
+@pytest.mark.parametrize("name, x, steps, seed", [
+    ("pal_sharp:d=1", "0#1", 10, 4),
+    ("pal_sharp:d=2", "01#00", 14, 7),
+    ("pal_sharp:d=2", "1#01", 12, 8),
+    ("center:N=2", "001", 40, 13),
+])
+@pytest.mark.parametrize("seeded", ["table", "unscored table", "identity"])
+def test_quantum_search_is_the_reference_climb(name, x, steps, seed, seeded):
+    system = build_protocol(name)
+    budget = AdversaryBudget(memory_states=2, steps=steps, restarts=3,
+                             iterations=15, seed=seed)
+    classical = best_classical_prover(system, x, budget)
+    assert classical.best_strategy["kind"] == "classical_table"
+    if seeded == "unscored table":
+        # the climb from the table's permutation is then reported, not the table
+        classical = dataclasses.replace(classical, best_p_acc=0.0)
+    elif seeded == "identity":
+        classical = AdversaryReport(best_p_acc=0.0, best_strategy={"kind": "identity"},
+                                    strategies_tested=0, is_exhaustive=False)
+    rep = search_quantum_prover(system, x, c=1, budget=budget, classical_seed=classical)
+    if seeded != "table":
+        assert rep.best_strategy["kind"] == "dense"
+    best_p, best_desc, tested = _reference_climb(system, x, 1, budget, classical)
+    assert rep.best_p_acc.hex() == best_p.hex()
+    assert rep.best_strategy == best_desc
+    assert rep.strategies_tested == tested == _climbed(budget)

@@ -2,7 +2,7 @@
 
 `runtime.run` is the oracle: for random dense provers, `DenseRun` must give
 its masses and round count.  A resumed climb move must give the very floats
-of a full pass.  Every run stays inside the layers of its pair graph and
+of a full pass, also when it leaves the state unchanged and runs no round.  Every run stays inside the layers of its pair graph and
 ends before their horizon.
 """
 import functools
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qipsim import runtime
-from qipsim.adversary import DENSE_DIM_CAP, _random_unitary, dense_dimension
+from qipsim.adversary import DENSE_DIM_CAP, _random_unitaries, dense_dimension
 from qipsim.protocols import BUILTIN, build_protocol
 from qipsim.provers import (ClassicalProverTable, DenseProver, IdentityProver,
                              dense_from_table, make_classical_prover)
@@ -40,7 +40,7 @@ def _random_prover(system, c, rounds, rng):
     spec = system.verifier
     dim = dense_dimension(spec, c)
     return DenseProver(spec.comm_alphabet, spec.prover_alphabet, c,
-                       [_random_unitary(rng, dim) for _ in range(rounds)])
+                       _random_unitaries(rng, rounds, dim))
 
 
 def _inputs(system, rng):
@@ -142,7 +142,7 @@ def test_resumed_moves_match_full_passes(name, x, rounds):
     never_acted = 0
     for step in range(40):
         i0 = step % rounds
-        m = _random_unitary(rng, dim) @ current.prover.matrices[i0]
+        m = _random_unitaries(rng, 1, dim)[0] @ current.prover.matrices[i0]
         resumed = dense_run.resume(current, i0, m)
         assert [a is b for a, b in zip(resumed.prover.matrices,
                                        current.prover.matrices)] == [
@@ -161,6 +161,66 @@ def test_resumed_moves_match_full_passes(name, x, rounds):
             current = resumed
     if system.verifier.head_model.one_way:
         assert never_acted > 0
+
+
+def _givens(m, i, j, theta=0.7, phi=1.3):
+    """``m`` with rows i and j rotated in their plane."""
+    out = m.copy()
+    out[i] = math.cos(theta) * m[i] - math.sin(theta) * np.exp(-1j * phi) * m[j]
+    out[j] = math.sin(theta) * np.exp(1j * phi) * m[i] + math.cos(theta) * m[j]
+    return out
+
+
+def _assert_full_pass(dense_run, resumed):
+    full = dense_run.run(resumed.prover)
+    assert resumed.p_acc.hex() == full.p_acc.hex()
+    assert resumed.p_rej.hex() == full.p_rej.hex()
+    assert resumed.p_cont.hex() == full.p_cont.hex()
+    assert resumed.rounds_executed == full.rounds_executed
+
+
+@pytest.mark.parametrize("name, x, rounds", [
+    ("pal_sharp:d=2", "01#00", 14),
+    ("pal_sharp:d=1", "0#1", 10),
+    ("center:N=2", "001", 12),
+])
+@pytest.mark.parametrize("start", ["identity", "table"])
+def test_a_move_that_leaves_the_state_unchanged_runs_no_round(name, x, rounds, start):
+    system = _system(name)
+    spec = system.verifier
+    dense_run = DenseRun(system, x, 1)
+    dim = dense_dimension(spec, 1)
+    if start == "identity":
+        prover = DenseProver(spec.comm_alphabet, spec.prover_alphabet, 1,
+                             [np.eye(dim, dtype=complex) for _ in range(rounds)])
+    else:  # a permutation per round, which moves the cell symbol in round 1
+        table = ClassicalProverTable({(1, BLANK, "m0"): (spec.comm_alphabet[1], "m1")})
+        prover = dense_from_table(table, spec.comm_alphabet, spec.prover_alphabet, 1,
+                                  rounds)
+    current = dense_run.run(prover)
+    skipped = resumed_some = 0
+    for i0, (state, *_masses, was) in enumerate(current.saved):
+        m = current.prover.matrices[i0]
+        # rows of m that meet no column the state occupies, and one that does
+        occupied = np.any(state.reshape(-1, dim) != 0, axis=0)
+        free = [i for i in range(dim) if not np.any(m[i, occupied])]
+        busy = [i for i in range(dim) if np.any(m[i, occupied])]
+        if len(free) >= 2:
+            rotated = _givens(m, free[0], free[1])
+            resumed = dense_run.resume(current, i0, rotated)
+            # the moved prover with the current pass's masses and saved states
+            assert resumed.prover.matrices[i0] is rotated
+            assert resumed.saved is current.saved, i0
+            assert resumed.p_acc == current.p_acc, i0
+            _assert_full_pass(dense_run, resumed)
+            skipped += 1
+        if free and busy:
+            resumed = dense_run.resume(current, i0, _givens(m, busy[0], free[0]))
+            assert all(a is b for a, b in zip(resumed.saved[:i0], current.saved)), i0
+            assert not np.array_equal(resumed.saved[i0][-1], was), i0
+            _assert_full_pass(dense_run, resumed)
+            resumed_some += 1
+    assert skipped and resumed_some
 
 
 # ---------------------------------------------------------------------------
