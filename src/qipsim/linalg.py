@@ -4,15 +4,19 @@ Amplitudes are double-precision complex numbers throughout.  Sparse
 superpositions are plain dicts mapping an opaque basis label (any hashable,
 canonically an ordered tuple) to a complex amplitude; entries below the prune
 threshold are dropped so that iteration order and memory stay bounded.
+
+Sparse operators are numpy arrays of their entries: coordinate triples
+(rows, cols, values), or the compressed-column arrays of `Csc`.  Only their
+layout and Gram products are needed, so scipy.sparse is not imported.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 
 # Documented defaults, overridable through the environment (the CLI's
@@ -46,14 +50,17 @@ def unitary_deviation(m) -> float:
     Accepts a dense ndarray or a scipy sparse matrix (the latter is what the
     per-input step operators use; they have O(dim) nonzeros).
     """
-    if sp.issparse(m):
+    if hasattr(m, "tocoo"):
+        m = m.tocoo()
         rows, cols = m.shape
         if rows != cols:
             raise DimensionError(f"operator is {rows}x{cols}, not square")
         # the stored off-diagonal entries of M†M and its diagonal minus one
-        gram = (m.conj().T @ m).tocsr()
-        row = np.repeat(np.arange(rows), np.diff(gram.indptr))
-        dev = np.concatenate((gram.data[row != gram.indices], gram.diagonal() - 1))
+        i, j, g = gram_entries(m.row, m.col, m.data, cols)
+        on = i == j
+        diag = np.zeros(cols, dtype=complex)
+        diag[i[on]] = g[on]
+        dev = np.concatenate((g[~on], diag - 1))
     else:
         a = np.asarray(m, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -102,6 +109,61 @@ def near_identity_power(u, x, eps: float, n_max: int,
         if float(np.real(np.vdot(d, d))) < eps:
             return n
     return None
+
+
+# ---------------------------------------------------------------------------
+# Sparse operators as entry arrays
+# ---------------------------------------------------------------------------
+
+class Csc(NamedTuple):
+    """Compressed-column arrays: column j's entries are ``data[indptr[j]:
+    indptr[j+1]]``, in rows ``indices[indptr[j]:indptr[j+1]]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def csc_arrays(rows, cols, values, n_cols: int) -> Csc:
+    """The `Csc` form of the entries (rows, cols, values) of a matrix with
+    ``n_cols`` columns: each column's entries by row, and entries at one place
+    summed in the order given, as scipy's ``csc_matrix((values, (rows,
+    cols)))`` stores them.  Exact zeros are kept."""
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    order = np.lexsort((rows, cols))  # stable: by column, then by row
+    rows, cols, values = rows[order], cols[order], np.asarray(values, dtype=complex)[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    data = values[first]
+    if not first.all():
+        np.add.at(data, np.cumsum(first)[~first] - 1, values[~first])
+    indptr = np.zeros(n_cols + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols[first], minlength=n_cols), out=indptr[1:])
+    return Csc(indptr, rows[first], data)
+
+
+def gram_entries(rows, cols, values, n_cols: int):
+    """(i, j, value) of the entries of AᴴA, for the entries (rows, cols,
+    values) of a matrix A with ``n_cols`` columns: entries at one place of A
+    may repeat.  (AᴴA)_ij sums conj(A_ri)·A_rj over the rows r, so each row's
+    s entries give s² products; the places are listed by (i, j), and
+    products that cancel leave an exact zero."""
+    order = np.argsort(rows, kind="stable")
+    cols, values = np.asarray(cols, dtype=np.intp)[order], np.asarray(values)[order]
+    start = np.flatnonzero(np.diff(np.asarray(rows)[order], prepend=-1))  # rows are >= 0
+    size = np.diff(start, append=len(order))
+    # product o of a row's s² pairs its entries o // s and o % s
+    squares = size * size
+    o = np.arange(squares.sum()) - np.repeat(np.cumsum(squares) - squares, squares)
+    s, base = np.repeat(size, squares), np.repeat(start, squares)
+    left, right = base + o // s, base + o % s
+    keys, at = np.unique(cols[left] * n_cols + cols[right], return_inverse=True)
+    products = values[left].conj() * values[right]
+    sums = np.empty(len(keys), dtype=complex)
+    sums.real = np.bincount(at, products.real, len(keys))
+    sums.imag = np.bincount(at, products.imag, len(keys))
+    i, j = np.divmod(keys, n_cols)
+    return i, j, sums
 
 
 # ---------------------------------------------------------------------------

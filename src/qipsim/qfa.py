@@ -13,13 +13,13 @@ unspecified (state, symbol, cell) column to a fresh rejecting state.
 
 A spec compiles delta once, when it is made, into integer arrays per tape
 symbol (`_compile`): the only check of the transitions, and the table that
-validation, completion and `build_step_operator` read.
+validation, completion and `step_operator_csc` read.
 
 Validation certifies the step operator unitary for every input of each
 requested length at once (`certify_unitarity`): an entry of M†M depends only
 on two tape symbols and their distance on the circular tape, so the verdict
-comes from one sparse Gram product on the table, and every length from 3 on
-shares one verdict.
+comes from the Gram entries of the table's transitions (`linalg.gram_entries`),
+and every length from 3 on shares one verdict.
 
 The restricted-model checks (`check_structure`) read the table alone, so
 their verdict holds for every input length and no run is simulated; this
@@ -38,10 +38,10 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 # check_unitary is unused here; perfbench calls and wraps qipsim.qfa.check_unitary.
-from .linalg import PRUNE_TOL, UNITARY_TOL, DomainError, check_unitary
+from .linalg import (PRUNE_TOL, UNITARY_TOL, Csc, DomainError, check_unitary, csc_arrays,
+                     gram_entries)
 
 LEFT_END = "^"
 RIGHT_END = "$"
@@ -234,19 +234,13 @@ class ValidationReport:
 # Step operator
 # ---------------------------------------------------------------------------
 
-def build_step_operator(spec: QfaSpec, x: str, sparse: bool = False):
-    """The linear operator induced by delta on input x.
-
-    Basis is {(q, k, gamma)} with dimension |Q|·(|x|+2)·|Gamma|; the entry from
-    (q, k, gamma) to (q', k+d mod |x|+2, gamma') is delta(q, x_(k), gamma, q',
-    gamma', d).  Returns a dense ndarray, or a scipy CSC matrix when
-    ``sparse`` is set (the operators have O(dim) nonzeros, so the sparse form
-    is what validation uses).  Assembled from the spec's compiled table.
-    """
+def step_operator_csc(spec: QfaSpec, x: str) -> Csc:
+    """The compressed-column arrays of `build_step_operator`'s operator on x:
+    each basis column's entries by row, with the targets that meet summed.
+    Assembled from the spec's compiled table."""
     spec.check_input(x)
     width = len(x) + 2
     gsz = len(spec.comm_alphabet)
-    dim = len(spec.states) * width * gsz
     tape = [spec._table[sigma] for sigma in (LEFT_END, *x, RIGHT_END)]
     k = np.repeat(np.arange(width), [len(b.src) for b in tape])
     src, dst, move, amp = (np.concatenate(v) for v in
@@ -256,9 +250,28 @@ def build_step_operator(spec: QfaSpec, x: str, sparse: bool = False):
         # basis index of (q, k, gamma) is (q·width + k)·|Gamma| + gamma
         return (pair // gsz * width + k) * gsz + pair % gsz
 
-    mat = sp.csc_matrix((amp, (index(dst, (k + move) % width), index(src, k))),
-                        shape=(dim, dim), dtype=complex)
-    return mat if sparse else mat.toarray()
+    return csc_arrays(index(dst, (k + move) % width), index(src, k), amp,
+                      len(spec.states) * width * gsz)
+
+
+def build_step_operator(spec: QfaSpec, x: str, sparse: bool = False):
+    """The linear operator induced by delta on input x.
+
+    Basis is {(q, k, gamma)} with dimension |Q|·(|x|+2)·|Gamma|; the entry from
+    (q, k, gamma) to (q', k+d mod |x|+2, gamma') is delta(q, x_(k), gamma, q',
+    gamma', d).  Returns a dense ndarray, or a scipy CSC matrix when
+    ``sparse`` is set (the operators have O(dim) nonzeros).  Both hold the
+    arrays of `step_operator_csc`.
+    """
+    csc = step_operator_csc(spec, x)
+    dim = len(csc.indptr) - 1
+    if sparse:
+        import scipy.sparse as sp  # loaded only for callers that ask for it
+
+        return sp.csc_matrix((csc.data, csc.indices, csc.indptr), shape=(dim, dim))
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[csc.indices, np.repeat(np.arange(dim), np.diff(csc.indptr))] = csc.data
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +282,7 @@ def _orthonormality_violations(spec: QfaSpec, columns, pairs, tol):
     """(tape symbol, text) for each specified column whose norm is not 1 and
     each overlapping pair of columns on one symbol, from ``columns``: every
     symbol's specified columns in table order.  Only columns of one symbol
-    that share a row can overlap; if some do, one Gram product finds them.
+    that share a row can overlap; if some do, their Gram entries find them.
     Per symbol, norms come first, then pairs by the first target (in delta
     order) that they share, then by key.
     """
@@ -281,15 +294,15 @@ def _orthonormality_violations(spec: QfaSpec, columns, pairs, tol):
     found = [(sym[j], 0, j, f"column {pairs[key[j]]} has norm {math.sqrt(norm[j]):.6g}, not 1")
              for j in np.flatnonzero(np.abs(norm - 1.0) > 2 * tol + tol * tol)]
     if len(np.unique(sym[col_of] * len(pairs) + columns.indices)) < len(col_of):
-        gram = (columns.conj().T @ columns).tocoo()
-        over = ((gram.row < gram.col) & (sym[gram.row] == sym[gram.col])
-                & (np.abs(gram.data) > tol))
+        row, col, data = gram_entries(columns.indices, col_of, columns.data, len(key))
+        over = (row < col) & (sym[row] == sym[col]) & (np.abs(data) > tol)
         # first position of each (symbol, target pair) among the targets
         uses, first = np.unique(np.concatenate(
             [s * len(pairs) + b.dst for s, b in enumerate(blocks)]), return_index=True)
-        for i, j, ip in zip(gram.row[over], gram.col[over], np.abs(gram.data[over])):
-            shared = sym[i] * len(pairs) + np.intersect1d(columns[:, i].indices,
-                                                          columns[:, j].indices)
+        ptr = columns.indptr
+        for i, j, ip in zip(row[over], col[over], np.abs(data[over])):
+            shared = sym[i] * len(pairs) + np.intersect1d(columns.indices[ptr[i]:ptr[i + 1]],
+                                                          columns.indices[ptr[j]:ptr[j + 1]])
             a, b = sorted((pairs[key[i]], pairs[key[j]]))
             found.append((sym[i], 1, first[np.searchsorted(uses, shared)].min(), a, b,
                           f"columns {a} and {b} are not orthogonal (|<a,b>|={ip:.6g})"))
@@ -336,10 +349,8 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
     for start, b in zip(starts, blocks):
         column[b.cols] = start + np.arange(len(b.cols))
         at.append(column[b.src])
-    columns = sp.csc_matrix(
-        (np.concatenate([b.amp for b in blocks]),
-         (np.concatenate([b.dst for b in blocks]), np.concatenate(at))),
-        shape=(len(all_pairs), starts[-1]), dtype=complex)
+    columns = csc_arrays(np.concatenate([b.dst for b in blocks]), np.concatenate(at),
+                         np.concatenate([b.amp for b in blocks]), starts[-1])
 
     report.violations = _orthonormality_violations(spec, columns, all_pairs, tol)
     if report.violations:
@@ -465,17 +476,27 @@ def certify_unitarity(spec: QfaSpec, lengths) -> dict[int, tuple[float, str | No
     src, dst, move, amp = (np.concatenate(v) for v in
                            zip(*((b.src, b.dst, b.move, b.amp) for b in blocks)))
     # [L_-1 L_0 L_+1] as one matrix: its Gram holds the nine products L_d1ᴴ L_d2
-    stacked = sp.csr_matrix((amp, (dst, ((move + 1) * t + sym) * p + src)),
-                            shape=(p, 3 * t * p))
-    gram = (stacked.conj().T @ stacked).tocoo()
-    d1, row = np.divmod(gram.row, t * p)
-    d2, col = np.divmod(gram.col, t * p)
+    tp = t * p
+    row, col, data = gram_entries(dst, ((move + 1) * t + sym) * p + src, amp, 3 * tp)
+    d1, row = np.divmod(row, tp)
+    d2, col = np.divmod(col, tp)
+    # the places (row, col) of the products and of I, listed by block (σ, τ) =
+    # (row // P, col // P); block divmod(keys[i], t) starts at place start[i]
+    diag = np.arange(tp)
+    row, col = np.concatenate([row, diag]), np.concatenate([col, diag])
+    places, at = np.unique((row // p * t + col // p) * tp * tp + row * tp + col,
+                           return_inverse=True)
+    keys, start = np.unique(places // (tp * tp), return_index=True)
+    # each product and each −1 of −I, its offset d1 − d2 and its place
+    entries = (np.concatenate([data, np.full(tp, -1.0)]),
+               np.concatenate([d1 - d2, np.zeros(tp, dtype=np.intp)]), at, len(places))
+    by_block = (start, *np.divmod(keys, t))
     worst = {}  # width, 5 standing for every width >= 5 -> (deviation, σ, τ, offset)
     out = {}
     for n in lengths:
         w = min(n + 2, 5)
         if w not in worst:
-            worst[w] = _worst_block(gram.data, d1 - d2, row, col, _cells(t, w), p)
+            worst[w] = _worst_block(*entries, *by_block, _cells(t, w))
         dev, sigma, tau, offset = worst[w]
         out[n] = (dev, None if sigma is None else _witness(spec, n, sigma, tau, offset))
     return out
@@ -490,25 +511,28 @@ def _cells(t, w):
     return cells
 
 
-def _worst_block(data, diff, row, col, cells, p):
+def _worst_block(values, offset, at, n, start, sigma, tau, cells):
     """(deviation, σ, τ, offset) of the block of M†M − I that deviates most
     among those that occur on a tape whose cells are ``cells``, with the
     offset k2 − k1 as a representative in −2..2, or (0.0, None, None, None)
-    when nothing deviates or no tape exists.  ``data``, ``row`` and ``col``
-    are the entries of the products L_d1ᴴ L_d2 and their places in them,
-    ``diff`` their d1 − d2."""
+    when nothing deviates or no tape exists.  ``values`` are the entries of
+    the products L_d1ᴴ L_d2 and of −I, with their offsets d1 − d2 and their
+    places among n, which are listed by block: block (sigma[i], tau[i]) from
+    place start[i] on.
+    """
     w, t = cells.shape
     if not cells.any(axis=1).all():  # an empty input alphabet gives no tape
         return 0.0, None, None, None
-    tp = t * p
-    diag = np.arange(tp)
-    # H_r − [r = 0]·I stacked over the residues r mod w; csr sums the duplicates
-    h = sp.csr_matrix((np.concatenate([data, np.full(tp, -1.0)]),
-                       (np.concatenate([diff % w * tp + row, diag]),
-                        np.concatenate([col, diag]))), shape=(w * tp, tp))
-    r, row = np.divmod(np.repeat(np.arange(w * tp), np.diff(h.indptr)), tp)
+    # |H_r − [r = 0]·I|² for each residue r mod w, at every place; the
+    # amplitudes are at most 1 in magnitude, so the squares cannot overflow
+    key = offset % w * n + at
+    h = np.bincount(key, values.real, w * n)
+    h *= h
+    im = np.bincount(key, values.imag, w * n)
+    im *= im
+    h += im
     dev = np.zeros((w, t, t))
-    np.maximum.at(dev, (r, row // p, h.indices // p), np.abs(h.data))
+    dev[:, sigma, tau] = np.sqrt(np.maximum.reduceat(h.reshape(w, n), start, axis=1))
     # occurs[r, σ, τ]: some cell k can hold σ while cell k + r holds τ
     shifted = cells[(np.arange(w)[:, None] + np.arange(w)) % w]
     occurs = np.einsum("ks,rkt->rst", cells.astype(int), shifted.astype(int)) > 0

@@ -285,20 +285,20 @@ def pair_layers(system: QipSystem, x: str) -> PairLayers:
     t_max, once = _run_length(spec, x, None)
     gsz = len(spec.comm_alphabet)
     width = len(x) + 2
-    # through the module, where perfbench's traced run wraps it; a CSC matrix
-    # lists each basis column's entries together, so a pair's are contiguous
-    step = qfa.build_step_operator(spec, x, sparse=True)
+    # read through the module, where a tracer can wrap it; compressed columns
+    # list each basis column's entries together, so a pair's are contiguous
+    step = qfa.step_operator_csc(spec, x)
     ptr = step.indptr[::gsz].tolist()  # pair p's entries are ptr[p]:ptr[p+1]
     to_pair, to_cell = np.divmod(step.indices, gsz)
     from_pair, from_cell = np.divmod(
-        np.repeat(np.arange(step.shape[1]), np.diff(step.indptr)), gsz)
+        np.repeat(np.arange(len(step.indptr) - 1), np.diff(step.indptr)), gsz)
     # states are listed continuing, accepting, rejecting, so pairs p = q·width + k
     # are too, and these are the first accepting and the first rejecting pair
     bounds = np.cumsum([len(spec.non_halting), len(spec.accepting)]) * width
     n_pairs = len(spec.states) * width
     one_way = spec.head_model.one_way
     cap = t_max if one_way else max(t_max, n_pairs)
-    count = np.arange(max(n_pairs, step.nnz))
+    count = np.arange(max(n_pairs, len(step.data)))
     # a pair's position among the last round's targets; the continuing ones
     # come first, so for this round's pairs it is their position in the layer
     at = np.zeros(n_pairs, dtype=np.intp)

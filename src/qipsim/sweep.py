@@ -1,7 +1,6 @@
 """Probability tables over all inputs up to a length."""
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .adversary import AdversaryBudget, best_classical_prover
@@ -66,6 +65,9 @@ def sweep_named(name: str, n_max: int, t_max: int | None = None,
     system = build_protocol(name)
     if jobs <= 1:
         return sweep(system, n_max, t_max, budget, cap)
+    # a pool loads multiprocessing, which a single-process sweep never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     budget = budget or AdversaryBudget()
     work = [(x, t_max, budget) for x in _inputs(system, n_max, cap)]
     with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linalg import DomainError
 
@@ -136,7 +135,9 @@ def tiling_complexity(lang, n: int, alphabet=("0", "1"),
     dual bound does not prove the cover minimal, which happens whenever the
     LP relaxation lies a whole tile or more below the optimum.
     """
-    # scipy.optimize adds about 0.3 s to `import qipsim`; only this needs it
+    # scipy.optimize and scipy.sparse would add about 0.6 s to `import qipsim`;
+    # only this needs them
+    import scipy.sparse as sp
     from scipy.optimize import LinearConstraint, linprog, milp
 
     inst = TilingInstance.build(lang, n, alphabet)

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import qipsim
 from qipsim.cli import main, make_parser
 from qipsim.languages import LANGUAGES
+from qipsim.protocols import build_protocol
 from qipsim.specfile import serialize_spec
 from tests.test_tiling import GAP_LANGUAGE
 
@@ -292,3 +299,55 @@ def test_quantum_adversary_without_prover_rounds(capsys):
     record = json.loads(out)
     assert record["strategies_tested"] == 1
     assert record["best_strategy"]["kind"] in ("identity", "classical_table")
+
+
+# Every build, run, search, replay and validation path, in one fresh process.
+EVERY_PATH = """
+import contextlib, io, sys
+import qipsim.cli
+from qipsim.adversary import (AdversaryBudget, best_classical_prover, replay,
+                              search_quantum_prover)
+from qipsim.protocols import BUILTIN, build_protocol
+from qipsim.runtime import run
+from tests.conftest import strings
+
+for name in BUILTIN:
+    system = build_protocol(name)
+    member = next((x for x in strings(system.verifier.input_alphabet, 4)
+                   if system.member(x)), None)
+    if member is not None:  # npfa_coin's language is empty
+        run(system, system.honest_prover, member)
+system = build_protocol("pal_sharp:d=1")
+budget = AdversaryBudget(steps=6, restarts=1, iterations=2)
+for report in (best_classical_prover(system, "0#1", budget),
+               search_quantum_prover(system, "0#1", budget=budget)):
+    replay(system, "0#1", report)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert qipsim.cli.main(["validate", "specs/la_mo.qfa", "--lengths", "0:4"]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                or m in ("multiprocessing", "concurrent.futures.process"))
+sys.exit(" ".join(loaded) or None)
+"""
+
+
+def test_commands_leave_scipy_and_multiprocessing_unloaded():
+    # scipy.sparse alone would add about 0.2 s and 20 MB to every process
+    root = Path(qipsim.__file__).resolve().parents[2]
+    done = subprocess.run([sys.executable, "-c", EVERY_PATH], cwd=root,
+                          env={**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}"},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_scipy_callers_still_get_scipy():
+    import scipy.sparse as sp
+
+    from qipsim.qfa import build_step_operator
+    from qipsim.tiling import tiling_complexity
+
+    spec = build_protocol("odd").verifier
+    step = build_step_operator(spec, "01", sparse=True)
+    assert isinstance(step, sp.csc_matrix)
+    assert np.array_equal(step.toarray(), build_step_operator(spec, "01"))
+    lid, alphabet = LANGUAGES["center"]
+    assert tiling_complexity(lid, 3, alphabet=alphabet) == 6

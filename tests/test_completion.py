@@ -78,6 +78,25 @@ def test_step_operator_matches_reference(name):
                           reference_step_operator(spec, "").toarray())
 
 
+@pytest.mark.parametrize("name", BUILT_INS)
+def test_step_operator_csc_is_scipys_layout(name):
+    # width 2 (the empty input) sends head moves -1 and +1 to one row
+    spec = verifier(name)
+    for x in strings(spec.input_alphabet, 2):
+        csc, ref = qfa.step_operator_csc(spec, x), reference_step_operator(spec, x)
+        assert np.array_equal(csc.indptr, ref.indptr), (name, x)
+        assert np.array_equal(csc.indices, ref.indices), (name, x)
+        assert csc.data.tobytes() == ref.data.tobytes(), (name, x)
+
+
+def test_step_operator_csc_sums_moves_that_meet():
+    csc = qfa.step_operator_csc(two_moves_to_one_target(), "")
+    ref = reference_step_operator(two_moves_to_one_target(), "")
+    assert np.array_equal(csc.indptr, ref.indptr) and len(csc.data) == ref.nnz == 1
+    assert csc.data.tobytes() == ref.data.tobytes()
+    assert csc.data[0] == pytest.approx(math.sqrt(2))
+
+
 def test_step_operator_matches_reference_on_hand_built_columns():
     spec = two_moves_to_one_target()
     for x in ("", "a", "aa"):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qipsim.linalg import (ContractViolation, DimensionError, DomainError,
-                           check_unitary, near_identity_power, phase,
-                           prune, qft_matrix, unitary_deviation)
+                           check_unitary, csc_arrays, gram_entries, near_identity_power,
+                           phase, prune, qft_matrix, unitary_deviation)
 
 
 def test_check_unitary_identity():
@@ -118,3 +118,52 @@ def test_unitary_deviation_sparse_and_dense(m, dev):
     m = m.astype(complex)
     assert unitary_deviation(m) == pytest.approx(dev)
     assert unitary_deviation(sp.csc_matrix(m)) == pytest.approx(dev)
+
+
+# Entries of a matrix with at most 4 rows and columns; the values are exact in
+# binary, so sums in any order agree, and repeats and cancellations are common.
+coo_entries = st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, 3), st.integers(0, max(n - 1, 0)),
+                                   st.sampled_from([1, -1, 1j, -1j, 0.5, -0.5 + 0.25j])),
+                         max_size=12 if n else 0)))
+
+
+def dense_from_entries(n, entries):
+    a = np.zeros((4, n), dtype=complex)
+    for r, c, v in entries:
+        a[r, c] += v
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(coo_entries)
+def test_gram_entries_equal_the_dense_gram(drawn):
+    n, entries = drawn
+    rows, cols, values = (np.array(v) for v in zip(*entries)) if entries else ([],) * 3
+    i, j, g = gram_entries(np.asarray(rows, dtype=np.intp), cols, values, n)
+    keys = i * n + j
+    assert np.array_equal(keys, np.unique(keys))  # each place once, by (i, j)
+    gram = np.zeros((n, n), dtype=complex)
+    gram[i, j] = g
+    a = dense_from_entries(n, entries)
+    assert np.array_equal(gram, a.conj().T @ a)
+
+
+def test_gram_entries_keep_a_cancelled_place():
+    # conj(1)·1 + conj(1)·(-1) cancels; the place stays with an exact zero
+    i, j, g = gram_entries(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+                           np.array([1, 1, 1, -1], dtype=complex), 2)
+    assert (i.tolist(), j.tolist(), g.tolist()) == ([0, 0, 1, 1], [0, 1, 0, 1],
+                                                    [2, 0, 0, 2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(coo_entries)
+def test_csc_arrays_equal_scipy_csc(drawn):
+    n, entries = drawn
+    rows, cols, values = (list(v) for v in zip(*entries)) if entries else ([],) * 3
+    csc = csc_arrays(rows, cols, values, n)
+    ref = sp.csc_matrix((np.array(values, dtype=complex), (rows, cols)), shape=(4, n))
+    assert np.array_equal(csc.indptr, ref.indptr)
+    assert np.array_equal(csc.indices, ref.indices)
+    assert csc.data.tobytes() == ref.data.tobytes()
