@@ -23,7 +23,7 @@ from .automata import (Dfa, Npfa, Rfa, all_a_rfa, end_one_dfa, even_a_rfa,
 from .linalg import phase
 from .provers import EraseAllProver, IdentityProver, ProverStrategy, ScriptedProver
 from .qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, SpecError,
-                  symbol_at, validate_and_complete)
+                  public_symbol, symbol_at, validate_and_complete)
 from .runtime import QipSystem, _round, default_t_max
 
 _SQ2 = 1 / math.sqrt(2)
@@ -129,7 +129,7 @@ def zero_public_protocol() -> QipSystem:
 
     honest = ScriptedProver(script_builder=script, name="zero_end_signaller")
     return QipSystem(name="zero_public", verifier=spec, honest_prover=honest,
-                     language=languages.zero, claimed_bounds=(1.0, 1.0), public=True)
+                     language=languages.zero, claimed_bounds=(1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def rfa_public_protocol(rfa: Rfa, name: str = "rfa_public") -> QipSystem:
     spec = tb.build(rfa.initial)
     return QipSystem(name=name, verifier=spec, honest_prover=IdentityProver(),
                      language=lambda x: rfa.accepts(x) is True,
-                     claimed_bounds=(1.0, 1.0), public=True)
+                     claimed_bounds=(1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +455,6 @@ def center_protocol(n_branches: int) -> QipSystem:
 # Upal with a public verifier
 # ---------------------------------------------------------------------------
 
-def _enc(q: str, d: int) -> str:
-    return f"{q},{d:+d}"
-
-
 def upal_protocol(n_branches: int) -> QipSystem:
     """Public polynomial-time system for 0^n 1^n.
 
@@ -481,7 +477,7 @@ def upal_protocol(n_branches: int) -> QipSystem:
         dirs[f"m[{j}]"] = +1
         for k in range(1, max(N - j, j) + 1):
             dirs[f"i[{j},{k}]"] = 0
-    comm = (BLANK,) + tuple(_enc(q, d) for q, d in sorted(dirs.items()))
+    comm = (BLANK,) + tuple(public_symbol(q, d) for q, d in sorted(dirs.items()))
     tb = TableBuilder(f"upal[N={N}]", HeadModel.TWO_WAY, ("0", "1"), comm)
     p0 = tb.state("p0", "non", +1)
     for q, d in sorted(dirs.items()):
@@ -493,7 +489,7 @@ def upal_protocol(n_branches: int) -> QipSystem:
     zeros_rej = tb.state("rej[zeros]", "rej", 0)
 
     def ann(q):
-        return _enc(q, dirs[q])
+        return public_symbol(q, dirs[q])
 
     tb.add(p0, LEFT_END, BLANK, ("pz", ann("pz")))
     tb.add("pz", RIGHT_END, ann("pz"), ("acc[empty]", BLANK))
@@ -533,8 +529,7 @@ def upal_protocol(n_branches: int) -> QipSystem:
 
     spec = tb.build(p0)
     return QipSystem(name=f"upal[N={N}]", verifier=spec, honest_prover=IdentityProver(),
-                     language=languages.upal, claimed_bounds=(1.0, 1.0 - 1.0 / N),
-                     public=True)
+                     language=languages.upal, claimed_bounds=(1.0, 1.0 - 1.0 / N))
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +553,14 @@ def npfa_to_qip(npfa: Npfa, name: str = "npfa", error_bound: float = 0.0) -> Qip
     comm = {BLANK, QUERY}
     for (q, _sigma), choices in npfa.delta.items():
         if q in npfa.prob_states:
-            comm.add(_enc(q, 1))
+            comm.add(public_symbol(q, 1))
         else:
             for (p2, d2) in choices:
-                comm.add(_enc(p2, d2))
-                comm.add(_enc(q + "~", d2))
+                comm.add(public_symbol(p2, d2))
+                comm.add(public_symbol(q + "~", d2))
     tb = TableBuilder(name, HeadModel.TWO_WAY, npfa.alphabet,
                       tuple(sorted(comm, key=lambda s: (s != BLANK, s))))
 
-    dirs: dict[tuple[str, str], int] = {}
     for q in npfa.prob_states + npfa.nondet_states:
         tb.state(q, "non")
     for q in npfa.nondet_states:
@@ -580,13 +574,14 @@ def npfa_to_qip(npfa: Npfa, name: str = "npfa", error_bound: float = 0.0) -> Qip
     for (q, sigma), choices in sorted(npfa.delta.items()):
         if q in npfa.prob_states:
             (p0, _), (p1, _) = choices
-            marker = _enc(q, 1)
+            marker = public_symbol(q, 1)
             rows[(q, sigma, BLANK)] = [(p0, marker, 1, _SQ2), (p1, marker, 1, _SQ2)]
         else:
             hat = q + "~"
             rows[(q, sigma, BLANK)] = [(hat, QUERY, 0, 1.0)]
             for (p2, d2) in choices:
-                rows[(hat, sigma, _enc(p2, d2))] = [(p2, _enc(hat, d2), d2, 1.0)]
+                rows[(hat, sigma, public_symbol(p2, d2))] = [
+                    (p2, public_symbol(hat, d2), d2, 1.0)]
     for key, targets in rows.items():
         tb.delta[key] = tuple((q2, g2, d, complex(a)) for (q2, g2, d, a) in targets)
 
@@ -615,7 +610,7 @@ def npfa_to_qip(npfa: Npfa, name: str = "npfa", error_bound: float = 0.0) -> Qip
                     v = successor_value(values, k, choice, width)
                     if v > best_v:
                         best_v = v
-                        rule[QUERY] = _enc(*choice)
+                        rule[QUERY] = public_symbol(*choice)
                 elif g != BLANK:
                     rule[g] = BLANK
             if rule:
@@ -657,6 +652,7 @@ def union_protocol(s1: QipSystem, s2: QipSystem, name: str | None = None) -> Qip
     # merge the pre-completion cores; the union spec is completed as a whole
     for prefix, v in subs:
         dropped = set(v.completion_states)
+        completion = v.completion_keys
         for q in v.non_halting:
             tb.state(prefix + q, "non")
         for q in v.accepting:
@@ -665,7 +661,7 @@ def union_protocol(s1: QipSystem, s2: QipSystem, name: str | None = None) -> Qip
             if q not in dropped:
                 tb.state(prefix + q, "rej")
         for (q, sigma, g), targets in v.delta.items():
-            if (q, sigma, g) in v.completion_keys:
+            if (q, sigma, g) in completion:
                 continue
             tb.delta[(prefix + q, sigma, g)] = tuple(
                 (prefix + q2, g2, d, amp) for (q2, g2, d, amp) in targets)

@@ -105,7 +105,6 @@ class QfaSpec:
     head_model: HeadModel
     delta: Mapping[DeltaKey, tuple[Transition, ...]]
     completion_states: tuple[str, ...] = ()
-    completion_keys: frozenset[DeltaKey] = frozenset()
 
     def __post_init__(self):
         # a read-only view of a private copy, so that _table cannot go stale
@@ -125,6 +124,14 @@ class QfaSpec:
     @property
     def tape_symbols(self) -> tuple[str, ...]:
         return (LEFT_END,) + self.input_alphabet + (RIGHT_END,)
+
+    @property
+    def completion_keys(self) -> frozenset[DeltaKey]:
+        """The rows of the canonical completion: those that leave or enter a
+        completion state.  Protocol rows predate those states."""
+        comp = set(self.completion_states)
+        return frozenset(key for key, targets in self.delta.items()
+                         if key[0] in comp or any(t[0] in comp for t in targets))
 
     def is_halting(self, q: str) -> bool:
         return q in self._halting
@@ -339,8 +346,9 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
     blocks = spec._table.values()
     # delta keys are unique, so n_pairs - len(cols) columns are unspecified
     n_fresh = max(-(-(n_pairs - len(b.cols)) // gsz) for b in blocks)
-    taken = sum(1 for s in spec.states if s.startswith("~rej"))
-    fresh = tuple(f"~rej{taken + i}" for i in range(n_fresh))
+    names = set(spec.states)
+    fresh = tuple(itertools.islice((f"~rej{i}" for i in itertools.count()
+                                    if f"~rej{i}" not in names), n_fresh))
     all_pairs = [(q, g) for q in spec.states + fresh for g in spec.comm_alphabet]
     # every symbol's specified columns over target pairs, shared targets summed
     starts = np.cumsum([0] + [len(b.cols) for b in blocks])
@@ -369,6 +377,7 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
             for (q2, g2, d, _amp) in targets:
                 dmap.setdefault((q2, g2), d)
         default_d = 1 if spec.head_model.one_way else 0
+        completion = set(spec.completion_states + fresh)
         new_delta = dict(spec.delta)
         fresh_cols = all_pairs[n_pairs:]
         for start, (sigma, block) in zip(starts, spec._table.items()):
@@ -378,16 +387,14 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
                     (*target, dmap.get(target, default_d), 1.0 + 0j),)
             # leftover image space goes to the fresh states' own columns
             leftover = _leftover_basis(columns, start, block.cols,
-                                       range(n_pairs, n_pairs + len(missing)), all_pairs, tol)
+                                       range(n_pairs, n_pairs + len(missing)), all_pairs,
+                                       completion, tol)
             for (f, g), vec in zip(fresh_cols, leftover):
                 new_delta[(f, sigma, g)] = tuple(
                     (*all_pairs[i], dmap.get(all_pairs[i], default_d), amp)
                     for i, amp in vec)
-        completed = replace(
-            spec, rejecting=spec.rejecting + fresh, delta=new_delta,
-            completion_states=spec.completion_states + fresh,
-            completion_keys=frozenset(spec.completion_keys)
-            | (new_delta.keys() - spec.delta.keys()))
+        completed = replace(spec, rejecting=spec.rejecting + fresh, delta=new_delta,
+                            completion_states=spec.completion_states + fresh)
     report.completed_transitions = len(completed.delta) - len(spec.delta)
 
     for n, (dev, witness) in certify_unitarity(completed, lengths).items():
@@ -398,7 +405,7 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
     return completed, report
 
 
-def _leftover_basis(columns, start, cols, units, all_pairs, tol):
+def _leftover_basis(columns, start, cols, units, all_pairs, completion, tol):
     """Orthonormal basis of the orthocomplement of one symbol's assigned columns.
 
     These are the specified columns, ``len(cols)`` of them from column
@@ -406,12 +413,13 @@ def _leftover_basis(columns, start, cols, units, all_pairs, tol):
     the fresh pairs in ``units``, which the unspecified columns enter.
     Returned as one sparse vector [(index, amp), ...] per fresh pair.  Rows
     that no assigned column touches become unit vectors, handed out first,
-    those on fresh rejecting states ahead of the rest, so that completion
-    junk stays, as far as possible, inside the rejecting family.  The rows
-    touched by columns that are not unit vectors form a block together with
-    every column that has an entry there; the block's orthocomplement comes
-    from an SVD of the block alone and is handed out last.  Axis-aligned
-    tables (the common case) have an empty block and are completed exactly.
+    those on the states in ``completion`` (old and fresh) ahead of the rest,
+    so that completion junk stays, as far as possible, inside the rejecting
+    family.  The rows touched by columns that are not unit vectors form a
+    block together with every column that has an entry there; the block's
+    orthocomplement comes from an SVD of the block alone and is handed out
+    last.  Axis-aligned tables (the common case) have an empty block and are
+    completed exactly.
     """
     ptr = columns.indptr[start:start + len(cols) + 1]
     rows, amps = columns.indices[ptr[0]:ptr[-1]], columns.data[ptr[0]:ptr[-1]]
@@ -420,7 +428,7 @@ def _leftover_basis(columns, start, cols, units, all_pairs, tol):
     # the rows of the columns that are not unit vectors
     block_rows = np.unique(rows[(counts[entry_col] != 1) | (np.abs(np.abs(amps) - 1.0) > tol)])
     free = sorted(set(range(len(all_pairs))).difference(rows.tolist(), units),
-                  key=lambda i: (0 if all_pairs[i][0].startswith("~rej") else 1, i))
+                  key=lambda i: (all_pairs[i][0] not in completion, i))
     out = [[(i, 1.0 + 0j)] for i in free]
     if len(block_rows):
         # the block's columns, in key order, have all their entries in its rows
@@ -560,8 +568,9 @@ def _witness(spec, n, sigma, tau, offset):
 # Structural validators
 # ---------------------------------------------------------------------------
 
-def public_symbol(q: str, d: int, one_way: bool) -> str:
-    """Cell encoding of a public verifier's announced move."""
+def public_symbol(q: str, d: int, one_way: bool = False) -> str:
+    """Cell encoding of a public verifier's announced move: the state it
+    enters, and for a head that is not one-way the head move too."""
     return q if one_way else f"{q},{d:+d}"
 
 
@@ -592,14 +601,15 @@ def check_structure(spec: QfaSpec, mode: StructureMode) -> ValidationReport:
     halting state before $.
     """
     report = ValidationReport()
+    completion = spec.completion_keys
     own = [(key, tgt) for key, tgts in spec.delta.items()
-           if key not in spec.completion_keys for tgt in tgts]
+           if key not in completion for tgt in tgts]
 
     if mode is StructureMode.ONE_WAY_HALTING:
         if not spec.head_model.one_way:
             report.violations.append(("", "head model is not one-way"))
         for key, targets in spec.delta.items():
-            if key[1] != RIGHT_END or (spec.is_halting(key[0]) and key in spec.completion_keys):
+            if key[1] != RIGHT_END or (spec.is_halting(key[0]) and key in completion):
                 continue
             for (q2, _g2, _d, _amp) in targets:
                 if not spec.is_halting(q2):

@@ -61,7 +61,6 @@ class QipSystem:
     honest_prover: ProverStrategy
     language: object  # callable str -> bool
     claimed_bounds: tuple[float, float]
-    public: bool = False
     interaction_bounded: bool = False
 
     def member(self, x: str) -> bool:
@@ -159,12 +158,6 @@ def _apply_prover(prover: ProverStrategy, x: str, i: int, state: dict) -> dict:
     return out
 
 
-def run(system: QipSystem, prover: ProverStrategy, x: str,
-        t_max: int | None = None) -> RunResult:
-    """Execute the protocol on input x and account for all probability mass."""
-    return _run(system.verifier, prover, x, t_max)
-
-
 def _run_length(spec: QfaSpec, x: str, t_max) -> tuple[int, int | None]:
     """The checked input's round limit, ``t_max`` or its default, capped at
     n+2 for one-way heads; and `_measure`'s ``once``: n+2 for a measure-once
@@ -187,7 +180,10 @@ def _check_end(spec: QfaSpec, n: int, rounds: int, p_cont: float, max_err: float
         raise RunError(f"probability conservation violated by {max_err:.3g}")
 
 
-def _run(spec: QfaSpec, prover: ProverStrategy, x: str, t_max):
+def run(system: QipSystem, prover: ProverStrategy, x: str,
+        t_max: int | None = None) -> RunResult:
+    """Execute the protocol on input x and account for all probability mass."""
+    spec = system.verifier
     t_max, once = _run_length(spec, x, t_max)
     n = len(x)
     width = n + 2
@@ -391,7 +387,7 @@ class DenseRun:
     transpose of ``matrices[i-1]``, whose basis is ``DenseProver.labels``.
     The layers carry `_measure`'s rule, and the round loop, the stop when
     the continuing mass falls below PRUNE_TOL and the end checks are
-    `_run`'s.  No amplitude is pruned and a transition
+    `run`'s.  No amplitude is pruned and a transition
     missing from delta shows up only as lost mass, so the masses agree with
     `run`'s up to rounding.
     """

@@ -182,12 +182,6 @@ def parse_spec(text: str) -> QfaSpec:
         delta.setdefault(key, [])
         delta[key].append((q2, g2, d, amp))
 
-    # a transition belongs to the canonical completion iff it leaves or enters
-    # a completion state; protocol rows predate those states
-    comp = set(completion)
-    keys = frozenset(
-        key for key, targets in delta.items()
-        if key[0] in comp or any(t[0] in comp for t in targets))
     return QfaSpec(
         name=meta.get("name", "spec"),
         non_halting=tuple(non), accepting=tuple(acc), rejecting=tuple(rej),
@@ -196,7 +190,6 @@ def parse_spec(text: str) -> QfaSpec:
         prover_alphabet=prover, head_model=head,
         delta={k: tuple(v) for k, v in delta.items()},
         completion_states=tuple(completion),
-        completion_keys=keys,
     )
 
 

@@ -1,5 +1,6 @@
 """Block-local completion and the compiled step table."""
 import cmath
+import dataclasses
 import functools
 import itertools
 import math
@@ -18,6 +19,7 @@ from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, SpecErro
                         build_step_operator, certify_unitarity, symbol_at,
                         validate_and_complete)
 from tests.conftest import strings
+from tests.test_qfa import la_partial_spec, random_one_way_spec
 
 # Every built-in at its default parameters plus the larger instances.
 BUILT_INS = (
@@ -170,6 +172,33 @@ def test_completion_keeps_specified_rows_and_confines_block_vectors():
             spread.append(sigma)
     # the endmarker's block has rank 1 of 2, so exactly one fresh column spans it
     assert spread == [LEFT_END]
+
+
+def test_completion_keys_are_the_rows_completion_adds():
+    partials = [hadamard_spec(), la_partial_spec(),
+                *(random_one_way_spec(random.Random(seed)) for seed in range(20))]
+    for partial in partials:
+        completed, _report = validate_and_complete(partial)
+        assert completed.completion_keys == completed.delta.keys() - partial.delta.keys()
+        if not partial.delta:
+            continue
+        # re-completion after a specified row is removed: the old keys plus the new rows
+        gone = min(partial.delta)
+        trimmed = dataclasses.replace(
+            completed, delta={k: v for k, v in completed.delta.items() if k != gone})
+        again, _report = validate_and_complete(trimmed)
+        assert again.completion_keys == (completed.completion_keys
+                                         | (again.delta.keys() - trimmed.delta.keys()))
+
+
+def test_fresh_state_names_skip_every_name_in_use():
+    # a protocol state named like a fresh one keeps its name and is no completion state
+    spec = dataclasses.replace(la_partial_spec(), rejecting=("q_rej", "~rej1"))
+    completed, report = validate_and_complete(spec)
+    assert report.ok, report.violations
+    fresh = ("~rej0", "~rej2", "~rej3", "~rej4", "~rej5")
+    assert completed.completion_states == fresh
+    assert completed.rejecting == ("q_rej", "~rej1", *fresh)
 
 
 def test_report_carries_the_largest_unitarity_deviation():

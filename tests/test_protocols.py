@@ -15,6 +15,7 @@ from qipsim.qfa import (BLANK, HeadModel, StructureMode, build_step_operator,
                         check_structure)
 from qipsim.runtime import default_t_max, run
 from tests.conftest import sample_inputs, strings
+from tests.test_round_reference import ref_apply_prover, ref_apply_verifier, ref_measure
 
 
 def members(system, n_max, alphabet=None):
@@ -67,11 +68,11 @@ ALL_NAMES = ["zero_public", "la_mo", "odd", "pal_sharp:d=2", "center:N=2",
 
 
 def test_declared_modes_match_structure_checks():
+    public = {name for name in ALL_NAMES + ["upal:N=4"]
+              if check_structure(build_protocol(name).verifier, StructureMode.PUBLIC).ok}
+    assert public == {"zero_public", "upal:N=2", "upal:N=4", "rfa_even_a", "rfa_all_a"}
     for name in ALL_NAMES:
-        system = build_protocol(name)
-        spec = system.verifier
-        if system.public:
-            assert check_structure(spec, StructureMode.PUBLIC).ok, name
+        spec = build_protocol(name).verifier
         if spec.head_model is HeadModel.MO_1WAY:
             assert check_structure(spec, StructureMode.MEASURE_ONCE).ok, name
         if spec.head_model.one_way:
@@ -85,18 +86,11 @@ def test_honest_prover_is_isometry_on_reachable_pairs(name):
     system = build_protocol(name)
     spec = system.verifier
     prover = system.honest_prover
-    from qipsim.qfa import symbol_at
     for x in strings(spec.input_alphabet, 4):
-        n = len(x)
         state = {(spec.initial, 0, BLANK, prover.initial_tape(x)): 1.0 + 0j}
         for r in range(1, run(system, prover, x).rounds_executed + 1):
-            nxt = {}
-            for (q, k, g, y), amp in state.items():
-                for (q2, g2, d, a) in spec.delta[(q, symbol_at(x, k), g)]:
-                    lbl = (q2, (k + d) % (n + 2), g2, y)
-                    nxt[lbl] = nxt.get(lbl, 0j) + amp * a
-            state = {lbl: a for lbl, a in nxt.items()
-                     if abs(a) > 1e-12 and not spec.is_halting(lbl[0])}
+            _acc, _rej, state = ref_measure(
+                spec, ref_apply_verifier(spec, x, state, len(x) + 2))
             if not state:
                 break
             images = {}
@@ -107,12 +101,7 @@ def test_honest_prover_is_isometry_on_reachable_pairs(name):
                 key = tuple(sorted((g2, y2) for (g2, y2, _a) in out))
                 assert key not in images, (name, x, r, "pairs collide")
                 images[key] = True
-            moved = {}
-            for (q, k, g, y), amp in state.items():
-                for (g2, y2, a) in prover.apply(x, r, g, y):
-                    lbl = (q, k, g2, y2)
-                    moved[lbl] = moved.get(lbl, 0j) + amp * a
-            state = {lbl: a for lbl, a in moved.items() if abs(a) > 1e-12}
+            state = ref_apply_prover(prover, x, r, state)
 
 
 # -- eraser protocol against direct DFA simulation ---------------------------

@@ -164,11 +164,14 @@ def test_one_way_halting_needs_every_non_halting_dollar_column():
 
 
 def test_one_way_halting_checks_completion_rows_out_of_non_halting_states():
+    # (q0, $, #) enters the completion state c, so it is a completion row
+    h = 1 / math.sqrt(2)
     spec = dataclasses.replace(
-        la_partial_spec(), completion_keys=frozenset({("q0", RIGHT_END, BLANK)}),
+        la_partial_spec(), rejecting=("q_rej", "c"), completion_states=("c",),
         delta={**la_partial_spec().delta,
-               ("q0", RIGHT_END, BLANK): (("q1", "a", 1, 1.0),),
+               ("q0", RIGHT_END, BLANK): (("c", BLANK, 1, h), ("q1", "a", 1, h)),
                ("q1", RIGHT_END, "a"): (("q_rej", BLANK, 1, 1.0),)})
+    assert spec.completion_keys == {("q0", RIGHT_END, BLANK)}
     report = check_structure(spec, StructureMode.ONE_WAY_HALTING)
     assert report.violations == [
         (RIGHT_END, "transition ('q0', '$', '#') -> q1 does not halt at $")]
@@ -230,8 +233,9 @@ def sampled_one_way_halting(spec):
     completion enters a non-halting state, and identity-prover runs that
     measure after every round leave no mass on any input of length <= 4; a
     RunError counts as a failure."""
+    completion = spec.completion_keys
     for (q, sigma, gamma), targets in spec.delta.items():
-        if (sigma == RIGHT_END and (q, sigma, gamma) not in spec.completion_keys
+        if (sigma == RIGHT_END and (q, sigma, gamma) not in completion
                 and not all(spec.is_halting(q2) for (q2, _g, _d, _a) in targets)):
             return False
     system = measuring_every_round(spec)

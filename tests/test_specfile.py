@@ -96,6 +96,8 @@ def test_round_trip_bit_exact_for_all_builtins():
         back = parse_spec(text)
         assert back.delta == spec.delta, name
         assert back.states == spec.states, name
+        assert back.completion_states == spec.completion_states, name
+        assert back.completion_keys == spec.completion_keys, name
         assert serialize_spec(back) == text, name
 
 
