@@ -189,8 +189,7 @@ def odd_protocol() -> QipSystem:
 
     spec = tb.build(q0)
     return QipSystem(name="odd", verifier=spec, honest_prover=EraseAllProver(),
-                     language=languages.odd, claimed_bounds=(1.0, 1.0),
-                     interaction_bounded=True)
+                     language=languages.odd, claimed_bounds=(1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

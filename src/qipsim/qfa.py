@@ -21,9 +21,11 @@ on two tape symbols and their distance on the circular tape, so the verdict
 comes from the Gram entries of the table's transitions (`linalg.gram_entries`),
 and every length from 3 on shares one verdict.
 
-The restricted-model checks (`check_structure`) read the table alone, so
-their verdict holds for every input length and no run is simulated; this
-module depends on `linalg` only.
+The restricted-model checks (`check_structure`: one-way halting, public,
+measure-once, interaction-bounded) read the table alone, so their verdict
+holds for every input length and no run is simulated; `interaction_bound`
+reads the query bound off the same table.  This module depends on `linalg`
+only.
 """
 from __future__ import annotations
 
@@ -67,6 +69,7 @@ class StructureMode(str, Enum):
     ONE_WAY_HALTING = "one_way_halting"
     PUBLIC = "public"
     MEASURE_ONCE = "measure_once"
+    INTERACTION_BOUNDED = "interaction_bounded"
 
 
 class SpecError(ValueError):
@@ -574,6 +577,60 @@ def public_symbol(q: str, d: int, one_way: bool = False) -> str:
     return q if one_way else f"{q},{d:+d}"
 
 
+def interaction_bound(spec: QfaSpec) -> int | None:
+    """The most queries on any run of the verifier, for every input, prover
+    and round limit, or None when the table does not bound them
+    (`_query_paths`)."""
+    return _query_paths(spec)[0]
+
+
+def _query_paths(spec: QfaSpec) -> tuple[int | None, tuple | None]:
+    """(bound, None), or (None, (row, q', cell symbol written)) naming a query
+    edge on a cycle reachable from the initial state.
+
+    The state graph has an edge q -> q' for every row (q, sigma, gamma) and
+    every target of nonzero amplitude, by `runtime._measure`'s rule: a
+    measure-many run measures halting labels off after every move, so their
+    rows are dropped and only non-halting states continue; a measure-once run
+    measures nothing before move n+2, so every state keeps its rows and
+    continues.  A query edge writes a non-blank cell symbol into a state that
+    continues; the bound is the heaviest query path from the initial state.
+
+    A longest-path relaxation: without a reachable query cycle the heaviest
+    paths are simple, so a pass after |Q| - 1 changes nothing.  If pass |Q|+1
+    still changes a state, its predecessor chain cannot reach back to the
+    initial state (its value exceeds every simple path's), so |Q| steps back
+    along it land on a cycle of predecessor edges, and such a cycle carries a
+    query edge (its values strictly grew around it).
+    """
+    once = spec.head_model is HeadModel.MO_1WAY
+    edges: dict = {}  # (q, q', query) -> (row, cell symbol), the first row
+    for key, targets in spec.delta.items():
+        if once or not spec.is_halting(key[0]):
+            for (q2, g2, _d, amp) in targets:
+                if amp != 0:
+                    query = g2 != BLANK and (once or not spec.is_halting(q2))
+                    edges.setdefault((key[0], q2, query), (key, g2))
+    best = {spec.initial: 0}
+    pred: dict = {}  # q' -> the edge that last raised best[q']
+    for _ in range(len(spec.states) + 1):
+        last = None
+        for edge in edges:
+            q, q2, query = edge
+            if q in best and best[q] + query > best.get(q2, -1):
+                best[q2] = best[q] + query
+                pred[q2] = edge
+                last = q2
+        if last is None:
+            return max(best.values()), None
+    for _ in spec.states:
+        last = pred[last][0]
+    while not pred[last][2]:
+        last = pred[last][0]
+    key, g2 = edges[pred[last]]
+    return None, (key, last, g2)
+
+
 def check_structure(spec: QfaSpec, mode: StructureMode) -> ValidationReport:
     """Scan a spec's transition table against one of the restricted-model
     disciplines.  The verdict holds for every input length and is recorded as
@@ -599,6 +656,13 @@ def check_structure(spec: QfaSpec, mode: StructureMode) -> ValidationReport:
 
     MEASURE_ONCE: the head is measure-once 1-way and no transition enters a
     halting state before $.
+
+    INTERACTION_BOUNDED: no cycle reachable from the initial state carries a
+    query edge of `_query_paths`'s state graph, so `interaction_bound` bounds
+    the queries of every run; the violation names one such edge.  Completion
+    rows count here: a measure-once run follows those out of halting states.
+    The graph ignores interference and tape order, so it holds every path a
+    run can take: "bounded" is a proof, and "unbounded" only a refusal.
     """
     report = ValidationReport()
     completion = spec.completion_keys
@@ -638,6 +702,13 @@ def check_structure(spec: QfaSpec, mode: StructureMode) -> ValidationReport:
                 report.violations.append(
                     (sigma,
                      f"transition {(q, sigma, gamma)} -> {q2} halts before the final step"))
+
+    elif mode is StructureMode.INTERACTION_BOUNDED:
+        _bound, cycle = _query_paths(spec)
+        if cycle is not None:
+            key, q2, g2 = cycle
+            report.violations.append(
+                (key[1], f"query transition {key} -> ({q2}, {g2!r}) lies on a cycle"))
     else:
         raise DomainError(f"unknown structure mode {mode}")
     report.well_formed[0] = not report.violations

@@ -61,7 +61,6 @@ class QipSystem:
     honest_prover: ProverStrategy
     language: object  # callable str -> bool
     claimed_bounds: tuple[float, float]
-    interaction_bounded: bool = False
 
     def member(self, x: str) -> bool:
         return bool(self.language(x))
@@ -559,14 +558,16 @@ def count_interactions(system: QipSystem, prover: ProverStrategy, x: str,
     leaves running and that holds a non-blank cell symbol.  Paths are chains
     through the parent->child links of the sparse evolution; when paths
     merge, the query count merges by maximum (the conservative reading of a
-    per-path count).  Requires an interaction-bounded system and a committed
-    prover.
+    per-path count).  Requires a committed prover and an interaction-bounded
+    system, which the verifier's table decides: the count never exceeds
+    `qfa.interaction_bound`, and `qfa.check_structure(..., INTERACTION_BOUNDED)`
+    names a query cycle of a system it refuses.
     """
     from .provers import check_committed
 
-    if not system.interaction_bounded:
-        raise RunError(f"system {system.name} is not interaction-bounded")
     spec = system.verifier
+    if qfa.interaction_bound(spec) is None:
+        raise RunError(f"system {system.name} is not interaction-bounded")
     t_max, once = _run_length(spec, x, t_max)
     width = len(x) + 2
     tape = [symbol_at(x, k) for k in range(width)]

@@ -96,6 +96,19 @@ def test_validate_good_file(tmp_path, capsys):
     assert payload["structure_ok"]
 
 
+def test_validate_measure_once_query_cycle_exit_1(tmp_path, capsys):
+    spec = build_protocol("la_mo").verifier
+    path = tmp_path / "la.qfa"
+    path.write_text(serialize_spec(spec))
+    code, out, _ = run_cli(capsys, "validate", str(path), "--structure", "interaction_bounded")
+    assert code == 1
+    payload = json.loads(out)
+    assert all(payload["well_formed"].values())
+    assert not payload["structure_ok"]
+    [(_sigma, text)] = payload["structure_violations"]
+    assert text.startswith("query transition") and text.endswith("lies on a cycle")
+
+
 def test_validate_duplicated_column_exit_1(tmp_path, capsys):
     text = """\
 [meta]

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,7 @@ from qipsim.protocols import (build_protocol, center_protocol, eraser_protocol,
                               upal_protocol)
 from qipsim.provers import IdentityProver, ScriptedProver
 from qipsim.qfa import (BLANK, HeadModel, StructureMode, build_step_operator,
-                        check_structure)
+                        check_structure, interaction_bound)
 from qipsim.runtime import default_t_max, run
 from tests.conftest import sample_inputs, strings
 from tests.test_round_reference import ref_apply_prover, ref_apply_verifier, ref_measure
@@ -68,11 +69,22 @@ ALL_NAMES = ["zero_public", "la_mo", "odd", "pal_sharp:d=2", "center:N=2",
 
 
 def test_declared_modes_match_structure_checks():
-    public = {name for name in ALL_NAMES + ["upal:N=4"]
-              if check_structure(build_protocol(name).verifier, StructureMode.PUBLIC).ok}
+    specs = {name: build_protocol(name).verifier for name in ALL_NAMES + ["upal:N=4"]}
+    public = {name for name, spec in specs.items()
+              if check_structure(spec, StructureMode.PUBLIC).ok}
     assert public == {"zero_public", "upal:N=2", "upal:N=4", "rfa_even_a", "rfa_all_a"}
+    bounded = {name for name, spec in specs.items()
+               if check_structure(spec, StructureMode.INTERACTION_BOUNDED).ok}
+    assert bounded == {"odd", "npfa_single_a"}
+    assert {name: interaction_bound(specs[name]) for name in specs} == {
+        name: {"odd": 1, "npfa_single_a": 5}.get(name) for name in specs}
+    # la_mo's halting states keep moving until the one measurement after move
+    # n+2, and with the identity prover its counts reach n on a^n; the
+    # measure-many reading of the same table drops those rows and bounds it by 1
+    assert "la_mo" not in bounded
+    assert interaction_bound(replace(specs["la_mo"], head_model=HeadModel.ONE_WAY)) == 1
     for name in ALL_NAMES:
-        spec = build_protocol(name).verifier
+        spec = specs[name]
         if spec.head_model is HeadModel.MO_1WAY:
             assert check_structure(spec, StructureMode.MEASURE_ONCE).ok, name
         if spec.head_model.one_way:

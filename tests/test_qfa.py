@@ -274,6 +274,61 @@ def test_one_way_halting_table_rule_matches_the_sampled_check():
     assert len(verdicts) == 4 and min(verdicts.values()) >= 10, verdicts
 
 
+def walk_levels(spec, start, steps):
+    """The heaviest query count of the walks from ``start`` of each length up
+    to ``steps``, as {state: count} per length, on the state graph of the
+    measurement rule: measure-many runs drop halting labels, measure-once runs
+    keep every label until the end."""
+    once = spec.head_model is HeadModel.MO_1WAY
+    edges = [(q, q2, g2 != BLANK and (once or not spec.is_halting(q2)))
+             for (q, _sigma, _gamma), targets in spec.delta.items()
+             if once or not spec.is_halting(q)
+             for (q2, g2, _d, amp) in targets if amp != 0]
+    levels = [{start: 0}]
+    for _ in range(steps):
+        nxt = {}
+        for q, q2, query in edges:
+            if q in levels[-1]:
+                nxt[q2] = max(nxt.get(q2, 0), levels[-1][q] + query)
+        levels.append(nxt)
+    return levels
+
+
+def test_interaction_bound_matches_walk_enumeration():
+    # a simple path carries at most |Q| - 1 queries, and with a query cycle
+    # reachable some walk of at most |Q| - 1 + |Q|^2 edges carries |Q|
+    specs = [build_protocol(name).verifier
+             for name in ("odd", "la_mo", "zero_public", "npfa_single_a", "rfa_all_a")]
+    specs += [validate_and_complete(random_one_way_spec(random.Random(seed)))[0]
+              for seed in range(60)]
+    # a query loop of amplitude 0 is no edge: odd stays bounded by 1
+    odd = specs[0]
+    loop = (odd.delta[("q0", "0", BLANK)][0], ("q0", "a", 1, 0j))
+    specs.append(dataclasses.replace(odd, delta={**odd.delta, ("q0", "0", BLANK): loop}))
+    verdicts = Counter()
+    for spec in specs:
+        n = len(spec.states)
+        levels = walk_levels(spec, spec.initial, n - 1 + n * n)
+        heaviest = max(max(level.values(), default=0) for level in levels)
+        bound = qfa.interaction_bound(spec)
+        assert bound == (heaviest if heaviest < n else None), spec.name
+        report = check_structure(spec, StructureMode.INTERACTION_BOUNDED)
+        assert report.ok == (bound is not None)
+        verdicts[spec.head_model, report.ok] += 1
+        if bound is None:
+            # the named row writes a query into q2, its state is reachable,
+            # and q2 leads back to it
+            key, q2, g2 = qfa._query_paths(spec)[1]
+            assert (q2, g2) in [t[:2] for t in spec.delta[key]] and g2 != BLANK
+            assert key[0] in set().union(*levels)
+            assert key[0] in set().union(*walk_levels(spec, q2, n))
+            assert report.violations == [
+                (key[1], f"query transition {key} -> ({q2}, {g2!r}) lies on a cycle")]
+    assert qfa.interaction_bound(specs[-1]) == 1
+    assert min(verdicts[head, ok] for head in (HeadModel.ONE_WAY, HeadModel.MO_1WAY)
+               for ok in (True, False)) >= 5, verdicts
+
+
 def test_alphabet_error():
     spec = la_partial_spec()
     with pytest.raises(Exception, match="alphabet"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import qipsim.languages as lang
 from qipsim.provers import (DenseProver, EraseAllProver, IdentityProver, ScriptedProver,
                             densify_schedule)
-from qipsim.qfa import BLANK, HeadModel
+from qipsim.qfa import BLANK, HeadModel, interaction_bound
 from qipsim.runtime import (RunError, count_interactions, expected_halting_time,
                             query_weight, run, visible_schedule)
 
@@ -208,8 +208,7 @@ def _merging_paths_system(querying_first: bool):
     spec, report = validate_and_complete(spec)
     assert report.ok
     return QipSystem(name="merge", verifier=spec, honest_prover=IdentityProver(),
-                     language=lambda x: True, claimed_bounds=(1.0, 1.0),
-                     interaction_bounded=True)
+                     language=lambda x: True, claimed_bounds=(1.0, 1.0))
 
 
 # Both orders of the round-1 split, so that a merge keeping only the first or
@@ -221,3 +220,23 @@ def test_count_interactions_merges_paths_by_maximum(querying_first):
     assert count_interactions(system, IdentityProver(), "aaa") == 3
     assert count_interactions(system, IdentityProver(), "aaa", t_max=1) == 1
     assert count_interactions(system, IdentityProver(), "aaa", t_max=3) == 2
+
+
+def test_interaction_counts_stay_within_the_table_bound(odd):
+    from qipsim.protocols import build_protocol
+    from tests.conftest import strings
+
+    npfa = build_protocol("npfa_single_a")
+    cases = [(odd, prover, x) for x in strings("01", 8)
+             for prover in (odd.honest_prover, IdentityProver())]
+    # the identity prover only: for the honest one, check_committed's
+    # reachable tape set exceeds provers.MAX_TAPE_STATES at n = 1 and raises
+    # ValueError
+    cases += [(npfa, IdentityProver(), "a" * n) for n in range(7)]
+    for system, prover, x in cases:
+        assert count_interactions(system, prover, x) <= interaction_bound(system.verifier), (
+            system.name, x)
+    for querying_first in (True, False):
+        system = _merging_paths_system(querying_first)
+        assert count_interactions(system, IdentityProver(), "aaa") == 3
+        assert interaction_bound(system.verifier) == 3

@@ -106,6 +106,11 @@ def test_shipped_example_is_the_serialized_la_mo_verifier():
     assert text == serialize_spec(q.build_protocol("la_mo").verifier)
 
 
+def test_shipped_odd_spec_is_the_serialized_odd_verifier():
+    text = (Path(__file__).parents[1] / "specs" / "odd.qfa").read_text()
+    assert text == serialize_spec(q.build_protocol("odd").verifier)
+
+
 def test_parse_errors():
     with pytest.raises(ParseError, match="missing"):
         parse_spec("[meta]\nname x\n")
