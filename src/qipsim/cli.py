@@ -18,7 +18,7 @@ from .adversary import (AdversaryBudget, BudgetError, best_classical_prover,
                         search_quantum_prover)
 from .languages import LANGUAGES
 from .linalg import DomainError
-from .protocols import BUILTIN, build_protocol
+from .protocols import BUILTIN, ProtocolError, build_protocol
 from .provers import EraseAllProver, IdentityProver, make_classical_prover
 from .qfa import (AlphabetError, SpecError, StructureMode, check_structure,
                   validate_and_complete)
@@ -106,11 +106,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        system = build_protocol(args.protocol)
-    except KeyError:
-        print(f"unknown protocol {args.protocol!r}", file=sys.stderr)
-        return 2
+    system = build_protocol(args.protocol)
     prover = _load_prover(args.prover, system)
     res = run(system, prover, args.input, args.t_max)
     record = {"command": "run", "protocol": args.protocol, "input": args.input,
@@ -132,9 +128,6 @@ def cmd_sweep(args) -> int:
     try:
         rows = sweep_named(args.protocol, args.n_max, args.t_max, budget,
                            jobs=args.jobs)
-    except KeyError:
-        print(f"unknown protocol {args.protocol!r}", file=sys.stderr)
-        return 2
     except SizeError as exc:
         print(f"sweep too large: {exc}", file=sys.stderr)
         return 1
@@ -148,11 +141,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_adversary(args) -> int:
-    try:
-        system = build_protocol(args.protocol)
-    except KeyError:
-        print(f"unknown protocol {args.protocol!r}", file=sys.stderr)
-        return 2
+    system = build_protocol(args.protocol)
     system.verifier.check_input(args.input)
     budget = AdversaryBudget(memory_states=args.memory, steps=args.steps,
                              restarts=args.restarts, iterations=args.iterations,
@@ -196,9 +185,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qipsim",
         description="Simulate and analyse interactive proof systems with "
-                    "quantum-finite-automaton verifiers.",
-        epilog="Tolerance profile: set QIPSIM_UNITARY_TOL and QIPSIM_PRUNE_TOL "
-               "to override the built-in 1e-9 / 1e-12 defaults.")
+                    "quantum-finite-automaton verifiers.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -264,6 +251,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except ProtocolError as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 2
     except (AlphabetError, BudgetError, DomainError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)

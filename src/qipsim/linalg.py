@@ -13,16 +13,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from typing import NamedTuple
 
 import numpy as np
 
 
-# Documented defaults, overridable through the environment (the CLI's
-# tolerance profile) or per call where a knob is exposed.
-UNITARY_TOL = float(os.environ.get("QIPSIM_UNITARY_TOL") or 1e-9)
-PRUNE_TOL = float(os.environ.get("QIPSIM_PRUNE_TOL") or 1e-12)
+# Fixed tolerances; a call that exposes a ``tol`` argument may pass another.
+UNITARY_TOL = 1e-9
+PRUNE_TOL = 1e-12
 # Read by nothing in the library, whose probability comparisons use 1e-9
 # bounds named where they are made; perfbench/run.py prints it.
 PROB_TOL = 1e-6

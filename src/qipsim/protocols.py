@@ -3,6 +3,8 @@
 Each constructor assembles the verifier's partial transition table (as the
 protocols are usually written down), closes it with the canonical completion
 so that every step operator is unitary, and pairs it with the honest prover.
+A table lists the rows that continue or accept, plus the rejections inside a
+superposition; the completion rejects every column it leaves out.
 Honest provers that depend on the input (the bit feeder for separated
 palindromes, the center signaller, the end-of-prefix signaller) are per-round
 classical scripts computed from the input at run time.
@@ -14,6 +16,7 @@ what keeps the circular-tape step operators unitary.
 """
 from __future__ import annotations
 
+import inspect
 import math
 
 from . import languages
@@ -24,9 +27,13 @@ from .linalg import phase
 from .provers import EraseAllProver, IdentityProver, ProverStrategy, ScriptedProver
 from .qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, SpecError,
                   public_symbol, symbol_at, validate_and_complete)
-from .runtime import QipSystem, _round, default_t_max
+from .runtime import QipSystem, _round, _run_length
 
 _SQ2 = 1 / math.sqrt(2)
+
+
+class ProtocolError(ValueError):
+    """A protocol name, parameter or parameter value that no built-in takes."""
 
 
 class TableBuilder:
@@ -48,12 +55,6 @@ class TableBuilder:
         if d is None:
             d = 1 if self.head_model.one_way else 0
         self.dirs[q] = d
-        return q
-
-    def fresh_reject(self, tag):
-        q = f"rej[{tag}]"
-        if q not in self.rej:
-            self.state(q, "rej")
         return q
 
     def add(self, q, sigma, gamma, *targets):
@@ -100,25 +101,21 @@ def zero_public_protocol() -> QipSystem:
 
     The verifier announces its state each step; the honest prover blanks the
     announcement exactly when the head is on the rightmost symbol of the
-    proper prefix, telling the verifier where the final symbol starts.
+    proper prefix, telling the verifier where the final symbol starts.  A
+    misplaced or missing signal, and a final symbol other than 0, reject by
+    omission.
     """
     tb = TableBuilder("zero_public", HeadModel.ONE_WAY, ("0", "1"), (BLANK, "q0", "q1"))
     q0 = tb.state("q0", "non")
     q1 = tb.state("q1", "non")
     accs = {g: tb.state(f"acc[{g}]", "acc") for g in (BLANK, "q0", "q1")}
-    rejs = {g: tb.state(f"rej[{g}]", "rej") for g in (BLANK, "q0", "q1")}
 
     tb.add(q0, LEFT_END, BLANK, (q0, "q0"))
     for b in ("0", "1"):
         tb.add(q0, b, "q0", (q0, "q0"))
-        tb.add(q0, b, "q1", (rejs["q1"], BLANK))
-    tb.add(q0, "1", BLANK, (rejs[BLANK], BLANK))
     tb.add(q0, "0", BLANK, (q1, "q1"))
     for g in (BLANK, "q0", "q1"):
-        tb.add(q0, RIGHT_END, g, (rejs[g], BLANK))
         tb.add(q1, RIGHT_END, g, (accs[g], BLANK))
-        for b in ("0", "1"):
-            tb.add(q1, b, g, (rejs[g], "q0"))
 
     spec = tb.build(q0)
 
@@ -142,13 +139,10 @@ def la_mo_protocol() -> QipSystem:
     q0 = tb.state("q0", "non")
     q1 = tb.state("q1", "non")
     qacc = tb.state("q_acc", "acc")
-    qrej = tb.state("q_rej", "rej")
 
     tb.add(q0, LEFT_END, BLANK, (q0, BLANK))
     tb.add(q0, "a", BLANK, (q1, "a"))
     tb.add(q1, "a", BLANK, (q1, BLANK))
-    for b in (BLANK, "a"):
-        tb.add(q0, RIGHT_END, b, (qrej, b))
     tb.add(q1, RIGHT_END, BLANK, (qacc, BLANK))
 
     spec = tb.build(q0)
@@ -164,28 +158,23 @@ def odd_protocol() -> QipSystem:
     """Interaction-bounded system for 0^m 1 z, z with an odd number of 0s.
 
     The verifier queries once, at the first 1; a committed prover must erase
-    the query symbol or be caught deterministically.
+    the query symbol or be caught deterministically: an unerased query, like
+    an input without a 1, rejects by omission.
     """
     tb = TableBuilder("odd", HeadModel.ONE_WAY, ("0", "1"), (BLANK, "a"))
     q0 = tb.state("q0", "non")
     q1 = tb.state("q1", "non")
     q2 = tb.state("q2", "non")
     qacc = tb.state("q_acc", "acc")
-    qrej0 = tb.state("q_rej0", "rej")
-    qrej1 = tb.state("q_rej1", "rej")
 
     tb.add(q0, LEFT_END, BLANK, (q0, BLANK))
     tb.add(q0, "0", BLANK, (q0, BLANK))
     tb.add(q0, "1", BLANK, (q1, "a"))
-    tb.add(q0, RIGHT_END, BLANK, (qrej0, BLANK))
     tb.add(q1, "0", BLANK, (q2, BLANK))
     tb.add(q1, "1", BLANK, (q1, BLANK))
-    tb.add(q1, RIGHT_END, BLANK, (qrej1, BLANK))
     tb.add(q2, "0", BLANK, (q1, BLANK))
     tb.add(q2, "1", BLANK, (q2, BLANK))
     tb.add(q2, RIGHT_END, BLANK, (qacc, BLANK))
-    tb.add(q1, "0", "a", (qrej0, BLANK))
-    tb.add(q1, "1", "a", (qrej0, BLANK))
 
     spec = tb.build(q0)
     return QipSystem(name="odd", verifier=spec, honest_prover=EraseAllProver(),
@@ -210,13 +199,13 @@ def eraser_protocol(dfa: Dfa, name: str | None = None) -> QipSystem:
     for q in dfa.states:
         tb.state(q, "non")
     vacc = tb.state("v_acc", "acc")
-    vrej = tb.state("v_rej", "rej")
 
     for q in dfa.states:
         tb.add(q, LEFT_END, BLANK, (q, q))
         for a in dfa.alphabet:
             tb.add(q, a, BLANK, (dfa.delta[(q, a)], q))
-        tb.add(q, RIGHT_END, BLANK, (vacc if q in dfa.accepting else vrej, q))
+        if q in dfa.accepting:
+            tb.add(q, RIGHT_END, BLANK, (vacc, q))
 
     spec = tb.build(dfa.initial)
     return QipSystem(name=tb.name, verifier=spec, honest_prover=EraseAllProver(),
@@ -264,7 +253,7 @@ def pal_sharp_protocol(d: int) -> QipSystem:
     when the input is a separated palindrome.
     """
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise ProtocolError(f"pal_sharp needs d >= 1, got {d}")
     sigma = ("0", "1", "#")
     comm = (BLANK, "0", "1")
     tb = TableBuilder(f"pal_sharp[d={d}]", HeadModel.TWO_WAY, sigma, comm)
@@ -283,8 +272,6 @@ def pal_sharp_protocol(d: int) -> QipSystem:
         tb.state(f"qp[{s}]", "non", +1)
         tb.state(f"q1[{s}]", "non", -1)
         tb.state(f"q2[{s}]", "non", +1)
-        for i in (0, 1, 2):
-            tb.state(f"r{i}[{s}]", "rej", 0)
     for s in stages:
         if len(s) == d - 1:
             tb.state(q0(s + "0"), "acc", 0)
@@ -292,27 +279,14 @@ def pal_sharp_protocol(d: int) -> QipSystem:
 
     for s in stages:
         qp, q1, q2 = f"qp[{s}]", f"q1[{s}]", f"q2[{s}]"
-        r0, r1, r2 = f"r0[{s}]", f"r1[{s}]", f"r2[{s}]"
         tb.add(q0(s), LEFT_END, BLANK, (qp, BLANK))
         tb.add(q1, LEFT_END, BLANK, (q0(s + "0"), BLANK))
         tb.add(q2, RIGHT_END, BLANK, (q0(s + "1"), BLANK))
-        tb.add(qp, RIGHT_END, BLANK, (r0, BLANK))
         for a in ("0", "1"):
-            tb.add(q1, LEFT_END, a, (r1, a))
-            tb.add(q2, LEFT_END, a, (r2, a))
-            tb.add(q1, RIGHT_END, a, (r1, a))
-            tb.add(q2, RIGHT_END, a, (r2, a))
             tb.add(qp, a, BLANK, (qp, BLANK))
             tb.add(q1, a, a, (q1, a))
             tb.add(q2, a, a, (q2, a))
-            for g in comm:
-                if g != a:
-                    tb.add(q1, a, g, (r1, g))
-                    tb.add(q2, a, g, (r2, g))
         tb.add(qp, "#", BLANK, (q1, BLANK, _SQ2), (q2, BLANK, _SQ2))
-        for g in comm:
-            tb.add(q1, "#", g, (r1, g))
-            tb.add(q2, "#", g, (r2, g))
 
     spec = tb.build(q0(""))
 
@@ -366,7 +340,7 @@ def center_protocol(n_branches: int) -> QipSystem:
     branches and the branches stay coherent.
     """
     if n_branches < 2:
-        raise ValueError("need at least 2 branches")
+        raise ProtocolError(f"center needs at least 2 branches, got {n_branches}")
     N = n_branches
     tb = TableBuilder(f"center[N={N}]", HeadModel.TWO_WAY, ("0", "1"), (BLANK, "1"))
     q0 = tb.state("q0", "non", +1)
@@ -390,11 +364,7 @@ def center_protocol(n_branches: int) -> QipSystem:
 
     tb.add(q0, LEFT_END, BLANK, (q0, BLANK))
     tb.add(q2, LEFT_END, BLANK, (q3, BLANK))
-    tb.add(q2, LEFT_END, "1", (tb.fresh_reject("tamper-turn"), BLANK))
-    tb.add(q0, RIGHT_END, BLANK, (tb.fresh_reject("even-length"), BLANK))
     tb.add(q1, RIGHT_END, BLANK, (q2, BLANK))
-    tb.add(q0, RIGHT_END, "1", (tb.fresh_reject("tamper-q0-end"), BLANK))
-    tb.add(q1, RIGHT_END, "1", (tb.fresh_reject("tamper-q1-end"), "1"))
     # branch j waits N-j extra steps at the right endmarker, then turns
     for j in range(1, N):
         tb.add(f"r[{j},0]", RIGHT_END, "1", (f"w[{j},{N - j}]", "1"))
@@ -405,10 +375,7 @@ def center_protocol(n_branches: int) -> QipSystem:
     for b in ("0", "1"):
         tb.add(q0, b, BLANK, (q1, BLANK))
         tb.add(q1, b, BLANK, (q0, BLANK))
-        tb.add(q0, b, "1", (tb.fresh_reject(f"tamper-q0-{b}"), BLANK))
-        tb.add(q1, b, "1", (tb.fresh_reject(f"tamper-q1-{b}"), "1"))
         tb.add(q2, b, BLANK, (q2, BLANK))
-        tb.add(q2, b, "1", (tb.fresh_reject(f"tamper-q2-{b}"), "1"))
         tb.add(q3, b, BLANK, (q3, BLANK))
         for j in range(1, N):
             tb.add(f"r[{j},0]", b, "1", (f"r[{j},{N - j}]", "1"))
@@ -417,17 +384,14 @@ def center_protocol(n_branches: int) -> QipSystem:
             for k in range(2, N - j + 1):
                 tb.add(f"rp[{j},{k}]", b, "1", (f"r[{j},{k - 1}]", "1"))
             tb.add(f"rp[{j},1]", b, "1", (f"r[{j},0]", "1"))
-            tb.add(f"r[{j},0]", b, BLANK, (tb.fresh_reject(f"lost-signal-r{j}{b}"), "1"))
         tb.add(f"r[{N},0]", b, "1", (f"r[{N},0]", "1"))
         for j in range(1, N + 1):
             tb.add(f"s[{j},0]", b, "1", (f"s[{j},{j}]", "1"))
             for k in range(2, j + 1):
                 tb.add(f"s[{j},{k}]", b, "1", (f"s[{j},{k - 1}]", "1"))
             tb.add(f"s[{j},1]", b, "1", (f"s[{j},0]", "1"))
-            tb.add(f"s[{j},0]", b, BLANK, (tb.fresh_reject(f"lost-signal-s{j}{b}"), BLANK))
     tb.add(q3, "1", "1",
            *[(f"r[{j},0]", BLANK, 1 / math.sqrt(N)) for j in range(1, N + 1)])
-    tb.add(q3, "0", "1", (tb.fresh_reject("center-is-zero"), BLANK))
     for j in range(1, N + 1):
         tb.add(f"s[{j},0]", LEFT_END, "1",
                *[(f"t[{l}]", BLANK, phase(j * l, N) / math.sqrt(N))
@@ -465,7 +429,7 @@ def upal_protocol(n_branches: int) -> QipSystem:
     recombination then accepts with certainty.
     """
     if n_branches < 2:
-        raise ValueError("need at least 2 branches")
+        raise ProtocolError(f"upal needs at least 2 branches, got {n_branches}")
     N = n_branches
     # pz scans only the first cell; the bounce states bk0/bk1z/bk step back to
     # the previous cell at each block boundary, which keeps every per-symbol
@@ -484,8 +448,6 @@ def upal_protocol(n_branches: int) -> QipSystem:
     tb.state("acc[empty]", "acc", 0)
     for l in range(1, N + 1):
         tb.state(f"t[{l}]", "acc" if l == N else "rej", 0)
-    form_rej = tb.state("rej[form]", "rej", 0)
-    zeros_rej = tb.state("rej[zeros]", "rej", 0)
 
     def ann(q):
         return public_symbol(q, dirs[q])
@@ -500,8 +462,6 @@ def upal_protocol(n_branches: int) -> QipSystem:
     tb.add("pa", "1", ann("pa"), ("bk", ann("bk")))
     tb.add("bk", "0", ann("bk"), ("pb", ann("pb")))
     tb.add("pb", "1", ann("pb"), ("pb", ann("pb")))
-    tb.add("pb", "0", ann("pb"), (form_rej, BLANK))
-    tb.add("pa", RIGHT_END, ann("pa"), (zeros_rej, BLANK))
     tb.add("pb", RIGHT_END, ann("pb"), ("pc", ann("pc")))
     for b in ("0", "1"):
         tb.add("pc", b, ann("pc"), ("pc", ann("pc")))
@@ -587,14 +547,14 @@ def npfa_to_qip(npfa: Npfa, name: str = "npfa", error_bound: float = 0.0) -> Qip
     spec = tb.build(npfa.initial)
 
     def script(x):
-        horizon = default_t_max(spec, x)
+        horizon, once = _run_length(spec, x, None)
         policy, values = npfa_policy(npfa, x, horizon)
         width = len(x) + 2
         tape = [symbol_at(x, k) for k in range(width)]
         state = {(spec.initial, 0, BLANK, None): 1.0 + 0j}
         rounds: dict[int, dict[str, str]] = {}
         for r in range(1, horizon + 1):
-            _acc, _rej, state, _mass = _round(spec, tape, state, width)
+            _acc, _rej, state, _mass = _round(spec, tape, state, width, r, once)
             if not state:
                 break
             rule: dict[str, str] = {}
@@ -632,7 +592,7 @@ def union_protocol(s1: QipSystem, s2: QipSystem, name: str | None = None) -> Qip
     """Recognize L1 ∪ L2: ask the prover which branch accepts, then run it.
 
     Sub-verifier states get 'a:'/'b:' prefixes so the two tables cannot
-    interfere; a first-round reply other than u1/u2 rejects immediately.
+    interfere; a first-round reply other than u1/u2 rejects by omission.
     """
     if s1.verifier.input_alphabet != s2.verifier.input_alphabet:
         raise SpecError("union needs a common input alphabet")
@@ -647,7 +607,6 @@ def union_protocol(s1: QipSystem, s2: QipSystem, name: str | None = None) -> Qip
                       s1.verifier.input_alphabet, tuple(comm))
     start = tb.state("u_start", "non", 0)
     wait = tb.state("u_wait", "non", 0)
-    urej = tb.state("u_rej", "rej", 0)
     # merge the pre-completion cores; the union spec is completed as a whole
     for prefix, v in subs:
         dropped = set(v.completion_states)
@@ -668,7 +627,6 @@ def union_protocol(s1: QipSystem, s2: QipSystem, name: str | None = None) -> Qip
     tb.add(start, LEFT_END, BLANK, (wait, BLANK))
     tb.delta[(wait, LEFT_END, "u1")] = (("a:" + s1.verifier.initial, BLANK, 0, 1.0 + 0j),)
     tb.delta[(wait, LEFT_END, "u2")] = (("b:" + s2.verifier.initial, BLANK, 0, 1.0 + 0j),)
-    tb.add(wait, LEFT_END, BLANK, (urej, BLANK))
 
     spec = tb.build(start)
     lang1, lang2 = s1.language, s2.language
@@ -706,38 +664,40 @@ def union_protocol(s1: QipSystem, s2: QipSystem, name: str | None = None) -> Qip
 # Registry for the command line and the sweep tooling
 # ---------------------------------------------------------------------------
 
-def _builtin_union():
-    return union_protocol(eraser_protocol(zero_dfa(), "eraser_zero"),
-                          eraser_protocol(end_one_dfa(), "eraser_end1"),
-                          name="union_zero_end1")
-
-
 BUILTIN = {
-    "zero_public": lambda **kw: zero_public_protocol(),
-    "la_mo": lambda **kw: la_mo_protocol(),
-    "odd": lambda **kw: odd_protocol(),
-    "pal_sharp": lambda **kw: pal_sharp_protocol(int(kw.get("d", 2))),
-    "center": lambda **kw: center_protocol(int(kw.get("N", 2))),
-    "upal": lambda **kw: upal_protocol(int(kw.get("N", 4))),
-    "eraser_zero": lambda **kw: eraser_protocol(zero_dfa(), "eraser_zero"),
-    "eraser_end1": lambda **kw: eraser_protocol(end_one_dfa(), "eraser_end1"),
-    "rfa_even_a": lambda **kw: rfa_public_protocol(even_a_rfa(), "rfa_even_a"),
-    "rfa_all_a": lambda **kw: rfa_public_protocol(all_a_rfa(), "rfa_all_a"),
-    "npfa_single_a": lambda **kw: npfa_to_qip(npfa_single_a(), "npfa_single_a"),
-    "npfa_coin": lambda **kw: npfa_to_qip(npfa_coin(), "npfa_coin", error_bound=0.5),
-    "npfa_choice": lambda **kw: npfa_to_qip(npfa_choice(), "npfa_choice"),
-    "union_zero_end1": lambda **kw: _builtin_union(),
+    "zero_public": zero_public_protocol,
+    "la_mo": la_mo_protocol,
+    "odd": odd_protocol,
+    "pal_sharp": lambda d=2: pal_sharp_protocol(d),
+    "center": lambda N=2: center_protocol(N),
+    "upal": lambda N=4: upal_protocol(N),
+    "eraser_zero": lambda: eraser_protocol(zero_dfa(), "eraser_zero"),
+    "eraser_end1": lambda: eraser_protocol(end_one_dfa(), "eraser_end1"),
+    "rfa_even_a": lambda: rfa_public_protocol(even_a_rfa(), "rfa_even_a"),
+    "rfa_all_a": lambda: rfa_public_protocol(all_a_rfa(), "rfa_all_a"),
+    "npfa_single_a": lambda: npfa_to_qip(npfa_single_a(), "npfa_single_a"),
+    "npfa_coin": lambda: npfa_to_qip(npfa_coin(), "npfa_coin", error_bound=0.5),
+    "npfa_choice": lambda: npfa_to_qip(npfa_choice(), "npfa_choice"),
+    "union_zero_end1": lambda: union_protocol(eraser_protocol(zero_dfa(), "eraser_zero"),
+                                              eraser_protocol(end_one_dfa(), "eraser_end1"),
+                                              name="union_zero_end1"),
 }
 
 
 def build_protocol(spec_string: str) -> QipSystem:
-    """Instantiate a built-in by name, with inline name:key=value parameters."""
+    """Instantiate a built-in by name, with inline name:key=value parameters:
+    the integer keyword arguments of its `BUILTIN` constructor.  Raises
+    ProtocolError for an unknown name, key or value."""
     name, _, params = spec_string.partition(":")
     if name not in BUILTIN:
-        raise KeyError(f"unknown protocol {name!r}; known: {sorted(BUILTIN)}")
+        raise ProtocolError(f"unknown protocol {name!r}; known: {sorted(BUILTIN)}")
+    build = BUILTIN[name]
     kwargs = {}
     if params:
         for part in params.split(","):
-            k, _, v = part.partition("=")
-            kwargs[k.strip()] = v.strip()
-    return BUILTIN[name](**kwargs)
+            k, _, v = (t.strip() for t in part.partition("="))
+            if (k not in inspect.signature(build).parameters
+                    or not v.removeprefix("-").isdecimal()):
+                raise ProtocolError(f"{part.strip()!r} is not an integer parameter of {name!r}")
+            kwargs[k] = int(v)
+    return build(**kwargs)

@@ -85,8 +85,8 @@ def default_t_max(spec: QfaSpec, x: str) -> int:
     return TWO_WAY_ROUND_FACTOR * (n + 2) ** 2
 
 
-def _round(spec: QfaSpec, tape, state: dict, width: int, r: int = 0,
-           once: int | None = None) -> tuple[float, float, dict, float]:
+def _round(spec: QfaSpec, tape, state: dict, width: int, r: int,
+           once: int | None) -> tuple[float, float, dict, float]:
     """Verifier move r on labels (q, k, gamma, tag), then `_measure`.
 
     ``tape[k]`` is the symbol under head k.  Returns the accepting and
@@ -116,8 +116,8 @@ def _no_transition(spec: QfaSpec, key) -> Exception:
     return RunError(f"no transition for {key}; run validate_and_complete first")
 
 
-def _measure(spec: QfaSpec, out: dict, r: int = 0,
-             once: int | None = None) -> tuple[float, float, dict, float]:
+def _measure(spec: QfaSpec, out: dict, r: int,
+             once: int | None) -> tuple[float, float, dict, float]:
     """The measurement after verifier move r: ``out``'s accepting and rejecting
     masses, its continuing part and that part's mass, dropping amplitudes below
     PRUNE_TOL.  A measure-many verifier (``once`` None) measures off its
@@ -607,7 +607,7 @@ def query_weight(spec: QfaSpec, x_prefix: str, y: str) -> float:
     if not spec.head_model.one_way:
         raise RunError("query weight is defined for one-way verifiers only")
     word = x_prefix + y
-    spec.check_input(word)
+    _t_max, once = _run_length(spec, word, None)
     n = len(word)
     width = n + 2
     tape = [symbol_at(word, k) for k in range(width)]
@@ -616,7 +616,7 @@ def query_weight(spec: QfaSpec, x_prefix: str, y: str) -> float:
     weight = 0.0
     for r in range(1, n + 2):
         pos = r - 1  # a one-way head scans position r-1 at round r
-        _acc, _rej, cont, _mass = _round(spec, tape, state, width)
+        _acc, _rej, cont, _mass = _round(spec, tape, state, width, r, once)
         state = {}  # the projection onto blank discards the rest of cont
         for lbl, amp in cont.items():
             if lbl[2] == BLANK:

@@ -11,7 +11,6 @@ comments starting with //.  Example:
     q0 non initial
     q1 non
     q_acc acc
-    q_rej rej
 
     [input_alphabet]
     a

@@ -337,7 +337,7 @@ def test_interchangeable_targets_share_a_class(upal4):
     search = _ClassicalSearch(upal4, "1", AdversaryBudget(memory_states=2, steps=7))
     _acc, _rej, state, _mass = _round(
         upal4.verifier, search.tape, {(upal4.verifier.initial, 0, BLANK, "m0"): 1.0 + 0j},
-        search.width)
+        search.width, 1, search.once)
     classes = search._target_classes(state)
     assert len(classes) < len(search.targets)
     for members in classes:
@@ -390,7 +390,7 @@ def _upal4_node(upal4, node):
         search = _ClassicalSearch(upal4, "1", budget)
         _acc, _rej, state, _mass = _round(
             upal4.verifier, search.tape,
-            {(upal4.verifier.initial, 0, BLANK, "m0"): 1.0 + 0j}, search.width)
+            {(upal4.verifier.initial, 0, BLANK, "m0"): 1.0 + 0j}, search.width, 1, search.once)
         return state
     seen = []
 

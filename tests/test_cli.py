@@ -170,6 +170,19 @@ def test_unknown_protocol_exit_2_for_every_command(capsys, command):
     assert "unknown protocol" in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["run", "--protocol", "upal:N=foo"], "'N=foo' is not an integer parameter of 'upal'"),
+    (["run", "--protocol", "odd:N=3"], "'N=3' is not an integer parameter of 'odd'"),
+    (["run", "--protocol", "center:N=1"], "center needs at least 2 branches, got 1"),
+    (["adversary", "--protocol", "pal_sharp:d=0"], "pal_sharp needs d >= 1, got 0"),
+    (["sweep", "--protocol", "upal:M=2", "--n-max", "1"], "'M=2' is not an integer parameter"),
+])
+def test_malformed_protocol_parameters_exit_2_with_one_line(capsys, argv, text):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and text in err
+
+
 def test_sweep_with_jobs_builds_once_in_parent(capsys, monkeypatch):
     import qipsim.cli
     import qipsim.protocols

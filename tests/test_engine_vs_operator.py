@@ -64,7 +64,7 @@ def test_one_round_matches_matrix_action(name, x):
     assert np.allclose(dense(moved), expect, atol=1e-10)
     assert mass == pytest.approx(np.vdot(expect, expect).real, abs=1e-10)
 
-    acc, rej, cont, mass = _round(spec, tape, state, width)
+    acc, rej, cont, mass = _round(spec, tape, state, width, 0, None)
     # row index (q_idx * width + k) * |comm| + g_idx, so each state owns a block
     block = width * len(comm)
     kind = np.repeat([0] * len(spec.non_halting) + [1] * len(spec.accepting)

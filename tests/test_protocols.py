@@ -91,6 +91,26 @@ def test_declared_modes_match_structure_checks():
             assert check_structure(spec, StructureMode.ONE_WAY_HALTING).ok, name
 
 
+SOURCE_AUTOMATA = {"rfa_even_a": even_a_rfa, "rfa_all_a": all_a_rfa,
+                   "npfa_single_a": npfa_single_a, "npfa_coin": npfa_coin,
+                   "npfa_choice": npfa_choice}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES + ["pal_sharp:d=3", "center:N=4", "upal:N=4"])
+def test_tables_write_rejecting_states_only_inside_superpositions(name):
+    # the completion rejects every column a table leaves out, so a table
+    # enters a rejecting state of its own only as one outcome of a
+    # superposition, or as a rejecting state of the automaton it compiles
+    spec = build_protocol(name).verifier
+    source = set(SOURCE_AUTOMATA[name]().rejecting) if name in SOURCE_AUTOMATA else set()
+    assert source <= set(spec.rejecting)
+    completion = spec.completion_keys
+    for q in set(spec.rejecting) - set(spec.completion_states) - source:
+        rows = [targets for key, targets in spec.delta.items()
+                if key not in completion and any(t[0] == q for t in targets)]
+        assert rows and all(len(targets) >= 2 for targets in rows), (name, q)
+
+
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_honest_prover_is_isometry_on_reachable_pairs(name):
     # walk the honest run; at every round the prover must send each reachable

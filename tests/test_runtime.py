@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,10 @@ from hypothesis import strategies as st
 import qipsim.languages as lang
 from qipsim.provers import (DenseProver, EraseAllProver, IdentityProver, ScriptedProver,
                             densify_schedule)
-from qipsim.qfa import BLANK, HeadModel, interaction_bound
+from qipsim.qfa import BLANK, HeadModel, interaction_bound, validate_and_complete
 from qipsim.runtime import (RunError, count_interactions, expected_halting_time,
                             query_weight, run, visible_schedule)
+from tests.test_qfa import random_one_way_spec
 
 
 def assert_conserved(res):
@@ -105,6 +108,22 @@ def test_query_weight_additive(odd, x, y):
     lhs = query_weight(spec, "", x) + query_weight(spec, x, y)
     rhs = query_weight(spec, "", x + y)
     assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def test_query_weight_measures_a_measure_once_verifier_only_at_the_end():
+    # the measure-once rule keeps halting states running until move n+2, so
+    # the mass they hold reaches the projection and counts as queried
+    spec = validate_and_complete(random_one_way_spec(random.Random(2)))[0]
+    assert spec.head_model is HeadModel.MO_1WAY
+    assert query_weight(spec, "", "b") == pytest.approx(1.0, abs=1e-12)
+    specs = [validate_and_complete(random_one_way_spec(random.Random(s)))[0]
+             for s in range(40)]
+    for spec in [s for s in specs if s.head_model is HeadModel.MO_1WAY]:
+        for n in range(4):
+            for x in map("".join, itertools.product(spec.input_alphabet, repeat=n)):
+                for i in range(n + 1):
+                    lhs = query_weight(spec, "", x[:i]) + query_weight(spec, x[:i], x[i:])
+                    assert lhs == pytest.approx(query_weight(spec, "", x), abs=1e-9)
 
 
 def test_measure_once_equals_measure_every_when_no_early_halt(la_mo):
