@@ -59,22 +59,23 @@ map interchangeable targets to interchangeable targets, so the two
 reductions compose: the orbit firsts in first-use order are one map per
 orbit of both.
 
-Quantum search climbs over per-round dense unitaries acting on the cell and
-c prover-tape cells: random-unitary restarts followed by accept-if-better
-Givens-rotation moves, each of which rotates two rows of one round's matrix.
-The identity prover and the best classical table are always in the restart
-pool, so the result can only improve on them.  Dense provers are evaluated
-in operator form by one `runtime.DenseRun` per search, one small dense block
-per round of the input's pair-graph layers.  Its forward pass keeps the
-state before and after every prover round, so a move on round r resumes
-there instead of replaying the unchanged prefix, and gives the floats a full
-pass would.  A move whose rotated rows meet no column the state occupies
-leaves the state after round r bit for bit as it was; it then costs no
-verifier round, since the rest of the pass would repeat the current one.
-This is common on a climb from a permutation, the classical seed or the
-identity.  A random restart draws all its round matrices in one call.
-`runtime.run` stays the oracle: the identity baseline, the classical search's
-replay and `replay` go through it.
+Quantum search climbs over per-round dense unitaries acting on the cell and c
+prover-tape cells: random-unitary restarts followed by accept-if-better
+Givens-rotation moves, each of which rotates two rows of one round's
+matrix.  The identity prover and the best classical table are always in the
+restart pool, so the result can only improve on them.  The climb moves round
+matrices alone, run in operator form by one `runtime.DenseRun` per search,
+one small dense block per round of the input's pair-graph layers; only the
+result becomes a `DenseProver`, which checks unitarity.  A pass keeps the
+state before and after every prover round, so a move on round r resumes there
+instead of replaying the unchanged prefix, and gives the floats a full pass
+would.  A move whose rotated rows meet no column the state occupies leaves the
+state after round r bit for bit as it was; it then costs no verifier round,
+since the rest of the pass would repeat the current one.  This is common on a
+climb from a permutation, the classical seed or the identity.  A random
+restart draws all its round matrices in one call.  `runtime.run` stays the
+oracle: the identity baseline, the classical search's replay and `replay` go
+through it.
 """
 from __future__ import annotations
 
@@ -84,8 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (PRUNE_TOL, UNITARY_TOL, ContractViolation, DomainError,
-                     check_unitary)
+from .linalg import PRUNE_TOL, DomainError
 from .provers import (ClassicalProverTable, DenseProver, EncodingError,
                       IdentityProver, dense_from_table, make_classical_prover)
 from .qfa import BLANK, symbol_at
@@ -451,9 +451,9 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
     """Heuristic lower bound on the optimum over quantum provers.
 
     Never exhaustive; the report's strategy reproduces best_p_acc exactly.
-    The identity baseline is a `run`; every dense prover is evaluated by one
-    `DenseRun` built for the search, and a Givens move, which rotates rows i
-    and j of round r's matrix, resumes from the current prover's forward
+    The identity baseline is a `run`; every restart's round matrices are
+    evaluated by one `DenseRun` built for the search, and a Givens move, which
+    rotates rows i and j of round r's matrix, resumes from the current forward
     pass just before that round; a move that leaves the state after that
     round unchanged costs no verifier round.  With no prover rounds in the
     budget, or a one-dimensional prover space, whose unitaries are phases,
@@ -489,20 +489,20 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
     if classical_seed.best_strategy.get("kind") == "classical_table":
         table = _table_from_description(classical_seed.best_strategy)
         try:
-            seed = dense_from_table(table, comm, tape, c, rounds)
+            seed = dense_from_table(table, comm, tape, c, rounds).matrices
         except EncodingError:  # the table's memory does not fit in c cells
             pass
 
     dense_run = DenseRun(system, x, c)
+    best_matrices = None
     for restart in range(budget.restarts):
         if restart == 0 and seed is not None:
-            prover = seed
+            matrices = seed
         elif restart == 1:
-            prover = DenseProver(comm, tape, c,
-                                 [np.eye(dim, dtype=complex) for _ in range(rounds)])
+            matrices = [np.eye(dim, dtype=complex) for _ in range(rounds)]
         else:
-            prover = DenseProver(comm, tape, c, _random_unitaries(rng, rounds, dim))
-        current = dense_run.run(prover)
+            matrices = _random_unitaries(rng, rounds, dim)
+        current = dense_run.run(matrices)
         tested += 1
         sigma = 0.8
         for _it in range(budget.iterations):
@@ -512,7 +512,7 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
             phi = rng.uniform(0, 2 * math.pi)
             # the Givens rotation in the (i, j) plane, applied to rows i and j
             cos, sin = math.cos(theta), math.sin(theta)
-            base = current.prover.matrices[r]
+            base = current.matrices[r]
             m = base.copy()
             m[i] = cos * base[i] - sin * np.exp(-1j * phi) * base[j]
             m[j] = sin * np.exp(1j * phi) * base[i] + cos * base[j]
@@ -522,9 +522,9 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
                 current = moved
             sigma = max(0.05, sigma * 0.97)
         if current.p_acc > best_p:
-            best_p = current.p_acc
-            best_desc = current.prover.describe()
-
+            best_p, best_matrices = current.p_acc, current.matrices
+    if best_matrices is not None:
+        best_desc = DenseProver(comm, tape, c, best_matrices).describe()
     return AdversaryReport(best_p_acc=best_p, best_strategy=best_desc,
                            strategies_tested=tested, is_exhaustive=False,
                            seed=budget.seed)
@@ -555,9 +555,6 @@ def prover_from_description(desc: dict):
         dim = len(desc["comm_alphabet"]) * len(desc["tape_alphabet"]) ** desc["c"]
         mats = [np.array([complex(re, im) for re, im in m], dtype=complex).reshape(dim, dim)
                 for m in desc["matrices"]]
-        for r, m in enumerate(mats, start=1):
-            if not check_unitary(m, UNITARY_TOL):
-                raise ContractViolation(f"round {r} matrix of the strategy is not unitary")
         return DenseProver(desc["comm_alphabet"], desc["tape_alphabet"], desc["c"], mats)
     raise ValueError(f"unknown strategy description {kind!r}")
 

@@ -168,9 +168,9 @@ def gram_entries(rows, cols, values, n_cols: int):
 # Sparse amplitude maps
 # ---------------------------------------------------------------------------
 
-def prune(vec: dict, threshold: float = PRUNE_TOL) -> dict:
-    """Drop entries with magnitude below ``threshold`` (returns a new dict)."""
-    return {k: a for k, a in vec.items() if abs(a) >= threshold}
+def prune(vec: dict) -> dict:
+    """Drop entries with magnitude below PRUNE_TOL (returns a new dict)."""
+    return {k: a for k, a in vec.items() if abs(a) >= PRUNE_TOL}
 
 
 def phase(j: int, n: int) -> complex:

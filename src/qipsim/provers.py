@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import UNITARY_TOL, ContractViolation
 from .qfa import BLANK
 
 
@@ -211,7 +212,9 @@ class DenseProver(ProverStrategy):
     ``matrices[i-1]`` acts at round i; rounds beyond the tuple are the
     identity.  Basis index j is ``labels[j]``.  The tape is a tuple of exactly
     c symbols (cell symbols can be multi-character strings, so plain
-    concatenation would be ambiguous).  A prover is immutable.
+    concatenation would be ambiguous).  A prover is immutable; a round matrix
+    of the wrong shape raises ValueError, and one whose MᴴM − I has an entry
+    above UNITARY_TOL raises ContractViolation naming its round.
     """
 
     def __init__(self, comm_alphabet, tape_alphabet, c: int, matrices):
@@ -223,23 +226,17 @@ class DenseProver(ProverStrategy):
         self.dim = len(self.labels)
         self.matrices = tuple(matrices)
         for m in self.matrices:
-            self._check_shape(m)
+            if m.shape != (self.dim, self.dim):
+                raise ValueError(f"round matrix must be {self.dim}x{self.dim}")
+        if self.matrices:
+            stack = np.asarray(self.matrices)
+            dev = np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(self.dim))
+            bad = np.flatnonzero(dev.max(axis=(1, 2)) > UNITARY_TOL)
+            if len(bad):
+                raise ContractViolation(
+                    f"round {bad[0] + 1} matrix of the prover is not unitary")
         # per round, each column's nonzero (cell', tape', amplitude) entries
         self._columns: list = [None] * len(self.matrices)
-
-    def _check_shape(self, m) -> None:
-        if m.shape != (self.dim, self.dim):
-            raise ValueError(f"round matrix must be {self.dim}x{self.dim}")
-
-    def with_round(self, i0: int, m) -> DenseProver:
-        """A copy with ``matrices[i0]`` replaced by ``m``; it shares the label
-        table and the cached columns of every other round."""
-        self._check_shape(m)
-        new = object.__new__(type(self))
-        new.__dict__ = {**self.__dict__,
-                        "matrices": self.matrices[:i0] + (m,) + self.matrices[i0 + 1:],
-                        "_columns": self._columns[:i0] + [None] + self._columns[i0 + 1:]}
-        return new
 
     def initial_tape(self, x):
         return (BLANK,) * self.c

@@ -324,14 +324,15 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
                           ) -> tuple[QfaSpec, ValidationReport]:
     """Close a partial table up to a well-formed verifier.
 
-    Every unspecified (state, symbol, cell) column is routed, in lexicographic
-    order, to a fresh rejecting state (cell kept, head move +1 for one-way
-    verifiers and 0 otherwise, except that a target already entered elsewhere
-    inherits its recorded head move).  Fresh states reuse slots so that at
-    most ceil(|unspecified|/|Gamma|) of them are added per symbol block; their
-    own outgoing columns are assigned an orthonormal basis of whatever image
-    space is left, which keeps each per-symbol block unitary without touching
-    any specified behaviour.
+    Fresh rejecting states ``~rejN`` are added: as few as give the tape
+    symbol with the most unspecified columns a (state, cell) slot each, the
+    slots listed state by state, cells in alphabet order.  On each tape
+    symbol the i-th unspecified (state, cell) column, sorted by name, goes
+    with amplitude 1 to the i-th slot, so the cell written cycles through the
+    alphabet (``q0 ^ a -> ~rej0 #`` in ``specs/la_mo.qfa``).  Its head move
+    is the one the table records for that target, else +1 one-way, 0 two-way.
+    The fresh states' own columns get an orthonormal basis of the image left,
+    keeping each per-symbol block unitary without touching specified behaviour.
 
     The completed spec's step operator is then certified (`certify_unitarity`)
     for every input of each length in ``lengths``.  The report carries a
@@ -665,9 +666,10 @@ def check_structure(spec: QfaSpec, mode: StructureMode) -> ValidationReport:
     run can take: "bounded" is a proof, and "unbounded" only a refusal.
     """
     report = ValidationReport()
-    completion = spec.completion_keys
-    own = [(key, tgt) for key, tgts in spec.delta.items()
-           if key not in completion for tgt in tgts]
+    if mode is not StructureMode.INTERACTION_BOUNDED:  # which reads neither
+        completion = spec.completion_keys
+        own = ((key, tgt) for key, tgts in spec.delta.items()
+               if key not in completion for tgt in tgts)
 
     if mode is StructureMode.ONE_WAY_HALTING:
         if not spec.head_model.one_way:

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import qfa
 from .linalg import PRUNE_TOL, prune
-from .provers import DenseProver, ProverStrategy, dense_basis
+from .provers import ProverStrategy, dense_basis
 from .qfa import BLANK, AlphabetError, HeadModel, QfaSpec, symbol_at
 
 CONSERVATION_TOL = 1e-9
@@ -359,14 +359,14 @@ def _scatter_blocks(step, gsz, to_cell, from_cell, entries) -> tuple:
 
 @dataclass(frozen=True)
 class DensePass:
-    """One `DenseRun` pass: the prover, `run`'s masses, and the saved forward pass.
+    """One `DenseRun` pass: its round matrices, `run`'s masses, the saved pass.
 
     ``saved[i-1]`` is (state, p_acc, p_rej, max_err, moved) for every round i
     that acted and has a matrix: the state just before prover round i, the
     masses so far, and the state after that prover round.
     """
 
-    prover: DenseProver = field(repr=False)
+    matrices: tuple = field(repr=False)
     p_acc: float
     p_rej: float
     p_cont: float
@@ -375,7 +375,7 @@ class DensePass:
 
 
 class DenseRun:
-    """`run` of `DenseProver`s with ``c`` tape cells on one input, in operator form.
+    """`run` of dense provers with ``c`` tape cells on one input, in operator form.
 
     Set-up takes the input's `pair_layers`; round r is one product of its
     layer's small dense block with the state, whose rows are the (pair, cell
@@ -383,10 +383,10 @@ class DenseRun:
     words.  The block's accepting and rejecting rows are measured off, and
     the continuing ones are the next layer's.  Prover round i reshapes the
     state to (pairs, |Gamma|·|Delta|^c) and multiplies it on the right by the
-    transpose of ``matrices[i-1]``, whose basis is ``DenseProver.labels``.
-    The layers carry `_measure`'s rule, and the round loop, the stop when
-    the continuing mass falls below PRUNE_TOL and the end checks are
-    `run`'s.  No amplitude is pruned and a transition
+    transpose of ``matrices[i-1]``, the prover's round-i matrix in the basis
+    order of `provers.dense_basis`.  The layers carry `_measure`'s rule, and
+    the round loop, the stop when the continuing mass falls below PRUNE_TOL
+    and the end checks are `run`'s.  No amplitude is pruned and a transition
     missing from delta shows up only as lost mass, so the masses agree with
     `run`'s up to rounding.
     """
@@ -415,17 +415,17 @@ class DenseRun:
             (BLANK, (BLANK,) * c))
         self.initial[j // self.words, j % self.words] = 1.0
 
-    def run(self, prover: DenseProver) -> DensePass:
-        """The full pass of ``prover``."""
-        spec = self.spec
-        if (prover.comm_alphabet, prover.tape_alphabet, prover.c) != (
-                spec.comm_alphabet, spec.prover_alphabet, self.c):
-            raise ValueError("the dense prover's alphabets or tape cells do not "
-                             "match this run")
-        return self._forward(prover, 1, self.initial, 0.0, 0.0, 0.0, [])
+    def run(self, matrices) -> DensePass:
+        """The full pass of the prover with these round matrices."""
+        matrices = tuple(matrices)
+        dim = self.initial.size  # |Gamma|·|Delta|^c
+        for m in matrices:
+            if m.shape != (dim, dim):
+                raise ValueError(f"round matrix must be {dim}x{dim}")
+        return self._forward(matrices, 1, self.initial, 0.0, 0.0, 0.0, [])
 
     def resume(self, base: DensePass, i0: int, m: np.ndarray) -> DensePass:
-        """The pass of ``base.prover.with_round(i0, m)``.
+        """The pass of ``base.matrices`` with ``matrices[i0]`` replaced by ``m``.
 
         The pass restarts from the state saved before prover round i0+1, so
         its floats are those of a full pass.  When that round never acted,
@@ -434,22 +434,21 @@ class DenseRun:
         pass would repeat ``base``'s float operations on equal inputs: the
         masses and saved states are ``base``'s, and no verifier round runs.
         """
-        prover = base.prover.with_round(i0, m)
+        matrices = base.matrices[:i0] + (m,) + base.matrices[i0 + 1:]
         if i0 >= len(base.saved):
-            return replace(base, prover=prover)
+            return replace(base, matrices=matrices)
         state, p_acc, p_rej, max_err, was = base.saved[i0]
         moved = self._prover_step(state, m)
         if np.array_equal(moved, was):
-            return replace(base, prover=prover)
-        return self._forward(prover, i0 + 2, moved, p_acc, p_rej, max_err,
+            return replace(base, matrices=matrices)
+        return self._forward(matrices, i0 + 2, moved, p_acc, p_rej, max_err,
                              [*base.saved[:i0], (state, p_acc, p_rej, max_err, moved)])
 
     def _prover_step(self, state: np.ndarray, m: np.ndarray) -> np.ndarray:
         return (state.reshape(-1, m.shape[0]) @ m.T).reshape(-1, self.words)
 
-    def _forward(self, prover, r0, state, p_acc, p_rej, max_err, saved) -> DensePass:
+    def _forward(self, matrices, r0, state, p_acc, p_rej, max_err, saved) -> DensePass:
         """Rounds r0.. of a pass; ``state`` is the array before verifier move r0."""
-        matrices = prover.matrices
         rounds = r0 - 1
         for r in range(r0, self.t_max + 1):
             rounds = r
@@ -471,7 +470,7 @@ class DenseRun:
                 state = moved
         p_cont = _mass(state)
         _check_end(self.spec, self.n, rounds, p_cont, max_err)
-        return DensePass(prover=prover, p_acc=p_acc, p_rej=p_rej, p_cont=p_cont,
+        return DensePass(matrices=matrices, p_acc=p_acc, p_rej=p_rej, p_cont=p_cont,
                          rounds_executed=rounds, saved=tuple(saved))
 
 

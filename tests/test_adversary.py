@@ -178,13 +178,40 @@ def test_classical_seed_matrices_are_unitary(pal2, x):
 
 
 def test_replay_refuses_a_non_unitary_round_matrix():
-    shear = np.eye(4, dtype=complex)
-    shear[0, 1] = 1.0
-    desc = DenseProver(("#", "a"), ("#", "a"), 1, [np.eye(4), shear]).describe()
+    desc = DenseProver(("#", "a"), ("#", "a"), 1, [np.eye(4), np.eye(4)]).describe()
+    desc["matrices"][1][1] = [1.0, 0.0]  # round 2 gets a shear: entry (0, 1) is 1
     with pytest.raises(ContractViolation, match="round 2"):
         prover_from_description(desc)
     desc["matrices"].pop()
     assert isinstance(prover_from_description(desc), DenseProver)
+
+
+@pytest.mark.parametrize("seeded, built", [("table", 1), ("unscored table", 2),
+                                            ("identity", 1)])
+def test_a_search_builds_a_dense_prover_for_its_seed_and_result_only(
+        monkeypatch, seeded, built):
+    # the climb passes round matrices to DenseRun; a DenseProver is made,
+    # and checked, for the classical seed's permutations and the result
+    system = build_protocol("pal_sharp:d=2")
+    budget = AdversaryBudget(memory_states=2, steps=14, restarts=3, iterations=15, seed=7)
+    classical = best_classical_prover(system, "01#00", budget)
+    if seeded == "unscored table":
+        classical = dataclasses.replace(classical, best_p_acc=0.0)
+    elif seeded == "identity":
+        classical = AdversaryReport(best_p_acc=0.0, best_strategy={"kind": "identity"},
+                                    strategies_tested=0, is_exhaustive=False)
+    made = []
+    init = DenseProver.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(DenseProver, "__init__", counting)
+    rep = search_quantum_prover(system, "01#00", c=1, budget=budget, classical_seed=classical)
+    assert rep.strategies_tested == _climbed(budget)
+    assert rep.best_strategy["kind"] == ("classical_table" if seeded == "table" else "dense")
+    assert len(made) == built
 
 
 def test_replay_refuses_a_non_injective_classical_table(pal1):
@@ -645,16 +672,15 @@ def _reference_climb(system, x, c, budget, classical):
     seed = None
     if classical.best_strategy.get("kind") == "classical_table":
         seed = _table_to_dense(_table_from_description(classical.best_strategy),
-                               comm, tape, c, rounds)
+                               comm, tape, c, rounds).matrices
     dense_run = DenseRun(system, x, c)
     for restart in range(budget.restarts):
         if restart == 0 and seed is not None:
-            prover = seed
+            matrices = seed
         else:
-            prover = DenseProver(comm, tape, c, [
-                np.eye(dim, dtype=complex) if restart == 1 else _random_unitary(rng, dim)
-                for _ in range(rounds)])
-        current = dense_run.run(prover)
+            matrices = [np.eye(dim, dtype=complex) if restart == 1
+                        else _random_unitary(rng, dim) for _ in range(rounds)]
+        current = dense_run.run(matrices)
         tested += 1
         sigma = 0.8
         for _it in range(budget.iterations):
@@ -663,16 +689,17 @@ def _reference_climb(system, x, c, budget, classical):
             theta = rng.normal() * sigma
             phi = rng.uniform(0, 2 * math.pi)
             cos, sin = math.cos(theta), math.sin(theta)
-            m = current.prover.matrices[r].copy()
+            m = current.matrices[r].copy()
             m[[i, j]] = (cos * m[i] - sin * np.exp(-1j * phi) * m[j],
                          sin * np.exp(1j * phi) * m[i] + cos * m[j])
-            moved = dense_run.run(current.prover.with_round(r, m))
+            moved = dense_run.run(current.matrices[:r] + (m,) + current.matrices[r + 1:])
             tested += 1
             if moved.p_acc > current.p_acc:
                 current = moved
             sigma = max(0.05, sigma * 0.97)
         if current.p_acc > best_p:
-            best_p, best_desc = current.p_acc, current.prover.describe()
+            best_p, best_desc = current.p_acc, DenseProver(
+                comm, tape, c, current.matrices).describe()
     return best_p, best_desc, tested
 
 

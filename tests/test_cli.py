@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qipsim
+from qipsim.adversary import REPLAY_TOL, AdversaryReport, replay
 from qipsim.cli import main, make_parser
 from qipsim.languages import LANGUAGES
 from qipsim.protocols import build_protocol
@@ -150,6 +151,23 @@ def test_byte_identical_output_for_fixed_seed(capsys):
     _code, out1, _ = run_cli(capsys, *argv)
     _code, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
+
+
+def test_a_climbed_dense_report_replays_from_its_json(capsys):
+    # the climb beats every classical table here, so the report holds round
+    # matrices, which replay rebuilds through prover_from_description
+    code, out, _ = run_cli(capsys, "adversary", "--protocol", "la_mo", "--input", "aa",
+                           "--quantum", "--restarts", "3", "--iterations", "10",
+                           "--seed", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["best_strategy"]["kind"] == "dense"
+    report = AdversaryReport(best_p_acc=payload["best_p_acc"],
+                             best_strategy=payload["best_strategy"],
+                             strategies_tested=payload["strategies_tested"],
+                             is_exhaustive=payload["is_exhaustive"])
+    got = replay(build_protocol("la_mo"), "aa", report)
+    assert abs(got - payload["best_p_acc"]) <= REPLAY_TOL
 
 
 def test_csv_format(capsys):

@@ -15,7 +15,7 @@ from qipsim import runtime
 from qipsim.adversary import DENSE_DIM_CAP, _random_unitaries, dense_dimension
 from qipsim.protocols import BUILTIN, build_protocol
 from qipsim.provers import (ClassicalProverTable, DenseProver, IdentityProver,
-                             dense_from_table, make_classical_prover)
+                             ProverStrategy, dense_from_table, make_classical_prover)
 from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec,
                         validate_and_complete)
 from qipsim.runtime import DenseRun, QipSystem, RunError, pair_layers, run
@@ -73,7 +73,7 @@ def test_dense_run_matches_run(name, c):
         # one-way run plus one that never acts
         for rounds in (0, 2, len(x) + 3):
             prover = _random_prover(system, c, rounds, rng)
-            got, want = dense_run.run(prover), run(system, prover, x)
+            got, want = dense_run.run(prover.matrices), run(system, prover, x)
             assert got.p_acc == pytest.approx(want.p_acc, abs=1e-12), (x, rounds)
             assert got.p_rej == pytest.approx(want.p_rej, abs=1e-12), (x, rounds)
             assert got.p_cont == pytest.approx(want.p_cont, abs=1e-12), (x, rounds)
@@ -87,7 +87,7 @@ def test_measure_once_keeps_halting_pairs_until_the_end(la_mo):
     rng = np.random.default_rng(5)
     for x in ("", "a", "aa", "aaa", "aaaa"):
         prover = _random_prover(la_mo, 1, len(x) + 1, rng)
-        got, want = DenseRun(la_mo, x, 1).run(prover), run(la_mo, prover, x)
+        got, want = DenseRun(la_mo, x, 1).run(prover.matrices), run(la_mo, prover, x)
         assert (got.p_acc, got.p_rej, got.p_cont) == pytest.approx(
             (want.p_acc, want.p_rej, want.p_cont), abs=1e-12), x
 
@@ -103,26 +103,30 @@ def test_measure_once_runs_end_in_one_measurement(la_mo):
     assert (sparse.p_acc, sparse.p_rej, sparse.p_cont) == (0.0, 1.0, 0.0)
     assert sparse.halting_profile == [(4, 0.0, 1.0)]
     assert sparse.cont_trace[-1] == 0.0
-    got = DenseRun(la_mo, "aa", 1).run(dense)
+    got = DenseRun(la_mo, "aa", 1).run(dense.matrices)
     assert (got.p_acc, got.p_rej, got.p_cont) == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
     assert run(la_mo, dense, "aa").p_rej == pytest.approx(1.0, abs=1e-12)
 
 
+class _Shrink(ProverStrategy):
+    """Halves every amplitude it touches: not an isometry."""
+
+    def apply(self, x, i, gamma, y):
+        return [(gamma, y, 0.5 + 0j)]
+
+
 def test_dense_run_refuses_a_run_that_loses_mass(odd):
-    shrink = 0.5 * np.eye(6, dtype=complex)
-    prover = DenseProver(odd.verifier.comm_alphabet, odd.verifier.prover_alphabet,
-                         1, [shrink])
+    # DenseProver refuses a shrinking matrix, so each engine gets its own
     with pytest.raises(RunError, match="conservation"):
-        run(odd, prover, "11")
+        run(odd, _Shrink(), "11")
     with pytest.raises(RunError, match="conservation"):
-        DenseRun(odd, "11", 1).run(prover)
+        DenseRun(odd, "11", 1).run([0.5 * np.eye(6, dtype=complex)])
 
 
 def test_dense_run_refuses_a_prover_of_other_shape(odd):
-    wrong = DenseProver(odd.verifier.comm_alphabet, odd.verifier.prover_alphabet,
-                        2, [])
-    with pytest.raises(ValueError, match="do not match"):
-        DenseRun(odd, "1", 1).run(wrong)
+    # two tape cells give 18x18 matrices; this run has one cell, so 6x6
+    with pytest.raises(ValueError, match="6x6"):
+        DenseRun(odd, "1", 1).run([np.eye(6), np.eye(18)])
 
 
 @pytest.mark.parametrize("name, x, rounds", [
@@ -137,18 +141,18 @@ def test_resumed_moves_match_full_passes(name, x, rounds):
     system = _system(name)
     rng = np.random.default_rng(len(x) + rounds)
     dense_run = DenseRun(system, x, 1)
-    current = dense_run.run(_random_prover(system, 1, rounds, rng))
-    dim = current.prover.dim
+    current = dense_run.run(_random_prover(system, 1, rounds, rng).matrices)
+    dim = dense_dimension(system.verifier, 1)
     never_acted = 0
     for step in range(40):
         i0 = step % rounds
-        m = _random_unitaries(rng, 1, dim)[0] @ current.prover.matrices[i0]
+        m = _random_unitaries(rng, 1, dim)[0] @ current.matrices[i0]
         resumed = dense_run.resume(current, i0, m)
-        assert [a is b for a, b in zip(resumed.prover.matrices,
-                                       current.prover.matrices)] == [
+        assert isinstance(resumed.matrices, tuple)
+        assert [a is b for a, b in zip(resumed.matrices, current.matrices)] == [
             i != i0 for i in range(rounds)]
-        assert resumed.prover.matrices[i0] is m
-        full = dense_run.run(resumed.prover)
+        assert resumed.matrices[i0] is m
+        full = dense_run.run(resumed.matrices)
         assert resumed.p_acc.hex() == full.p_acc.hex(), (step, i0)
         assert resumed.p_rej.hex() == full.p_rej.hex(), (step, i0)
         assert resumed.p_cont.hex() == full.p_cont.hex(), (step, i0)
@@ -172,7 +176,7 @@ def _givens(m, i, j, theta=0.7, phi=1.3):
 
 
 def _assert_full_pass(dense_run, resumed):
-    full = dense_run.run(resumed.prover)
+    full = dense_run.run(resumed.matrices)
     assert resumed.p_acc.hex() == full.p_acc.hex()
     assert resumed.p_rej.hex() == full.p_rej.hex()
     assert resumed.p_cont.hex() == full.p_cont.hex()
@@ -197,10 +201,10 @@ def test_a_move_that_leaves_the_state_unchanged_runs_no_round(name, x, rounds, s
         table = ClassicalProverTable({(1, BLANK, "m0"): (spec.comm_alphabet[1], "m1")})
         prover = dense_from_table(table, spec.comm_alphabet, spec.prover_alphabet, 1,
                                   rounds)
-    current = dense_run.run(prover)
+    current = dense_run.run(prover.matrices)
     skipped = resumed_some = 0
     for i0, (state, *_masses, was) in enumerate(current.saved):
-        m = current.prover.matrices[i0]
+        m = current.matrices[i0]
         # rows of m that meet no column the state occupies, and one that does
         occupied = np.any(state.reshape(-1, dim) != 0, axis=0)
         free = [i for i in range(dim) if not np.any(m[i, occupied])]
@@ -209,7 +213,7 @@ def test_a_move_that_leaves_the_state_unchanged_runs_no_round(name, x, rounds, s
             rotated = _givens(m, free[0], free[1])
             resumed = dense_run.resume(current, i0, rotated)
             # the moved prover with the current pass's masses and saved states
-            assert resumed.prover.matrices[i0] is rotated
+            assert resumed.matrices[i0] is rotated
             assert resumed.saved is current.saved, i0
             assert resumed.p_acc == current.p_acc, i0
             _assert_full_pass(dense_run, resumed)
@@ -304,7 +308,7 @@ def test_a_graph_with_a_cycle_has_no_horizon(monkeypatch):
         dense_run = DenseRun(system, x, 1)
         for rounds in (0, 2, 60):
             prover = _random_prover(system, 1, rounds, rng)
-            got = dense_run.run(prover)
+            got = dense_run.run(prover.matrices)
             want = _rounds_in_layers(monkeypatch, system, prover, x, layers)
             # the run outlasts the stored layers, so later rounds cycle through them
             assert want.rounds_executed > len(layers.layers), (x, rounds)

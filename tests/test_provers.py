@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qipsim.linalg import ContractViolation
 from qipsim.provers import (ClassicalProverTable, DenseProver, EraseAllProver,
                             IdentityProver, ProverStrategy, ReversibilityError,
                             ScriptedProver, check_committed, complete_permutation,
@@ -56,27 +57,27 @@ def test_scripted_prover_records_consumed_symbol():
 
 
 def test_dense_prover_round_matrices_permute():
-    mats = [np.eye(6, dtype=complex)]
-    p = DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1, mats)
-    assert p.apply("x", 1, "a", ("b",)) == [("a", ("b",), 1.0)]
+    swap = np.eye(6, dtype=complex)[[1, 0, 2, 3, 4, 5]]
+    p = DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1, [swap, np.eye(6, dtype=complex)])
+    assert isinstance(p.matrices, tuple)
+    assert p.apply("x", 1, BLANK, (BLANK,)) == [(BLANK, ("a",), 1.0)]
+    assert p.apply("x", 2, "a", ("b",)) == [("a", ("b",), 1.0)]
     assert p.apply("x", 9, "a", ("b",)) == [("a", ("b",), 1.0 + 0j)]
 
 
-def test_with_round_leaves_the_original_unchanged():
-    swap = np.eye(6, dtype=complex)[[1, 0, 2, 3, 4, 5]]
-    p = DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1,
-                    [np.eye(6, dtype=complex), np.eye(6, dtype=complex)])
-    assert isinstance(p.matrices, tuple)
-    before = p.apply("x", 1, BLANK, (BLANK,))  # round 1's columns are now cached
-    q = p.with_round(0, swap)
-    assert isinstance(q.matrices, tuple)
-    assert q.matrices[0] is swap and q.matrices[1] is p.matrices[1]
-    assert np.array_equal(p.matrices[0], np.eye(6))
-    assert p.apply("x", 1, BLANK, (BLANK,)) == before == [(BLANK, (BLANK,), 1.0)]
-    assert q.apply("x", 1, BLANK, (BLANK,)) == [(BLANK, ("a",), 1.0)]
-    assert q.apply("x", 2, "a", ("b",)) == p.apply("x", 2, "a", ("b",))
+def test_dense_prover_refuses_a_non_unitary_round_matrix():
+    shear = np.eye(6, dtype=complex)
+    shear[0, 1] = 1e-8  # off by more than UNITARY_TOL
+    with pytest.raises(ContractViolation, match="round 3 matrix"):
+        DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1, [np.eye(6)] * 2 + [shear, shear])
+    shear[0, 1] = 1e-10  # within UNITARY_TOL
+    DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1, [shear])
+    assert DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1, []).matrices == ()
+
+
+def test_dense_prover_refuses_a_matrix_of_the_wrong_shape():
     with pytest.raises(ValueError, match="6x6"):
-        p.with_round(1, np.eye(4))
+        DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1, [np.eye(6), np.eye(4)])
 
 
 def test_dense_labels_follow_the_basis_order():
