@@ -87,7 +87,8 @@ import numpy as np
 
 from .linalg import PRUNE_TOL, DomainError
 from .provers import (ClassicalProverTable, DenseProver, EncodingError,
-                      IdentityProver, dense_from_table, make_classical_prover)
+                      IdentityProver, TableProver, dense_from_table,
+                      from_description)
 from .qfa import BLANK, symbol_at
 from .runtime import (DenseRun, QipSystem, _measure, _no_transition, _round,
                       _run_length, default_t_max, run)
@@ -414,7 +415,7 @@ def best_classical_prover(system: QipSystem, x: str,
     budget = budget or AdversaryBudget()
     search = _ClassicalSearch(system, x, budget)
     best, table = search.search()
-    prover = make_classical_prover(table)
+    prover = TableProver(table)
     achieved = run(system, prover, x).p_acc
     if not search.capped and abs(achieved - best) > REPLAY_TOL:
         raise RuntimeError(
@@ -472,7 +473,7 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
     rng = np.random.default_rng(budget.seed)
 
     best_p = run(system, IdentityProver(), x).p_acc
-    best_desc = {"kind": "identity"}
+    best_desc = IdentityProver().describe()
     tested = 1
 
     if classical_seed is None:
@@ -487,9 +488,9 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
 
     seed = None
     if classical_seed.best_strategy.get("kind") == "classical_table":
-        table = _table_from_description(classical_seed.best_strategy)
+        table = from_description(classical_seed.best_strategy).table
         try:
-            seed = dense_from_table(table, comm, tape, c, rounds).matrices
+            seed = dense_from_table(table, comm, tape, c, rounds)
         except EncodingError:  # the table's memory does not fit in c cells
             pass
 
@@ -534,32 +535,6 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
 # Replay
 # ---------------------------------------------------------------------------
 
-def _table_from_description(desc: dict) -> ClassicalProverTable:
-    """Decode a ``classical_table`` description's "i|g|m" keys."""
-    entries = {}
-    for key, (g2, m2) in desc["entries"].items():
-        i, g, m = key.split("|")
-        entries[(int(i), g, m)] = (g2, m2)
-    return ClassicalProverTable(entries=entries,
-                                initial_memory=desc["initial_memory"])
-
-
-def prover_from_description(desc: dict):
-    """Rebuild a strategy from a report's embedded description."""
-    kind = desc.get("kind")
-    if kind == "identity":
-        return IdentityProver()
-    if kind == "classical_table":
-        return make_classical_prover(_table_from_description(desc))
-    if kind == "dense":
-        dim = len(desc["comm_alphabet"]) * len(desc["tape_alphabet"]) ** desc["c"]
-        mats = [np.array([complex(re, im) for re, im in m], dtype=complex).reshape(dim, dim)
-                for m in desc["matrices"]]
-        return DenseProver(desc["comm_alphabet"], desc["tape_alphabet"], desc["c"], mats)
-    raise ValueError(f"unknown strategy description {kind!r}")
-
-
 def replay(system: QipSystem, x: str, report: AdversaryReport) -> float:
     """Re-run the reported strategy; must reproduce best_p_acc within REPLAY_TOL."""
-    prover = prover_from_description(report.best_strategy)
-    return run(system, prover, x).p_acc
+    return run(system, from_description(report.best_strategy), x).p_acc

@@ -19,7 +19,7 @@ from .adversary import (AdversaryBudget, BudgetError, best_classical_prover,
 from .languages import LANGUAGES
 from .linalg import DomainError
 from .protocols import BUILTIN, ProtocolError, build_protocol
-from .provers import EraseAllProver, IdentityProver, make_classical_prover
+from .provers import EraseAllProver, IdentityProver, ReversibilityError, TableProver
 from .qfa import (AlphabetError, SpecError, StructureMode, check_structure,
                   validate_and_complete)
 from .runtime import run
@@ -79,7 +79,7 @@ def _load_prover(name: str, system):
         return IdentityProver()
     if name == "eraser":
         return EraseAllProver()
-    return make_classical_prover(parse_prover_table(_read(name)))
+    return TableProver(parse_prover_table(_read(name)))
 
 
 def cmd_validate(args) -> int:
@@ -236,9 +236,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_adversary, quantum=False)
 
     p = sub.add_parser("tiling", help="1-tiling complexity or the size bound")
-    p.add_argument("--lang", choices=sorted(LANGUAGES))
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--lang", choices=sorted(LANGUAGES))
+    which.add_argument("--bound", nargs=4, type=int, metavar=("Q", "G", "DLT", "C"))
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--bound", nargs=4, type=int, metavar=("Q", "G", "DLT", "C"))
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_tiling)
@@ -255,7 +256,7 @@ def main(argv=None) -> int:
     except ProtocolError as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 2
-    except (AlphabetError, BudgetError, DomainError) as exc:
+    except (AlphabetError, BudgetError, DomainError, ReversibilityError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 1
 

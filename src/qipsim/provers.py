@@ -9,7 +9,8 @@ strategies act by an explicit unitary on the first ``c`` tape cells.
 Honest provers are realized as per-round classical scripts.  A scripted round
 either leaves everything alone or rewrites the cell symbol and pushes the
 symbol it consumed onto the tape, which makes every round an isometry on the
-whole visible space regardless of the rewrite map.
+whole visible space regardless of the rewrite map.  `from_description`
+rebuilds a searched prover from the JSON-ready ``describe()`` of its report.
 """
 from __future__ import annotations
 
@@ -129,7 +130,19 @@ class ClassicalProverTable:
 
 
 class TableProver(ProverStrategy):
+    """A classical table as a prover.  Two listed pairs of one step with one
+    image raise ``ReversibilityError`` naming them, since no unitary extends
+    a non-injective map."""
+
     def __init__(self, table: ClassicalProverTable):
+        first: dict = {}  # (step, image) -> the first listed pair mapped there
+        for (i, g, m), (g2, m2) in sorted(table.entries.items()):
+            src = first.setdefault((i, g2, m2), (g, m))
+            if src != (g, m):
+                raise ReversibilityError(
+                    f"step {i}: {src} and {(g, m)} both map to {(g2, m2)}")
+        # collisions with the implied identity on unlisted pairs depend on which
+        # pairs are reachable; the run-time conservation check catches those
         self.table = table
         self._steps = frozenset(i for (i, _g, _m) in table.entries)
 
@@ -148,28 +161,6 @@ class TableProver(ProverStrategy):
                 "initial_memory": self.table.initial_memory,
                 "entries": {f"{i}|{g}|{m}": list(v)
                             for (i, g, m), v in sorted(self.table.entries.items())}}
-
-
-def make_classical_prover(table: ClassicalProverTable) -> TableProver:
-    """Wrap a classical table, refusing tables that are visibly irreversible.
-
-    Injectivity is checked per step over the listed entries together with the
-    implied identity on unlisted pairs; a collision is a hard error naming the
-    pair, since no unitary extends a non-injective map.
-    """
-    by_step: dict[int, dict] = {}
-    for (i, g, m), (g2, m2) in table.entries.items():
-        by_step.setdefault(i, {})[(g, m)] = (g2, m2)
-    for i, step in sorted(by_step.items()):
-        seen: dict[tuple[str, str], tuple[str, str]] = {}
-        for src, dst in sorted(step.items()):
-            if dst in seen:
-                raise ReversibilityError(
-                    f"step {i}: {seen[dst]} and {src} both map to {dst}")
-            seen[dst] = src
-    # collisions with the implied identity on unlisted pairs depend on which
-    # pairs are reachable; the run-time conservation check catches those
-    return TableProver(table)
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +253,14 @@ class DenseProver(ProverStrategy):
                 "c": self.c,
                 "comm_alphabet": list(self.comm_alphabet),
                 "tape_alphabet": list(self.tape_alphabet),
-                "matrices": [[[z.real, z.imag] for z in m.flatten()]
-                             for m in self.matrices]}
+                # each round flattened row by row, as [re, im] pairs
+                "matrices": np.asarray(self.matrices, dtype=complex).view(np.float64)
+                .reshape(len(self.matrices), self.dim * self.dim, 2).tolist()}
 
 
 def dense_from_table(table: ClassicalProverTable, comm_alphabet, tape_alphabet,
-                     c: int, rounds: int) -> DenseProver:
-    """Permutation unitaries realizing a classical table for ``rounds`` rounds.
+                     c: int, rounds: int) -> tuple:
+    """Permutation round matrices realizing a classical table for ``rounds`` rounds.
 
     Memory labels, the initial one first and the rest sorted, are spelled by
     the tape words in order.  An unlisted pair stays put unless a listed pair
@@ -291,7 +283,7 @@ def dense_from_table(table: ClassicalProverTable, comm_alphabet, tape_alphabet,
         taken = set(mapping.values())
         mapping.update((p, p) for p in pairs if p not in mapping and p not in taken)
         matrices.append(complete_permutation(mapping, len(index)))
-    return DenseProver(comm_alphabet, tape_alphabet, c, matrices)
+    return tuple(matrices)
 
 
 def densify_schedule(visible: list[tuple[str, str]], comm_alphabet,
@@ -307,7 +299,8 @@ def densify_schedule(visible: list[tuple[str, str]], comm_alphabet,
         entries={(t + 1, seen, t): (written, t + 1)
                  for t, (seen, written) in enumerate(visible)},
         initial_memory=0)
-    return dense_from_table(table, comm_alphabet, tape_alphabet, c, len(visible))
+    matrices = dense_from_table(table, comm_alphabet, tape_alphabet, c, len(visible))
+    return DenseProver(comm_alphabet, tape_alphabet, c, matrices)
 
 
 def complete_permutation(mapping: dict[int, int], dim: int) -> np.ndarray:
@@ -323,6 +316,27 @@ def complete_permutation(mapping: dict[int, int], dim: int) -> np.ndarray:
     for src in range(dim):
         perm[mapping[src] if src in mapping else next(free_dst), src] = 1.0
     return perm
+
+
+def from_description(desc: dict) -> ProverStrategy:
+    """The identity, table or dense prover whose ``describe()`` is ``desc``,
+    checked as it is made; each dense entry must be a [re, im] pair."""
+    kind = desc.get("kind")
+    if kind == "identity":
+        return IdentityProver()
+    if kind == "classical_table":
+        entries = {}
+        for key, (g2, m2) in desc["entries"].items():
+            i, g, m = key.split("|")
+            entries[(int(i), g, m)] = (g2, m2)
+        return TableProver(ClassicalProverTable(entries=entries,
+                                                initial_memory=desc["initial_memory"]))
+    if kind == "dense":
+        dim = len(desc["comm_alphabet"]) * len(desc["tape_alphabet"]) ** desc["c"]
+        mats = [np.array([complex(re, im) for re, im in m], dtype=complex).reshape(dim, dim)
+                for m in desc["matrices"]]
+        return DenseProver(desc["comm_alphabet"], desc["tape_alphabet"], desc["c"], mats)
+    raise ValueError(f"unknown strategy description {kind!r}")
 
 
 # ---------------------------------------------------------------------------

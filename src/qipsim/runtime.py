@@ -210,11 +210,10 @@ def run(system: QipSystem, prover: ProverStrategy, x: str,
         if r < t_max:
             state = _apply_prover(prover, x, r, state)
 
-    truncated = (not spec.head_model.one_way) and cont >= PRUNE_TOL
     _check_end(spec, n, rounds, cont, max_err)
     return RunResult(p_acc=p_acc, p_rej=p_rej, p_cont=cont,
                      halting_profile=profile, rounds_executed=rounds,
-                     truncated=truncated, cont_trace=cont_trace,
+                     truncated=cont >= PRUNE_TOL, cont_trace=cont_trace,
                      max_conservation_error=max_err)
 
 

@@ -57,6 +57,8 @@ class TilingInstance:
 
 def all_strings(alphabet, n: int) -> list[str]:
     """Strings of length <= n, shortest first, each length in product order."""
+    if n < 0:
+        raise DomainError(f"string length must be at least 0, got {n}")
     out, last = [""], [""]
     for _ in range(n):
         last = [w + s for w in last for s in alphabet]

@@ -9,15 +9,13 @@ import pytest
 from qipsim import adversary
 from qipsim.adversary import (REPLAY_TOL, AdversaryBudget, AdversaryReport,
                               _ClassicalSearch, _random_unitaries,
-                              _table_from_description, best_classical_prover,
-                              dense_dimension, prover_from_description, replay,
+                              best_classical_prover, dense_dimension, replay,
                               search_quantum_prover)
 from qipsim.linalg import ContractViolation, DomainError, check_unitary
 from qipsim.protocols import build_protocol
-from qipsim.provers import DenseProver
-from qipsim.provers import (ClassicalProverTable, IdentityProver, ReversibilityError,
-                            make_classical_prover)
-from qipsim.provers import dense_from_table as _table_to_dense
+from qipsim.provers import (ClassicalProverTable, DenseProver, IdentityProver,
+                            ReversibilityError, TableProver, dense_from_table,
+                            from_description)
 from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, AlphabetError, HeadModel, QfaSpec,
                         validate_and_complete)
 from qipsim.runtime import DenseRun, QipSystem, _round, default_t_max, run
@@ -170,28 +168,29 @@ def test_classical_seed_matrices_are_unitary(pal2, x):
     steps = 2 * (len(x) + 2)
     rep = best_classical_prover(pal2, x, AdversaryBudget(memory_states=2, steps=steps))
     spec = pal2.verifier
-    seed = _table_to_dense(_table_from_description(rep.best_strategy),
-                           spec.comm_alphabet, spec.prover_alphabet, 1,
-                           min(steps, default_t_max(spec, x)))
-    assert all(check_unitary(m, 1e-9) for m in seed.matrices)
-    assert run(pal2, seed, x).p_acc == pytest.approx(rep.best_p_acc, abs=1e-9)
+    seed = dense_from_table(from_description(rep.best_strategy).table,
+                            spec.comm_alphabet, spec.prover_alphabet, 1,
+                            min(steps, default_t_max(spec, x)))
+    assert all(check_unitary(m, 1e-9) for m in seed)
+    prover = DenseProver(spec.comm_alphabet, spec.prover_alphabet, 1, seed)
+    assert run(pal2, prover, x).p_acc == pytest.approx(rep.best_p_acc, abs=1e-9)
 
 
 def test_replay_refuses_a_non_unitary_round_matrix():
     desc = DenseProver(("#", "a"), ("#", "a"), 1, [np.eye(4), np.eye(4)]).describe()
     desc["matrices"][1][1] = [1.0, 0.0]  # round 2 gets a shear: entry (0, 1) is 1
     with pytest.raises(ContractViolation, match="round 2"):
-        prover_from_description(desc)
+        from_description(desc)
     desc["matrices"].pop()
-    assert isinstance(prover_from_description(desc), DenseProver)
+    assert isinstance(from_description(desc), DenseProver)
 
 
-@pytest.mark.parametrize("seeded, built", [("table", 1), ("unscored table", 2),
+@pytest.mark.parametrize("seeded, built", [("table", 0), ("unscored table", 1),
                                             ("identity", 1)])
-def test_a_search_builds_a_dense_prover_for_its_seed_and_result_only(
-        monkeypatch, seeded, built):
-    # the climb passes round matrices to DenseRun; a DenseProver is made,
-    # and checked, for the classical seed's permutations and the result
+def test_a_search_builds_a_dense_prover_for_its_result_only(monkeypatch, seeded, built):
+    # the climb passes round matrices to DenseRun, the classical seed's
+    # permutations too; only a dense result becomes a DenseProver, checked
+    # when it is made
     system = build_protocol("pal_sharp:d=2")
     budget = AdversaryBudget(memory_states=2, steps=14, restarts=3, iterations=15, seed=7)
     classical = best_classical_prover(system, "01#00", budget)
@@ -218,7 +217,7 @@ def test_replay_refuses_a_non_injective_classical_table(pal1):
     desc = {"kind": "classical_table", "initial_memory": "m0",
             "entries": {f"3|{g}|m0": ["1", "m0"] for g in ("#", "0", "1")}}
     with pytest.raises(ReversibilityError, match="both map to"):
-        prover_from_description(desc)
+        from_description(desc)
     report = AdversaryReport(best_p_acc=0.0, best_strategy=desc,
                              strategies_tested=0, is_exhaustive=False)
     with pytest.raises(ReversibilityError):
@@ -523,7 +522,7 @@ def _best_memoryless_run(system, x):
     for perms in itertools.product(itertools.permutations(comm), repeat=len(x) + 1):
         entries = {(r, g, "m0"): (g2, "m0") for r, perm in enumerate(perms, start=1)
                    for g, g2 in zip(comm, perm) if g != g2}
-        prover = make_classical_prover(ClassicalProverTable(entries, initial_memory="m0"))
+        prover = TableProver(ClassicalProverTable(entries, initial_memory="m0"))
         best = max(best, run(system, prover, x).p_acc)
     return best
 
@@ -581,7 +580,7 @@ def test_dense_strategy_replays_from_json(pal2):
     assert rep.best_strategy["kind"] == "dense"
     assert rep.strategies_tested == _climbed(budget)
     desc = json.loads(json.dumps(rep.best_strategy))
-    assert isinstance(prover_from_description(desc), DenseProver)
+    assert isinstance(from_description(desc), DenseProver)
     decoded = dataclasses.replace(rep, best_strategy=desc)
     assert replay(pal2, "0#1", decoded) == pytest.approx(rep.best_p_acc, abs=REPLAY_TOL)
 
@@ -671,8 +670,8 @@ def _reference_climb(system, x, c, budget, classical):
         best_p, best_desc = classical.best_p_acc, classical.best_strategy
     seed = None
     if classical.best_strategy.get("kind") == "classical_table":
-        seed = _table_to_dense(_table_from_description(classical.best_strategy),
-                               comm, tape, c, rounds).matrices
+        seed = dense_from_table(from_description(classical.best_strategy).table,
+                                comm, tape, c, rounds)
     dense_run = DenseRun(system, x, c)
     for restart in range(budget.restarts):
         if restart == 0 and seed is not None:

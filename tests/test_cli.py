@@ -66,6 +66,25 @@ def test_tiling_refused_by_the_lp_dual_exits_1(capsys, monkeypatch):
     assert err == "tiling failed: dual bound 5 does not prove 6 tiles minimal\n"
 
 
+@pytest.mark.parametrize("argv", [[], ["--lang", "la", "--bound", "1", "1", "1", "1"]],
+                         ids=["neither", "both"])
+def test_tiling_needs_one_of_lang_and_bound(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["tiling", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tiling", "--lang", "la", "--n", "-1"], "tiling failed"),
+    (["sweep", "--protocol", "odd", "--n-max", "-1"], "sweep failed"),
+], ids=["tiling", "sweep"])
+def test_negative_lengths_exit_1(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"{message}: string length must be at least 0, got -1\n"
+
+
 def test_adversary_cli(capsys):
     code, out, _ = run_cli(capsys, "adversary", "--protocol", "center:N=2",
                            "--input", "001", "--classical", "--memory", "2",
@@ -155,7 +174,7 @@ def test_byte_identical_output_for_fixed_seed(capsys):
 
 def test_a_climbed_dense_report_replays_from_its_json(capsys):
     # the climb beats every classical table here, so the report holds round
-    # matrices, which replay rebuilds through prover_from_description
+    # matrices, which replay rebuilds through provers.from_description
     code, out, _ = run_cli(capsys, "adversary", "--protocol", "la_mo", "--input", "aa",
                            "--quantum", "--restarts", "3", "--iterations", "10",
                            "--seed", "2")
@@ -279,6 +298,16 @@ def test_run_with_bad_prover_file_exit_2(tmp_path, capsys, table):
                              "--prover", str(path))
     assert code == 2 and out == ""
     assert err.startswith("parse error: ")
+
+
+def test_run_with_a_non_injective_prover_table_exit_1(tmp_path, capsys):
+    path = tmp_path / "prover.table"
+    path.write_text("[prover_table]\ninitial m0\n1 a m0 -> # m0\n1 # m0 -> # m0\n")
+    code, out, err = run_cli(capsys, "run", "--protocol", "la_mo", "--input", "a",
+                             "--prover", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("run failed: step 1: ('#', 'm0') and ('a', 'm0') "
+                   "both map to ('#', 'm0')\n")
 
 
 @pytest.mark.parametrize("command", [["run"], ["adversary", "--classical"],

@@ -15,7 +15,7 @@ from qipsim import runtime
 from qipsim.adversary import DENSE_DIM_CAP, _random_unitaries, dense_dimension
 from qipsim.protocols import BUILTIN, build_protocol
 from qipsim.provers import (ClassicalProverTable, DenseProver, IdentityProver,
-                             ProverStrategy, dense_from_table, make_classical_prover)
+                             ProverStrategy, TableProver, dense_from_table)
 from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec,
                         validate_and_complete)
 from qipsim.runtime import DenseRun, QipSystem, RunError, pair_layers, run
@@ -98,13 +98,14 @@ def test_measure_once_runs_end_in_one_measurement(la_mo):
     # rejects that mass instead of leaving it running
     table = ClassicalProverTable({(1, BLANK, "m0"): ("a", "m0")})
     spec = la_mo.verifier
-    dense = dense_from_table(table, spec.comm_alphabet, spec.prover_alphabet, 1, 3)
-    sparse = run(la_mo, make_classical_prover(table), "aa")
+    matrices = dense_from_table(table, spec.comm_alphabet, spec.prover_alphabet, 1, 3)
+    sparse = run(la_mo, TableProver(table), "aa")
     assert (sparse.p_acc, sparse.p_rej, sparse.p_cont) == (0.0, 1.0, 0.0)
     assert sparse.halting_profile == [(4, 0.0, 1.0)]
     assert sparse.cont_trace[-1] == 0.0
-    got = DenseRun(la_mo, "aa", 1).run(dense.matrices)
+    got = DenseRun(la_mo, "aa", 1).run(matrices)
     assert (got.p_acc, got.p_rej, got.p_cont) == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
+    dense = DenseProver(spec.comm_alphabet, spec.prover_alphabet, 1, matrices)
     assert run(la_mo, dense, "aa").p_rej == pytest.approx(1.0, abs=1e-12)
 
 
@@ -195,13 +196,12 @@ def test_a_move_that_leaves_the_state_unchanged_runs_no_round(name, x, rounds, s
     dense_run = DenseRun(system, x, 1)
     dim = dense_dimension(spec, 1)
     if start == "identity":
-        prover = DenseProver(spec.comm_alphabet, spec.prover_alphabet, 1,
-                             [np.eye(dim, dtype=complex) for _ in range(rounds)])
+        matrices = [np.eye(dim, dtype=complex) for _ in range(rounds)]
     else:  # a permutation per round, which moves the cell symbol in round 1
         table = ClassicalProverTable({(1, BLANK, "m0"): (spec.comm_alphabet[1], "m1")})
-        prover = dense_from_table(table, spec.comm_alphabet, spec.prover_alphabet, 1,
-                                  rounds)
-    current = dense_run.run(prover.matrices)
+        matrices = dense_from_table(table, spec.comm_alphabet, spec.prover_alphabet, 1,
+                                    rounds)
+    current = dense_run.run(matrices)
     skipped = resumed_some = 0
     for i0, (state, *_masses, was) in enumerate(current.saved):
         m = current.matrices[i0]

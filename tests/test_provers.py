@@ -1,19 +1,21 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from qipsim.adversary import _random_unitaries
 from qipsim.linalg import ContractViolation
 from qipsim.provers import (ClassicalProverTable, DenseProver, EraseAllProver,
                             IdentityProver, ProverStrategy, ReversibilityError,
                             ScriptedProver, check_committed, complete_permutation,
-                            densify_schedule, make_classical_prover)
+                            TableProver, densify_schedule, from_description)
 from qipsim.qfa import BLANK
 
 
 def test_identity_table_is_identity_prover():
     table = ClassicalProverTable(entries={(1, "a", "m0"): ("a", "m0")})
-    prover = make_classical_prover(table)
+    prover = TableProver(table)
     assert prover.apply("x", 1, "a", "m0") == [("a", "m0", 1.0)]
     assert prover.apply("x", 5, "b", "m1") == [("b", "m1", 1.0)]
 
@@ -23,8 +25,9 @@ def test_collision_raises_naming_pair():
         (1, "a", "m0"): ("#", "m0"),
         (1, "b", "m0"): ("#", "m0"),
     })
-    with pytest.raises(ReversibilityError, match="both map to"):
-        make_classical_prover(table)
+    with pytest.raises(ReversibilityError,
+                       match=r"step 1: \('a', 'm0'\) and \('b', 'm0'\) both map to"):
+        TableProver(table)
 
 
 def test_check_committed_identity():
@@ -110,7 +113,7 @@ def test_idle_rounds_of_each_prover():
     assert not any(EraseAllProver().idle("x", i) for i in range(1, 5))
     scripted = ScriptedProver(script_builder=lambda x: {2: {"a": BLANK}}, name="t")
     assert [scripted.idle("x", i) for i in (1, 2, 3)] == [True, False, True]
-    table = make_classical_prover(ClassicalProverTable(entries={
+    table = TableProver(ClassicalProverTable(entries={
         (1, "a", "m0"): ("a", "m0"), (3, "a", "m0"): ("b", "m1")}))
     assert [table.idle("x", i) for i in (1, 2, 3, 4)] == [False, True, False, True]
     dense = DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1, [np.eye(6)] * 2)
@@ -120,3 +123,16 @@ def test_idle_rounds_of_each_prover():
 def test_complete_permutation_refuses_shared_destination():
     with pytest.raises(ReversibilityError):
         complete_permutation({0: 2, 1: 2}, 3)
+
+
+def test_dense_description_is_the_per_entry_encoding_and_decodes_bit_for_bit():
+    mats = list(_random_unitaries(np.random.default_rng(5), 22, 12))
+    mats[3] = mats[3].T  # unitary too, and not C-contiguous
+    prover = DenseProver((BLANK, "0", "1"), (BLANK, "0", "1", "x"), 1, mats)
+    text = json.dumps(prover.describe())
+    reference = {"kind": "dense", "c": 1, "comm_alphabet": [BLANK, "0", "1"],
+                 "tape_alphabet": [BLANK, "0", "1", "x"],
+                 "matrices": [[[z.real, z.imag] for z in m.flatten()] for m in mats]}
+    assert text == json.dumps(reference)
+    decoded = from_description(json.loads(text))
+    assert [m.tobytes() for m in decoded.matrices] == [m.tobytes() for m in prover.matrices]

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from qipsim.adversary import (DENSE_DIM_CAP, AdversaryBudget, best_classical_prover,
-                              dense_dimension, prover_from_description)
+                              dense_dimension)
 from qipsim.linalg import PRUNE_TOL
 from qipsim.protocols import BUILTIN, build_protocol
 from qipsim.provers import (ClassicalProverTable, DenseProver, IdentityProver,
-                            ProverStrategy, check_committed, make_classical_prover)
+                            ProverStrategy, TableProver, check_committed,
+                            from_description)
 from qipsim.qfa import BLANK, HeadModel, symbol_at
 from qipsim.runtime import (_run_length, count_interactions, default_t_max,
                             query_weight, run)
@@ -198,14 +199,14 @@ def gap_table_prover(spec):
     """A classical table whose steps 1 and 3 each swap two (cell, memory)
     pairs and whose step 2 is empty."""
     g = next(s for s in spec.comm_alphabet if s != BLANK)
-    return make_classical_prover(ClassicalProverTable(entries={
+    return TableProver(ClassicalProverTable(entries={
         (1, BLANK, "m0"): (g, "m1"), (1, g, "m1"): (BLANK, "m0"),
         (3, g, "m0"): (BLANK, "m1"), (3, BLANK, "m1"): (g, "m0")}))
 
 
 def best_table_prover(system, x):
     report = best_classical_prover(system, x, AdversaryBudget(memory_states=2))
-    return prover_from_description(report.best_strategy)
+    return from_description(report.best_strategy)
 
 
 class TapeLog(ProverStrategy):

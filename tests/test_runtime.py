@@ -173,12 +173,20 @@ def test_truncation_flag():
     assert res.truncated and res.p_cont > 0.9
 
 
+@pytest.mark.parametrize("name, x, t_max", [("odd", "1", 1), ("la_mo", "aa", 2)])
+def test_one_way_runs_cut_short_are_truncated(request, name, x, t_max):
+    system = request.getfixturevalue(name)
+    cut = run(system, system.honest_prover, x, t_max=t_max)
+    assert cut.truncated and cut.p_cont == pytest.approx(1.0)
+    assert not run(system, system.honest_prover, x).truncated
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 30), st.text(alphabet="01", max_size=5))
 def test_random_classical_provers_conserve_probability(odd, seed, x):
     import random as _random
 
-    from qipsim.provers import ClassicalProverTable, make_classical_prover
+    from qipsim.provers import ClassicalProverTable, TableProver
 
     rng = _random.Random(seed)
     pairs = [(g, m) for g in (BLANK, "a") for m in ("m0", "m1")]
@@ -188,7 +196,7 @@ def test_random_classical_provers_conserve_probability(odd, seed, x):
         for (g, m), (g2, m2) in zip(pairs, targets):
             if (g, m) != (g2, m2):
                 entries[(r, g, m)] = (g2, m2)
-    prover = make_classical_prover(ClassicalProverTable(entries, "m0"))
+    prover = TableProver(ClassicalProverTable(entries, "m0"))
     res = run(odd, prover, x)
     assert res.p_acc + res.p_rej + res.p_cont == pytest.approx(1.0, abs=1e-9)
     assert res.max_conservation_error <= 1e-9 * max(1, res.rounds_executed)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import qipsim as q
-from qipsim.provers import make_classical_prover
+from qipsim.provers import TableProver, from_description
 from qipsim.specfile import (ParseError, parse_complex, parse_prover_table,
                              parse_real, parse_spec, serialize_prover_table,
                              serialize_spec)
@@ -124,6 +124,18 @@ def test_prover_table_round_trip():
     text = "[prover_table]\ninitial m0\n1 a m0 -> # m1\n2 # m1 -> a m0\n"
     table = parse_prover_table(text)
     assert table.entries[(1, "a", "m0")] == ("#", "m1")
-    prover = make_classical_prover(table)
+    prover = TableProver(table)
     assert prover.apply("x", 1, "a", "m0") == [("#", "m1", 1.0)]
     assert serialize_prover_table(table) == text
+
+
+def test_the_shipped_cheating_table_is_the_search_result():
+    # the README runs specs/pal_sharp_d1_cheat.table: the best classical table
+    # on pal_sharp:d=1 / "0#1" at memory 2 and steps 12
+    system = q.build_protocol("pal_sharp:d=1")
+    report = q.best_classical_prover(system, "0#1",
+                                     q.AdversaryBudget(memory_states=2, steps=12))
+    shipped = Path(__file__).resolve().parents[1] / "specs" / "pal_sharp_d1_cheat.table"
+    table = from_description(report.best_strategy).table
+    assert shipped.read_text() == serialize_prover_table(table)
+    assert report.best_p_acc == pytest.approx(0.5, abs=1e-9)
