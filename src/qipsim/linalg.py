@@ -140,23 +140,33 @@ def csc_arrays(rows, cols, values, n_cols: int) -> Csc:
     return Csc(indptr, rows[first], data)
 
 
-def gram_entries(rows, cols, values, n_cols: int):
-    """(i, j, value) of the entries of AᴴA, for the entries (rows, cols,
-    values) of a matrix A with ``n_cols`` columns: entries at one place of A
-    may repeat.  (AᴴA)_ij sums conj(A_ri)·A_rj over the rows r, so each row's
-    s entries give s² products; the places are listed by (i, j), and
-    products that cancel leave an exact zero."""
+def gram_products(rows, values):
+    """(a, b, conj(values[a])·values[b]) for every two entries a and b that
+    share a row, among the entries (rows, values) of a matrix A: a row's s
+    entries give s² products, listed row by row, each row's pairs in the
+    order of its entries.  (AᴴA)_ij sums the products of the pairs in columns
+    i and j."""
     order = np.argsort(rows, kind="stable")
-    cols, values = np.asarray(cols, dtype=np.intp)[order], np.asarray(values)[order]
     start = np.flatnonzero(np.diff(np.asarray(rows)[order], prepend=-1))  # rows are >= 0
     size = np.diff(start, append=len(order))
     # product o of a row's s² pairs its entries o // s and o % s
     squares = size * size
     o = np.arange(squares.sum()) - np.repeat(np.cumsum(squares) - squares, squares)
     s, base = np.repeat(size, squares), np.repeat(start, squares)
-    left, right = base + o // s, base + o % s
-    keys, at = np.unique(cols[left] * n_cols + cols[right], return_inverse=True)
-    products = values[left].conj() * values[right]
+    a, b = order[base + o // s], order[base + o % s]
+    values = np.asarray(values)
+    return a, b, values[a].conj() * values[b]
+
+
+def gram_entries(rows, cols, values, n_cols: int):
+    """(i, j, value) of the entries of AᴴA, for the entries (rows, cols,
+    values) of a matrix A with ``n_cols`` columns: entries at one place of A
+    may repeat.  Each entry sums its `gram_products` in their order; the
+    places are listed by (i, j), and products that cancel leave an exact
+    zero."""
+    a, b, products = gram_products(rows, values)
+    cols = np.asarray(cols, dtype=np.intp)
+    keys, at = np.unique(cols[a] * n_cols + cols[b], return_inverse=True)
     sums = np.empty(len(keys), dtype=complex)
     sums.real = np.bincount(at, products.real, len(keys))
     sums.imag = np.bincount(at, products.imag, len(keys))

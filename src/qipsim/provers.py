@@ -197,6 +197,26 @@ def dense_basis(comm_alphabet, tape_alphabet, c: int) -> tuple:
                                    itertools.product(tape_alphabet, repeat=c)))
 
 
+def _round_deviations(stack: np.ndarray) -> np.ndarray:
+    """The max-entry norm of MᴴM − I for each round matrix M in ``stack``.
+
+    A monomial round, with exactly one nonzero per row and per column, has a
+    diagonal MᴴM, so its deviation is the largest ||m|² − 1| over its
+    nonzeros m; permutations and table provers are such rounds.  Every other
+    round takes the full product.
+    """
+    nonzero = stack != 0
+    monomial = ((nonzero.sum(axis=1) == 1) & (nonzero.sum(axis=2) == 1)).all(axis=1)
+    dev = np.empty(len(stack))
+    mono = stack[monomial]
+    dev[monomial] = np.abs(np.abs(mono[nonzero[monomial]]) ** 2 - 1.0).reshape(
+        mono.shape[:2]).max(axis=1, initial=0.0)
+    rest = stack[~monomial]
+    dev[~monomial] = np.abs(rest.conj().transpose(0, 2, 1) @ rest
+                            - np.eye(stack.shape[1])).max(axis=(1, 2), initial=0.0)
+    return dev
+
+
 class DenseProver(ProverStrategy):
     """Per-round unitaries over (cell symbol, first c tape cells).
 
@@ -220,9 +240,7 @@ class DenseProver(ProverStrategy):
             if m.shape != (self.dim, self.dim):
                 raise ValueError(f"round matrix must be {self.dim}x{self.dim}")
         if self.matrices:
-            stack = np.asarray(self.matrices)
-            dev = np.abs(stack.conj().transpose(0, 2, 1) @ stack - np.eye(self.dim))
-            bad = np.flatnonzero(dev.max(axis=(1, 2)) > UNITARY_TOL)
+            bad = np.flatnonzero(_round_deviations(np.asarray(self.matrices)) > UNITARY_TOL)
             if len(bad):
                 raise ContractViolation(
                     f"round {bad[0] + 1} matrix of the prover is not unitary")
@@ -238,10 +256,12 @@ class DenseProver(ProverStrategy):
         cols = self._columns[i - 1]
         if cols is None:
             m = self.matrices[i - 1]
-            kept = np.abs(m) > DENSE_ENTRY_TOL
-            cols = [[(*self.labels[row], complex(m[row, src]))
-                     for row in np.flatnonzero(kept[:, src])]
-                    for src in range(self.dim)]
+            # the kept entries column by column, each column's by row
+            srcs, rows = np.nonzero(np.abs(m.T) > DENSE_ENTRY_TOL)
+            cols = [[] for _ in range(self.dim)]
+            amps = m[rows, srcs].astype(complex).tolist()
+            for src, row, amp in zip(srcs.tolist(), rows.tolist(), amps):
+                cols[src].append((*self.labels[row], amp))
             self._columns[i - 1] = cols
         return cols[self.index[gamma, y]]
 

@@ -13,13 +13,17 @@ unspecified (state, symbol, cell) column to a fresh rejecting state.
 
 A spec compiles delta once, when it is made, into integer arrays per tape
 symbol (`_compile`): the only check of the transitions, and the table that
-validation, completion and `step_operator_csc` read.
+validation, completion and `step_operator_csc` read.  A (state, cell) pair
+is coded q·|Gamma| + gamma there, and the completion works on the same
+codes: it reads the table, picks the columns and rows it fills by code, and
+turns codes back into names only for the rows it writes.
 
 Validation certifies the step operator unitary for every input of each
 requested length at once (`certify_unitarity`): an entry of M†M depends only
 on two tape symbols and their distance on the circular tape, so the verdict
-comes from the Gram entries of the table's transitions (`linalg.gram_entries`),
-and every length from 3 on shares one verdict.
+comes from the Gram products of the table's transitions
+(`linalg.gram_products`), summed after one sort, and every length from 3 on
+shares one verdict.
 
 The restricted-model checks (`check_structure`: one-way halting, public,
 measure-once, interaction-bounded) read the table alone, so their verdict
@@ -43,7 +47,7 @@ import numpy as np
 
 # check_unitary is unused here; perfbench calls and wraps qipsim.qfa.check_unitary.
 from .linalg import (PRUNE_TOL, UNITARY_TOL, Csc, DomainError, check_unitary, csc_arrays,
-                     gram_entries)
+                     gram_entries, gram_products)
 
 LEFT_END = "^"
 RIGHT_END = "$"
@@ -147,8 +151,12 @@ class QfaSpec:
 
 
 def _compile(spec: QfaSpec) -> dict[str, _Block]:
-    """Check a spec and compile delta into one `_Block` per tape symbol: names
-    as it goes, then head moves and amplitudes with numpy on the arrays.
+    """Check a spec and compile delta into one `_Block` per tape symbol: the
+    names of every key and target map to codes in bulk, a stable sort of
+    each by tape symbol splits them, and head moves and amplitudes are
+    checked with numpy on the arrays.  Only a name that does not map is
+    looked for row by row (`_unknown_name`), so that the first one in delta
+    order is named.
     """
     classes = [set(spec.non_halting), set(spec.accepting), set(spec.rejecting)]
     for a, b in itertools.combinations(classes, 2):
@@ -178,28 +186,23 @@ def _compile(spec: QfaSpec) -> dict[str, _Block]:
     q_idx = {q: i for i, q in enumerate(spec.states)}
     g_idx = {g: i for i, g in enumerate(spec.comm_alphabet)}
     s_idx = {s: i for i, s in enumerate(spec.tape_symbols)}
-    cols: list[list[int]] = [[] for _ in s_idx]
-    entries: list[list] = [[] for _ in s_idx]  # (src, dst, move, amp) per target
-    for (q, sigma, gamma), targets in spec.delta.items():
-        if q not in q_idx:
-            raise SpecError(f"transition from unknown state {q!r}")
-        if sigma not in s_idx:
-            raise SpecError(f"transition on unknown tape symbol {sigma!r}")
-        if gamma not in g_idx:
-            raise SpecError(f"transition on unknown cell symbol {gamma!r}")
-        src = q_idx[q] * gsz + g_idx[gamma]
-        cols[s_idx[sigma]].append(src)
-        for (q2, g2, d, amp) in targets:
-            if q2 not in q_idx:
-                raise SpecError(f"transition into unknown state {q2!r}")
-            if g2 not in g_idx:
-                raise SpecError(f"transition writes unknown cell symbol {g2!r}")
-            entries[s_idx[sigma]].append((src, q_idx[q2] * gsz + g_idx[g2], d, amp))
+    try:
+        targets = [t for row in spec.delta.values() for t in row]
+        sym = np.array([s_idx[sigma] for _q, sigma, _g in spec.delta], dtype=np.intp)
+        cols = np.array([q_idx[q] * gsz + g_idx[g] for q, _s, g in spec.delta], dtype=np.intp)
+        dst = np.array([q_idx[q2] * gsz + g_idx[g2] for q2, g2, _d, _a in targets],
+                       dtype=np.intp)
+    except (KeyError, TypeError, ValueError):
+        _unknown_name(spec, q_idx, s_idx, g_idx)
+        raise
+    # keys and targets by tape symbol, in delta order within each symbol
+    counts = [len(row) for row in spec.delta.values()]
+    target_sym = np.repeat(sym, counts)
+    by_key, by_target = (np.argsort(v, kind="stable") for v in (sym, target_sym))
+    cols, src, dst = cols[by_key], np.repeat(cols, counts)[by_target], dst[by_target]
+    key_ends, ends = (np.cumsum(np.bincount(v, minlength=len(s_idx))) for v in (sym, target_sym))
 
-    # every symbol's targets in one run of arrays, checked at once, then split
-    ends = np.cumsum([len(e) for e in entries])
-    src, dst, move, amp = tuple(zip(*itertools.chain(*entries))) or ((),) * 4
-    move = np.array(move)
+    move = np.array([t[2] for t in targets])[by_target]
     off = ~np.isin(move, (-1, 0, 1))
     if off.any():
         raise SpecError(f"head move must be in -1/0/+1, got {move[off][0]}")
@@ -208,15 +211,33 @@ def _compile(spec: QfaSpec) -> dict[str, _Block]:
         key = (spec.states[src[j] // gsz], spec.tape_symbols[np.searchsorted(ends, j, "right")],
                spec.comm_alphabet[src[j] % gsz])
         raise SpecError(f"one-way verifier has a non-rightward move at {key}")
-    amp = np.array(amp, dtype=complex)
+    amp = np.array([t[3] for t in targets], dtype=complex)[by_target]
     bad = amp[~(np.abs(amp) <= 1.0 + UNITARY_TOL)]  # NaN fails <= too
     if len(bad):
         a = complex(bad[0])
         raise DomainError(f"amplitude magnitude {abs(a)} exceeds 1" if cmath.isfinite(a)
                           else f"non-finite amplitude {a}")
-    src, dst, move = (np.array(v, dtype=np.intp) for v in (src, dst, move))
-    return {sigma: _Block(np.array(c, dtype=np.intp), *(v[i:j] for v in (src, dst, move, amp)))
-            for sigma, c, i, j in zip(spec.tape_symbols, cols, [0, *ends[:-1]], ends)}
+    move = move.astype(np.intp)
+    return {sigma: _Block(cols[k:l], *(v[i:j] for v in (src, dst, move, amp)))
+            for sigma, k, l, i, j in zip(spec.tape_symbols, [0, *key_ends[:-1]], key_ends,
+                                         [0, *ends[:-1]], ends)}
+
+
+def _unknown_name(spec, q_idx, s_idx, g_idx) -> None:
+    """Raise SpecError naming the first unknown state or symbol of delta,
+    row by row in delta order, and each row's key before its targets."""
+    for (q, sigma, gamma), targets in spec.delta.items():
+        if q not in q_idx:
+            raise SpecError(f"transition from unknown state {q!r}")
+        if sigma not in s_idx:
+            raise SpecError(f"transition on unknown tape symbol {sigma!r}")
+        if gamma not in g_idx:
+            raise SpecError(f"transition on unknown cell symbol {gamma!r}")
+        for (q2, g2, _d, _amp) in targets:
+            if q2 not in q_idx:
+                raise SpecError(f"transition into unknown state {q2!r}")
+            if g2 not in g_idx:
+                raise SpecError(f"transition writes unknown cell symbol {g2!r}")
 
 
 def symbol_at(x: str, k: int) -> str:
@@ -334,6 +355,15 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
     The fresh states' own columns get an orthonormal basis of the image left,
     keeping each per-symbol block unitary without touching specified behaviour.
 
+    The completion works in pair codes, where (q, gamma) is coded q·|Gamma|
+    + gamma, its index among the pairs of the old states and then of the
+    fresh ones.  Each symbol's unspecified columns are the codes its
+    compiled table lacks, taken in a name order computed once; each code's
+    head move comes from a list built once from the table's first use of
+    each target pair, in delta order; and `_leftover_basis` picks free rows
+    by boolean masks over the codes.  Names are looked up only to write the
+    added rows.
+
     The completed spec's step operator is then certified (`certify_unitarity`)
     for every input of each length in ``lengths``.  The report carries a
     verdict per length, the largest deviation from unitarity over all those
@@ -381,22 +411,34 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
             for (q2, g2, d, _amp) in targets:
                 dmap.setdefault((q2, g2), d)
         default_d = 1 if spec.head_model.one_way else 0
-        completion = set(spec.completion_states + fresh)
+        # each pair code's (state, cell, head move) as a target, and as a row's
+        # one target of amplitude 1
+        heads = [(q, g, dmap.get((q, g), default_d)) for q, g in all_pairs]
+        unit = [((*h, 1.0 + 0j),) for h in heads]
+        # the pair codes in name order, states sorted and cells sorted within
+        by_state = sorted(range(len(spec.states)), key=spec.states.__getitem__)
+        by_cell = sorted(range(gsz), key=spec.comm_alphabet.__getitem__)
+        by_name = (np.array(by_state)[:, None] * gsz + by_cell).ravel()
+        name_rank = np.empty(n_pairs, dtype=np.intp)
+        name_rank[by_name] = np.arange(n_pairs)
+        comp = set(spec.completion_states + fresh)
+        completion = np.repeat([q in comp for q in spec.states + fresh], gsz)
         new_delta = dict(spec.delta)
-        fresh_cols = all_pairs[n_pairs:]
         for start, (sigma, block) in zip(starts, spec._table.items()):
-            missing = sorted(set(all_pairs[:n_pairs]) - {all_pairs[c] for c in block.cols})
-            for (q, g), target in zip(missing, fresh_cols):
-                new_delta[(q, sigma, g)] = (
-                    (*target, dmap.get(target, default_d), 1.0 + 0j),)
+            specified = np.zeros(n_pairs, dtype=bool)
+            specified[block.cols] = True
+            missing = by_name[~specified[by_name]].tolist()
+            for i, row in zip(missing, unit[n_pairs:]):
+                q, g = all_pairs[i]
+                new_delta[(q, sigma, g)] = row
             # leftover image space goes to the fresh states' own columns
-            leftover = _leftover_basis(columns, start, block.cols,
-                                       range(n_pairs, n_pairs + len(missing)), all_pairs,
-                                       completion, tol)
-            for (f, g), vec in zip(fresh_cols, leftover):
-                new_delta[(f, sigma, g)] = tuple(
-                    (*all_pairs[i], dmap.get(all_pairs[i], default_d), amp)
-                    for i, amp in vec)
+            free, rest = _leftover_basis(columns, start, block.cols,
+                                         range(n_pairs, n_pairs + len(missing)), name_rank,
+                                         completion, tol)
+            rows = [unit[i] for i in free]
+            rows += [tuple((*heads[i], amp) for i, amp in vec) for vec in rest]
+            for (f, g), row in zip(all_pairs[n_pairs:], rows):
+                new_delta[(f, sigma, g)] = row
         completed = replace(spec, rejecting=spec.rejecting + fresh, delta=new_delta,
                             completion_states=spec.completion_states + fresh)
     report.completed_transitions = len(completed.delta) - len(spec.delta)
@@ -409,18 +451,21 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
     return completed, report
 
 
-def _leftover_basis(columns, start, cols, units, all_pairs, completion, tol):
+def _leftover_basis(columns, start, cols, units, name_rank, completion, tol):
     """Orthonormal basis of the orthocomplement of one symbol's assigned columns.
 
     These are the specified columns, ``len(cols)`` of them from column
-    ``start`` of ``columns`` on, taken in key order, then unit vectors onto
-    the fresh pairs in ``units``, which the unspecified columns enter.
-    Returned as one sparse vector [(index, amp), ...] per fresh pair.  Rows
-    that no assigned column touches become unit vectors, handed out first,
-    those on the states in ``completion`` (old and fresh) ahead of the rest,
-    so that completion junk stays, as far as possible, inside the rejecting
-    family.  The rows touched by columns that are not unit vectors form a
-    block together with every column that has an entry there; the block's
+    ``start`` of ``columns`` on, taken in key order (``name_rank`` gives each
+    source pair code's place in name order), then unit vectors onto the fresh
+    pair codes in ``units``, which the unspecified columns enter.  Returned as
+    (free, rest), one basis vector per fresh pair: the rows that no assigned
+    column touches, as pair codes of unit vectors, and then sparse vectors
+    [(pair code, amp), ...].  The unit vectors are handed out first: those on
+    the pair codes that the boolean mask ``completion`` marks (the old and
+    fresh completion states) ahead of the rest, each group by code, so that
+    completion junk stays, as far as possible, inside the rejecting family.
+    The rows touched by columns that are not unit vectors form a block
+    together with every column that has an entry there; the block's
     orthocomplement comes from an SVD of the block alone and is handed out
     last.  Axis-aligned tables (the common case) have an empty block and are
     completed exactly.
@@ -431,13 +476,17 @@ def _leftover_basis(columns, start, cols, units, all_pairs, completion, tol):
     entry_col = np.repeat(np.arange(len(cols)), counts)
     # the rows of the columns that are not unit vectors
     block_rows = np.unique(rows[(counts[entry_col] != 1) | (np.abs(np.abs(amps) - 1.0) > tol)])
-    free = sorted(set(range(len(all_pairs))).difference(rows.tolist(), units),
-                  key=lambda i: (all_pairs[i][0] not in completion, i))
-    out = [[(i, 1.0 + 0j)] for i in free]
+    untouched = np.ones(len(completion), dtype=bool)
+    untouched[rows] = False
+    untouched[units.start:units.stop] = False
+    free = (np.flatnonzero(untouched & completion).tolist()
+            + np.flatnonzero(untouched & ~completion).tolist())
+    rest = []
     if len(block_rows):
         # the block's columns, in key order, have all their entries in its rows
         hit = np.isin(rows, block_rows)
-        block = sorted(set(entry_col[hit].tolist()), key=lambda j: all_pairs[cols[j]])
+        block = np.unique(entry_col[hit])
+        block = block[np.argsort(name_rank[cols[block]])]
         place = np.zeros(len(cols), dtype=np.intp)
         place[block] = np.arange(len(block))
         mat = np.zeros((len(block_rows), len(block)), dtype=complex)
@@ -446,10 +495,10 @@ def _leftover_basis(columns, start, cols, units, all_pairs, completion, tol):
         u, s, _vh = np.linalg.svd(mat, full_matrices=True)
         rank = int(np.sum(s > COMPLETION_RANK_TOL))
         for vec in u[:, rank:].T:
-            out.append([(int(block_rows[r]), complex(vec[r]))
-                        for r in np.flatnonzero(np.abs(vec) > PRUNE_TOL)])
-    assert len(out) == len(all_pairs) - units.start
-    return out
+            rest.append([(int(block_rows[r]), complex(vec[r]))
+                         for r in np.flatnonzero(np.abs(vec) > PRUNE_TOL)])
+    assert len(free) + len(rest) == len(completion) - units.start
+    return free, rest
 
 
 # ---------------------------------------------------------------------------
@@ -487,22 +536,33 @@ def certify_unitarity(spec: QfaSpec, lengths) -> dict[int, tuple[float, str | No
     sym = np.repeat(np.arange(t), [len(b.src) for b in blocks])
     src, dst, move, amp = (np.concatenate(v) for v in
                            zip(*((b.src, b.dst, b.move, b.amp) for b in blocks)))
-    # [L_-1 L_0 L_+1] as one matrix: its Gram holds the nine products L_d1ᴴ L_d2
+    # [L_-1 L_0 L_+1] as one matrix: target e is its entry in row dst[e] and
+    # column (d, i), with d = move + 1 and i = σ·P + p for the target's tape
+    # symbol σ and source pair p.  Its Gram holds the nine products L_d1ᴴ L_d2.
     tp = t * p
-    row, col, data = gram_entries(dst, ((move + 1) * t + sym) * p + src, amp, 3 * tp)
-    d1, row = np.divmod(row, tp)
-    d2, col = np.divmod(col, tp)
-    # the places (row, col) of the products and of I, listed by block (σ, τ) =
-    # (row // P, col // P); block divmod(keys[i], t) starts at place start[i]
+    e, f, products = gram_products(dst, amp)
+    # One sort, block-major: the cell of the product of targets e and f is
+    # its block (σ, τ), its place (i_e, i_f) and its moves as code 3·d_e +
+    # d_f, bit fields of one key that is a part of e plus a part of f; each
+    # diagonal place ends with a cell of code 9 for the −1 of −I.
+    bits = tp.bit_length()
+    i, d = sym * p + src, move + 1
+    left = ((sym * t) << (2 * bits + 4)) + (i << (bits + 4)) + 3 * d
+    right = (sym << (2 * bits + 4)) + (i << 4) + d
     diag = np.arange(tp)
-    row, col = np.concatenate([row, diag]), np.concatenate([col, diag])
-    places, at = np.unique((row // p * t + col // p) * tp * tp + row * tp + col,
-                           return_inverse=True)
-    keys, start = np.unique(places // (tp * tp), return_index=True)
-    # each product and each −1 of −I, its offset d1 − d2 and its place
-    entries = (np.concatenate([data, np.full(tp, -1.0)]),
-               np.concatenate([d1 - d2, np.zeros(tp, dtype=np.intp)]), at, len(places))
-    by_block = (start, *np.divmod(keys, t))
+    ones = ((diag // p * (t + 1)) << (2 * bits + 4)) + (diag << (bits + 4)) + (diag << 4) + 9
+    cells, at = np.unique(np.concatenate([left[e] + right[f], ones]), return_inverse=True)
+    # a cell's value sums its products in order, as a Gram entry does, or is −1
+    re = np.bincount(at, np.concatenate([products.real, np.full(tp, -1.0)]), len(cells))
+    im = np.bincount(at, np.concatenate([products.imag, np.zeros(tp)]), len(cells))
+    # the places, numbered in order; block σ·t + τ = blocks_of[start[k]]
+    # starts at place start[k]
+    place = cells >> 4
+    first = np.diff(place, prepend=-1) != 0
+    blocks_of = place[first] >> (2 * bits)
+    start = np.flatnonzero(np.diff(blocks_of, prepend=-1))
+    entries = (re, im, cells & 15, np.cumsum(first) - 1, len(blocks_of))
+    by_block = (start, *np.divmod(blocks_of[start], t))
     worst = {}  # width, 5 standing for every width >= 5 -> (deviation, σ, τ, offset)
     out = {}
     for n in lengths:
@@ -523,26 +583,27 @@ def _cells(t, w):
     return cells
 
 
-def _worst_block(values, offset, at, n, start, sigma, tau, cells):
+def _worst_block(re, im, code, at, n, start, sigma, tau, cells):
     """(deviation, σ, τ, offset) of the block of M†M − I that deviates most
     among those that occur on a tape whose cells are ``cells``, with the
     offset k2 − k1 as a representative in −2..2, or (0.0, None, None, None)
-    when nothing deviates or no tape exists.  ``values`` are the entries of
-    the products L_d1ᴴ L_d2 and of −I, with their offsets d1 − d2 and their
-    places among n, which are listed by block: block (sigma[i], tau[i]) from
-    place start[i] on.
+    when nothing deviates or no tape exists.  (re, im) are the entries of the
+    products L_d1ᴴ L_d2 and of −I, with their moves as ``code`` 3·(d1 + 1) +
+    d2 + 1 (9 for −I) and their places among n, which are listed by block:
+    block (sigma[i], tau[i]) from place start[i] on.
     """
     w, t = cells.shape
     if not cells.any(axis=1).all():  # an empty input alphabet gives no tape
         return 0.0, None, None, None
-    # |H_r − [r = 0]·I|² for each residue r mod w, at every place; the
-    # amplitudes are at most 1 in magnitude, so the squares cannot overflow
-    key = offset % w * n + at
-    h = np.bincount(key, values.real, w * n)
+    # |H_r − [r = 0]·I|² for each residue r = d1 − d2 mod w, at every place;
+    # the amplitudes are at most 1 in magnitude, so the squares cannot overflow
+    shift = np.array([(c // 3 - c % 3) % w * n for c in range(9)] + [0])
+    key = shift[code] + at
+    h = np.bincount(key, re, w * n)
     h *= h
-    im = np.bincount(key, values.imag, w * n)
-    im *= im
-    h += im
+    sq = np.bincount(key, im, w * n)
+    sq *= sq
+    h += sq
     dev = np.zeros((w, t, t))
     dev[:, sigma, tau] = np.sqrt(np.maximum.reduceat(h.reshape(w, n), start, axis=1))
     # occurs[r, σ, τ]: some cell k can hold σ while cell k + r holds τ

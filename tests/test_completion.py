@@ -2,8 +2,10 @@
 import cmath
 import dataclasses
 import functools
+import glob
 import itertools
 import math
+import os
 import random
 
 import numpy as np
@@ -12,6 +14,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qipsim.protocols as protocols
 import qipsim.qfa as qfa
 from qipsim.linalg import DomainError, unitary_deviation
 from qipsim.protocols import build_protocol
@@ -19,7 +22,10 @@ from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, SpecErro
                         build_step_operator, certify_unitarity, symbol_at,
                         validate_and_complete)
 from tests.conftest import strings
-from tests.test_qfa import la_partial_spec, random_one_way_spec
+from qipsim.specfile import parse_spec
+from tests.test_qfa import la_partial_spec, random_one_way_spec, random_partial_spec
+
+SPECS = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
 
 # Every built-in at its default parameters plus the larger instances.
 BUILT_INS = (
@@ -388,3 +394,175 @@ def test_orthonormality_violations_match_the_column_reference(seed):
         validate_and_complete(spec, lengths=())
     assert str(info.value) == ("completion refused, specified columns are not "
                                "orthonormal: " + "; ".join(expected))
+
+
+# ---------------------------------------------------------------------------
+# The name-keyed references of the compiled table and of the completion
+# ---------------------------------------------------------------------------
+
+def reference_compile(spec):
+    """The compiled table by a walk over delta, transition by transition:
+    each symbol's source pairs and targets appended in delta order."""
+    gsz = len(spec.comm_alphabet)
+    q_idx = {q: i for i, q in enumerate(spec.states)}
+    g_idx = {g: i for i, g in enumerate(spec.comm_alphabet)}
+    cols = {s: [] for s in spec.tape_symbols}
+    entries = {s: [] for s in spec.tape_symbols}  # (src, dst, move, amp) per target
+    for (q, sigma, gamma), targets in spec.delta.items():
+        src = q_idx[q] * gsz + g_idx[gamma]
+        cols[sigma].append(src)
+        for (q2, g2, d, amp) in targets:
+            entries[sigma].append((src, q_idx[q2] * gsz + g_idx[g2], d, amp))
+    table = {}
+    for sigma in spec.tape_symbols:
+        src, dst, move, amp = tuple(zip(*entries[sigma])) or ((),) * 4
+        table[sigma] = (np.array(cols[sigma], dtype=np.intp), np.array(src, dtype=np.intp),
+                        np.array(dst, dtype=np.intp), np.array(move, dtype=np.intp),
+                        np.array(amp, dtype=complex))
+    return table
+
+
+def reference_leftover_basis(columns, start, cols, units, all_pairs, completion, tol):
+    """`qfa._leftover_basis` on names: the free rows as a set difference
+    sorted by (state not in ``completion``, row), the block's columns sorted
+    by key, and every vector as [(row, amp), ...]."""
+    ptr = columns.indptr[start:start + len(cols) + 1]
+    rows, amps = columns.indices[ptr[0]:ptr[-1]], columns.data[ptr[0]:ptr[-1]]
+    counts = np.diff(ptr)
+    entry_col = np.repeat(np.arange(len(cols)), counts)
+    block_rows = np.unique(rows[(counts[entry_col] != 1) | (np.abs(np.abs(amps) - 1.0) > tol)])
+    free = sorted(set(range(len(all_pairs))).difference(rows.tolist(), units),
+                  key=lambda i: (all_pairs[i][0] not in completion, i))
+    out = [[(i, 1.0 + 0j)] for i in free]
+    if len(block_rows):
+        hit = np.isin(rows, block_rows)
+        block = sorted(set(entry_col[hit].tolist()), key=lambda j: all_pairs[cols[j]])
+        place = np.zeros(len(cols), dtype=np.intp)
+        place[block] = np.arange(len(block))
+        mat = np.zeros((len(block_rows), len(block)), dtype=complex)
+        mat[np.searchsorted(block_rows, rows[hit]), place[entry_col[hit]]] = amps[hit]
+        u, s, _vh = np.linalg.svd(mat, full_matrices=True)
+        rank = int(np.sum(s > qfa.COMPLETION_RANK_TOL))
+        for vec in u[:, rank:].T:
+            out.append([(int(block_rows[r]), complex(vec[r]))
+                        for r in np.flatnonzero(np.abs(vec) > qfa.PRUNE_TOL)])
+    return out
+
+
+def reference_completion(spec, tol=1e-9):
+    """(delta, completion states) of the canonical completion on names: the
+    missing columns of each symbol as a sorted set difference of (state,
+    cell) pairs, and head moves looked up by target name."""
+    gsz = len(spec.comm_alphabet)
+    n_pairs = len(spec.states) * gsz
+    blocks = spec._table.values()
+    n_fresh = max(-(-(n_pairs - len(b.cols)) // gsz) for b in blocks)
+    if n_fresh == 0:
+        return dict(spec.delta), spec.completion_states
+    names = set(spec.states)
+    fresh = tuple(itertools.islice((f"~rej{i}" for i in itertools.count()
+                                    if f"~rej{i}" not in names), n_fresh))
+    all_pairs = [(q, g) for q in spec.states + fresh for g in spec.comm_alphabet]
+    starts = np.cumsum([0] + [len(b.cols) for b in blocks])
+    column = np.zeros(n_pairs, dtype=np.intp)
+    at = []
+    for start, b in zip(starts, blocks):
+        column[b.cols] = start + np.arange(len(b.cols))
+        at.append(column[b.src])
+    columns = qfa.csc_arrays(np.concatenate([b.dst for b in blocks]), np.concatenate(at),
+                             np.concatenate([b.amp for b in blocks]), starts[-1])
+    dmap = {}
+    for targets in spec.delta.values():
+        for (q2, g2, d, _amp) in targets:
+            dmap.setdefault((q2, g2), d)
+    default_d = 1 if spec.head_model.one_way else 0
+    completion = set(spec.completion_states + fresh)
+    new_delta = dict(spec.delta)
+    fresh_cols = all_pairs[n_pairs:]
+    for start, (sigma, block) in zip(starts, spec._table.items()):
+        missing = sorted(set(all_pairs[:n_pairs]) - {all_pairs[c] for c in block.cols})
+        for (q, g), target in zip(missing, fresh_cols):
+            new_delta[(q, sigma, g)] = ((*target, dmap.get(target, default_d), 1.0 + 0j),)
+        leftover = reference_leftover_basis(columns, start, block.cols,
+                                            range(n_pairs, n_pairs + len(missing)),
+                                            all_pairs, completion, tol)
+        for (f, g), vec in zip(fresh_cols, leftover):
+            new_delta[(f, sigma, g)] = tuple(
+                (*all_pairs[i], dmap.get(all_pairs[i], default_d), amp) for i, amp in vec)
+    return new_delta, spec.completion_states + fresh
+
+
+def exact_rows(delta):
+    """delta's items in order, amplitudes as the hex of their parts."""
+    return [(key, tuple((q, g, d, type(a), complex(a).real.hex(), complex(a).imag.hex())
+                        for q, g, d, a in targets))
+            for key, targets in delta.items()]
+
+
+def assert_matches_the_references(partial):
+    completed, _report = validate_and_complete(partial, lengths=())
+    delta, completion_states = reference_completion(partial)
+    assert exact_rows(completed.delta) == exact_rows(delta)
+    assert completed.completion_states == completion_states
+    for spec in (partial, completed):
+        ref = reference_compile(spec)
+        assert list(spec._table) == list(ref)
+        for sigma, block in spec._table.items():
+            for got, want in zip(block, ref[sigma]):
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (want.dtype, want.shape, want.tobytes()), (spec.name, sigma)
+
+
+def without_completion(spec):
+    """The partial table a completed spec was made from."""
+    comp = spec.completion_keys
+    return dataclasses.replace(
+        spec, delta={k: v for k, v in spec.delta.items() if k not in comp},
+        rejecting=tuple(q for q in spec.rejecting if q not in spec.completion_states),
+        completion_states=())
+
+
+@pytest.mark.parametrize("name", BUILT_INS)
+def test_completion_and_table_match_the_name_references(monkeypatch, name):
+    partials = []
+    real = protocols.validate_and_complete
+
+    def recording(spec, *args, **kwargs):
+        partials.append(spec)
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(protocols, "validate_and_complete", recording)
+    build_protocol(name)
+    assert partials
+    for partial in partials:
+        assert_matches_the_references(partial)
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SPECS, "*.qfa"))))
+def test_shipped_specs_match_the_name_references(path):
+    with open(path) as f:
+        spec = parse_spec(f.read())
+    assert spec.completion_states  # a completed table, whose partial is re-completed too
+    assert_matches_the_references(spec)
+    assert_matches_the_references(without_completion(spec))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_random_partial_tables_match_the_name_references(seed):
+    assert_matches_the_references(random_partial_spec(seed))
+
+
+def test_completion_moves_follow_the_first_row_in_delta_order():
+    # (r, #) is entered with move -1 on a, then with +1 on ^; on $ no column
+    # enters it, so a fresh column does, with the move of the first row
+    spec = QfaSpec(name="moves", non_halting=("p", "r"), accepting=(), rejecting=(),
+                   initial="p", input_alphabet=("a",), comm_alphabet=(BLANK,),
+                   prover_alphabet=(BLANK,), head_model=HeadModel.TWO_WAY,
+                   delta={("p", "a", BLANK): (("r", BLANK, -1, 1.0),),
+                          ("p", LEFT_END, BLANK): (("r", BLANK, 1, 1.0),)})
+    assert_matches_the_references(spec)
+    completed, _report = validate_and_complete(spec, lengths=())
+    into_r = [t for (_q, sigma, _g), targets in completed.delta.items() if sigma == RIGHT_END
+              for t in targets if t[0] == "r"]
+    assert [t[2] for t in into_r] == [-1]

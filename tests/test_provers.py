@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import qipsim.provers as provers
 from qipsim.adversary import _random_unitaries
-from qipsim.linalg import ContractViolation
+from qipsim.linalg import UNITARY_TOL, ContractViolation
 from qipsim.provers import (ClassicalProverTable, DenseProver, EraseAllProver,
                             IdentityProver, ProverStrategy, ReversibilityError,
                             ScriptedProver, check_committed, complete_permutation,
@@ -76,6 +77,72 @@ def test_dense_prover_refuses_a_non_unitary_round_matrix():
     shear[0, 1] = 1e-10  # within UNITARY_TOL
     DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1, [shear])
     assert DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1, []).matrices == ()
+
+
+def stacked_deviations(stack):
+    """The max-entry norm of MᴴM − I of each round, by the full product."""
+    return np.abs(stack.conj().transpose(0, 2, 1) @ stack
+                  - np.eye(stack.shape[1])).max(axis=(1, 2))
+
+
+def test_dense_prover_refuses_a_monomial_round_off_the_unit_circle():
+    swap = complete_permutation({0: 3, 3: 0}, 6) * np.exp(0.4j)
+    off = swap.copy()
+    off[3, 0] = 1.1 * np.exp(0.9j)  # one phase of modulus 1.1
+    with pytest.raises(ContractViolation, match="^round 2 matrix of the prover is not unitary$"):
+        DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1, [swap, off, swap])
+    dev = provers._round_deviations(np.asarray([swap, off]))
+    assert dev[0] <= 1e-15 and dev[1] == pytest.approx(0.21)
+
+
+def test_a_permutation_with_a_stray_entry_takes_the_full_product():
+    perm = complete_permutation({0: 1, 1: 0, 4: 5}, 6)
+    perm[2, 0] = 1e-15  # two nonzeros in column 0: not monomial
+    stack = np.asarray([perm])
+    dev = provers._round_deviations(stack)
+    assert 0 < dev[0] < UNITARY_TOL and dev[0] == stacked_deviations(stack)[0]
+    DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1, [perm])
+
+
+def test_monomial_and_full_deviations_agree_on_random_rounds():
+    rng = np.random.default_rng(26)
+    rounds = []
+    for k in range(200):
+        dim = int(rng.integers(1, 9))
+        if k % 2:
+            m = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        else:  # a permutation with phases
+            m = np.zeros((dim, dim), dtype=complex)
+            m[rng.permutation(dim), np.arange(dim)] = np.exp(2j * np.pi * rng.random(dim))
+        if k % 4 >= 2:  # perturbed: one entry scaled, or a stray entry added
+            i, j = rng.integers(dim, size=2)
+            scale = 10.0 ** rng.choice([-12, -11, -7, -5])
+            if m[i, j] != 0 and rng.random() < 0.5:
+                m[i, j] *= 1 + scale
+            else:
+                m[i, j] += scale * np.exp(2j * np.pi * rng.random())
+        rounds.append(m)
+    verdicts = set()
+    for m in rounds:
+        stack = np.asarray([m])
+        dev, full = provers._round_deviations(stack)[0], stacked_deviations(stack)[0]
+        assert (dev > UNITARY_TOL) == (full > UNITARY_TOL)
+        assert dev == pytest.approx(full, abs=1e-15)
+        verdicts.add(bool(dev > UNITARY_TOL))
+    assert verdicts == {True, False}
+
+
+def test_dense_columns_list_the_kept_entries_by_row():
+    rng = np.random.default_rng(7)
+    u = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+    block = np.eye(6, dtype=complex)  # a unitary with zeros in every column
+    block[:2, :2] = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    p = DenseProver((BLANK, "a"), (BLANK, "a", "b"), 1, [u, block])
+    for i, m in ((1, u), (2, block)):
+        for src, (g, y) in enumerate(p.labels):
+            kept = np.abs(m[:, src]) > provers.DENSE_ENTRY_TOL
+            assert p.apply("", i, g, y) == [(*p.labels[row], complex(m[row, src]))
+                                             for row in np.flatnonzero(kept)]
 
 
 def test_dense_prover_refuses_a_matrix_of_the_wrong_shape():

@@ -335,9 +335,10 @@ def test_alphabet_error():
         build_step_operator(spec, "b")
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2 ** 30))
-def test_random_partial_tables_complete_to_unitaries(seed):
+def random_partial_spec(seed):
+    """A random partial table: 1-4 states, one or two input and cell symbols,
+    a one-way or two-way head, and on each tape symbol a random set of pairs
+    sent to distinct targets, each target pair with one head move."""
     rng = random.Random(seed)
     n_states = rng.randint(1, 4)
     states = [f"s{i}" for i in range(n_states)]
@@ -356,11 +357,16 @@ def test_random_partial_tables_complete_to_unitaries(seed):
         for (q, g), (q2, g2) in zip(sources, targets):
             d = 1 if head.one_way else dmap.setdefault((q2, g2), rng.choice([-1, 0, 1]))
             delta[(q, s, g)] = ((q2, g2, d, 1.0),)
-    spec = QfaSpec(name="rand", non_halting=tuple(non), accepting=tuple(acc),
+    return QfaSpec(name="rand", non_halting=tuple(non), accepting=tuple(acc),
                    rejecting=tuple(rej), initial=non[0], input_alphabet=sigma,
                    comm_alphabet=comm, prover_alphabet=comm, head_model=head,
                    delta=delta)
-    completed, report = validate_and_complete(spec, lengths=(0, 1, 2, 3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_random_partial_tables_complete_to_unitaries(seed):
+    completed, report = validate_and_complete(random_partial_spec(seed), lengths=(0, 1, 2, 3))
     assert report.ok, report.violations
 
 
@@ -381,37 +387,59 @@ def test_spec_keeps_its_own_copy_of_delta():
     assert (build_step_operator(copy, "a", sparse=True) != before).nnz == 0
 
 
-def one_row_spec(row):
-    key, target = row
+def rows_spec(rows):
+    """A one-state verifier over {a} whose delta holds ``rows``: (key,
+    target) pairs, or a single one."""
+    rows = rows if isinstance(rows, list) else [rows]
     return QfaSpec(name="bad", non_halting=("q",), accepting=(), rejecting=(),
                    initial="q", input_alphabet=("a",), comm_alphabet=(BLANK,),
                    prover_alphabet=(BLANK,), head_model=HeadModel.ONE_WAY,
-                   delta={key: (target,)})
+                   delta={key: (target,) for key, target in rows})
+
+
+UNKNOWN_TARGET = (("q", "a", BLANK), ("zz", BLANK, 1, 1.0))
+UNKNOWN_SYMBOL = (("q", "b", BLANK), ("q", BLANK, 1, 1.0))
+BAD_MOVE = (("q", "a", BLANK), ("q", BLANK, 2, 1.0))
+UNKNOWN_CELL = (("q", LEFT_END, "c"), ("q", BLANK, 1, 1.0))
 
 
 @pytest.mark.parametrize("row, error, text", [
     ((("zz", "a", BLANK), ("q", BLANK, 1, 1.0)), SpecError,
      "transition from unknown state 'zz'"),
-    ((("q", "b", BLANK), ("q", BLANK, 1, 1.0)), SpecError,
-     "transition on unknown tape symbol 'b'"),
+    (UNKNOWN_SYMBOL, SpecError, "transition on unknown tape symbol 'b'"),
     ((("q", "a", "c"), ("q", BLANK, 1, 1.0)), SpecError,
      "transition on unknown cell symbol 'c'"),
-    ((("q", "a", BLANK), ("zz", BLANK, 1, 1.0)), SpecError,
-     "transition into unknown state 'zz'"),
+    (UNKNOWN_TARGET, SpecError, "transition into unknown state 'zz'"),
     ((("q", "a", BLANK), ("q", "c", 1, 1.0)), SpecError,
      "transition writes unknown cell symbol 'c'"),
-    ((("q", "a", BLANK), ("q", BLANK, 2, 1.0)), SpecError,
-     "head move must be in -1/0/+1, got 2"),
+    (BAD_MOVE, SpecError, "head move must be in -1/0/+1, got 2"),
     ((("q", "a", BLANK), ("q", BLANK, 0, 1.0)), SpecError,
      "one-way verifier has a non-rightward move at ('q', 'a', '#')"),
     ((("q", "a", BLANK), ("q", BLANK, 1, complex("nan"))), DomainError,
      "non-finite amplitude (nan+0j)"),
     ((("q", "a", BLANK), ("q", BLANK, 1, 1.5j)), DomainError,
      "amplitude magnitude 1.5 exceeds 1"),
+    # two faulty rows: an unknown name is named in delta order, whatever its kind
+    ([UNKNOWN_TARGET, UNKNOWN_SYMBOL], SpecError, "transition into unknown state 'zz'"),
+    ([UNKNOWN_SYMBOL, UNKNOWN_TARGET], SpecError, "transition on unknown tape symbol 'b'"),
+    # every name is checked before any head move
+    ([BAD_MOVE, UNKNOWN_CELL], SpecError, "transition on unknown cell symbol 'c'"),
+    ([UNKNOWN_CELL, BAD_MOVE], SpecError, "transition on unknown cell symbol 'c'"),
+    # head moves and amplitudes are checked tape symbol by tape symbol
+    ([BAD_MOVE, ((("q", LEFT_END, BLANK), ("q", BLANK, 3, 1.0)))], SpecError,
+     "head move must be in -1/0/+1, got 3"),
+    ([((("q", LEFT_END, BLANK), ("q", BLANK, 3, 1.0))), BAD_MOVE], SpecError,
+     "head move must be in -1/0/+1, got 3"),
+    ([(("q", "a", BLANK), ("q", BLANK, 1, complex("nan"))),
+      (("q", RIGHT_END, BLANK), ("q", BLANK, 1, 1.5))], DomainError,
+     "non-finite amplitude (nan+0j)"),
+    ([(("q", RIGHT_END, BLANK), ("q", BLANK, 1, 1.5)),
+      (("q", "a", BLANK), ("q", BLANK, 1, complex("nan")))], DomainError,
+     "non-finite amplitude (nan+0j)"),
 ])
 def test_construction_error_messages(row, error, text):
     with pytest.raises(error) as info:
-        one_row_spec(row)
+        rows_spec(row)
     assert str(info.value) == text
 
 
