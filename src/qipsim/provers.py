@@ -28,13 +28,19 @@ class ReversibilityError(ValueError):
 
 
 class ProverStrategy:
-    """Base contract; subclasses implement apply() and may refine idle().
+    """Base contract; subclasses implement apply() and may refine idle() and
+    committed().
 
     ``idle(x, i)`` promises that round i leaves every (cell, tape) pair
     unchanged with amplitude exactly 1, so that ``apply(x, i, gamma, y)`` is
     ``[(gamma, y, 1+0j)]`` for every gamma and y; the engine then skips the
     prover step of that round.  The default is False, so a prover that does
     not refine it acts in every round.
+
+    ``committed(x, i_max)`` promises that through round i_max the prover
+    never writes a non-blank symbol into a blank cell, whatever its tape
+    holds.  `runtime.count_interactions` counts only against such provers.
+    The default is False, so a prover that does not refine it is refused.
     """
 
     def initial_tape(self, x: str) -> str:
@@ -48,6 +54,10 @@ class ProverStrategy:
         """True when round i is the identity with amplitude 1 on every pair."""
         return False
 
+    def committed(self, x: str, i_max: int) -> bool:
+        """True when no round up to i_max moves a blank cell off blank."""
+        return False
+
     def describe(self) -> dict:
         return {"kind": type(self).__name__}
 
@@ -59,6 +69,9 @@ class IdentityProver(ProverStrategy):
         return [(gamma, y, 1.0 + 0j)]
 
     def idle(self, x, i):
+        return True
+
+    def committed(self, x, i_max):
         return True
 
     def describe(self):
@@ -94,6 +107,10 @@ class ScriptedProver(ProverStrategy):
     def idle(self, x, i):
         return i not in self._script(x)
 
+    def committed(self, x, i_max):
+        return all(rule.get(BLANK, BLANK) == BLANK
+                   for i, rule in self._script(x).items() if i <= i_max)
+
     def describe(self):
         return {"kind": "scripted", "name": self.name}
 
@@ -109,6 +126,9 @@ class EraseAllProver(ProverStrategy):
         if gamma == BLANK:
             return [(BLANK, y, 1.0 + 0j)]
         return [(BLANK, f"{y}|{gamma}", 1.0 + 0j)]
+
+    def committed(self, x, i_max):
+        return True
 
     def describe(self):
         return {"kind": "erase_all"}
@@ -132,7 +152,9 @@ class ClassicalProverTable:
 class TableProver(ProverStrategy):
     """A classical table as a prover.  Two listed pairs of one step with one
     image raise ``ReversibilityError`` naming them, since no unitary extends
-    a non-injective map."""
+    a non-injective map.  It is committed through round i_max when no entry
+    of a step up to i_max sends a blank cell to a non-blank one, whether or
+    not its memory label can be reached."""
 
     def __init__(self, table: ClassicalProverTable):
         first: dict = {}  # (step, image) -> the first listed pair mapped there
@@ -155,6 +177,10 @@ class TableProver(ProverStrategy):
 
     def idle(self, x, i):
         return i not in self._steps
+
+    def committed(self, x, i_max):
+        return all(g2 == BLANK for (i, g, _m), (g2, _m2) in self.table.entries.items()
+                   if g == BLANK and i <= i_max)
 
     def describe(self):
         return {"kind": "classical_table",
@@ -225,7 +251,10 @@ class DenseProver(ProverStrategy):
     c symbols (cell symbols can be multi-character strings, so plain
     concatenation would be ambiguous).  A prover is immutable; a round matrix
     of the wrong shape raises ValueError, and one whose MᴴM − I has an entry
-    above UNITARY_TOL raises ContractViolation naming its round.
+    above UNITARY_TOL, or a NaN, raises ContractViolation naming its round.
+    It is committed through round i_max when no round matrix up to i_max has
+    an entry above DENSE_ENTRY_TOL, the threshold `apply` keeps, from a
+    blank-cell column to a non-blank-cell row, on any tape word.
     """
 
     def __init__(self, comm_alphabet, tape_alphabet, c: int, matrices):
@@ -240,7 +269,7 @@ class DenseProver(ProverStrategy):
             if m.shape != (self.dim, self.dim):
                 raise ValueError(f"round matrix must be {self.dim}x{self.dim}")
         if self.matrices:
-            bad = np.flatnonzero(_round_deviations(np.asarray(self.matrices)) > UNITARY_TOL)
+            bad = np.flatnonzero(~(_round_deviations(np.asarray(self.matrices)) <= UNITARY_TOL))
             if len(bad):
                 raise ContractViolation(
                     f"round {bad[0] + 1} matrix of the prover is not unitary")
@@ -267,6 +296,14 @@ class DenseProver(ProverStrategy):
 
     def idle(self, x, i):
         return i > len(self.matrices)
+
+    def committed(self, x, i_max):
+        rounds = self.matrices[:i_max]
+        if not rounds:
+            return True
+        blank = np.array([g == BLANK for g, _y in self.labels])
+        leak = np.asarray(rounds)[:, ~blank][:, :, blank]
+        return not (np.abs(leak) > DENSE_ENTRY_TOL).any()
 
     def describe(self):
         return {"kind": "dense",
@@ -357,45 +394,3 @@ def from_description(desc: dict) -> ProverStrategy:
                 for m in desc["matrices"]]
         return DenseProver(desc["comm_alphabet"], desc["tape_alphabet"], desc["c"], mats)
     raise ValueError(f"unknown strategy description {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Committed-prover check
-# ---------------------------------------------------------------------------
-
-COMMITTED_TOL = 1e-9
-MAX_TAPE_STATES = 4096
-
-
-def check_committed(prover: ProverStrategy, x: str, i_max: int,
-                    comm_alphabet=None) -> bool:
-    """True iff the prover never disturbs a blank cell through round i_max.
-
-    Walks the reachable tape contents round by round (the S_i sets): S_0 is
-    the blank tape, S_i collects every tape string producible from S_{i-1}
-    under any visible cell symbol.  At each round, acting on (blank, y) must
-    yield only blank-cell components, up to amplitude tolerance.
-    """
-    symbols = tuple(comm_alphabet) if comm_alphabet else (BLANK,)
-    if BLANK not in symbols:
-        symbols = (BLANK,) + symbols
-    reachable = {prover.initial_tape(x)}
-    for i in range(1, i_max + 1):
-        nxt = set()
-        for y in sorted(reachable):
-            for (g2, y2, amp) in prover.apply(x, i, BLANK, y):
-                if abs(amp) <= COMMITTED_TOL:
-                    continue
-                if g2 != BLANK:
-                    return False
-                nxt.add(y2)
-            for gamma in symbols:
-                if gamma == BLANK:
-                    continue
-                for (_g2, y2, amp) in prover.apply(x, i, gamma, y):
-                    if abs(amp) > COMMITTED_TOL:
-                        nxt.add(y2)
-        if len(nxt) > MAX_TAPE_STATES:
-            raise ValueError(f"reachable tape set exceeded {MAX_TAPE_STATES} entries")
-        reachable = nxt
-    return True

@@ -556,20 +556,19 @@ def count_interactions(system: QipSystem, prover: ProverStrategy, x: str,
     leaves running and that holds a non-blank cell symbol.  Paths are chains
     through the parent->child links of the sparse evolution; when paths
     merge, the query count merges by maximum (the conservative reading of a
-    per-path count).  Requires a committed prover and an interaction-bounded
-    system, which the verifier's table decides: the count never exceeds
-    `qfa.interaction_bound`, and `qfa.check_structure(..., INTERACTION_BOUNDED)`
-    names a query cycle of a system it refuses.
+    per-path count).  Requires an interaction-bounded system, which the
+    verifier's table decides: the count never exceeds `qfa.interaction_bound`,
+    and `qfa.check_structure(..., INTERACTION_BOUNDED)` names a query cycle of
+    a system it refuses.  Requires a committed prover too, which the prover
+    decides itself: ``prover.committed(x, t_max)``.
     """
-    from .provers import check_committed
-
     spec = system.verifier
     if qfa.interaction_bound(spec) is None:
         raise RunError(f"system {system.name} is not interaction-bounded")
     t_max, once = _run_length(spec, x, t_max)
     width = len(x) + 2
     tape = [symbol_at(x, k) for k in range(width)]
-    if not check_committed(prover, x, t_max, comm_alphabet=spec.comm_alphabet):
+    if not prover.committed(x, t_max):
         raise RunError("count_interactions requires a committed prover")
 
     state = {(spec.initial, 0, BLANK, prover.initial_tape(x)): 1.0 + 0j}

@@ -146,7 +146,6 @@ def test_criterion_06_odd_interaction_bounded():
     t0 = time.time()
     system = q.odd_protocol()
     ok = True
-    from qipsim.provers import EraseAllProver, check_committed
     for x in strings(("0", "1"), 8):
         want = 1.0 if lang.odd(x) else 0.0
         ok &= abs(run(system, system.honest_prover, x).p_acc - want) <= 1e-9
@@ -157,8 +156,7 @@ def test_criterion_06_odd_interaction_bounded():
         for prover in (system.honest_prover, IdentityProver()):
             ok &= count_interactions(system, prover, x) <= 1
     for x in ("", "10", "0101", "11111111"):
-        ok &= check_committed(system.honest_prover, x, 2 * (len(x) + 2) ** 2,
-                              comm_alphabet=system.verifier.comm_alphabet)
+        ok &= system.honest_prover.committed(x, 2 * (len(x) + 2) ** 2)
     report(6, ok, time.time() - t0, 30)
 
 

@@ -119,6 +119,25 @@ def test_committed_only_search(odd):
     assert rep.best_p_acc == pytest.approx(0.0, abs=1e-9)
 
 
+def test_committed_only_tables_are_committed_provers(odd):
+    center = build_protocol("center:N=2")
+    tables = {}
+    for committed_only in (False, True):
+        budget = AdversaryBudget(memory_states=2, steps=40, committed_only=committed_only)
+        rep = best_classical_prover(center, "001", budget)
+        tables[committed_only] = (rep.best_p_acc, rep.best_strategy["entries"],
+                                  from_description(rep.best_strategy).committed("001", 40))
+    loose_acc, loose_entries, loose_committed = tables[False]
+    assert loose_acc == pytest.approx(0.5, abs=1e-9)
+    assert loose_entries["11|#|m0"] == ["1", "m0"] and not loose_committed
+    assert tables[True] == (pytest.approx(0.0, abs=1e-9), {}, True)
+    for x in strings("01", 8):  # criterion 6's searches
+        steps = len(x) + 2
+        rep = best_classical_prover(odd, x, AdversaryBudget(memory_states=2, steps=steps,
+                                                            committed_only=True))
+        assert from_description(rep.best_strategy).committed(x, steps), x
+
+
 def test_node_cap_marks_non_exhaustive(pal2):
     rep = best_classical_prover(pal2, "01#11",
                                 AdversaryBudget(memory_states=2, steps=20, node_cap=3))

@@ -9,8 +9,8 @@ from qipsim.adversary import _random_unitaries
 from qipsim.linalg import UNITARY_TOL, ContractViolation
 from qipsim.provers import (ClassicalProverTable, DenseProver, EraseAllProver,
                             IdentityProver, ProverStrategy, ReversibilityError,
-                            ScriptedProver, check_committed, complete_permutation,
-                            TableProver, densify_schedule, from_description)
+                            ScriptedProver, complete_permutation, TableProver,
+                            densify_schedule, from_description)
 from qipsim.qfa import BLANK
 
 
@@ -31,24 +31,76 @@ def test_collision_raises_naming_pair():
         TableProver(table)
 
 
-def test_check_committed_identity():
+def test_identity_is_committed():
     for x in ("", "ab", "abba"):
-        assert check_committed(IdentityProver(), x, 2 * (len(x) + 2) ** 2,
-                               comm_alphabet=(BLANK, "a", "b"))
+        assert IdentityProver().committed(x, 2 * (len(x) + 2) ** 2)
 
 
-def test_check_committed_blank_violation():
+def test_scripted_blank_violation_is_not_committed():
     bad = ScriptedProver(script_builder=lambda x: {1: {BLANK: "a"}}, name="bad")
-    assert not check_committed(bad, "", 2, comm_alphabet=(BLANK, "a"))
+    assert not bad.committed("", 2)
+    late = ScriptedProver(script_builder=lambda x: {3: {"a": BLANK, BLANK: "b"}}, name="late")
+    assert [late.committed("", i) for i in (0, 2, 3, 9)] == [True, True, False, False]
 
 
 def test_erase_all_is_committed():
-    assert check_committed(EraseAllProver(), "10", 8, comm_alphabet=(BLANK, "a"))
+    assert EraseAllProver().committed("10", 8)
 
 
 def test_odd_honest_committed(odd):
-    assert check_committed(odd.honest_prover, "10", 4,
-                           comm_alphabet=odd.verifier.comm_alphabet)
+    assert odd.honest_prover.committed("10", 4)
+
+
+def test_a_prover_that_does_not_say_is_not_committed():
+    assert not ProverStrategy().committed("x", 1)
+
+
+def test_table_committed_reads_blank_entries_up_to_i_max():
+    table = TableProver(ClassicalProverTable(entries={
+        (1, BLANK, "m0"): (BLANK, "m1"), (1, "a", "m0"): ("b", "m0"),
+        (3, BLANK, "m1"): ("a", "m1"), (3, "a", "m1"): (BLANK, "m1")}))
+    assert [table.committed("x", i) for i in (0, 1, 2, 3, 4)] == [True] * 3 + [False] * 2
+    # an entry on a memory label no run reaches still counts
+    unreached = TableProver(ClassicalProverTable(entries={
+        (1, BLANK, "m9"): ("a", "m9"), (1, "a", "m9"): (BLANK, "m9")}))
+    assert not unreached.committed("x", 1)
+
+
+def rotation(dim, src, dst, angle):
+    """The identity with basis states src and dst rotated into each other."""
+    m = np.eye(dim, dtype=complex)
+    m[[src, dst], [src, dst]] = np.cos(angle)
+    m[dst, src], m[src, dst] = np.sin(angle), -np.sin(angle)
+    return m
+
+
+def test_dense_committed_reads_the_blank_to_non_blank_block():
+    comm, tape = (BLANK, "a"), (BLANK, "a", "b")
+    index = {lbl: j for j, lbl in enumerate(provers.dense_basis(comm, tape, 1))}
+    blank_col, filled_row = index[BLANK, ("b",)], index["a", (BLANK,)]
+    # a blank cell that keeps its cell but changes its tape is committed
+    tape_move = complete_permutation({index[BLANK, (BLANK,)]: blank_col,
+                                      blank_col: index[BLANK, (BLANK,)]}, 6)
+    # the non-blank block may mix freely
+    filled_mix = rotation(6, index["a", ("a",)], filled_row, 0.3)
+    write = complete_permutation({blank_col: filled_row, filled_row: blank_col}, 6)
+    p = DenseProver(comm, tape, 1, [tape_move, filled_mix, write])
+    assert [p.committed("x", i) for i in (0, 1, 2, 3, 9)] == [True] * 3 + [False] * 2
+    # a unitary round with a 1e-13 leak from blank to non-blank: `apply` keeps
+    # the entry, so the round is not committed
+    faint = DenseProver(comm, tape, 1, [rotation(6, blank_col, filled_row, 1e-13)])
+    assert abs(dict(((g, y), a) for g, y, a in faint.apply("x", 1, BLANK, ("b",)))
+               ["a", (BLANK,)]) == pytest.approx(1e-13)
+    assert not faint.committed("x", 1)
+    # below DENSE_ENTRY_TOL the entry is dropped, and the round is committed
+    assert DenseProver(comm, tape, 1, [rotation(6, blank_col, filled_row, 1e-15)]
+                       ).committed("x", 1)
+    # a shear within UNITARY_TOL: filling a blank cell is refused, blanking a
+    # filled one is not
+    fill, erase = np.eye(6, dtype=complex), np.eye(6, dtype=complex)
+    fill[filled_row, blank_col] = erase[blank_col, filled_row] = 1e-10
+    assert not DenseProver(comm, tape, 1, [fill]).committed("x", 1)
+    assert DenseProver(comm, tape, 1, [erase]).committed("x", 1)
 
 
 def test_scripted_prover_records_consumed_symbol():
@@ -143,6 +195,22 @@ def test_dense_columns_list_the_kept_entries_by_row():
             kept = np.abs(m[:, src]) > provers.DENSE_ENTRY_TOL
             assert p.apply("", i, g, y) == [(*p.labels[row], complex(m[row, src]))
                                              for row in np.flatnonzero(kept)]
+
+
+def test_dense_prover_refuses_nan_rounds():
+    comm, tape = (BLANK, "a"), (BLANK,)
+    eye = np.eye(2, dtype=complex)
+    eye[0, 0] = np.nan  # one nonzero per row and column: the monomial path
+    with pytest.raises(ContractViolation, match="round 2 matrix"):
+        DenseProver(comm, tape, 1, [np.eye(2), eye])
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    hadamard[1, 0] = np.nan  # the full product
+    with pytest.raises(ContractViolation, match="round 1 matrix"):
+        DenseProver(comm, tape, 1, [hadamard])
+    text = ('{"kind": "dense", "c": 1, "comm_alphabet": ["#", "a"], "tape_alphabet": ["#"], '
+            '"matrices": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [NaN, 0.0]]]}')
+    with pytest.raises(ContractViolation, match="round 1 matrix"):
+        from_description(json.loads(text))
 
 
 def test_dense_prover_refuses_a_matrix_of_the_wrong_shape():

@@ -8,6 +8,9 @@ a prover step that prunes its own output.  Every float must agree to the bit.
 The reference applies the prover in every round, so it also pins the engine's
 skip of idle prover rounds; the idle contract itself (an idle round leaves
 every pair it meets alone, with amplitude 1) is checked on every built-in.
+
+Each prover decides itself whether it is committed; the walk over reachable
+tape strings that decided it before, `ref_check_committed`, is the reference.
 """
 import itertools
 import math
@@ -19,8 +22,9 @@ from qipsim.adversary import (DENSE_DIM_CAP, AdversaryBudget, best_classical_pro
                               dense_dimension)
 from qipsim.linalg import PRUNE_TOL
 from qipsim.protocols import BUILTIN, build_protocol
-from qipsim.provers import (ClassicalProverTable, DenseProver, IdentityProver,
-                            ProverStrategy, TableProver, check_committed,
+from qipsim.provers import (ClassicalProverTable, DenseProver, EraseAllProver,
+                            IdentityProver, ProverStrategy, ScriptedProver,
+                            TableProver, complete_permutation, dense_basis,
                             from_description)
 from qipsim.qfa import BLANK, HeadModel, symbol_at
 from qipsim.runtime import (_run_length, count_interactions, default_t_max,
@@ -139,6 +143,47 @@ def ref_count_interactions(system, prover, x):
         state, counts = ref_step_paths(
             lambda s: ref_apply_prover(prover, x, r, s), state, counts)
     return best
+
+
+REF_COMMITTED_TOL = 1e-9
+REF_MAX_TAPE_STATES = 4096
+
+
+def ref_check_committed(prover, x, i_max, comm_alphabet):
+    """True iff the prover never disturbs a blank cell through round i_max.
+
+    Walks the reachable tape contents round by round: S_0 is the blank tape,
+    S_i collects every tape string producible from S_{i-1} under any cell
+    symbol.  At each round, acting on (blank, y) must yield only blank-cell
+    components above REF_COMMITTED_TOL.  Raises ValueError once a set exceeds
+    REF_MAX_TAPE_STATES.  Idle rounds are skipped: they keep the set as it is
+    and write nothing, so skipping them changes no verdict.
+    """
+    symbols = tuple(comm_alphabet)
+    if BLANK not in symbols:
+        symbols = (BLANK,) + symbols
+    reachable = {prover.initial_tape(x)}
+    for i in range(1, i_max + 1):
+        if prover.idle(x, i):
+            continue
+        nxt = set()
+        for y in sorted(reachable):
+            for (g2, y2, amp) in prover.apply(x, i, BLANK, y):
+                if abs(amp) <= REF_COMMITTED_TOL:
+                    continue
+                if g2 != BLANK:
+                    return False
+                nxt.add(y2)
+            for gamma in symbols:
+                if gamma == BLANK:
+                    continue
+                for (_g2, y2, amp) in prover.apply(x, i, gamma, y):
+                    if abs(amp) > REF_COMMITTED_TOL:
+                        nxt.add(y2)
+        if len(nxt) > REF_MAX_TAPE_STATES:
+            raise ValueError(f"reachable tape set exceeded {REF_MAX_TAPE_STATES} entries")
+        reachable = nxt
+    return True
 
 
 def ref_query_weight(spec, x_prefix, y):
@@ -347,8 +392,7 @@ def test_interaction_count_and_query_weight_match_the_reference(odd):
     spec = odd.verifier
     for x in inputs("01", 5):
         for prover in (odd.honest_prover, IdentityProver()):
-            assert check_committed(prover, x, default_t_max(spec, x),
-                                   comm_alphabet=spec.comm_alphabet)
+            assert prover.committed(x, default_t_max(spec, x))
             assert count_interactions(odd, prover, x) == ref_count_interactions(odd, prover, x)
         for i in range(len(x) + 1):
             got = query_weight(spec, x[:i], x[i:])
@@ -363,3 +407,85 @@ def test_continuation_mass_is_always_a_float():
         assert all(type(c) is float for c in res.cont_trace)
     # the last run's state emptied, the case that used to give the int 0
     assert res.cont_trace[-1] == 0.0
+
+
+# -- committed provers -------------------------------------------------------------
+
+def walk_or_none(prover, x, i_max, comm_alphabet):
+    """`ref_check_committed`, or None where its tape set outgrows the cap."""
+    try:
+        return ref_check_committed(prover, x, i_max, comm_alphabet)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN))
+def test_committed_matches_the_tape_walk(name):
+    system = build_protocol(name)
+    spec = system.verifier
+    every = inputs(spec.input_alphabet, 4)
+    # the identity and erase-all provers ignore x, so one input per length,
+    # which fixes the round limit, decides them
+    one_per_length = [spec.input_alphabet[0] * n for n in range(5)]
+    finished = 0
+    for prover, xs in ((system.honest_prover, every), (IdentityProver(), one_per_length),
+                       (EraseAllProver(), one_per_length)):
+        for x in xs:
+            i_max = default_t_max(spec, x)
+            walked = walk_or_none(prover, x, i_max, spec.comm_alphabet)
+            if walked is not None:
+                finished += 1
+                assert prover.committed(x, i_max) == walked, (
+                    prover.describe()["kind"], x)
+    assert finished
+
+
+def test_committed_matches_the_tape_walk_on_scripted_and_criterion_6_provers(odd):
+    # the script of both `chatty` (test_runtime) and `bad` (test_provers)
+    writer = ScriptedProver(script_builder=lambda x: {1: {BLANK: "a"}}, name="chatty")
+    for x, i_max, want in (("10", 10, False), ("", 2, False), ("", 0, True)):
+        assert writer.committed(x, i_max) is ref_check_committed(
+            writer, x, i_max, (BLANK, "a")) is want
+    for x in ("", "10", "0101", "11111111"):
+        i_max = 2 * (len(x) + 2) ** 2
+        assert odd.honest_prover.committed(x, i_max) is True
+        assert ref_check_committed(odd.honest_prover, x, i_max,
+                                   odd.verifier.comm_alphabet) is True
+
+
+def random_table(rng, comm, memory, steps):
+    """A seeded injective table: each step maps a random set of (cell, memory)
+    pairs onto a random permutation of themselves."""
+    pairs = [(g, m) for g in comm for m in memory]
+    entries = {}
+    for i in range(1, steps + 1):
+        chosen = [pairs[j] for j in rng.choice(len(pairs), rng.integers(0, len(pairs) + 1),
+                                               replace=False)]
+        for src, dst in zip(chosen, rng.permutation(len(chosen))):
+            entries[(i, *src)] = chosen[dst]
+    return ClassicalProverTable(entries=entries)
+
+
+def random_permutation_prover(rng, comm, tape, rounds):
+    dim = len(dense_basis(comm, tape, 1))
+    mats = [complete_permutation(dict(enumerate(rng.permutation(dim).tolist())), dim)
+            for _ in range(rounds)]
+    return DenseProver(comm, tape, 1, mats)
+
+
+def test_committed_never_accepts_what_the_tape_walk_refuses():
+    rng = np.random.default_rng(27)
+    comm = (BLANK, "a", "b")
+    verdicts = set()
+    for _ in range(200):
+        steps = int(rng.integers(1, 5))
+        provers = [TableProver(random_table(rng, comm, ("m0", "m1", "m2"), steps)),
+                   random_permutation_prover(rng, comm, (BLANK, "a"), steps)]
+        for prover in provers:
+            for i_max in range(steps + 2):
+                walked = walk_or_none(prover, "x", i_max, comm)
+                decided = prover.committed("x", i_max)
+                assert not (decided and walked is False), (prover.describe(), i_max)
+                verdicts.add((decided, walked))
+    # both agreeing verdicts occur, and so do refusals the walk would pass
+    assert {(True, True), (False, False), (False, True)} <= verdicts

@@ -256,13 +256,14 @@ def test_interaction_counts_stay_within_the_table_bound(odd):
     npfa = build_protocol("npfa_single_a")
     cases = [(odd, prover, x) for x in strings("01", 8)
              for prover in (odd.honest_prover, IdentityProver())]
-    # the identity prover only: for the honest one, check_committed's
-    # reachable tape set exceeds provers.MAX_TAPE_STATES at n = 1 and raises
-    # ValueError
-    cases += [(npfa, IdentityProver(), "a" * n) for n in range(7)]
+    cases += [(npfa, prover, "a" * n) for n in range(7)
+              for prover in (npfa.honest_prover, IdentityProver())]
     for system, prover, x in cases:
         assert count_interactions(system, prover, x) <= interaction_bound(system.verifier), (
             system.name, x)
+    assert [count_interactions(npfa, npfa.honest_prover, "a" * n)
+            for n in range(7)] == [3, 5, 5, 5, 5, 5, 5]
+    assert interaction_bound(npfa.verifier) == 5
     for querying_first in (True, False):
         system = _merging_paths_system(querying_first)
         assert count_interactions(system, IdentityProver(), "aaa") == 3
