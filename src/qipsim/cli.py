@@ -123,6 +123,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     budget = AdversaryBudget(memory_states=args.memory, steps=args.steps,
                              seed=args.seed)
     try:

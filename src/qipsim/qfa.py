@@ -11,12 +11,15 @@ Partially specified tables (the usual way protocols are written down) are
 closed up to full unitaries by `validate_and_complete`, which routes every
 unspecified (state, symbol, cell) column to a fresh rejecting state.
 
-A spec compiles delta once, when it is made, into integer arrays per tape
-symbol (`_compile`): the only check of the transitions, and the table that
-validation, completion and `step_operator_csc` read.  A (state, cell) pair
-is coded q·|Gamma| + gamma there, and the completion works on the same
-codes: it reads the table, picks the columns and rows it fills by code, and
-turns codes back into names only for the rows it writes.
+A spec made by hand compiles delta once, when it is made, into integer
+arrays per tape symbol (`_compile`): the check of its transitions, and the
+table that validation, completion and `step_operator_csc` read.  A (state,
+cell) pair is coded q·|Gamma| + gamma there, and the completion works on the
+same codes: it reads the table, picks the columns and rows it fills by
+code, and turns codes back into names only for the rows it writes.  It
+appends those rows, in codes, to the partial table, so a completed spec is
+not compiled again; the checks that `_compile` would make of it run on the
+spec's names and on the appended arrays alone.
 
 Validation certifies the step operator unitary for every input of each
 requested length at once (`certify_unitarity`): an entry of M†M depends only
@@ -38,7 +41,7 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from types import MappingProxyType
 from typing import NamedTuple
@@ -114,10 +117,17 @@ class QfaSpec:
     completion_states: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # a read-only view of a private copy, so that _table cannot go stale
-        object.__setattr__(self, "delta", MappingProxyType(dict(self.delta)))
-        # {tape symbol: _Block}; raises SpecError or DomainError on a malformed spec
-        object.__setattr__(self, "_table", _compile(self))
+        # a private copy, so that _table cannot go stale
+        self._own(dict(self.delta))
+
+    def _own(self, delta: dict, table: dict[str, _Block] | None = None) -> None:
+        """Make ``delta``, a dict that no one else holds, this spec's table
+        behind a read-only view, and set the caches read from the spec:
+        ``table`` is delta compiled, or None to compile it here (`_compile`
+        raises SpecError or DomainError on a malformed spec)."""
+        object.__setattr__(self, "delta", MappingProxyType(delta))
+        # {tape symbol: _Block}
+        object.__setattr__(self, "_table", _compile(self) if table is None else table)
         object.__setattr__(self, "_halting", frozenset(self.accepting + self.rejecting))
         object.__setattr__(self, "_accepting_set", frozenset(self.accepting))
         # {(state, tape symbol): per cell symbol kind}, filled by the classical
@@ -154,10 +164,43 @@ def _compile(spec: QfaSpec) -> dict[str, _Block]:
     """Check a spec and compile delta into one `_Block` per tape symbol: the
     names of every key and target map to codes in bulk, a stable sort of
     each by tape symbol splits them, and head moves and amplitudes are
-    checked with numpy on the arrays.  Only a name that does not map is
-    looked for row by row (`_unknown_name`), so that the first one in delta
-    order is named.
+    checked with numpy on the arrays (`_check_moves`, `_check_amplitudes`).
+    Only a name that does not map is looked for row by row (`_unknown_name`),
+    so that the first one in delta order is named.
     """
+    _check_names(spec)
+    gsz = len(spec.comm_alphabet)
+    q_idx = {q: i for i, q in enumerate(spec.states)}
+    g_idx = {g: i for i, g in enumerate(spec.comm_alphabet)}
+    s_idx = {s: i for i, s in enumerate(spec.tape_symbols)}
+    try:
+        targets = [t for row in spec.delta.values() for t in row]
+        sym = np.array([s_idx[sigma] for _q, sigma, _g in spec.delta], dtype=np.intp)
+        cols = np.array([q_idx[q] * gsz + g_idx[g] for q, _s, g in spec.delta], dtype=np.intp)
+        dst = np.array([q_idx[q2] * gsz + g_idx[g2] for q2, g2, _d, _a in targets],
+                       dtype=np.intp)
+    except (KeyError, TypeError, ValueError):
+        _unknown_name(spec, q_idx, s_idx, g_idx)
+        raise
+    # keys and targets by tape symbol, in delta order within each symbol
+    counts = [len(row) for row in spec.delta.values()]
+    target_sym = np.repeat(sym, counts)
+    by_key, by_target = (np.argsort(v, kind="stable") for v in (sym, target_sym))
+    cols, src, dst = cols[by_key], np.repeat(cols, counts)[by_target], dst[by_target]
+    key_ends, ends = (np.cumsum(np.bincount(v, minlength=len(s_idx))) for v in (sym, target_sym))
+    move = np.array([t[2] for t in targets])[by_target]
+    _check_moves(spec, src, move, ends)
+    amp = np.array([t[3] for t in targets], dtype=complex)[by_target]
+    _check_amplitudes(amp)
+    move = move.astype(np.intp)
+    return {sigma: _Block(cols[k:l], *(v[i:j] for v in (src, dst, move, amp)))
+            for sigma, k, l, i, j in zip(spec.tape_symbols, [0, *key_ends[:-1]], key_ends,
+                                         [0, *ends[:-1]], ends)}
+
+
+def _check_names(spec: QfaSpec) -> None:
+    """Raise SpecError on a spec whose state classes, names, initial state,
+    completion states, endmarkers or blanks are malformed."""
     classes = [set(spec.non_halting), set(spec.accepting), set(spec.rejecting)]
     for a, b in itertools.combinations(classes, 2):
         overlap = a & b
@@ -182,45 +225,31 @@ def _compile(spec: QfaSpec) -> dict[str, _Block]:
     if BLANK not in spec.prover_alphabet:
         raise SpecError("prover tape alphabet must contain the blank symbol")
 
-    gsz = len(spec.comm_alphabet)
-    q_idx = {q: i for i, q in enumerate(spec.states)}
-    g_idx = {g: i for i, g in enumerate(spec.comm_alphabet)}
-    s_idx = {s: i for i, s in enumerate(spec.tape_symbols)}
-    try:
-        targets = [t for row in spec.delta.values() for t in row]
-        sym = np.array([s_idx[sigma] for _q, sigma, _g in spec.delta], dtype=np.intp)
-        cols = np.array([q_idx[q] * gsz + g_idx[g] for q, _s, g in spec.delta], dtype=np.intp)
-        dst = np.array([q_idx[q2] * gsz + g_idx[g2] for q2, g2, _d, _a in targets],
-                       dtype=np.intp)
-    except (KeyError, TypeError, ValueError):
-        _unknown_name(spec, q_idx, s_idx, g_idx)
-        raise
-    # keys and targets by tape symbol, in delta order within each symbol
-    counts = [len(row) for row in spec.delta.values()]
-    target_sym = np.repeat(sym, counts)
-    by_key, by_target = (np.argsort(v, kind="stable") for v in (sym, target_sym))
-    cols, src, dst = cols[by_key], np.repeat(cols, counts)[by_target], dst[by_target]
-    key_ends, ends = (np.cumsum(np.bincount(v, minlength=len(s_idx))) for v in (sym, target_sym))
 
-    move = np.array([t[2] for t in targets])[by_target]
-    off = ~np.isin(move, (-1, 0, 1))
+def _check_moves(spec: QfaSpec, src, move, ends) -> None:
+    """Raise SpecError on the first head move outside -1/0/+1, else on the
+    first that is not +1 on a one-way head.  The targets are listed by tape
+    symbol, those of symbol i ending at ``ends[i]``; ``src`` holds their
+    source pair codes, which name the row of a non-rightward move."""
+    off = (move != -1) & (move != 0) & (move != 1)
     if off.any():
         raise SpecError(f"head move must be in -1/0/+1, got {move[off][0]}")
     if spec.head_model.one_way and (move != 1).any():
+        gsz = len(spec.comm_alphabet)
         j = np.flatnonzero(move != 1)[0]
         key = (spec.states[src[j] // gsz], spec.tape_symbols[np.searchsorted(ends, j, "right")],
                spec.comm_alphabet[src[j] % gsz])
         raise SpecError(f"one-way verifier has a non-rightward move at {key}")
-    amp = np.array([t[3] for t in targets], dtype=complex)[by_target]
+
+
+def _check_amplitudes(amp) -> None:
+    """Raise DomainError on the first amplitude that is not finite or whose
+    magnitude exceeds 1."""
     bad = amp[~(np.abs(amp) <= 1.0 + UNITARY_TOL)]  # NaN fails <= too
     if len(bad):
         a = complex(bad[0])
         raise DomainError(f"amplitude magnitude {abs(a)} exceeds 1" if cmath.isfinite(a)
                           else f"non-finite amplitude {a}")
-    move = move.astype(np.intp)
-    return {sigma: _Block(cols[k:l], *(v[i:j] for v in (src, dst, move, amp)))
-            for sigma, k, l, i, j in zip(spec.tape_symbols, [0, *key_ends[:-1]], key_ends,
-                                         [0, *ends[:-1]], ends)}
 
 
 def _unknown_name(spec, q_idx, s_idx, g_idx) -> None:
@@ -362,7 +391,12 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
     head move comes from a list built once from the table's first use of
     each target pair, in delta order; and `_leftover_basis` picks free rows
     by boolean masks over the codes.  Names are looked up only to write the
-    added rows.
+    added rows into the completed delta.  The same rows, in codes, are
+    appended to each symbol's block of the partial table: the fresh states
+    come last, so the old codes keep their values, and the added rows follow
+    the specified ones, so the result is the table that `_compile` would
+    make of the completed delta.  Only its checks of the names (`_check_names`)
+    and of the appended moves and amplitudes run, once per completion.
 
     The completed spec's step operator is then certified (`certify_unitarity`)
     for every input of each length in ``lengths``.  The report carries a
@@ -423,24 +457,49 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
         name_rank[by_name] = np.arange(n_pairs)
         comp = set(spec.completion_states + fresh)
         completion = np.repeat([q in comp for q in spec.states + fresh], gsz)
+        head_move = np.array([h[2] for h in heads]).astype(np.intp)
         new_delta = dict(spec.delta)
+        added = []  # each symbol's added rows in codes
         for start, (sigma, block) in zip(starts, spec._table.items()):
             specified = np.zeros(n_pairs, dtype=bool)
             specified[block.cols] = True
-            missing = by_name[~specified[by_name]].tolist()
-            for i, row in zip(missing, unit[n_pairs:]):
+            missing = by_name[~specified[by_name]]
+            for i, row in zip(missing.tolist(), unit[n_pairs:]):
                 q, g = all_pairs[i]
                 new_delta[(q, sigma, g)] = row
             # leftover image space goes to the fresh states' own columns
-            free, rest = _leftover_basis(columns, start, block.cols,
-                                         range(n_pairs, n_pairs + len(missing)), name_rank,
+            slots = range(n_pairs, n_pairs + len(missing))
+            free, rest = _leftover_basis(columns, start, block.cols, slots, name_rank,
                                          completion, tol)
             rows = [unit[i] for i in free]
             rows += [tuple((*heads[i], amp) for i, amp in vec) for vec in rest]
             for (f, g), row in zip(all_pairs[n_pairs:], rows):
                 new_delta[(f, sigma, g)] = row
-        completed = replace(spec, rejecting=spec.rejecting + fresh, delta=new_delta,
-                            completion_states=spec.completion_states + fresh)
+            # the same rows in codes, in the same order: the missing columns
+            # enter their slots, then the fresh columns take the free rows and
+            # the rest vectors
+            cols = np.concatenate([missing, np.arange(n_pairs, n_pairs + len(rows))])
+            counts = [1] * (len(missing) + len(free)) + [len(vec) for vec in rest]
+            dst = np.array([*slots, *free, *(i for vec in rest for i, _a in vec)],
+                           dtype=np.intp)
+            amp = np.array([*[1.0 + 0j] * (len(missing) + len(free)),
+                            *(a for vec in rest for _i, a in vec)], dtype=complex)
+            added.append(_Block(cols, np.repeat(cols, counts), dst, head_move[dst], amp))
+        # The completed spec: its fields set one by one, as __init__ sets them
+        # (a copied __dict__ makes every attribute read slower), and its table
+        # the appended one, not __post_init__'s compile; only the checks that
+        # _compile would make of its names and of the added rows run.
+        values = {"rejecting": spec.rejecting + fresh,
+                  "completion_states": spec.completion_states + fresh}
+        completed = object.__new__(QfaSpec)
+        for f in fields(QfaSpec):
+            object.__setattr__(completed, f.name, values.get(f.name, getattr(spec, f.name)))
+        _check_names(completed)
+        src, move, amp = (np.concatenate(v) for v in zip(*((a.src, a.move, a.amp) for a in added)))
+        _check_moves(completed, src, move, np.cumsum([len(a.src) for a in added]))
+        _check_amplitudes(amp)
+        completed._own(new_delta, {sigma: _Block(*map(np.concatenate, zip(block, add)))
+                                   for (sigma, block), add in zip(spec._table.items(), added)})
     report.completed_transitions = len(completed.delta) - len(spec.delta)
 
     for n, (dev, witness) in certify_unitarity(completed, lengths).items():

@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adversary import AdversaryBudget, best_classical_prover
+from .linalg import DomainError
 from .runtime import QipSystem, run
 from .tiling import SizeError, all_strings
 
@@ -59,17 +60,21 @@ def _named_row(args) -> SweepRow:
 def sweep_named(name: str, n_max: int, t_max: int | None = None,
                 budget: AdversaryBudget | None = None, cap: int = 4096,
                 jobs: int = 1) -> list[SweepRow]:
-    """Sweep a registry protocol by name; rows run in ``jobs`` processes."""
+    """Sweep a registry protocol by name; rows run in ``jobs`` processes, no
+    more than there are inputs.  A ``jobs`` below 1 raises DomainError."""
     from .protocols import build_protocol
 
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     system = build_protocol(name)
-    if jobs <= 1:
+    if jobs == 1:
         return sweep(system, n_max, t_max, budget, cap)
     # a pool loads multiprocessing, which a single-process sweep never needs
     from concurrent.futures import ProcessPoolExecutor
 
     budget = budget or AdversaryBudget()
     work = [(x, t_max, budget) for x in _inputs(system, n_max, cap)]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+    # each worker builds the protocol, and may start at the first submit
+    with ProcessPoolExecutor(max_workers=min(jobs, len(work)), initializer=_init_worker,
                              initargs=(name,)) as pool:
         return list(pool.map(_named_row, work))

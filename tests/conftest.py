@@ -6,6 +6,14 @@ import pytest
 import qipsim as q
 
 
+# Every built-in at its default parameters plus the larger instances.
+BUILT_INS = (
+    "zero_public", "la_mo", "odd", "pal_sharp", "center", "eraser_zero",
+    "eraser_end1", "rfa_even_a", "rfa_all_a", "npfa_single_a", "npfa_coin",
+    "npfa_choice", "union_zero_end1", "upal:N=2", "upal:N=3", "upal:N=4",
+    "pal_sharp:d=3", "pal_sharp:d=4", "center:N=4", "center:N=6")
+
+
 def strings(alphabet, n_max):
     out = [""]
     for n in range(1, n_max + 1):

@@ -242,6 +242,14 @@ def test_sweep_with_jobs_builds_once_in_parent(capsys, monkeypatch):
     assert calls == ["zero_public"]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_with_fewer_than_one_job_exits_2_with_one_line(capsys, jobs):
+    code, out, err = run_cli(capsys, "sweep", "--protocol", "zero_public",
+                             "--n-max", "1", "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: --jobs must be at least 1, got {jobs}\n"
+
+
 def spec_text(states="q0 non initial\nq1 non", rows="q0 a # -> q1 # +1 1 0",
               meta="name tiny\nhead_model one_way", extra=""):
     return (f"[meta]\n{meta}\n\n[states]\n{states}\n\n[input_alphabet]\na\n\n"

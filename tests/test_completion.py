@@ -21,18 +21,11 @@ from qipsim.protocols import build_protocol
 from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, SpecError,
                         build_step_operator, certify_unitarity, symbol_at,
                         validate_and_complete)
-from tests.conftest import strings
+from tests.conftest import BUILT_INS, strings
 from qipsim.specfile import parse_spec
 from tests.test_qfa import la_partial_spec, random_one_way_spec, random_partial_spec
 
 SPECS = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
-
-# Every built-in at its default parameters plus the larger instances.
-BUILT_INS = (
-    "zero_public", "la_mo", "odd", "pal_sharp", "center", "eraser_zero",
-    "eraser_end1", "rfa_even_a", "rfa_all_a", "npfa_single_a", "npfa_coin",
-    "npfa_choice", "union_zero_end1", "upal:N=2", "upal:N=3", "upal:N=4",
-    "pal_sharp:d=3", "pal_sharp:d=4", "center:N=4", "center:N=6")
 
 
 @functools.lru_cache(maxsize=None)
@@ -500,17 +493,21 @@ def exact_rows(delta):
 
 
 def assert_matches_the_references(partial):
+    """The completion's delta and completion states match the name
+    reference's, and each table, the partial one and the one the completion
+    appends to, matches both name walks of its delta: the reference and
+    `qfa._compile`."""
     completed, _report = validate_and_complete(partial, lengths=())
     delta, completion_states = reference_completion(partial)
     assert exact_rows(completed.delta) == exact_rows(delta)
     assert completed.completion_states == completion_states
     for spec in (partial, completed):
-        ref = reference_compile(spec)
-        assert list(spec._table) == list(ref)
-        for sigma, block in spec._table.items():
-            for got, want in zip(block, ref[sigma]):
-                assert (got.dtype, got.shape, got.tobytes()) == \
-                    (want.dtype, want.shape, want.tobytes()), (spec.name, sigma)
+        for ref in (reference_compile(spec), qfa._compile(spec)):
+            assert list(spec._table) == list(ref)
+            for sigma, block in spec._table.items():
+                for got, want in zip(block, ref[sigma]):
+                    assert (got.dtype, got.shape, got.tobytes()) == \
+                        (want.dtype, want.shape, want.tobytes()), (spec.name, sigma)
 
 
 def without_completion(spec):
@@ -566,3 +563,33 @@ def test_completion_moves_follow_the_first_row_in_delta_order():
     into_r = [t for (_q, sigma, _g), targets in completed.delta.items() if sigma == RIGHT_END
               for t in targets if t[0] == "r"]
     assert [t[2] for t in into_r] == [-1]
+
+
+def test_completion_refuses_an_amplitude_above_1_as_the_name_walk_does(monkeypatch):
+    # the first symbol's last free row goes to its fresh column with
+    # amplitude 2 instead of 1
+    partial = la_partial_spec()
+    completed, _report = validate_and_complete(partial, lengths=())
+    real = qfa._leftover_basis
+    doubled = []
+
+    def doubling(*args):
+        free, rest = real(*args)
+        if doubled or not free:
+            return free, rest
+        doubled.append(free[-1])
+        return free[:-1], [[(free[-1], 2.0 + 0j)]] + rest
+
+    monkeypatch.setattr(qfa, "_leftover_basis", doubling)
+    with pytest.raises(DomainError) as got:
+        validate_and_complete(partial, lengths=())
+    assert doubled
+    gsz = len(completed.comm_alphabet)
+    q2, g2 = completed.states[doubled[0] // gsz], completed.comm_alphabet[doubled[0] % gsz]
+    key, (target,) = next((key, targets) for key, targets in completed.delta.items()
+                          if key[0] in completed.completion_states and key[1] == LEFT_END
+                          and targets[0][:2] == (q2, g2))
+    bad = {**completed.delta, key: ((*target[:3], 2.0 + 0j),)}
+    with pytest.raises(DomainError) as want:
+        dataclasses.replace(completed, delta=bad)
+    assert str(got.value) == str(want.value) == "amplitude magnitude 2.0 exceeds 1"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qipsim.protocols as protocols
 import qipsim.qfa as qfa
 from qipsim.linalg import DomainError, check_unitary
 from qipsim.protocols import build_protocol
@@ -17,7 +18,7 @@ from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec,
                         SpecError, StructureMode, build_step_operator,
                         check_structure, symbol_at, validate_and_complete)
 from qipsim.runtime import NO_MASS_TOL, QipSystem, RunError, run
-from tests.conftest import strings
+from tests.conftest import BUILT_INS, strings
 
 
 def la_partial_spec():
@@ -456,16 +457,24 @@ def test_duplicate_names_refused(field, names, text):
 
 
 def test_each_spec_compiles_once(monkeypatch):
-    compiled = []
-    real = qfa._compile
+    compiled, partials = [], []
+    real_compile, real_complete = qfa._compile, protocols.validate_and_complete
 
     def counting(spec):
         compiled.append(spec.name)
-        return real(spec)
+        return real_compile(spec)
+
+    def recording(spec, *args, **kwargs):
+        partials.append(spec.name)
+        return real_complete(spec, *args, **kwargs)
 
     monkeypatch.setattr(qfa, "_compile", counting)
-    verifier = build_protocol("upal:N=4").verifier
-    for x in ("", "0", "01", "0011", "1", "10", "001", "110", "0101", "11"):
-        build_step_operator(verifier, x, sparse=True)
-    # the partial table and its completion
-    assert len(compiled) == 2
+    monkeypatch.setattr(protocols, "validate_and_complete", recording)
+    for name in BUILT_INS:
+        compiled.clear()
+        partials.clear()
+        verifier = build_protocol(name).verifier
+        for x in strings(verifier.input_alphabet, 2):
+            build_step_operator(verifier, x, sparse=True)
+        # one name walk per partial table; its completion appends to the table
+        assert partials and compiled == partials, name

@@ -1,6 +1,10 @@
+import concurrent.futures
+import sys
+
 import pytest
 
 from qipsim.adversary import AdversaryBudget
+from qipsim.linalg import DomainError
 from qipsim.sweep import sweep, sweep_named
 from qipsim.tiling import SizeError
 
@@ -38,3 +42,37 @@ def test_sweep_named_in_two_workers_matches_sweep(zero_public):
     budget = AdversaryBudget(memory_states=2, steps=4)
     assert sweep_named("zero_public", 2, budget=budget, jobs=2) == sweep(
         zero_public, 2, budget=budget)
+
+
+def test_sweep_pool_has_no_more_workers_than_inputs(monkeypatch, zero_public):
+    sizes = []
+
+    class InProcessPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    # the worker's protocol is set in this process; restored afterwards
+    monkeypatch.setattr(sys.modules[sweep_named.__module__], "_worker_system", None)
+    budget = AdversaryBudget(memory_states=2, steps=4)
+    rows = sweep_named("zero_public", 1, budget=budget, jobs=10_000)
+    assert sizes == [3]
+    assert rows == sweep(zero_public, 1, budget=budget)
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_sweep_named_refuses_fewer_than_one_job(jobs):
+    with pytest.raises(DomainError, match=f"jobs must be at least 1, got {jobs}"):
+        sweep_named("zero_public", 1, jobs=jobs)
