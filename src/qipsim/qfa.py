@@ -26,7 +26,10 @@ requested length at once (`certify_unitarity`): an entry of M†M depends only
 on two tape symbols and their distance on the circular tape, so the verdict
 comes from the Gram products of the table's transitions
 (`linalg.gram_products`), summed after one sort, and every length from 3 on
-shares one verdict.
+shares one verdict.  A place of the Gram whose products all have one head
+offset is summed and squared once, for every width; each width reads its
+verdict from the blocks' maxima per offset, and only the places that mix
+offsets are summed again per width.
 
 The restricted-model checks (`check_structure`: one-way halting, public,
 measure-once, interaction-bounded) read the table alone, so their verdict
@@ -37,8 +40,10 @@ only.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -565,11 +570,20 @@ def _leftover_basis(columns, start, cols, units, name_rank, completion, tol):
 # ---------------------------------------------------------------------------
 
 def _checked_lengths(lengths) -> tuple[int, ...]:
-    lengths = tuple(lengths)
+    checked = []
     for n in lengths:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise DomainError(f"input length must be an integer, got {n!r}") from None
         if n < 0:
             raise DomainError(f"input length must be non-negative, got {n}")
-    return lengths
+        checked.append(n)
+    return tuple(checked)
+
+
+# d1 − d2 for each move code 3·(d1 + 1) + d2 + 1, and 0 for the −1 of −I (code 9)
+_OFFSET = np.array([c // 3 - c % 3 for c in range(9)] + [0])
 
 
 def certify_unitarity(spec: QfaSpec, lengths) -> dict[int, tuple[float, str | None]]:
@@ -587,6 +601,16 @@ def certify_unitarity(spec: QfaSpec, lengths) -> dict[int, tuple[float, str | No
     r = 0) over the blocks (σ, τ, r) that two cells r apart can hold.  The
     offsets d1 − d2 lie in −2..2 and are distinct mod w once w ≥ 5, so every
     n ≥ 3 shares the blocks and the verdict of n = 3.
+
+    An entry of H_r sums the products at one place (i1, i2) whose offsets
+    are ≡ r mod w.  When all of a place's products have one offset o, that
+    sum is the same for every width, at r = o mod w: it is squared once,
+    and each block keeps its largest square per offset in a 5 × blocks
+    table, from which each width takes, for residue r, the maximum over the
+    offsets ≡ r.  Only the places that mix offsets (two columns that enter
+    their shared targets with more than one d1 − d2) are summed again per
+    width, over their own products.  Either way an entry adds its products in
+    the order of their cells, starting from 0.
     """
     lengths = _checked_lengths(lengths)
     t = len(spec.tape_symbols)
@@ -614,23 +638,78 @@ def certify_unitarity(spec: QfaSpec, lengths) -> dict[int, tuple[float, str | No
     # a cell's value sums its products in order, as a Gram entry does, or is −1
     re = np.bincount(at, np.concatenate([products.real, np.full(tp, -1.0)]), len(cells))
     im = np.bincount(at, np.concatenate([products.imag, np.zeros(tp)]), len(cells))
-    # the places, numbered in order; block σ·t + τ = blocks_of[start[k]]
-    # starts at place start[k]
+    # the places, numbered in order; block k = σ·t + τ starts at place start[k]
     place = cells >> 4
     first = np.diff(place, prepend=-1) != 0
     blocks_of = place[first] >> (2 * bits)
     start = np.flatnonzero(np.diff(blocks_of, prepend=-1))
-    entries = (re, im, cells & 15, np.cumsum(first) - 1, len(blocks_of))
-    by_block = (start, *np.divmod(blocks_of[start], t))
-    worst = {}  # width, 5 standing for every width >= 5 -> (deviation, σ, τ, offset)
+    sigma, tau = np.divmod(blocks_of[start], t)
+    n_places = len(blocks_of)
+    of = np.cumsum(first) - 1  # each cell's place
+    offset = _OFFSET[cells & 15]
+    lead = offset[first]  # the offset of each place's first cell
+    # a place mixes offsets when a cell's offset differs from the one before it
+    change = offset[1:] != offset[:-1]
+    change &= ~first[1:]
+    mixed = np.zeros(n_places, dtype=bool)
+    mixed[of[1:][change]] = True
+    # A place of one offset o sums the same cells at every width, into residue
+    # o mod w: |H − [o = 0]·I|² once per place, then each block's maximum per
+    # offset, o + 2 indexing the rows.  The amplitudes are at most 1 in
+    # magnitude, so the squares cannot overflow.
+    h = _squares(of, re, im, n_places)
+    h[mixed] = 0.0
+    table = np.zeros((5, len(start)))
+    for o in np.flatnonzero(np.bincount(lead + 2, minlength=5)):
+        table[o] = np.maximum.reduceat(np.where(lead == o - 2, h, 0.0), start)
+    # a place that mixes offsets is summed again at each width, over its own
+    # cells: their (re, im, offset), the place's rank among those places, and
+    # each such place's block
+    spots = np.flatnonzero(mixed)
+    own = np.flatnonzero(mixed[of])
+    spread = (re[own], im[own], offset[own], np.searchsorted(spots, of[own]),
+              np.searchsorted(start, spots, side="right") - 1)
+    worst = {}  # width, 5 standing for every width >= 5 -> (deviation, residue, block)
     out = {}
     for n in lengths:
         w = min(n + 2, 5)
         if w not in worst:
-            worst[w] = _worst_block(*entries, *by_block, _cells(t, w))
-        dev, sigma, tau, offset = worst[w]
-        out[n] = (dev, None if sigma is None else _witness(spec, n, sigma, tau, offset))
+            worst[w] = _worst_block(table, *spread, _occurs(t, w)[:, sigma, tau])
+        dev, r, b = worst[w]
+        out[n] = (dev, None if b is None else _witness(spec, n, sigma[b], tau[b], (r + 2) % w - 2))
     return out
+
+
+def _squares(key, re, im, size):
+    """|z|² of the sums z of the entries (re, im) that share a ``key``."""
+    h = np.bincount(key, re, size)
+    h *= h
+    sq = np.bincount(key, im, size)
+    sq *= sq
+    h += sq
+    return h
+
+
+def _worst_block(table, re, im, offset, rank, block, occurs):
+    """(deviation, residue r, block) of the block of M†M − I that deviates
+    most among those that ``occurs`` (w, blocks) marks, or (0.0, None, None)
+    when nothing deviates there.  ``table`` holds each block's largest square
+    over its places of one offset, per offset −2..2; the entries (re, im) of
+    the places that mix offsets are summed here, per residue mod w, with their
+    ``offset``, the place's ``rank`` among them and its ``block``.
+    """
+    w = len(occurs)
+    dev = np.zeros(occurs.shape)
+    np.maximum.at(dev, np.arange(-2, 3) % w, table)
+    m = len(block)
+    h = _squares(offset % w * m + rank, re, im, w * m)
+    np.maximum.at(dev, (np.arange(w)[:, None], block), h.reshape(w, m))
+    dev = np.sqrt(dev)
+    dev[~occurs] = 0.0
+    r, b = np.unravel_index(np.argmax(dev), dev.shape)
+    if dev[r, b] == 0.0:
+        return 0.0, None, None
+    return float(dev[r, b]), r, b
 
 
 def _cells(t, w):
@@ -642,38 +721,19 @@ def _cells(t, w):
     return cells
 
 
-def _worst_block(re, im, code, at, n, start, sigma, tau, cells):
-    """(deviation, σ, τ, offset) of the block of M†M − I that deviates most
-    among those that occur on a tape whose cells are ``cells``, with the
-    offset k2 − k1 as a representative in −2..2, or (0.0, None, None, None)
-    when nothing deviates or no tape exists.  (re, im) are the entries of the
-    products L_d1ᴴ L_d2 and of −I, with their moves as ``code`` 3·(d1 + 1) +
-    d2 + 1 (9 for −I) and their places among n, which are listed by block:
-    block (sigma[i], tau[i]) from place start[i] on.
-    """
-    w, t = cells.shape
-    if not cells.any(axis=1).all():  # an empty input alphabet gives no tape
-        return 0.0, None, None, None
-    # |H_r − [r = 0]·I|² for each residue r = d1 − d2 mod w, at every place;
-    # the amplitudes are at most 1 in magnitude, so the squares cannot overflow
-    shift = np.array([(c // 3 - c % 3) % w * n for c in range(9)] + [0])
-    key = shift[code] + at
-    h = np.bincount(key, re, w * n)
-    h *= h
-    sq = np.bincount(key, im, w * n)
-    sq *= sq
-    h += sq
-    dev = np.zeros((w, t, t))
-    dev[:, sigma, tau] = np.sqrt(np.maximum.reduceat(h.reshape(w, n), start, axis=1))
-    # occurs[r, σ, τ]: some cell k can hold σ while cell k + r holds τ
-    shifted = cells[(np.arange(w)[:, None] + np.arange(w)) % w]
-    occurs = np.einsum("ks,rkt->rst", cells.astype(int), shifted.astype(int)) > 0
-    occurs[0] = np.diag(cells.any(axis=0))
-    dev[~occurs] = 0.0
-    r, sigma, tau = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[r, sigma, tau] == 0.0:
-        return 0.0, None, None, None
-    return float(dev[r, sigma, tau]), sigma, tau, (r + 2) % w - 2
+@functools.cache
+def _occurs(t, w):
+    """occurs[r, σ, τ], read-only: on some tape of width w over t tape symbols
+    a cell k holds σ while cell k + r holds τ.  All False when no tape exists
+    (an empty input alphabet and w > 2)."""
+    cells = _cells(t, w)
+    occurs = np.zeros((w, t, t), dtype=bool)
+    if cells.any(axis=1).all():
+        shifted = cells[(np.arange(w)[:, None] + np.arange(w)) % w]
+        occurs = np.einsum("ks,rkt->rst", cells.astype(int), shifted.astype(int)) > 0
+        occurs[0] = np.diag(cells.any(axis=0))
+    occurs.flags.writeable = False
+    return occurs
 
 
 def _witness(spec, n, sigma, tau, offset):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qipsim.protocols as protocols
 import qipsim.qfa as qfa
-from qipsim.linalg import DomainError, unitary_deviation
+from qipsim.linalg import DomainError, gram_products, unitary_deviation
 from qipsim.protocols import build_protocol
 from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, SpecError,
                         build_step_operator, certify_unitarity, symbol_at,
@@ -226,6 +226,17 @@ def test_validation_refuses_a_negative_length():
         validate_and_complete(hadamard_spec(), lengths=(0, -1))
 
 
+@pytest.mark.parametrize("length, shown", [(1.5, "1.5"), ("3", "'3'")])
+def test_validation_refuses_a_length_that_is_not_an_integer(length, shown):
+    with pytest.raises(DomainError, match=f"length must be an integer, got {shown}$"):
+        validate_and_complete(hadamard_spec(), lengths=(0, length))
+
+
+def test_validation_takes_numpy_integer_lengths():
+    _completed, report = validate_and_complete(hadamard_spec(), lengths=np.arange(3))
+    assert report.well_formed == {0: True, 1: True, 2: True}
+
+
 def exhaustive_deviation(spec, n):
     """The largest `unitary_deviation` of the step operator over every input
     of length n."""
@@ -306,27 +317,168 @@ def test_unitarity_certificate_matches_every_step_operator(seed):
         assert abs(dev - deviation[n][0]) <= 1e-12
 
 
-def test_certificate_tells_width_four_from_wider_tapes():
-    # (p, ^) and (p, a) enter u and v with opposite moves.  Two cells apart
-    # they share the target (u, k+1); on a tape of width 4, where offsets +2
-    # and -2 coincide, they also share (v, k-1).  So width 4 deviates by 1
-    # and every wider tape by 1/sqrt(2).
+def ring_spec():
+    """(p, ^) and (p, a) enter u and v with opposite moves."""
     h = 1 / math.sqrt(2)
-    spec = QfaSpec(name="ring", non_halting=("p", "u", "v"), accepting=(),
+    return QfaSpec(name="ring", non_halting=("p", "u", "v"), accepting=(),
                    rejecting=(), initial="p", input_alphabet=("a",),
                    comm_alphabet=(BLANK,), prover_alphabet=(BLANK,),
                    head_model=HeadModel.TWO_WAY,
                    delta={("p", LEFT_END, BLANK): (("u", BLANK, 1, h), ("v", BLANK, -1, h)),
                           ("p", "a", BLANK): (("u", BLANK, -1, h), ("v", BLANK, 1, -h))})
-    completed, report = validate_and_complete(spec, lengths=range(7))
+
+
+def test_certificate_tells_width_four_from_wider_tapes():
+    # Two cells apart, (p, ^) and (p, a) share the target (u, k+1); on a tape
+    # of width 4, where offsets +2 and -2 coincide, they also share (v, k-1).
+    # So width 4 deviates by 1 and every wider tape by 1/sqrt(2).
+    completed, report = validate_and_complete(ring_spec(), lengths=range(7))
     deviation = certify_unitarity(completed, range(7))
     for n in range(7):
         assert deviation[n][0] == pytest.approx(exhaustive_deviation(completed, n), abs=1e-12)
     assert deviation[2][0] == pytest.approx(1.0)
-    assert deviation[3][0] == deviation[6][0] == pytest.approx(h)
+    assert deviation[3][0] == deviation[6][0] == pytest.approx(1 / math.sqrt(2))
     assert report.well_formed == {0: True, **{n: False for n in range(1, 7)}}
     assert report.violations == [("a" * n, f"step operator not unitary at length {n}")
                                  for n in range(1, 7)]
+
+
+def mixed_offset_spec(tau, moves):
+    """(p, ^) enters u with move +1 and v with -1, amplitude 1/sqrt(2) each,
+    and (p, tau) enters them with 1/sqrt(2) and -1/sqrt(2) and the head
+    ``moves``.  The completion gives the rest of span{u, v} on ^, the column
+    (-1/sqrt(2), 1/sqrt(2)), the moves of (p, ^); its place with (p, tau)
+    mixes the offsets d1 - d2 of u and of v, and its two products, -1/2
+    each, add up on the widths where those offsets coincide."""
+    h = 1 / math.sqrt(2)
+    return QfaSpec(name="mixed", non_halting=("p", "u", "v"), accepting=(),
+                   rejecting=(), initial="p", input_alphabet=("a",),
+                   comm_alphabet=(BLANK,), prover_alphabet=(BLANK,),
+                   head_model=HeadModel.TWO_WAY,
+                   delta={("p", LEFT_END, BLANK): (("u", BLANK, 1, h), ("v", BLANK, -1, h)),
+                          ("p", tau, BLANK): (("u", BLANK, moves[0], h),
+                                              ("v", BLANK, moves[1], -h))})
+
+
+def assert_certificate_merges_on_one_width(spec, width):
+    """The certificate equals the exhaustive maximum on lengths 0-6: 1 on the
+    tape of ``width`` (the merged products), 1/sqrt(2) on the wider ones."""
+    completed, report = validate_and_complete(spec, lengths=range(7))
+    deviation = certify_unitarity(completed, range(7))
+    for n in range(7):
+        assert deviation[n][0] == pytest.approx(exhaustive_deviation(completed, n), abs=1e-12), n
+    assert deviation[width - 2][0] == pytest.approx(1.0)
+    for n in range(width - 1, 7):
+        assert deviation[n][0] == pytest.approx(1 / math.sqrt(2)), n
+    failing = range(width - 2, 7)
+    assert report.well_formed == {n: n not in failing for n in range(7)}
+    assert report.violations == [("a" * n, f"step operator not unitary at length {n}")
+                                 for n in failing]
+
+
+def test_certificate_merges_offsets_plus_1_and_minus_1_on_width_two():
+    # (p, $) moves 0: offsets +1 and -1, which coincide only mod 2
+    assert_certificate_merges_on_one_width(mixed_offset_spec(RIGHT_END, (0, 0)), 2)
+
+
+def test_certificate_merges_offsets_plus_1_and_minus_2_on_width_three():
+    # (p, a) moves 0 and +1: offsets +1 and -2, which coincide only mod 3
+    # (a has no cell on width 2)
+    assert_certificate_merges_on_one_width(mixed_offset_spec("a", (0, 1)), 3)
+
+
+def reference_certificate(spec, lengths):
+    """`certify_unitarity` with a dense pass per width: every place's cells
+    summed into a (width, places) array for each width.  The certificate
+    must equal it bit for bit."""
+    lengths = qfa._checked_lengths(lengths)
+    t = len(spec.tape_symbols)
+    p = len(spec.states) * len(spec.comm_alphabet)
+    blocks = spec._table.values()
+    sym = np.repeat(np.arange(t), [len(b.src) for b in blocks])
+    src, dst, move, amp = (np.concatenate(v) for v in
+                           zip(*((b.src, b.dst, b.move, b.amp) for b in blocks)))
+    tp = t * p
+    e, f, products = gram_products(dst, amp)
+    bits = tp.bit_length()
+    i, d = sym * p + src, move + 1
+    left = ((sym * t) << (2 * bits + 4)) + (i << (bits + 4)) + 3 * d
+    right = (sym << (2 * bits + 4)) + (i << 4) + d
+    diag = np.arange(tp)
+    ones = ((diag // p * (t + 1)) << (2 * bits + 4)) + (diag << (bits + 4)) + (diag << 4) + 9
+    cells, at = np.unique(np.concatenate([left[e] + right[f], ones]), return_inverse=True)
+    re = np.bincount(at, np.concatenate([products.real, np.full(tp, -1.0)]), len(cells))
+    im = np.bincount(at, np.concatenate([products.imag, np.zeros(tp)]), len(cells))
+    place = cells >> 4
+    first = np.diff(place, prepend=-1) != 0
+    blocks_of = place[first] >> (2 * bits)
+    start = np.flatnonzero(np.diff(blocks_of, prepend=-1))
+    entries = (re, im, cells & 15, np.cumsum(first) - 1, len(blocks_of))
+    by_block = (start, *np.divmod(blocks_of[start], t))
+    worst = {}
+    out = {}
+    for n in lengths:
+        w = min(n + 2, 5)
+        if w not in worst:
+            worst[w] = reference_worst_block(*entries, *by_block, qfa._cells(t, w))
+        dev, sigma, tau, offset = worst[w]
+        out[n] = (dev, None if sigma is None else qfa._witness(spec, n, sigma, tau, offset))
+    return out
+
+
+def reference_worst_block(re, im, code, at, n, start, sigma, tau, cells):
+    w, t = cells.shape
+    if not cells.any(axis=1).all():
+        return 0.0, None, None, None
+    shift = np.array([(c // 3 - c % 3) % w * n for c in range(9)] + [0])
+    key = shift[code] + at
+    h = np.bincount(key, re, w * n)
+    h *= h
+    sq = np.bincount(key, im, w * n)
+    sq *= sq
+    h += sq
+    dev = np.zeros((w, t, t))
+    dev[:, sigma, tau] = np.sqrt(np.maximum.reduceat(h.reshape(w, n), start, axis=1))
+    shifted = cells[(np.arange(w)[:, None] + np.arange(w)) % w]
+    occurs = np.einsum("ks,rkt->rst", cells.astype(int), shifted.astype(int)) > 0
+    occurs[0] = np.diag(cells.any(axis=0))
+    dev[~occurs] = 0.0
+    r, sigma, tau = np.unravel_index(np.argmax(dev), dev.shape)
+    if dev[r, sigma, tau] == 0.0:
+        return 0.0, None, None, None
+    return float(dev[r, sigma, tau]), sigma, tau, (r + 2) % w - 2
+
+
+def assert_certificate_matches_the_reference(spec):
+    got, want = certify_unitarity(spec, range(8)), reference_certificate(spec, range(8))
+    assert {n: (dev.hex(), x) for n, (dev, x) in got.items()} == \
+        {n: (dev.hex(), x) for n, (dev, x) in want.items()}, spec.name
+
+
+@pytest.mark.parametrize("name", BUILT_INS)
+def test_certificate_matches_the_reference_on_built_ins(name):
+    assert_certificate_matches_the_reference(verifier(name))
+
+
+def test_certificate_matches_the_reference_on_shipped_specs_and_mixed_offsets():
+    for path in sorted(glob.glob(os.path.join(SPECS, "*.qfa"))):
+        with open(path) as f:
+            assert_certificate_matches_the_reference(parse_spec(f.read()))
+    specs = [ring_spec(), mixed_offset_spec(RIGHT_END, (0, 0)), mixed_offset_spec("a", (0, 1))]
+    for spec in specs:
+        assert_certificate_matches_the_reference(validate_and_complete(spec, lengths=())[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 30))
+@example(5)
+@example(30)
+def test_certificate_matches_the_reference_on_random_tables(seed):
+    # moves drawn per transition give places that mix offsets, as in seeds 5
+    # and 30 (about one table in eleven)
+    spec = random_orthonormal_spec(random.Random(seed))
+    assert_certificate_matches_the_reference(spec)
+    assert_certificate_matches_the_reference(validate_and_complete(spec, lengths=())[0])
 
 
 def reference_violations(spec, tol=1e-9):
