@@ -16,17 +16,22 @@ the node cap is not hit.
 A node's prover moves share one move table.  For each live label
 (q, k, gamma, m) and each target (gamma', m') that a move sends its pair
 to, it holds the label's contributions through
-``delta[q, tape[k], gamma']``: ((q'', k+d mod width, gamma'', m'), amp·a).
-Entries are filled on first use, since many nodes try only one or two
-moves.  A move then adds, label by label in state order, each label's entry
-for its pair's target, and `runtime._measure` measures the sum; the
-continuing mass is the next node's mass.  This changes no float: a move is
-injective on pairs, so it merges no labels and every moved amplitude is the
-state's own, and the products amp·a are the ones `runtime._round` forms,
-added in the same order, so the masses and the continuation, in its dict
-order, come out bit for bit as one `_round` on the moved state.  The walk
+``delta[q, tape[k], gamma']`` to accepting and continuing labels:
+((q'', k+d mod width, gamma'', m'), amp·a) for each q'' outside the
+rejecting states (on a measure-once verifier, whose rejecting labels run on
+until its one measurement, for every q'').  Entries are filled on first
+use, since many nodes try only one or two moves.  A move then adds, label
+by label in state order, each label's entry for its pair's target, and
+`runtime._measure` measures the sum; the continuing mass is the next node's
+mass, and the rejecting mass, which the search never reads, is not formed.
+This changes no float: a move is injective on pairs, so it merges no labels
+and every moved amplitude is the state's own; the products amp·a are the
+ones `runtime._round` forms, added in the same order; and a rejecting label
+feeds only the rejecting mass, while leaving its keys out keeps the order of
+the others.  So the accepting mass, the continuation, in its dict order, and
+its mass come out bit for bit as one `_round` on the moved state.  The walk
 down the best path, the identity tail past the table budget and every run
-still go through `_round`.
+still go through `_round`, which forms the rejecting mass too.
 
 Branching is reduced by symmetry (Emerson & Sistla, "Symmetry and model
 checking", FMSD 9, 1996), restricted to symmetries that leave every result
@@ -81,6 +86,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +119,11 @@ def dense_dimension(spec, c: int) -> int:
 
 @dataclass(frozen=True)
 class AdversaryBudget:
-    """Search limits, checked when made; frozen, so they stay checked."""
+    """Search limits, checked when made; frozen, so they stay checked.
+
+    Every field but ``committed_only`` must be an integer (numpy integers
+    pass, and are kept as ints) and at least its least value: 1 for
+    ``memory_states`` and ``node_cap``, 0 for the rest."""
     memory_states: int = 2
     steps: int = 16
     restarts: int = 8
@@ -124,10 +134,16 @@ class AdversaryBudget:
 
     def __post_init__(self):
         for name, least in (("memory_states", 1), ("steps", 0), ("restarts", 0),
-                            ("iterations", 0), ("node_cap", 1)):
-            if getattr(self, name) < least:
-                raise DomainError(f"budget {name} must be at least {least}, "
-                                  f"got {getattr(self, name)}")
+                            ("iterations", 0), ("node_cap", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                value = operator.index(value)
+            except TypeError:
+                raise DomainError(f"budget {name} must be an integer, "
+                                  f"got {value!r}") from None
+            if value < least:
+                raise DomainError(f"budget {name} must be at least {least}, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -156,6 +172,8 @@ class _ClassicalSearch:
         self.t_max, self.once = _run_length(self.spec, x, None)
         self.steps = min(budget.steps, self.t_max)
         self.tape = [symbol_at(x, k) for k in range(self.width)]
+        # the states each measurement rejects; none before a measure-once
+        # verifier's one measurement, so none are left out there
         self.rejecting = frozenset(self.spec.rejecting if self.once is None else ())
         # Blank is a class of its own, so one non-blank symbol leaves every
         # class a single target.
@@ -174,11 +192,14 @@ class _ClassicalSearch:
         """Verifier move r after each prover move of ``state``'s node.
 
         Yields (assignment, accepting mass, continuation, its mass) for each
-        of `_assignments`, in order: the floats of one `runtime._round` on
+        of `_assignments`, in order: those floats of one `runtime._round` on
         the moved state, computed from the node's move table (see the
-        module docstring).  A missing delta row raises `_round`'s error.
+        module docstring), which leaves out the targets in ``self.rejecting``:
+        they would feed only the rejecting mass, which is not formed.  A
+        missing delta row raises `_round`'s error.
         """
         spec, tape, width, once = self.spec, self.tape, self.width, self.once
+        rejecting = self.rejecting
         index = {pair: i for i, pair in enumerate(pairs)}
         # per live label, in state order: its pair's index, its table row, and
         # what fills the row
@@ -204,6 +225,8 @@ class _ClassicalSearch:
                     raise _no_transition(spec, key)
                 entry = row[target] = []
                 for q2, g3, d, a in moves:
+                    if q2 in rejecting:
+                        continue
                     lbl = (q2, (k + d) % width, g3, m2)
                     c = amp * a
                     entry.append((lbl, c))

@@ -16,7 +16,10 @@ code that splits off the halting classes; `_round` drops amplitudes below
 PRUNE_TOL on the way in and `_measure` on the way out.  Runs, interaction counting, the query
 weight, the classical prover search and the npfa choice script go through
 `_round`; the classical search's node evaluation reads delta's rows from a
-move table of its own and measures with `_measure`.  The tag rides along
+move table of its own, which holds only the contributions to accepting and
+continuing labels, and measures with `_measure`.  Its rejecting mass is
+therefore not formed, and no other float changes: a rejecting label feeds
+only that mass, and leaving it out keeps the others' order.  The tag rides along
 unchanged: the prover tape in runs, the prover memory in the classical
 search, ``None`` where no prover takes part.
 

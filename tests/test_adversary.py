@@ -268,6 +268,8 @@ def _oracle_cases(name):
                         if len(x) % 2 == 1 and not system.member(x)], 60, False
     if name == "pal_sharp:d=2":
         return build_protocol(name), ["0#1", "1#0", "01#0", "0#11"], None, False
+    if name in ("la_mo", "npfa_coin", "npfa_choice"):
+        return build_protocol(name), strings("a", 4), None, False
     return build_protocol("odd"), ["11"], 5, True
 
 
@@ -334,7 +336,10 @@ def _bits_of(move_rounds):
 
 @pytest.mark.parametrize("name, memory", [
     ("upal:N=2", 2), ("upal:N=3", 2), ("center:N=2", 2), ("pal_sharp:d=2", 2),
-    ("odd-committed", 2), ("upal:N=4", 2), ("upal:N=4", 3)])
+    ("odd-committed", 2), ("upal:N=4", 2), ("upal:N=4", 3),
+    # measure-once, so no target is left out; and two measure-many verifiers
+    # with declared rejecting states (crej, brej) besides the completion's
+    ("la_mo", 2), ("la_mo", 3), ("npfa_coin", 2), ("npfa_choice", 2)])
 def test_move_table_gives_the_floats_of_moves_through_round(monkeypatch, name, memory):
     if name == "upal:N=4":
         system, inputs, steps, committed_only = build_protocol(name), ["1"], 7, False
@@ -365,6 +370,42 @@ def test_move_table_gives_the_floats_of_moves_through_round(monkeypatch, name, m
         for state, pairs, r in nodes:
             assert (_bits_of(search._move_rounds(state, pairs, r))
                     == _bits_of(_RoundSearch._move_rounds(search, state, pairs, r))), x
+
+
+def _table_states(monkeypatch, system, x, budget):
+    """The states of every label in the move tables of the nodes that the
+    search of ``x`` evaluates, each table filled by trying all its moves."""
+    nodes = []
+
+    class Recording(_ClassicalSearch):
+        def _move_rounds(self, state, pairs, r):
+            nodes.append((state, pairs, r))
+            return super()._move_rounds(state, pairs, r)
+
+    with monkeypatch.context() as m:
+        m.setattr(adversary, "_ClassicalSearch", Recording)
+        best_classical_prover(system, x, budget)
+    search = _ClassicalSearch(system, x, budget)
+    states = set()
+    for state, pairs, r in nodes:
+        moves = search._move_rounds(state, pairs, r)
+        next(moves)
+        live = moves.gi_frame.f_locals["live"]  # the table's rows, by label
+        for _move in moves:
+            pass
+        states.update(lbl[0] for _i, row, *_rest in live
+                      for entry in row.values() for lbl, _c in entry)
+    assert nodes and states
+    return states
+
+
+def test_move_tables_leave_out_rejecting_targets_only_under_measure_many(
+        monkeypatch, upal4, la_mo):
+    states = _table_states(monkeypatch, upal4, "1", AdversaryBudget(memory_states=2, steps=7))
+    assert not states & set(upal4.verifier.rejecting)
+    # measure-once: a rejecting label runs on until move n+2, so it stays
+    states = _table_states(monkeypatch, la_mo, "aa", AdversaryBudget(memory_states=2))
+    assert states & set(la_mo.verifier.rejecting)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -606,13 +647,18 @@ def test_dense_strategy_replays_from_json(pal2):
 
 @pytest.mark.parametrize("field, value", [
     ("memory_states", 0), ("steps", -1), ("restarts", -1), ("iterations", -1),
-    ("node_cap", 0)])
+    ("node_cap", 0), ("seed", -1)])
 def test_budget_refuses_values_outside_its_domain(field, value):
     with pytest.raises(DomainError, match=f"budget {field} must be at least"):
         AdversaryBudget(**{field: value})
     budget = AdversaryBudget(**{field: value + 1})
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(budget, field, value)
+    for bad in (1.5, "3", 2.0):
+        with pytest.raises(DomainError, match=f"budget {field} must be an integer"):
+            AdversaryBudget(**{field: bad})
+    budget = AdversaryBudget(**{field: np.int64(value + 2)})
+    assert getattr(budget, field) == value + 2 and type(getattr(budget, field)) is int
 
 
 def test_quantum_search_refuses_negative_tape_cells(pal1):

@@ -362,8 +362,11 @@ def test_validate_malformed_lengths_exit_2(tmp_path, capsys, lengths):
     ("adversary", ["--quantum", "--tape-cells", "-1"], "tape cells must be at least 0"),
     ("sweep", ["--n-max", "1", "--memory", "-1"], "budget memory_states must be at least 1"),
     ("sweep", ["--n-max", "1", "--steps", "-1"], "budget steps must be at least 0"),
+    ("adversary", ["--quantum", "--seed", "-1"], "budget seed must be at least 0"),
+    # sweep never reads the seed, but its budget checks it all the same
+    ("sweep", ["--n-max", "1", "--seed", "-1"], "budget seed must be at least 0"),
 ], ids=["memory-neg", "steps-neg", "restarts-neg", "iterations-neg", "tape-cells-neg",
-        "sweep-memory-neg", "sweep-steps-neg"])
+        "sweep-memory-neg", "sweep-steps-neg", "seed-neg", "sweep-seed-neg"])
 def test_bad_budget_exit_1(capsys, command, argv, message):
     input_args = ["--input", "0#1"] if command == "adversary" else []
     code, out, err = run_cli(capsys, command, "--protocol", "pal_sharp:d=1",
