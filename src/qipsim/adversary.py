@@ -62,7 +62,13 @@ later renaming, whose subtree has the same exact value, does not replace it.
 on every search compared against the full enumeration none did.)  Renamings
 map interchangeable targets to interchangeable targets, so the two
 reductions compose: the orbit firsts in first-use order are one map per
-orbit of both.
+orbit of both.  One walk, `_orbit_firsts`, builds every node's maps
+position by position, from the lowest unused member of each class, and
+drops a prefix as soon as it breaks first-use order or, under
+``committed_only``, sends a blank pair to a non-blank target; so it yields,
+in ``itertools.permutations`` order, exactly the maps kept.  On a verifier
+with at most one non-blank cell symbol every class is a single target, and
+those classes are built once per search.
 
 Quantum search climbs over per-round dense unitaries acting on the cell and c
 prover-tape cells: random-unitary restarts followed by accept-if-better
@@ -84,14 +90,13 @@ through it.
 """
 from __future__ import annotations
 
-import itertools
 import math
-import operator
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PRUNE_TOL, DomainError
+from .linalg import PRUNE_TOL, checked_count
 from .provers import (ClassicalProverTable, DenseProver, EncodingError,
                       IdentityProver, TableProver, dense_from_table,
                       from_description)
@@ -135,15 +140,8 @@ class AdversaryBudget:
     def __post_init__(self):
         for name, least in (("memory_states", 1), ("steps", 0), ("restarts", 0),
                             ("iterations", 0), ("node_cap", 1), ("seed", 0)):
-            value = getattr(self, name)
-            try:
-                value = operator.index(value)
-            except TypeError:
-                raise DomainError(f"budget {name} must be an integer, "
-                                  f"got {value!r}") from None
-            if value < least:
-                raise DomainError(f"budget {name} must be at least {least}, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name,
+                               checked_count(f"budget {name}", getattr(self, name), least))
 
 
 @dataclass
@@ -165,9 +163,11 @@ class _ClassicalSearch:
         self.width = len(x) + 2
         self.budget = budget
         self.memory = tuple(f"m{i}" for i in range(budget.memory_states))
-        self.memory_rank = {m: i for i, m in enumerate(self.memory)}
-        self.targets = [(g, m) for g in self.spec.comm_alphabet for m in self.memory]
-        self.target_rank = [self.memory_rank[m] for _g, m in self.targets]
+        comm = self.spec.comm_alphabet
+        self.targets = [(g, m) for g in comm for m in self.memory]
+        # per target, the index of its memory and whether its symbol is blank
+        self.target_rank = [i for _g in comm for i in range(len(self.memory))]
+        self.target_blank = [g == BLANK for g, _m in self.targets]
         # the round limit and `runtime._measure`'s ``once``, for a checked input
         self.t_max, self.once = _run_length(self.spec, x, None)
         self.steps = min(budget.steps, self.t_max)
@@ -176,9 +176,10 @@ class _ClassicalSearch:
         # verifier's one measurement, so none are left out there
         self.rejecting = frozenset(self.spec.rejecting if self.once is None else ())
         # Blank is a class of its own, so one non-blank symbol leaves every
-        # class a single target.
-        self.class_cache: dict | None = (
-            {} if sum(g != BLANK for g in self.spec.comm_alphabet) > 1 else None)
+        # class a single target at every node.
+        self.singletons = ([[i] for i in range(len(self.targets))]
+                           if sum(g != BLANK for g in comm) <= 1 else None)
+        self.class_cache: dict = {}
         self.row_kinds = self.spec._row_kinds  # shared by every search on the verifier
         self.memo: dict = {}
         self.moves: dict = {}  # memo key -> best assignment, renamed like the key
@@ -274,26 +275,26 @@ class _ClassicalSearch:
         return tuple(out), relabel
 
     def _target_classes(self, state):
-        """Indices into ``targets`` of the interchangeable classes at ``state``.
-
-        None when every class is a single target.  Depends only on the
-        (state, tape symbol) rows of the labels, so it is cached per row set.
+        """Indices into ``targets`` of the interchangeable classes at ``state``,
+        each class in index order and the classes in order of their first
+        members.  Depends only on the (state, tape symbol) rows of the labels,
+        so it is cached per row set.
         """
-        if self.class_cache is None:
-            return None
+        if self.singletons is not None:
+            return self.singletons
         tape = self.tape
         rows = frozenset((q, tape[k]) for (q, k, _g, _m) in state)
-        if rows in self.class_cache:
-            return self.class_cache[rows]
-        groups: dict = {}
-        for j, kind in enumerate(zip(*(self._symbol_kinds(row) for row in rows))):
-            groups.setdefault(kind, []).append(j)
-        n_mem = len(self.memory)
-        # targets[j * n_mem + i] is (comm_alphabet[j], memory[i])
-        classes = None if len(groups) == len(self.spec.comm_alphabet) else [
-            [j * n_mem + i for j in symbols]
-            for symbols in groups.values() for i in range(n_mem)]
-        self.class_cache[rows] = classes
+        classes = self.class_cache.get(rows)
+        if classes is None:
+            groups: dict = {}
+            for j, kind in enumerate(zip(*(self._symbol_kinds(row) for row in rows))):
+                groups.setdefault(kind, []).append(j)
+            n_mem = len(self.memory)
+            # targets[j * n_mem + i] is (comm_alphabet[j], memory[i]), so the
+            # groups, in order of their first symbols, give ascending first members
+            classes = self.class_cache[rows] = [
+                [j * n_mem + i for j in symbols]
+                for symbols in groups.values() for i in range(n_mem)]
         return classes
 
     def _symbol_kinds(self, row):
@@ -312,33 +313,39 @@ class _ClassicalSearch:
             self.row_kinds[row] = kinds
         return kinds
 
-    def _orbit_firsts(self, classes, k):
+    def _orbit_firsts(self, classes, k, blank_at=(), prefix=(), fresh=0):
         """The lexicographically first k-tuple of each orbit whose memories
-        first appear in the order of ``memory``, in index order.
+        first appear in the order of ``memory``, in index order; a position
+        in ``blank_at`` takes only blank targets.
 
         Each position takes the lowest-indexed unused member of a class, so
-        the members used of a class are always a prefix of it.  A member
-        whose memory is neither used yet nor the next fresh one is skipped
-        with every tuple it would start, since a tuple is in first-use order
-        only if each of its prefixes is; so this yields the unpruned orbit
-        firsts that `_in_first_use_order` keeps, in the same order.
+        the members used of a class are always a prefix of it.  ``classes``
+        holds the unused members of each class, the lists in order of their
+        heads; taking a head passes the rest of its class on, inserted in
+        that order, to the walk that extends ``prefix`` (whose memories
+        ``fresh`` counts).  A head is skipped, with every tuple it would
+        start, when its memory is neither used yet nor the next fresh one,
+        since a tuple is in first-use order only if each of its prefixes is;
+        or when its position is in ``blank_at`` and its symbol is not blank.
+        So this yields the orbit firsts in first-use order, in the order
+        that ``itertools.permutations`` reaches them, and of those the ones
+        that send each position of ``blank_at`` to a blank target.
         """
-        targets, rank = self.targets, self.target_rank
-        used = [0] * len(classes)
-
-        def extend(prefix, fresh):
-            firsts = sorted((members[used[c]], c) for c, members in enumerate(classes)
-                            if used[c] < len(members) and rank[members[used[c]]] <= fresh)
-            if len(prefix) + 1 == k:
-                for i, _c in firsts:
-                    yield prefix + (targets[i],)
-                return
-            for i, c in firsts:
-                used[c] += 1
-                yield from extend(prefix + (targets[i],), fresh + (rank[i] == fresh))
-                used[c] -= 1
-
-        return extend((), 0)
+        targets, rank, blank = self.targets, self.target_rank, self.target_blank
+        p = len(prefix)
+        blank_only = p in blank_at
+        for pos, members in enumerate(classes):
+            i = members[0]
+            if rank[i] > fresh or blank_only and not blank[i]:
+                continue
+            combo = prefix + (targets[i],)
+            if p + 1 == k:
+                yield combo
+                continue
+            rest = classes[:pos] + classes[pos + 1:]
+            if len(members) > 1:
+                insort(rest, members[1:])  # classes are disjoint: heads decide
+            yield from self._orbit_firsts(rest, k, blank_at, combo, fresh + (rank[i] == fresh))
 
     def _assignments(self, state, pairs):
         """Injective maps from the reachable (gamma, memory) pairs of ``state``.
@@ -346,35 +353,16 @@ class _ClassicalSearch:
         One map per orbit of interchangeable targets and renamings of memory
         (see the module docstring), in ``itertools.permutations`` order: the
         orbit firsts whose target memories first appear in the order of
-        ``memory``, pruned while `_orbit_firsts` builds them (with only single
-        classes, ``itertools.permutations`` itself, filtered).  The maps left out give the same accepting mass and
-        continuation as the one kept before them, up to a renaming of
-        memory, so the value and the recorded assignments are unchanged.
-        The ``committed_only`` filter (blank pairs stay blank) holds for a
-        whole orbit or for none of it, since blank-ness is part of a class
-        and renaming keeps symbols.
+        ``memory``, built by `_orbit_firsts`.  The maps left out give the
+        same accepting mass and continuation as the one kept before them, up
+        to a renaming of memory, so the value and the recorded assignments
+        are unchanged.  Under ``committed_only`` the walk sends blank pairs
+        to blank targets only; that rule holds for a whole orbit or for none
+        of it, since blank-ness is part of a class and renaming keeps symbols.
         """
-        classes = self._target_classes(state)
-        combos = (filter(self._in_first_use_order,
-                         itertools.permutations(self.targets, len(pairs)))
-                  if classes is None else self._orbit_firsts(classes, len(pairs)))
-        if not self.budget.committed_only:
-            return combos
-        blank_idx = [i for i, (g, _m) in enumerate(pairs) if g == BLANK]
-        return (c for c in combos if all(c[i][0] == BLANK for i in blank_idx))
-
-    def _in_first_use_order(self, combo) -> bool:
-        """Whether the memories of ``combo`` first appear in the order of
-        ``memory``: the restricted-growth member of its renamings, which is
-        also the lexicographically first."""
-        rank, fresh = self.memory_rank, 0
-        for _g, m in combo:
-            i = rank[m]
-            if i == fresh:
-                fresh += 1
-            elif i > fresh:
-                return False
-        return True
+        blank_at = frozenset(p for p, (g, _m) in enumerate(pairs)
+                             if g == BLANK) if self.budget.committed_only else ()
+        return self._orbit_firsts(self._target_classes(state), len(pairs), blank_at)
 
     def _value(self, state, r, total) -> float:
         """Max future acceptance of ``state``, of mass ``total``, before prover move r."""
@@ -485,8 +473,7 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
     result.
     """
     budget = budget or AdversaryBudget()
-    if c < 0:
-        raise DomainError(f"tape cells must be at least 0, got {c}")
+    c = checked_count("tape cells", c, 0)
     spec = system.verifier
     comm, tape = spec.comm_alphabet, spec.prover_alphabet
     dim = dense_dimension(spec, c)

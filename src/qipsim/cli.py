@@ -110,7 +110,7 @@ def cmd_run(args) -> int:
     prover = _load_prover(args.prover, system)
     res = run(system, prover, args.input, args.t_max)
     record = {"command": "run", "protocol": args.protocol, "input": args.input,
-              "prover": args.prover, "seed": args.seed,
+              "prover": args.prover,
               "p_acc": res.p_acc, "p_rej": res.p_rej, "p_cont": res.p_cont,
               "rounds_executed": res.rounds_executed, "truncated": res.truncated,
               "halting_profile": [[r, a, b] for (r, a, b) in res.halting_profile],
@@ -125,8 +125,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
-    budget = AdversaryBudget(memory_states=args.memory, steps=args.steps,
-                             seed=args.seed)
+    budget = AdversaryBudget(memory_states=args.memory, steps=args.steps)
     try:
         rows = sweep_named(args.protocol, args.n_max, args.t_max, budget,
                            jobs=args.jobs)
@@ -207,7 +206,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--prover", default="honest",
                    help="honest | identity | eraser | prover-table file")
     p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_run)
 
@@ -217,7 +215,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, default=None)
     p.add_argument("--memory", type=int, default=2)
     p.add_argument("--steps", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_sweep)

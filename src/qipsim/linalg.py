@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +37,18 @@ class DomainError(ValueError):
 
 class ContractViolation(ValueError):
     """A precondition (e.g. unitarity of an input operator) fails."""
+
+
+def checked_count(what: str, value, least: int) -> int:
+    """``value`` as an int, if it is an integer (numpy integers pass) and at
+    least ``least``; otherwise a `DomainError` naming ``what``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+    if value < least:
+        raise DomainError(f"{what} must be at least {least}, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import qfa
-from .linalg import PRUNE_TOL, prune
+from .linalg import PRUNE_TOL, checked_count, prune
 from .provers import ProverStrategy, dense_basis
 from .qfa import BLANK, AlphabetError, HeadModel, QfaSpec, symbol_at
 
@@ -163,10 +163,13 @@ def _apply_prover(prover: ProverStrategy, x: str, i: int, state: dict) -> dict:
 def _run_length(spec: QfaSpec, x: str, t_max) -> tuple[int, int | None]:
     """The checked input's round limit, ``t_max`` or its default, capped at
     n+2 for one-way heads; and `_measure`'s ``once``: n+2 for a measure-once
-    verifier, None for a measure-many one."""
+    verifier, None for a measure-many one.  A ``t_max`` that is not an
+    integer of at least 0 raises `DomainError`."""
     spec.check_input(x)
     if t_max is None:
         t_max = default_t_max(spec, x)
+    else:
+        t_max = checked_count("t_max", t_max, 0)
     if spec.head_model.one_way:
         t_max = min(t_max, len(x) + 2)
     return t_max, len(x) + 2 if spec.head_model is HeadModel.MO_1WAY else None

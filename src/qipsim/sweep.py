@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adversary import AdversaryBudget, best_classical_prover
-from .linalg import DomainError
+from .linalg import checked_count
 from .runtime import QipSystem, run
 from .tiling import SizeError, all_strings
 
@@ -61,11 +61,11 @@ def sweep_named(name: str, n_max: int, t_max: int | None = None,
                 budget: AdversaryBudget | None = None, cap: int = 4096,
                 jobs: int = 1) -> list[SweepRow]:
     """Sweep a registry protocol by name; rows run in ``jobs`` processes, no
-    more than there are inputs.  A ``jobs`` below 1 raises DomainError."""
+    more than there are inputs.  A ``jobs`` that is not an integer of at
+    least 1 raises DomainError."""
     from .protocols import build_protocol
 
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    jobs = checked_count("jobs", jobs, 1)
     system = build_protocol(name)
     if jobs == 1:
         return sweep(system, n_max, t_max, budget, cap)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import DomainError
+from .linalg import DomainError, checked_count
 
 
 class SizeError(ValueError):
@@ -57,8 +57,7 @@ class TilingInstance:
 
 def all_strings(alphabet, n: int) -> list[str]:
     """Strings of length <= n, shortest first, each length in product order."""
-    if n < 0:
-        raise DomainError(f"string length must be at least 0, got {n}")
+    n = checked_count("string length", n, 0)
     out, last = [""], [""]
     for _ in range(n):
         last = [w + s for w in last for s in alphabet]

@@ -509,6 +509,74 @@ def test_assignments_keep_one_map_per_renaming_of_memory(upal4, node, memory):
         assert 2 * len(kept) == len(firsts)
 
 
+def _in_first_use_order(combo, memory):
+    """Whether the memories of ``combo`` first appear in the order of
+    ``memory``: the member of its renamings that the search keeps."""
+    return _renamed_by_first_use(combo, memory) == combo
+
+
+def _node_states(system, inputs, budget):
+    """(input, state) of the nodes that the searches of ``inputs`` evaluate,
+    one per input and set of (state, tape symbol) rows, on which the classes
+    depend."""
+    nodes: dict = {}
+    for x in inputs:
+
+        class Recording(_ClassicalSearch):
+            def _move_rounds(self, state, pairs, r):
+                rows = frozenset((q, self.tape[k]) for (q, k, _g, _m) in state)
+                nodes.setdefault((x, rows), (x, state))
+                return super()._move_rounds(state, pairs, r)
+
+        Recording(system, x, budget).search()
+    assert nodes
+    return list(nodes.values())
+
+
+def _on_pairs(state, pairs):
+    """``state``'s labels, each on every one of ``pairs``: the same rows, so
+    the same classes, with ``pairs`` reachable."""
+    return {(q, k, g, m): amp for (q, k, _g, _m), amp in state.items() for g, m in pairs}
+
+
+@pytest.mark.parametrize("memory", [2, 3])
+@pytest.mark.parametrize("name, inputs", [
+    ("center:N=2", ["001", "100", "011"]), ("odd", ["11", "0101"]), ("la_mo", ["aa", "aaa"])])
+def test_single_target_classes_give_every_injective_map_in_first_use_order(name, inputs, memory):
+    system = build_protocol(name)
+    budget = AdversaryBudget(memory_states=memory, steps=12)
+    for x, state in _node_states(system, inputs, budget):
+        search = _ClassicalSearch(system, x, budget)
+        targets = search.targets
+        assert search._target_classes(state) == [[i] for i in range(len(targets))]
+        for k in range(1, len(targets) + 1):
+            pairs = targets[:k]
+            expected = [c for c in itertools.permutations(targets, k)
+                        if _in_first_use_order(c, search.memory)]
+            assert list(search._assignments(_on_pairs(state, pairs), pairs)) == expected
+
+
+@pytest.mark.parametrize("memory", [2, 3])
+@pytest.mark.parametrize("name, inputs", [
+    ("odd", ["11", "0101"]), ("pal_sharp:d=2", ["0#1", "01#0"])])
+def test_committed_maps_are_the_first_use_maps_that_keep_blank_pairs_blank(
+        name, inputs, memory):
+    system = build_protocol(name)
+    budget = AdversaryBudget(memory_states=memory, steps=12, committed_only=True)
+    for x, state in _node_states(system, inputs, budget):
+        search = _ClassicalSearch(system, x, budget)
+        targets = search.targets
+        classes = search._target_classes(state)
+        for k in (1, 2, 3):
+            firsts = [c for c in _unpruned_orbit_firsts(targets, classes, k)
+                      if _in_first_use_order(c, search.memory)]
+            for pairs in itertools.combinations(targets, k):
+                blank_at = [i for i, (g, _m) in enumerate(pairs) if g == BLANK]
+                expected = [c for c in firsts if all(c[i][0] == BLANK for i in blank_at)]
+                kept = list(search._assignments(_on_pairs(state, pairs), list(pairs)))
+                assert kept == expected, pairs
+
+
 def test_upal4_steps7_search_finishes(monkeypatch, upal4):
     # count the verifier rounds made after the top-level _value returns
     rounds = {"after": 0, "done": False}
@@ -664,6 +732,9 @@ def test_budget_refuses_values_outside_its_domain(field, value):
 def test_quantum_search_refuses_negative_tape_cells(pal1):
     with pytest.raises(DomainError, match="tape cells"):
         search_quantum_prover(pal1, "0#1", c=-1)
+    for bad in (1.5, "1"):
+        with pytest.raises(DomainError, match=f"^tape cells must be an integer, got {bad!r}$"):
+            search_quantum_prover(pal1, "0#1", c=bad)
 
 
 def test_quantum_search_without_prover_rounds_returns_its_seed(pal1):

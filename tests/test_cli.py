@@ -363,16 +363,39 @@ def test_validate_malformed_lengths_exit_2(tmp_path, capsys, lengths):
     ("sweep", ["--n-max", "1", "--memory", "-1"], "budget memory_states must be at least 1"),
     ("sweep", ["--n-max", "1", "--steps", "-1"], "budget steps must be at least 0"),
     ("adversary", ["--quantum", "--seed", "-1"], "budget seed must be at least 0"),
-    # sweep never reads the seed, but its budget checks it all the same
-    ("sweep", ["--n-max", "1", "--seed", "-1"], "budget seed must be at least 0"),
+    # sweep reads no seed, so it has no --seed option: a usage failure
+    ("sweep", ["--n-max", "1", "--seed", "-1"], None),
 ], ids=["memory-neg", "steps-neg", "restarts-neg", "iterations-neg", "tape-cells-neg",
         "sweep-memory-neg", "sweep-steps-neg", "seed-neg", "sweep-seed-neg"])
 def test_bad_budget_exit_1(capsys, command, argv, message):
     input_args = ["--input", "0#1"] if command == "adversary" else []
-    code, out, err = run_cli(capsys, command, "--protocol", "pal_sharp:d=1",
-                             *input_args, *argv)
+    argv = [command, "--protocol", "pal_sharp:d=1", *input_args, *argv]
+    if message is None:
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --seed -1" in capsys.readouterr().err
+        return
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"{command} failed: {message}, got -")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--protocol", "odd", "--input", "01", "--t-max", "-3"],
+    ["sweep", "--protocol", "odd", "--n-max", "1", "--t-max", "-2"]])
+def test_negative_round_limit_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"{argv[0]} failed: t_max must be at least 0, got {argv[-1]}\n"
+
+
+def test_run_has_no_seed(capsys):
+    with pytest.raises(SystemExit) as refused:
+        main(["run", "--protocol", "odd", "--input", "01", "--seed", "3"])
+    assert refused.value.code == 2
+    code, out, _err = run_cli(capsys, "run", "--protocol", "odd", "--input", "01")
+    assert code == 0 and "seed" not in json.loads(out)
 
 
 def test_quantum_adversary_without_prover_rounds(capsys):

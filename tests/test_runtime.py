@@ -3,11 +3,13 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qipsim.languages as lang
+from qipsim.linalg import DomainError
 from qipsim.provers import (DenseProver, EraseAllProver, IdentityProver, ScriptedProver,
                             densify_schedule)
 from qipsim.qfa import BLANK, HeadModel, interaction_bound, validate_and_complete
@@ -179,6 +181,26 @@ def test_one_way_runs_cut_short_are_truncated(request, name, x, t_max):
     cut = run(system, system.honest_prover, x, t_max=t_max)
     assert cut.truncated and cut.p_cont == pytest.approx(1.0)
     assert not run(system, system.honest_prover, x).truncated
+
+
+@pytest.mark.parametrize("t_max, message", [
+    (-1, "t_max must be at least 0, got -1"), (-4, "t_max must be at least 0, got -4"),
+    (2.5, "t_max must be an integer, got 2.5"), ("3", "t_max must be an integer, got '3'")])
+def test_round_limits_outside_the_integers_from_0_are_refused(odd, t_max, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        run(odd, odd.honest_prover, "01", t_max=t_max)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        count_interactions(odd, odd.honest_prover, "01", t_max=t_max)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        expected_halting_time(odd, odd.honest_prover, "01", t_max=t_max)
+
+
+def test_round_limit_0_runs_no_round_and_numpy_integers_pass(odd):
+    idle = run(odd, odd.honest_prover, "01", t_max=0)
+    assert idle.rounds_executed == 0 and idle.truncated and idle.p_cont == 1.0
+    assert count_interactions(odd, odd.honest_prover, "01", t_max=0) == 0
+    three = run(odd, odd.honest_prover, "01", t_max=3)
+    assert run(odd, odd.honest_prover, "01", t_max=np.int64(3)) == three
 
 
 @settings(max_examples=30, deadline=None)

@@ -76,3 +76,9 @@ def test_sweep_pool_has_no_more_workers_than_inputs(monkeypatch, zero_public):
 def test_sweep_named_refuses_fewer_than_one_job(jobs):
     with pytest.raises(DomainError, match=f"jobs must be at least 1, got {jobs}"):
         sweep_named("zero_public", 1, jobs=jobs)
+
+
+def test_sweep_named_refuses_a_fractional_job_count():
+    # refused before any pool starts
+    with pytest.raises(DomainError, match="^jobs must be an integer, got 1.5$"):
+        sweep_named("zero_public", 1, jobs=1.5)

@@ -125,6 +125,13 @@ def test_size_cap():
         TilingInstance.build(lang.zero, 4, cap=100)
 
 
+def test_all_strings_refuses_a_length_that_is_not_a_count():
+    with pytest.raises(DomainError, match="^string length must be at least 0, got -1$"):
+        all_strings(("0",), -1)
+    with pytest.raises(DomainError, match="^string length must be an integer, got 1.5$"):
+        all_strings(("0",), 1.5)
+
+
 def test_all_strings_in_product_order():
     for alphabet, n in ((("0", "1"), 3), (("0", "1", "#"), 2), (("a",), 4), (("0",), 0)):
         assert all_strings(alphabet, n) == [
