@@ -18,7 +18,7 @@ import argparse
 from qipsim.adversary import (AdversaryBudget, BudgetError, best_classical_prover,
                               search_quantum_prover)
 from qipsim.protocols import build_protocol
-from qipsim.runtime import default_t_max, pair_layers
+from qipsim.runtime import Course, pair_layers
 from qipsim.tiling import all_strings
 
 
@@ -47,7 +47,7 @@ def main():
             if system.member(x):
                 continue
             count += 1
-            steps = min(default_t_max(system.verifier, x), 64)
+            steps = min(Course(system.verifier, x).t_max, 64)
             horizon = pair_layers(system, x).horizon
             covers &= horizon is not None and steps >= horizon - 1
             budget = AdversaryBudget(memory_states=args.memory, steps=steps,

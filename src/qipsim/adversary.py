@@ -13,25 +13,27 @@ state's own renaming, is optimal for every state sharing the key.  The table
 is read in one walk down the best path, and the maximum is exact whenever
 the node cap is not hit.
 
-A node's prover moves share one move table.  For each live label
-(q, k, gamma, m) and each target (gamma', m') that a move sends its pair
-to, it holds the label's contributions through
-``delta[q, tape[k], gamma']`` to accepting and continuing labels:
-((q'', k+d mod width, gamma'', m'), amp·a) for each q'' outside the
-rejecting states (on a measure-once verifier, whose rejecting labels run on
-until its one measurement, for every q'').  Entries are filled on first
-use, since many nodes try only one or two moves.  A move then adds, label
-by label in state order, each label's entry for its pair's target, and
-`runtime._measure` measures the sum; the continuing mass is the next node's
-mass, and the rejecting mass, which the search never reads, is not formed.
-This changes no float: a move is injective on pairs, so it merges no labels
-and every moved amplitude is the state's own; the products amp·a are the
-ones `runtime._round` forms, added in the same order; and a rejecting label
-feeds only the rejecting mass, while leaving its keys out keeps the order of
-the others.  So the accepting mass, the continuation, in its dict order, and
-its mass come out bit for bit as one `_round` on the moved state.  The walk
-down the best path, the identity tail past the table budget and every run
-still go through `_round`, which forms the rejecting mass too.
+The search holds one `runtime.Course` for its input: the tape, the round
+limit, the measurement schedule and the verifier round.  A node's prover
+moves share one move table.  For each live label (q, k, gamma, m) and each
+target (gamma', m') that a move sends its pair to, it holds the label's
+contributions through ``delta[q, tape[k], gamma']`` to accepting and
+continuing labels: ((q'', k+d mod width, gamma'', m'), amp·a) for each q''
+outside the course's ``rejecting`` states (none on a measure-once verifier,
+whose rejecting labels run on until its one measurement).  Entries are
+filled on first use, since many nodes try only one or two moves.  A move
+then adds, label by label in state order, each label's entry for its pair's
+target, and `Course.measure` measures the sum; the continuing mass is the
+next node's mass, and the rejecting mass, which the search never reads, is
+not formed.  This changes no float: a move is injective on pairs, so it
+merges no labels and every moved amplitude is the state's own; the products
+amp·a are the ones `Course.step` forms, added in the same order; and a
+rejecting label feeds only the rejecting mass, while leaving its keys out
+keeps the order of the others.  So the accepting mass, the continuation, in
+its dict order, and its mass come out bit for bit as one `step` on the
+moved state.  The walk down the best path, the identity tail past the table
+budget and every run still go through `step`, which forms the rejecting
+mass too.
 
 Branching is reduced by symmetry (Emerson & Sistla, "Symmetry and model
 checking", FMSD 9, 1996), restricted to symmetries that leave every result
@@ -100,9 +102,8 @@ from .linalg import PRUNE_TOL, checked_count
 from .provers import (ClassicalProverTable, DenseProver, EncodingError,
                       IdentityProver, TableProver, dense_from_table,
                       from_description)
-from .qfa import BLANK, symbol_at
-from .runtime import (DenseRun, QipSystem, _measure, _no_transition, _round,
-                      _run_length, default_t_max, run)
+from .qfa import BLANK
+from .runtime import Course, DenseRun, QipSystem, run
 
 # Largest dense prover dimension |Gamma|·|Delta|^c the quantum search climbs in.
 DENSE_DIM_CAP = 64
@@ -160,7 +161,7 @@ class AdversaryReport:
 class _ClassicalSearch:
     def __init__(self, system: QipSystem, x: str, budget: AdversaryBudget):
         self.spec = system.verifier
-        self.width = len(x) + 2
+        self.course = Course(self.spec, x)
         self.budget = budget
         self.memory = tuple(f"m{i}" for i in range(budget.memory_states))
         comm = self.spec.comm_alphabet
@@ -168,13 +169,7 @@ class _ClassicalSearch:
         # per target, the index of its memory and whether its symbol is blank
         self.target_rank = [i for _g in comm for i in range(len(self.memory))]
         self.target_blank = [g == BLANK for g, _m in self.targets]
-        # the round limit and `runtime._measure`'s ``once``, for a checked input
-        self.t_max, self.once = _run_length(self.spec, x, None)
-        self.steps = min(budget.steps, self.t_max)
-        self.tape = [symbol_at(x, k) for k in range(self.width)]
-        # the states each measurement rejects; none before a measure-once
-        # verifier's one measurement, so none are left out there
-        self.rejecting = frozenset(self.spec.rejecting if self.once is None else ())
+        self.steps = min(budget.steps, self.course.t_max)
         # Blank is a class of its own, so one non-blank symbol leaves every
         # class a single target at every node.
         self.singletons = ([[i] for i in range(len(self.targets))]
@@ -193,14 +188,15 @@ class _ClassicalSearch:
         """Verifier move r after each prover move of ``state``'s node.
 
         Yields (assignment, accepting mass, continuation, its mass) for each
-        of `_assignments`, in order: those floats of one `runtime._round` on
+        of `_assignments`, in order: those floats of one `Course.step` on
         the moved state, computed from the node's move table (see the
-        module docstring), which leaves out the targets in ``self.rejecting``:
-        they would feed only the rejecting mass, which is not formed.  A
-        missing delta row raises `_round`'s error.
+        module docstring), which leaves out the targets in the course's
+        ``rejecting``: they would feed only the rejecting mass, which is not
+        formed.  A missing delta row raises `step`'s error.
         """
-        spec, tape, width, once = self.spec, self.tape, self.width, self.once
-        rejecting = self.rejecting
+        course, delta = self.course, self.spec.delta
+        tape, width, rejecting, measure = (course.tape, course.width, course.rejecting,
+                                           course.measure)
         index = {pair: i for i, pair in enumerate(pairs)}
         # per live label, in state order: its pair's index, its table row, and
         # what fills the row
@@ -221,9 +217,9 @@ class _ClassicalSearch:
                 # the many nodes that try one or two moves
                 g2, m2 = target
                 key = (q, tape[k], g2)
-                moves = spec.delta.get(key)
+                moves = delta.get(key)
                 if moves is None:
-                    raise _no_transition(spec, key)
+                    raise course.missing_row(key)
                 entry = row[target] = []
                 for q2, g3, d, a in moves:
                     if q2 in rejecting:
@@ -233,7 +229,7 @@ class _ClassicalSearch:
                     entry.append((lbl, c))
                     v = get(lbl)
                     out[lbl] = c if v is None else v + c
-            acc, _rej, cont, mass = _measure(spec, out, r, once)
+            acc, _rej, cont, mass = measure(out, r)
             yield combo, acc, cont, mass
 
     def _tail_value(self, state, r) -> float:
@@ -248,9 +244,9 @@ class _ClassicalSearch:
         if hit is not None:
             return hit
         acc_total = 0.0
-        for move in range(r + 1, self.t_max + 1):
-            acc, _rej, state, _mass = _round(self.spec, self.tape, state, self.width,
-                                             move, self.once)
+        step = self.course.step
+        for move in range(r + 1, self.course.t_max + 1):
+            acc, _rej, state, _mass = step(state, move)
             acc_total += acc
             if not state:
                 break
@@ -282,7 +278,7 @@ class _ClassicalSearch:
         """
         if self.singletons is not None:
             return self.singletons
-        tape = self.tape
+        tape = self.course.tape
         rows = frozenset((q, tape[k]) for (q, k, _g, _m) in state)
         classes = self.class_cache.get(rows)
         if classes is None:
@@ -308,7 +304,7 @@ class _ClassicalSearch:
             for g in self.spec.comm_alphabet:
                 col = self.spec.delta.get((q, s, g))
                 kept = BLANK if g == BLANK else col if col is None else tuple(
-                    t for t in col if t[0] not in self.rejecting)
+                    t for t in col if t[0] not in self.course.rejecting)
                 kinds.append(ids.setdefault(kept, len(ids)))
             self.row_kinds[row] = kinds
         return kinds
@@ -397,9 +393,9 @@ class _ClassicalSearch:
         return best
 
     def search(self):
-        spec, tape, width = self.spec, self.tape, self.width
-        init = {(spec.initial, 0, BLANK, self.memory[0]): 1.0 + 0j}
-        acc0, _rej, state, mass = _round(spec, tape, init, width, 1, self.once)
+        step = self.course.step
+        init = {(self.spec.initial, 0, BLANK, self.memory[0]): 1.0 + 0j}
+        acc0, _rej, state, mass = step(init, 1)
         best = acc0 + self._value(state, 1, mass)
         entries: dict = {}
         for r in range(1, self.steps + 1):
@@ -411,7 +407,7 @@ class _ClassicalSearch:
             mapped = {(g, back[c]): (g2, back[c2]) for (g, c), (g2, c2) in move.items()}
             entries.update(((r, g, m), t) for (g, m), t in mapped.items() if (g, m) != t)
             moved = {(q, k, *mapped[g, m]): amp for (q, k, g, m), amp in state.items()}
-            _acc, _rej, state, mass = _round(spec, tape, moved, width, r + 1, self.once)
+            _acc, _rej, state, mass = step(moved, r + 1)
         return best, ClassicalProverTable(entries=entries, initial_memory=self.memory[0])
 
 
@@ -479,7 +475,7 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
     dim = dense_dimension(spec, c)
     if dim > DENSE_DIM_CAP:
         raise BudgetError(f"dense dimension {dim} exceeds cap {DENSE_DIM_CAP}")
-    rounds = min(budget.steps, default_t_max(spec, x))
+    rounds = min(budget.steps, Course(spec, x).t_max)
     rng = np.random.default_rng(budget.seed)
 
     best_p = run(system, IdentityProver(), x).p_acc

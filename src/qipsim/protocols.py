@@ -26,8 +26,8 @@ from .automata import (Dfa, Npfa, Rfa, all_a_rfa, end_one_dfa, even_a_rfa,
 from .linalg import phase
 from .provers import EraseAllProver, IdentityProver, ProverStrategy, ScriptedProver
 from .qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, SpecError,
-                  public_symbol, symbol_at, validate_and_complete)
-from .runtime import QipSystem, _round, _run_length
+                  public_symbol, validate_and_complete)
+from .runtime import Course, QipSystem
 
 _SQ2 = 1 / math.sqrt(2)
 
@@ -547,14 +547,13 @@ def npfa_to_qip(npfa: Npfa, name: str = "npfa", error_bound: float = 0.0) -> Qip
     spec = tb.build(npfa.initial)
 
     def script(x):
-        horizon, once = _run_length(spec, x, None)
+        course = Course(spec, x)
+        horizon, width = course.t_max, course.width
         policy, values = npfa_policy(npfa, x, horizon)
-        width = len(x) + 2
-        tape = [symbol_at(x, k) for k in range(width)]
         state = {(spec.initial, 0, BLANK, None): 1.0 + 0j}
         rounds: dict[int, dict[str, str]] = {}
         for r in range(1, horizon + 1):
-            _acc, _rej, state, _mass = _round(spec, tape, state, width, r, once)
+            _acc, _rej, state, _mass = course.step(state, r)
             if not state:
                 break
             rule: dict[str, str] = {}

@@ -43,7 +43,6 @@ import cmath
 import functools
 import itertools
 import math
-import operator
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -54,8 +53,8 @@ from typing import NamedTuple
 import numpy as np
 
 # check_unitary is unused here; perfbench calls and wraps qipsim.qfa.check_unitary.
-from .linalg import (PRUNE_TOL, UNITARY_TOL, Csc, DomainError, check_unitary, csc_arrays,
-                     gram_entries, gram_products)
+from .linalg import (PRUNE_TOL, UNITARY_TOL, Csc, DomainError, check_unitary, checked_count,
+                     csc_arrays, gram_entries, gram_products)
 
 LEFT_END = "^"
 RIGHT_END = "$"
@@ -135,6 +134,7 @@ class QfaSpec:
         object.__setattr__(self, "_table", _compile(self) if table is None else table)
         object.__setattr__(self, "_halting", frozenset(self.accepting + self.rejecting))
         object.__setattr__(self, "_accepting_set", frozenset(self.accepting))
+        object.__setattr__(self, "_rejecting_set", frozenset(self.rejecting))
         # {(state, tape symbol): per cell symbol kind}, filled by the classical
         # prover search (adversary._ClassicalSearch._symbol_kinds)
         object.__setattr__(self, "_row_kinds", {})
@@ -375,7 +375,6 @@ def _orthonormality_violations(spec: QfaSpec, columns, pairs, tol):
 
 
 def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
-                          tol: float = UNITARY_TOL,
                           ) -> tuple[QfaSpec, ValidationReport]:
     """Close a partial table up to a well-formed verifier.
 
@@ -405,13 +404,12 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
 
     The completed spec's step operator is then certified (`certify_unitarity`)
     for every input of each length in ``lengths``.  The report carries a
-    verdict per length, the largest deviation from unitarity over all those
+    verdict per length (well formed when no input deviates by more than
+    UNITARY_TOL), the largest deviation from unitarity over all those
     inputs, and one violation per failing length, naming an input of that
-    length whose step operator deviates most.  A non-positive ``tol`` or a
-    negative length raises DomainError.
+    length whose step operator deviates most.  A negative length raises
+    DomainError.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
     lengths = _checked_lengths(lengths)
     report = ValidationReport()
     gsz = len(spec.comm_alphabet)
@@ -433,7 +431,7 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
     columns = csc_arrays(np.concatenate([b.dst for b in blocks]), np.concatenate(at),
                          np.concatenate([b.amp for b in blocks]), starts[-1])
 
-    report.violations = _orthonormality_violations(spec, columns, all_pairs, tol)
+    report.violations = _orthonormality_violations(spec, columns, all_pairs, UNITARY_TOL)
     if report.violations:
         raise SpecError(
             "completion refused, specified columns are not orthonormal: "
@@ -475,7 +473,7 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
             # leftover image space goes to the fresh states' own columns
             slots = range(n_pairs, n_pairs + len(missing))
             free, rest = _leftover_basis(columns, start, block.cols, slots, name_rank,
-                                         completion, tol)
+                                         completion, UNITARY_TOL)
             rows = [unit[i] for i in free]
             rows += [tuple((*heads[i], amp) for i, amp in vec) for vec in rest]
             for (f, g), row in zip(all_pairs[n_pairs:], rows):
@@ -509,8 +507,8 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
 
     for n, (dev, witness) in certify_unitarity(completed, lengths).items():
         report.max_unitary_deviation = max(report.max_unitary_deviation, dev)
-        report.well_formed[n] = dev <= tol
-        if dev > tol:
+        report.well_formed[n] = dev <= UNITARY_TOL
+        if dev > UNITARY_TOL:
             report.violations.append((witness, f"step operator not unitary at length {n}"))
     return completed, report
 
@@ -570,16 +568,7 @@ def _leftover_basis(columns, start, cols, units, name_rank, completion, tol):
 # ---------------------------------------------------------------------------
 
 def _checked_lengths(lengths) -> tuple[int, ...]:
-    checked = []
-    for n in lengths:
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise DomainError(f"input length must be an integer, got {n!r}") from None
-        if n < 0:
-            raise DomainError(f"input length must be non-negative, got {n}")
-        checked.append(n)
-    return tuple(checked)
+    return tuple(checked_count("input length", n, 0) for n in lengths)
 
 
 # d1 − d2 for each move code 3·(d1 + 1) + d2 + 1, and 0 for the −1 of −I (code 9)
@@ -770,7 +759,7 @@ def _query_paths(spec: QfaSpec) -> tuple[int | None, tuple | None]:
     edge on a cycle reachable from the initial state.
 
     The state graph has an edge q -> q' for every row (q, sigma, gamma) and
-    every target of nonzero amplitude, by `runtime._measure`'s rule: a
+    every target of nonzero amplitude, by `runtime.Course.measure`'s rule: a
     measure-many run measures halting labels off after every move, so their
     rows are dropped and only non-halting states continue; a measure-once run
     measures nothing before move n+2, so every state keeps its rows and

@@ -11,22 +11,24 @@ state classes, accumulates the halting masses and keeps the unnormalized
 non-halting part, so the accumulated masses are exact unconditional
 probabilities.
 
-`_round` moves amplitudes through delta and then calls `_measure`, the only
-code that splits off the halting classes; `_round` drops amplitudes below
-PRUNE_TOL on the way in and `_measure` on the way out.  Runs, interaction counting, the query
-weight, the classical prover search and the npfa choice script go through
-`_round`; the classical search's node evaluation reads delta's rows from a
-move table of its own, which holds only the contributions to accepting and
-continuing labels, and measures with `_measure`.  Its rejecting mass is
-therefore not formed, and no other float changes: a rejecting label feeds
-only that mass, and leaving it out keeps the others' order.  The tag rides along
-unchanged: the prover tape in runs, the prover memory in the classical
-search, ``None`` where no prover takes part.
-
-The verifier's head model decides the measurement, by one rule in
-`_measure`: after every move for a measure-many verifier; once, after move
-n+2, for a measure-once one, which as in a measure-once automaton (Moore &
-Crutchfield, Theoret. Comput. Sci. 237, 2000) rejects all it does not accept.
+A `Course` is one checked input's course through a verifier, and the one
+place that decides its tape, its round limit and its measurement schedule.
+The verifier's head model picks the schedule: a measure-many verifier
+measures after every move; a measure-once one only after move n+2, where,
+as in a measure-once automaton (Moore & Crutchfield, Theoret. Comput. Sci.
+237, 2000), it rejects all it does not accept.  `Course.step` moves
+amplitudes through delta and then calls `Course.measure`, the only code that
+splits off the halting classes; `step` drops amplitudes below PRUNE_TOL on
+the way in and `measure` on the way out.  Runs, interaction counting, the
+query weight, the classical prover search and the npfa choice script each
+build one `Course` and go through `step`; the classical search's node
+evaluation reads delta's rows from a move table of its own, which holds only
+the contributions to accepting and continuing labels, and measures with
+`measure`.  Its rejecting mass is therefore not formed, and no other float
+changes: a rejecting label feeds only that mass, and leaving it out keeps
+the others' order.  The tag rides along unchanged: the prover tape in runs,
+the prover memory in the classical search, ``None`` where no prover takes
+part.
 
 `pair_layers` cuts one input's (state, head) pair graph into rounds: the
 pairs the verifier can occupy before each move, whatever the prover writes,
@@ -44,7 +46,7 @@ import numpy as np
 from . import qfa
 from .linalg import PRUNE_TOL, checked_count, prune
 from .provers import ProverStrategy, dense_basis
-from .qfa import BLANK, AlphabetError, HeadModel, QfaSpec, symbol_at
+from .qfa import BLANK, LEFT_END, RIGHT_END, AlphabetError, HeadModel, QfaSpec
 
 CONSERVATION_TOL = 1e-9
 NO_MASS_TOL = 1e-9  # continuation mass below this counts as none left
@@ -88,63 +90,102 @@ def default_t_max(spec: QfaSpec, x: str) -> int:
     return TWO_WAY_ROUND_FACTOR * (n + 2) ** 2
 
 
-def _round(spec: QfaSpec, tape, state: dict, width: int, r: int,
-           once: int | None) -> tuple[float, float, dict, float]:
-    """Verifier move r on labels (q, k, gamma, tag), then `_measure`.
+class Course:
+    """One checked input's course through a verifier: its tape, round limit
+    and measurement schedule, and the verifier round (`step`, `measure`) on
+    labels (q, k, gamma, tag).
 
-    ``tape[k]`` is the symbol under head k.  Returns the accepting and
-    rejecting masses, the continuing part and its mass; ``once`` is
-    `_measure`'s."""
-    out: dict = {}
-    delta = spec.delta
-    for (q, k, g, y), amp in state.items():
-        if abs(amp) < PRUNE_TOL:
-            continue
-        key = (q, tape[k], g)
-        targets = delta.get(key)
-        if targets is None:
-            raise _no_transition(spec, key)
-        for (q2, g2, d, a) in targets:
-            lbl = (q2, (k + d) % width, g2, y)
-            v = out.get(lbl)
-            out[lbl] = amp * a if v is None else v + amp * a
-    return _measure(spec, out, r, once)
+    ``tape[k]`` is the symbol under head k of the ``width`` = n+2 cells.
+    ``t_max`` is the given round limit, or `default_t_max`, capped at n+2
+    for a one-way head; a given one that is not an integer of at least 0
+    raises `DomainError`.  ``once`` is n+2 for a measure-once verifier, which
+    measures only after that move, and None for a measure-many one, which
+    measures after every move.  ``rejecting`` holds the states whose labels
+    feed only the rejecting mass: the rejecting states under measure-many,
+    none under measure-once, whose rejecting labels run on until its one
+    measurement.
+    """
 
+    __slots__ = ("spec", "tape", "width", "t_max", "once", "rejecting",
+                 "_halting", "_accepting")
 
-def _no_transition(spec: QfaSpec, key) -> Exception:
-    """The error for a label whose delta row ``key`` = (q, tape symbol, gamma)
-    is missing."""
-    if key[2] not in spec.comm_alphabet:
-        return AlphabetError(f"prover wrote {key[2]!r}, outside the communication alphabet")
-    return RunError(f"no transition for {key}; run validate_and_complete first")
-
-
-def _measure(spec: QfaSpec, out: dict, r: int,
-             once: int | None) -> tuple[float, float, dict, float]:
-    """The measurement after verifier move r: ``out``'s accepting and rejecting
-    masses, its continuing part and that part's mass, dropping amplitudes below
-    PRUNE_TOL.  A measure-many verifier (``once`` None) measures off its
-    halting states; a measure-once one measures nothing before move ``once`` =
-    n+2 (`_run_length`) and there rejects all it does not accept."""
-    halting = spec._halting if once is None or r >= once else ()
-    accepting = spec._accepting_set
-    acc = rej = mass = 0.0
-    cont: dict = {}
-    for lbl, amp in out.items():
-        p = abs(amp)
-        if p < PRUNE_TOL:
-            continue
-        p = p ** 2
-        if lbl[0] not in halting:
-            cont[lbl] = amp
-            mass += p
-        elif lbl[0] in accepting:
-            acc += p
+    def __init__(self, spec: QfaSpec, x: str, t_max: int | None = None):
+        spec.check_input(x)
+        n = len(x)
+        if t_max is None:
+            t_max = default_t_max(spec, x)
         else:
-            rej += p
-    if once is None or r < once:
-        return acc, rej, cont, mass
-    return acc, rej + mass, {}, 0.0
+            t_max = checked_count("t_max", t_max, 0)
+        if spec.head_model.one_way:
+            t_max = min(t_max, n + 2)
+        self.spec = spec
+        self.width = n + 2
+        self.tape = [LEFT_END, *x, RIGHT_END]
+        self.t_max = t_max
+        self.once = n + 2 if spec.head_model is HeadModel.MO_1WAY else None
+        self.rejecting = spec._rejecting_set if self.once is None else frozenset()
+        # the spec's state classes, read by every measurement
+        self._halting, self._accepting = spec._halting, spec._accepting_set
+
+    def step(self, state: dict, r: int) -> tuple[float, float, dict, float]:
+        """Verifier move r on ``state``, then `measure`: the accepting and
+        rejecting masses, the continuing part and its mass."""
+        out: dict = {}
+        delta, tape, width = self.spec.delta, self.tape, self.width
+        for (q, k, g, y), amp in state.items():
+            if abs(amp) < PRUNE_TOL:
+                continue
+            key = (q, tape[k], g)
+            targets = delta.get(key)
+            if targets is None:
+                raise self.missing_row(key)
+            for (q2, g2, d, a) in targets:
+                lbl = (q2, (k + d) % width, g2, y)
+                v = out.get(lbl)
+                out[lbl] = amp * a if v is None else v + amp * a
+        return self.measure(out, r)
+
+    def missing_row(self, key) -> Exception:
+        """The error for a label whose delta row ``key`` = (q, tape symbol,
+        gamma) is missing."""
+        if key[2] not in self.spec.comm_alphabet:
+            return AlphabetError(f"prover wrote {key[2]!r}, outside the communication alphabet")
+        return RunError(f"no transition for {key}; run validate_and_complete first")
+
+    def measure(self, out: dict, r: int) -> tuple[float, float, dict, float]:
+        """The measurement after verifier move r: ``out``'s accepting and
+        rejecting masses, its continuing part and that part's mass, dropping
+        amplitudes below PRUNE_TOL.  A measure-many verifier measures off its
+        halting states; a measure-once one measures nothing before move
+        ``once`` and there rejects all it does not accept."""
+        once = self.once
+        halting = self._halting if once is None or r >= once else ()
+        accepting = self._accepting
+        acc = rej = mass = 0.0
+        cont: dict = {}
+        for lbl, amp in out.items():
+            p = abs(amp)
+            if p < PRUNE_TOL:
+                continue
+            if lbl[0] not in halting:
+                cont[lbl] = amp
+                mass += p ** 2
+            elif lbl[0] in accepting:
+                acc += p ** 2
+            else:
+                rej += p ** 2
+        if once is None or r < once:
+            return acc, rej, cont, mass
+        return acc, rej + mass, {}, 0.0
+
+    def check_end(self, rounds: int, p_cont: float, max_err: float) -> None:
+        """Refuse a run that leaves one-way mass running or loses probability."""
+        if (self.spec.head_model is HeadModel.ONE_WAY and rounds >= self.width
+                and p_cont > NO_MASS_TOL):
+            raise RunError(
+                f"one-way verifier keeps continuation mass {p_cont:.3g} after n+2 steps")
+        if max_err > CONSERVATION_TOL * max(1, rounds):
+            raise RunError(f"probability conservation violated by {max_err:.3g}")
 
 
 def _apply_prover(prover: ProverStrategy, x: str, i: int, state: dict) -> dict:
@@ -160,41 +201,12 @@ def _apply_prover(prover: ProverStrategy, x: str, i: int, state: dict) -> dict:
     return out
 
 
-def _run_length(spec: QfaSpec, x: str, t_max) -> tuple[int, int | None]:
-    """The checked input's round limit, ``t_max`` or its default, capped at
-    n+2 for one-way heads; and `_measure`'s ``once``: n+2 for a measure-once
-    verifier, None for a measure-many one.  A ``t_max`` that is not an
-    integer of at least 0 raises `DomainError`."""
-    spec.check_input(x)
-    if t_max is None:
-        t_max = default_t_max(spec, x)
-    else:
-        t_max = checked_count("t_max", t_max, 0)
-    if spec.head_model.one_way:
-        t_max = min(t_max, len(x) + 2)
-    return t_max, len(x) + 2 if spec.head_model is HeadModel.MO_1WAY else None
-
-
-def _check_end(spec: QfaSpec, n: int, rounds: int, p_cont: float, max_err: float) -> None:
-    """Refuse a run that leaves one-way mass running or loses probability."""
-    if (spec.head_model is HeadModel.ONE_WAY and rounds >= n + 2
-            and p_cont > NO_MASS_TOL):
-        raise RunError(
-            f"one-way verifier keeps continuation mass {p_cont:.3g} after n+2 steps")
-    if max_err > CONSERVATION_TOL * max(1, rounds):
-        raise RunError(f"probability conservation violated by {max_err:.3g}")
-
-
 def run(system: QipSystem, prover: ProverStrategy, x: str,
         t_max: int | None = None) -> RunResult:
     """Execute the protocol on input x and account for all probability mass."""
-    spec = system.verifier
-    t_max, once = _run_length(spec, x, t_max)
-    n = len(x)
-    width = n + 2
-    tape = [symbol_at(x, k) for k in range(width)]
-
-    state = {(spec.initial, 0, BLANK, prover.initial_tape(x)): 1.0 + 0j}
+    course = Course(system.verifier, x, t_max)
+    t_max = course.t_max
+    state = {(system.verifier.initial, 0, BLANK, prover.initial_tape(x)): 1.0 + 0j}
     p_acc = p_rej = 0.0
     cont = 1.0
     profile: list[tuple[int, float, float]] = []
@@ -203,7 +215,7 @@ def run(system: QipSystem, prover: ProverStrategy, x: str,
     rounds = 0
     for r in range(1, t_max + 1):
         rounds = r
-        acc, rej, state, cont = _round(spec, tape, state, width, r, once)
+        acc, rej, state, cont = course.step(state, r)
         p_acc += acc
         p_rej += rej
         if acc > 0 or rej > 0:
@@ -216,7 +228,7 @@ def run(system: QipSystem, prover: ProverStrategy, x: str,
         if r < t_max:
             state = _apply_prover(prover, x, r, state)
 
-    _check_end(spec, n, rounds, cont, max_err)
+    course.check_end(rounds, cont, max_err)
     return RunResult(p_acc=p_acc, p_rej=p_rej, p_cont=cont,
                      halting_profile=profile, rounds_executed=rounds,
                      truncated=cont >= PRUNE_TOL, cont_trace=cont_trace,
@@ -238,9 +250,9 @@ class PairLayers:
     Pair p = q·width + k, with q indexing ``spec.states``.  ``layers[i]``
     holds, sorted, the pairs the verifier can occupy before move i+1, with the
     prover writing any cell symbol.  ``targets[i]`` splits the pairs that move
-    reaches into continuing, accepting and rejecting ones by `_measure`'s rule,
-    which the head model picks; the continuing ones are the next layer.  A
-    one-way head's last move is n+2, so its layers stop there.
+    reaches into continuing, accepting and rejecting ones by the input's
+    `Course` schedule; the continuing ones are the next layer.  A one-way
+    head's last move is n+2, so its layers stop there.
 
     ``blocks[i]`` is move i+1 as a dense matrix from the basis (pair, cell
     symbol) of ``layers[i]`` to that of the continuing, then accepting, then
@@ -282,9 +294,9 @@ def pair_layers(system: QipSystem, x: str) -> PairLayers:
     walk also stops there once it covers the run's round limit.
     """
     spec = system.verifier
-    t_max, once = _run_length(spec, x, None)
+    course = Course(spec, x)
+    once, width = course.once, course.width
     gsz = len(spec.comm_alphabet)
-    width = len(x) + 2
     # read through the module, where a tracer can wrap it; compressed columns
     # list each basis column's entries together, so a pair's are contiguous
     step = qfa.step_operator_csc(spec, x)
@@ -297,7 +309,7 @@ def pair_layers(system: QipSystem, x: str) -> PairLayers:
     bounds = np.cumsum([len(spec.non_halting), len(spec.accepting)]) * width
     n_pairs = len(spec.states) * width
     one_way = spec.head_model.one_way
-    cap = t_max if one_way else max(t_max, n_pairs)
+    cap = course.t_max if one_way else max(course.t_max, n_pairs)
     count = np.arange(max(n_pairs, len(step.data)))
     # a pair's position among the last round's targets; the continuing ones
     # come first, so for this round's pairs it is their position in the layer
@@ -389,17 +401,16 @@ class DenseRun:
     the continuing ones are the next layer's.  Prover round i reshapes the
     state to (pairs, |Gamma|·|Delta|^c) and multiplies it on the right by the
     transpose of ``matrices[i-1]``, the prover's round-i matrix in the basis
-    order of `provers.dense_basis`.  The layers carry `_measure`'s rule, and
-    the round loop, the stop when the continuing mass falls below PRUNE_TOL
-    and the end checks are `run`'s.  No amplitude is pruned and a transition
-    missing from delta shows up only as lost mass, so the masses agree with
-    `run`'s up to rounding.
+    order of `provers.dense_basis`.  The layers carry the input's `Course`
+    schedule, and the round loop, the stop when the continuing mass falls
+    below PRUNE_TOL and the end checks are `run`'s.  No amplitude is pruned
+    and a transition missing from delta shows up only as lost mass, so the
+    masses agree with `run`'s up to rounding.
     """
 
     def __init__(self, system: QipSystem, x: str, c: int):
-        spec = self.spec = system.verifier
-        self.t_max = _run_length(spec, x, None)[0]
-        self.n = len(x)
+        spec = system.verifier
+        self.course = Course(spec, x)
         self.c = c
         gsz = len(spec.comm_alphabet)
         self.words = len(spec.prover_alphabet) ** c
@@ -409,7 +420,7 @@ class DenseRun:
         # (block, continuing rows, continuing and accepting rows) per round;
         # an acyclic run stops at its last layer, whose block has no continuing rows
         self.moves = []
-        for r in range(1, self.t_max + 1):
+        for r in range(1, self.course.t_max + 1):
             i = layers.index(r)
             if i is None:
                 break
@@ -455,7 +466,8 @@ class DenseRun:
     def _forward(self, matrices, r0, state, p_acc, p_rej, max_err, saved) -> DensePass:
         """Rounds r0.. of a pass; ``state`` is the array before verifier move r0."""
         rounds = r0 - 1
-        for r in range(r0, self.t_max + 1):
+        t_max = self.course.t_max
+        for r in range(r0, t_max + 1):
             rounds = r
             block, n_cont, acc_end = self.moves[r - 1]
             state = block @ state
@@ -469,12 +481,12 @@ class DenseRun:
             if cont < PRUNE_TOL:
                 state = state[:0]
                 break
-            if r < self.t_max and r <= len(matrices):
+            if r < t_max and r <= len(matrices):
                 moved = self._prover_step(state, matrices[r - 1])
                 saved.append((state, p_acc, p_rej, max_err, moved))
                 state = moved
         p_cont = _mass(state)
-        _check_end(self.spec, self.n, rounds, p_cont, max_err)
+        self.course.check_end(rounds, p_cont, max_err)
         return DensePass(matrices=matrices, p_acc=p_acc, p_rej=p_rej, p_cont=p_cont,
                          rounds_executed=rounds, saved=tuple(saved))
 
@@ -571,9 +583,8 @@ def count_interactions(system: QipSystem, prover: ProverStrategy, x: str,
     spec = system.verifier
     if qfa.interaction_bound(spec) is None:
         raise RunError(f"system {system.name} is not interaction-bounded")
-    t_max, once = _run_length(spec, x, t_max)
-    width = len(x) + 2
-    tape = [symbol_at(x, k) for k in range(width)]
+    course = Course(spec, x, t_max)
+    t_max = course.t_max
     if not prover.committed(x, t_max):
         raise RunError("count_interactions requires a committed prover")
 
@@ -583,7 +594,7 @@ def count_interactions(system: QipSystem, prover: ProverStrategy, x: str,
     for r in range(1, t_max + 1):
         # children measured off per label inherit counts already in best
         state, inherited = _step_paths(
-            lambda s: _round(spec, tape, s, width, r, once)[2], state, counts)
+            lambda s: course.step(s, r)[2], state, counts)
         # a child left running that holds a non-blank symbol is a query
         counts = {lbl: inherited[lbl] + (lbl[2] != BLANK) for lbl in state}
         best = max([best, *counts.values()])
@@ -609,17 +620,13 @@ def query_weight(spec: QfaSpec, x_prefix: str, y: str) -> float:
     """
     if not spec.head_model.one_way:
         raise RunError("query weight is defined for one-way verifiers only")
-    word = x_prefix + y
-    _t_max, once = _run_length(spec, word, None)
-    n = len(word)
-    width = n + 2
-    tape = [symbol_at(word, k) for k in range(width)]
+    course = Course(spec, x_prefix + y)
     lo, hi = len(x_prefix) + 1, len(x_prefix) + len(y)  # positions holding y
     state = {(spec.initial, 0, BLANK, None): 1.0 + 0j}
     weight = 0.0
-    for r in range(1, n + 2):
+    for r in range(1, course.width):
         pos = r - 1  # a one-way head scans position r-1 at round r
-        _acc, _rej, cont, _mass = _round(spec, tape, state, width, r, once)
+        _acc, _rej, cont, _mass = course.step(state, r)
         state = {}  # the projection onto blank discards the rest of cont
         for lbl, amp in cont.items():
             if lbl[2] == BLANK:

@@ -18,7 +18,7 @@ from qipsim.provers import (ClassicalProverTable, DenseProver, IdentityProver,
                             from_description)
 from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, AlphabetError, HeadModel, QfaSpec,
                         validate_and_complete)
-from qipsim.runtime import DenseRun, QipSystem, _round, default_t_max, run
+from qipsim.runtime import Course, DenseRun, QipSystem, default_t_max, run
 from tests.conftest import strings
 
 
@@ -318,13 +318,12 @@ def _apply_table(state, mapped):
 
 class _RoundSearch(_ClassicalSearch):
     """The classical search with each prover move applied to the state and
-    the verifier round made by `runtime._round`, without the move table."""
+    the verifier round made by `runtime.Course.step`, without the move table."""
 
     def _move_rounds(self, state, pairs, r):
         for combo in self._assignments(state, pairs):
             moved = _apply_table(state, dict(zip(pairs, combo)))
-            acc, _rej, cont, mass = _round(self.spec, self.tape, moved, self.width,
-                                           r, self.once)
+            acc, _rej, cont, mass = self.course.step(moved, r)
             yield combo, acc, cont, mass
 
 
@@ -421,9 +420,8 @@ def test_orbit_enumeration_keeps_the_first_map_of_each_orbit(k):
 
 def test_interchangeable_targets_share_a_class(upal4):
     search = _ClassicalSearch(upal4, "1", AdversaryBudget(memory_states=2, steps=7))
-    _acc, _rej, state, _mass = _round(
-        upal4.verifier, search.tape, {(upal4.verifier.initial, 0, BLANK, "m0"): 1.0 + 0j},
-        search.width, 1, search.once)
+    _acc, _rej, state, _mass = search.course.step(
+        {(upal4.verifier.initial, 0, BLANK, "m0"): 1.0 + 0j}, 1)
     classes = search._target_classes(state)
     assert len(classes) < len(search.targets)
     for members in classes:
@@ -474,9 +472,8 @@ def _upal4_node(upal4, node):
     budget = AdversaryBudget(memory_states=2, steps=7)
     if node == "round 1":
         search = _ClassicalSearch(upal4, "1", budget)
-        _acc, _rej, state, _mass = _round(
-            upal4.verifier, search.tape,
-            {(upal4.verifier.initial, 0, BLANK, "m0"): 1.0 + 0j}, search.width, 1, search.once)
+        _acc, _rej, state, _mass = search.course.step(
+            {(upal4.verifier.initial, 0, BLANK, "m0"): 1.0 + 0j}, 1)
         return state
     seen = []
 
@@ -524,7 +521,7 @@ def _node_states(system, inputs, budget):
 
         class Recording(_ClassicalSearch):
             def _move_rounds(self, state, pairs, r):
-                rows = frozenset((q, self.tape[k]) for (q, k, _g, _m) in state)
+                rows = frozenset((q, self.course.tape[k]) for (q, k, _g, _m) in state)
                 nodes.setdefault((x, rows), (x, state))
                 return super()._move_rounds(state, pairs, r)
 
@@ -587,12 +584,15 @@ def test_upal4_steps7_search_finishes(monkeypatch, upal4):
         rounds["done"] |= r == 1
         return out
 
-    def counted_round(*args):
-        rounds["after"] += rounds["done"]
-        return _round(*args)
+    class Counted(Course):
+        __slots__ = ()
+
+        def step(self, state, r):
+            rounds["after"] += rounds["done"]
+            return super().step(state, r)
 
     monkeypatch.setattr(_ClassicalSearch, "_value", top_value)
-    monkeypatch.setattr(adversary, "_round", counted_round)
+    monkeypatch.setattr(adversary, "Course", Counted)
     rep = best_classical_prover(upal4, "1", AdversaryBudget(memory_states=2, steps=7))
     assert rep.is_exhaustive
     assert rep.best_p_acc == 0.25

@@ -237,15 +237,17 @@ def _rounds_in_layers(monkeypatch, system, prover, x, layers):
     spec = system.verifier
     width = len(x) + 2
     supports = []
-    step = runtime._round
 
-    def recording_round(spec_, tape, state, width_, *rule):
-        supports.append({spec.states.index(q) * width + k for (q, k, _g, _y) in state})
-        return step(spec_, tape, state, width_, *rule)
+    class Recording(runtime.Course):
+        __slots__ = ()
 
-    monkeypatch.setattr(runtime, "_round", recording_round)
-    res = run(system, prover, x)
-    monkeypatch.setattr(runtime, "_round", step)
+        def step(self, state, r):
+            supports.append({spec.states.index(q) * width + k for (q, k, _g, _y) in state})
+            return super().step(state, r)
+
+    with monkeypatch.context() as m:
+        m.setattr(runtime, "Course", Recording)
+        res = run(system, prover, x)
     assert len(supports) == res.rounds_executed
     for r, support in enumerate(supports, start=1):
         assert support <= set(layers.layer(r).tolist()), (x, r)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from qipsim.protocols import build_protocol
-from qipsim.qfa import BLANK, build_step_operator, symbol_at
-from qipsim.runtime import _round
+from qipsim.qfa import build_step_operator
+from qipsim.runtime import Course
 
 NAMES = ["zero_public", "la_mo", "odd", "pal_sharp:d=1", "center:N=2",
          "upal:N=2", "eraser_zero", "npfa_coin", "union_zero_end1"]
@@ -46,7 +46,6 @@ def test_one_round_matches_matrix_action(name, x):
         q, k, g = labels[i]
         state[(q, k, g, "")] = complex(rng.normal(), rng.normal())
 
-    tape = [symbol_at(x, k) for k in range(width)]
     vec = np.zeros(u.shape[0], dtype=complex)
     for (q, k, g, _y), amp in state.items():
         vec[index(q, k, g)] = amp
@@ -59,12 +58,15 @@ def test_one_round_matches_matrix_action(name, x):
         return out
 
     # move 1 of a verifier that measures once, after move 2, measures nothing
-    acc, rej, moved, mass = _round(spec, tape, state, width, r=1, once=2)
+    course = Course(spec, x)
+    course.once = 2
+    acc, rej, moved, mass = course.step(state, 1)
     assert (acc, rej) == (0.0, 0.0)
     assert np.allclose(dense(moved), expect, atol=1e-10)
     assert mass == pytest.approx(np.vdot(expect, expect).real, abs=1e-10)
 
-    acc, rej, cont, mass = _round(spec, tape, state, width, 0, None)
+    course.once = None  # a measure-many verifier measures after every move
+    acc, rej, cont, mass = course.step(state, 0)
     # row index (q_idx * width + k) * |comm| + g_idx, so each state owns a block
     block = width * len(comm)
     kind = np.repeat([0] * len(spec.non_halting) + [1] * len(spec.accepting)

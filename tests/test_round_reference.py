@@ -1,6 +1,6 @@
 """The fused verifier round against the loop it replaced.
 
-`runtime._round` moves, prunes and measures in two passes.  The reference
+`runtime.Course.step` moves, prunes and measures in two passes.  The reference
 below is the earlier engine, kept here verbatim in behaviour: a verifier move
 that prunes its output, a separate measurement, a mass summed afterwards, and
 a prover step that prunes its own output.  Every float must agree to the bit.
@@ -27,8 +27,7 @@ from qipsim.provers import (ClassicalProverTable, DenseProver, EraseAllProver,
                             TableProver, complete_permutation, dense_basis,
                             from_description)
 from qipsim.qfa import BLANK, HeadModel, symbol_at
-from qipsim.runtime import (_run_length, count_interactions, default_t_max,
-                            query_weight, run)
+from qipsim.runtime import Course, count_interactions, default_t_max, query_weight, run
 
 N_MAX = 3
 
@@ -84,7 +83,7 @@ def ref_measure(spec, state):
 
 def ref_run(system, prover, x):
     spec = system.verifier
-    t_max = _run_length(spec, x, None)[0]
+    t_max = Course(spec, x).t_max
     measure_once = spec.head_model is HeadModel.MO_1WAY
     n = len(x)
     width = n + 2

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import itertools
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -8,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qipsim
 import qipsim.languages as lang
 from qipsim.linalg import DomainError
 from qipsim.provers import (DenseProver, EraseAllProver, IdentityProver, ScriptedProver,
                             densify_schedule)
-from qipsim.qfa import BLANK, HeadModel, interaction_bound, validate_and_complete
-from qipsim.runtime import (RunError, count_interactions, expected_halting_time,
+from qipsim.qfa import (BLANK, AlphabetError, HeadModel, interaction_bound,
+                        validate_and_complete)
+from qipsim.runtime import (Course, RunError, count_interactions, expected_halting_time,
                             query_weight, run, visible_schedule)
 from tests.test_qfa import random_one_way_spec
 
@@ -290,3 +294,61 @@ def test_interaction_counts_stay_within_the_table_bound(odd):
         system = _merging_paths_system(querying_first)
         assert count_interactions(system, IdentityProver(), "aaa") == 3
         assert interaction_bound(system.verifier) == 3
+
+
+@pytest.mark.parametrize("name, x, t_max, limit, once", [
+    ("odd", "01", None, 4, None), ("odd", "01", 9, 4, None), ("odd", "01", 2, 2, None),
+    ("la_mo", "aa", None, 4, 4), ("la_mo", "aa", 1, 1, 4),
+    ("pal_sharp:d=1", "0#1", None, 20 * 5 ** 2, None), ("pal_sharp:d=1", "0#1", 7, 7, None)])
+def test_course_decides_the_round_limit_and_the_measurement_schedule(
+        name, x, t_max, limit, once):
+    from qipsim.protocols import build_protocol
+
+    spec = build_protocol(name).verifier
+    course = Course(spec, x, t_max)
+    assert (course.t_max, course.once, course.width) == (limit, once, len(x) + 2)
+    assert course.tape[0] == "^" and course.tape[-1] == "$"
+    # a measure-once verifier's rejecting labels run on until its one measurement
+    assert course.rejecting == frozenset(() if once else spec.rejecting)
+
+
+def test_course_checks_the_input_before_the_round_limit(odd):
+    with pytest.raises(AlphabetError):
+        Course(odd.verifier, "0z", -1)
+    with pytest.raises(DomainError, match="t_max must be at least 0, got -1"):
+        Course(odd.verifier, "01", -1)
+
+
+def _calls_of(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+
+def test_only_runtime_reads_its_private_names_and_no_function_takes_once():
+    """An input's round limit and measurement schedule live on `Course`: no
+    other module imports or reads a private name of `runtime`, no function
+    takes the schedule as a parameter ``once``, and only the constructor of
+    `Course` calls `default_t_max`."""
+    defaults = []
+    for path in sorted(pathlib.Path(qipsim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defaults += _calls_of(tree, "default_t_max")
+        if path.name == "runtime.py":
+            course = next(node for node in tree.body
+                          if isinstance(node, ast.ClassDef) and node.name == "Course")
+            init = next(node for node in course.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+        for node in ast.walk(tree):
+            if path.name != "runtime.py":
+                if isinstance(node, ast.ImportFrom) and node.module in (
+                        "runtime", "qipsim.runtime"):
+                    assert not [a.name for a in node.names if a.name.startswith("_")], (
+                        path.name, node.lineno)
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "runtime"):
+                    assert not node.attr.startswith("_"), (path.name, node.lineno)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+                assert "once" not in names, (path.name, node.lineno)
+    assert defaults == _calls_of(init, "default_t_max") != []
