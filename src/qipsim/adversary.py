@@ -80,15 +80,20 @@ restart pool, so the result can only improve on them.  The climb moves round
 matrices alone, run in operator form by one `runtime.DenseRun` per search,
 one small dense block per round of the input's pair-graph layers; only the
 result becomes a `DenseProver`, which checks unitarity.  A pass keeps the
-state before and after every prover round, so a move on round r resumes there
-instead of replaying the unchanged prefix, and gives the floats a full pass
-would.  A move whose rotated rows meet no column the state occupies leaves the
-state after round r bit for bit as it was; it then costs no verifier round,
-since the rest of the pass would repeat the current one.  This is common on a
-climb from a permutation, the classical seed or the identity.  A random
-restart draws all its round matrices in one call.  `runtime.run` stays the
-oracle: the identity baseline, the classical search's replay and `replay` go
-through it.
+state before and after every prover round and each verifier round's masses,
+so a move on round r resumes there instead of replaying the unchanged
+prefix, and gives the floats a full pass would.  A move whose rotated rows
+meet no column the state occupies leaves the state after round r bit for bit
+as it was; it then costs no verifier round, since the rest of the pass would
+repeat the current one.  This is common on a climb from a permutation, the
+classical seed or the identity.  A move whose change the next verifier move
+sends wholly to halting rows leaves the continuing state as it was after
+that move; it costs that one round, and the rest of the pass is summed from
+the current pass's masses.  On `pal_sharp:d=2` non-members about a quarter
+of the moves that run a verifier round end so.  A random restart draws all
+its round matrices in one call, and a move draws its round and rows in one
+call (`_draw_move`).  `runtime.run` stays the oracle: the identity baseline,
+the classical search's replay and `replay` go through it.
 """
 from __future__ import annotations
 
@@ -158,23 +163,36 @@ class AdversaryReport:
 # Exhaustive classical search
 # ---------------------------------------------------------------------------
 
+def _target_tables(comm, memory_states):
+    """What `_ClassicalSearch` reads of a verifier's cell alphabet ``comm``
+    with this many memory states: the memory names, the targets (cell
+    symbol, memory), per target the index of its memory and whether its
+    symbol is blank, the single-target classes or None, and an empty cache
+    of target classes per row set."""
+    memory = tuple(f"m{i}" for i in range(memory_states))
+    targets = tuple((g, m) for g in comm for m in memory)
+    rank = tuple(i for _g in comm for i in range(memory_states))
+    blank = tuple(g == BLANK for g, _m in targets)
+    # Blank is a class of its own, so one non-blank symbol leaves every
+    # class a single target at every node.
+    singletons = ([[i] for i in range(len(targets))]
+                  if sum(g != BLANK for g in comm) <= 1 else None)
+    return memory, targets, rank, blank, singletons, {}
+
+
 class _ClassicalSearch:
     def __init__(self, system: QipSystem, x: str, budget: AdversaryBudget):
         self.spec = system.verifier
         self.course = Course(self.spec, x)
         self.budget = budget
-        self.memory = tuple(f"m{i}" for i in range(budget.memory_states))
-        comm = self.spec.comm_alphabet
-        self.targets = [(g, m) for g in comm for m in self.memory]
-        # per target, the index of its memory and whether its symbol is blank
-        self.target_rank = [i for _g in comm for i in range(len(self.memory))]
-        self.target_blank = [g == BLANK for g, _m in self.targets]
+        # shared by every search on the verifier with this many memory states
+        tables = self.spec._search_targets.get(budget.memory_states)
+        if tables is None:
+            tables = self.spec._search_targets[budget.memory_states] = _target_tables(
+                self.spec.comm_alphabet, budget.memory_states)
+        (self.memory, self.targets, self.target_rank, self.target_blank,
+         self.singletons, self.class_cache) = tables
         self.steps = min(budget.steps, self.course.t_max)
-        # Blank is a class of its own, so one non-blank symbol leaves every
-        # class a single target at every node.
-        self.singletons = ([[i] for i in range(len(self.targets))]
-                           if sum(g != BLANK for g in comm) <= 1 else None)
-        self.class_cache: dict = {}
         self.row_kinds = self.spec._row_kinds  # shared by every search on the verifier
         self.memo: dict = {}
         self.moves: dict = {}  # memo key -> best assignment, renamed like the key
@@ -452,6 +470,23 @@ def _random_unitaries(rng, n, dim):
     return qmat * (diag / np.abs(diag))[:, None, :]
 
 
+def _draw_move(rng, high):
+    """A climb move's round and its two distinct rows, from ``high`` =
+    [rounds, dim - 1, dim, 2]: what ``rng.integers(rounds)`` and then
+    ``rng.choice(dim, size=2, replace=False)`` give, from one call.
+
+    For two of dim, ``choice`` runs Floyd's method, a bounded draw below
+    dim - 1 and one below dim, the second replaced by dim - 1 when it
+    repeats the first, and then shuffles the pair with a bounded draw below
+    2.  ``integers`` makes the same bounded draws in the same order, so the
+    values and the generator's state after them are the same.
+    """
+    r, i, j, keep = rng.integers(0, high).tolist()
+    if j == i:
+        j = int(high[2]) - 1
+    return (r, i, j) if keep else (r, j, i)
+
+
 def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
                           budget: AdversaryBudget | None = None,
                           classical_seed: AdversaryReport | None = None,
@@ -463,7 +498,8 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
     evaluated by one `DenseRun` built for the search, and a Givens move, which
     rotates rows i and j of round r's matrix, resumes from the current forward
     pass just before that round; a move that leaves the state after that
-    round unchanged costs no verifier round.  With no prover rounds in the
+    round unchanged costs no verifier round, and one whose change the next
+    measurement takes off costs one.  With no prover rounds in the
     budget, or a one-dimensional prover space, whose unitaries are phases,
     there is nothing to climb, and the identity or the classical seed is the
     result.
@@ -501,6 +537,8 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
             pass
 
     dense_run = DenseRun(system, x, c)
+    # a move's round r, rows i and j and swap bit in one draw; see `_draw_move`
+    high = np.array([rounds, dim - 1, dim, 2])
     best_matrices = None
     for restart in range(budget.restarts):
         if restart == 0 and seed is not None:
@@ -513,8 +551,7 @@ def search_quantum_prover(system: QipSystem, x: str, c: int = 1,
         tested += 1
         sigma = 0.8
         for _it in range(budget.iterations):
-            r = int(rng.integers(rounds))
-            i, j = rng.choice(dim, size=2, replace=False)
+            r, i, j = _draw_move(rng, high)
             theta = rng.normal() * sigma
             phi = rng.uniform(0, 2 * math.pi)
             # the Givens rotation in the (i, j) plane, applied to rows i and j

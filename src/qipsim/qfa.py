@@ -73,7 +73,7 @@ class HeadModel(str, Enum):
 
     @property
     def one_way(self) -> bool:
-        return self in (HeadModel.MO_1WAY, HeadModel.ONE_WAY)
+        return self is not HeadModel.TWO_WAY
 
 
 class StructureMode(str, Enum):
@@ -135,9 +135,11 @@ class QfaSpec:
         object.__setattr__(self, "_halting", frozenset(self.accepting + self.rejecting))
         object.__setattr__(self, "_accepting_set", frozenset(self.accepting))
         object.__setattr__(self, "_rejecting_set", frozenset(self.rejecting))
-        # {(state, tape symbol): per cell symbol kind}, filled by the classical
-        # prover search (adversary._ClassicalSearch._symbol_kinds)
+        # {(state, tape symbol): per cell symbol kind} and {memory_states:
+        # targets and target classes}, filled by the classical prover search
+        # (adversary._ClassicalSearch)
         object.__setattr__(self, "_row_kinds", {})
+        object.__setattr__(self, "_search_targets", {})
 
     @property
     def states(self) -> tuple[str, ...]:

@@ -39,7 +39,7 @@ layers, one small dense block per round, for the quantum prover search;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -239,10 +239,6 @@ def run(system: QipSystem, prover: ProverStrategy, x: str,
 # Dense provers in operator form
 # ---------------------------------------------------------------------------
 
-def _mass(a: np.ndarray) -> float:
-    return float(np.vdot(a, a).real)
-
-
 @dataclass(frozen=True, eq=False)
 class PairLayers:
     """One input's (state, head) pair graph, cut into the rounds of a run.
@@ -378,9 +374,13 @@ def _scatter_blocks(step, gsz, to_cell, from_cell, entries) -> tuple:
 class DensePass:
     """One `DenseRun` pass: its round matrices, `run`'s masses, the saved pass.
 
-    ``saved[i-1]`` is (state, p_acc, p_rej, max_err, moved) for every round i
-    that acted and has a matrix: the state just before prover round i, the
-    masses so far, and the state after that prover round.
+    ``masses[r-1]`` is (acc, rej, cont) of verifier round r, for every round
+    the pass ran: the mass its move sent to accepting rows, to rejecting
+    rows, and the continuing mass after it; acc or rej is None when the
+    round's block has no such rows.  ``saved[i-1]`` is (state, p_acc, p_rej,
+    max_err, moved) for every round i that acted and has a matrix: the state
+    just before prover round i, the masses so far, and the state after that
+    prover round.
     """
 
     matrices: tuple = field(repr=False)
@@ -389,6 +389,7 @@ class DensePass:
     p_cont: float
     rounds_executed: int
     saved: tuple = field(repr=False)
+    masses: tuple = field(repr=False)
 
 
 class DenseRun:
@@ -406,6 +407,12 @@ class DenseRun:
     below PRUNE_TOL and the end checks are `run`'s.  No amplitude is pruned
     and a transition missing from delta shows up only as lost mass, so the
     masses agree with `run`'s up to rounding.
+
+    `resume` evaluates a pass that differs from one already made in a single
+    round matrix, running only the rounds the change reaches: it starts from
+    the state saved before that prover round and, once the change is gone
+    from the continuing state, takes the rest of the pass from the earlier
+    pass's per-round masses.  Its floats are those of a full pass.
     """
 
     def __init__(self, system: QipSystem, x: str, c: int):
@@ -438,7 +445,7 @@ class DenseRun:
         for m in matrices:
             if m.shape != (dim, dim):
                 raise ValueError(f"round matrix must be {dim}x{dim}")
-        return self._forward(matrices, 1, self.initial, 0.0, 0.0, 0.0, [])
+        return self._forward(matrices, 1, self.initial, 0.0, 0.0, 0.0, [], [])
 
     def resume(self, base: DensePass, i0: int, m: np.ndarray) -> DensePass:
         """The pass of ``base.matrices`` with ``matrices[i0]`` replaced by ``m``.
@@ -449,46 +456,97 @@ class DenseRun:
         ``m`` changes meet no column the state occupies), the rest of the
         pass would repeat ``base``'s float operations on equal inputs: the
         masses and saved states are ``base``'s, and no verifier round runs.
+        Otherwise verifier move i0+2 runs, and when the state it leaves
+        running equals ``base``'s before prover round i0+2 (the move sent all
+        of the change to halting rows), `_rejoin` finishes the pass from
+        ``base``'s later rounds; so a change that the next measurement takes
+        off costs one verifier round.
         """
         matrices = base.matrices[:i0] + (m,) + base.matrices[i0 + 1:]
-        if i0 >= len(base.saved):
-            return replace(base, matrices=matrices)
-        state, p_acc, p_rej, max_err, was = base.saved[i0]
-        moved = self._prover_step(state, m)
-        if np.array_equal(moved, was):
-            return replace(base, matrices=matrices)
-        return self._forward(matrices, i0 + 2, moved, p_acc, p_rej, max_err,
-                             [*base.saved[:i0], (state, p_acc, p_rej, max_err, moved)])
+        if i0 < len(base.saved):
+            state, p_acc, p_rej, max_err, was = base.saved[i0]
+            moved = self._prover_step(state, m)
+            if not np.array_equal(moved, was):
+                return self._forward(
+                    matrices, i0 + 2, moved, p_acc, p_rej, max_err,
+                    [*base.saved[:i0], (state, p_acc, p_rej, max_err, moved)],
+                    list(base.masses[:i0 + 1]), base)
+        return DensePass(matrices, base.p_acc, base.p_rej, base.p_cont,
+                         base.rounds_executed, base.saved, base.masses)
 
     def _prover_step(self, state: np.ndarray, m: np.ndarray) -> np.ndarray:
-        return (state.reshape(-1, m.shape[0]) @ m.T).reshape(-1, self.words)
+        return np.dot(state.reshape(-1, m.shape[0]), m.T).reshape(-1, self.words)
 
-    def _forward(self, matrices, r0, state, p_acc, p_rej, max_err, saved) -> DensePass:
-        """Rounds r0.. of a pass; ``state`` is the array before verifier move r0."""
+    def _forward(self, matrices, r0, state, p_acc, p_rej, max_err, saved, masses,
+                 base=None) -> DensePass:
+        """Rounds r0.. of a pass; ``state`` is the array before verifier move r0.
+
+        ``saved`` and ``masses`` hold the earlier rounds' entries.  Given
+        ``base``, a pass whose later rounds may be this one's, round r0's
+        continuing state is compared with ``base``'s before prover round r0,
+        and on a match the pass ends in `_rejoin`.
+        """
         rounds = r0 - 1
         t_max = self.course.t_max
+        dot, vdot = np.dot, np.vdot
         for r in range(r0, t_max + 1):
             rounds = r
             block, n_cont, acc_end = self.moves[r - 1]
-            state = block @ state
+            state = dot(block, state)
+            acc = rej = None
             if acc_end > n_cont:
-                p_acc += _mass(state[n_cont:acc_end])
+                part = state[n_cont:acc_end]
+                acc = float(vdot(part, part).real)
+                p_acc += acc
             if len(state) > acc_end:
-                p_rej += _mass(state[acc_end:])
+                part = state[acc_end:]
+                rej = float(vdot(part, part).real)
+                p_rej += rej
             state = state[:n_cont]
-            cont = _mass(state)
+            cont = float(vdot(state, state).real)
+            masses.append((acc, rej, cont))
             max_err = max(max_err, abs(p_acc + p_rej + cont - 1.0))
             if cont < PRUNE_TOL:
                 state = state[:0]
                 break
             if r < t_max and r <= len(matrices):
+                if base is not None:
+                    if r <= len(base.saved) and np.array_equal(state, base.saved[r - 1][0]):
+                        return self._rejoin(base, matrices, r, p_acc, p_rej, max_err,
+                                            saved, masses)
+                    base = None
                 moved = self._prover_step(state, matrices[r - 1])
                 saved.append((state, p_acc, p_rej, max_err, moved))
                 state = moved
-        p_cont = _mass(state)
+        p_cont = float(vdot(state, state).real)
         self.course.check_end(rounds, p_cont, max_err)
-        return DensePass(matrices=matrices, p_acc=p_acc, p_rej=p_rej, p_cont=p_cont,
-                         rounds_executed=rounds, saved=tuple(saved))
+        return DensePass(matrices, p_acc, p_rej, p_cont, rounds, tuple(saved), tuple(masses))
+
+    def _rejoin(self, base, matrices, r, p_acc, p_rej, max_err, saved, masses) -> DensePass:
+        """The rest of a pass whose continuing state after verifier move r is
+        ``base``'s, as are the round matrices from prover round r on.
+
+        Every later round then repeats ``base``'s float operations on equal
+        arrays, so its states and masses are ``base``'s; only the running
+        p_acc, p_rej and max_err differ, and they are summed from
+        ``base.masses`` in a full pass's order, with the saved entries and
+        the end checks.
+        """
+        state, _acc, _rej, _err, moved = base.saved[r - 1]
+        saved.append((state, p_acc, p_rej, max_err, moved))
+        for acc, rej, cont in base.masses[r:]:
+            if acc is not None:
+                p_acc += acc
+            if rej is not None:
+                p_rej += rej
+            max_err = max(max_err, abs(p_acc + p_rej + cont - 1.0))
+            if len(saved) < len(base.saved):
+                state, _acc, _rej, _err, moved = base.saved[len(saved)]
+                saved.append((state, p_acc, p_rej, max_err, moved))
+        masses.extend(base.masses[r:])
+        self.course.check_end(base.rounds_executed, base.p_cont, max_err)
+        return DensePass(matrices, p_acc, p_rej, base.p_cont, base.rounds_executed,
+                         tuple(saved), tuple(masses))
 
 
 def expected_halting_time(system: QipSystem, prover: ProverStrategy, x: str,

@@ -438,6 +438,20 @@ def test_symbol_kinds_are_kept_once_per_verifier(upal4):
     assert dataclasses.replace(upal4.verifier)._row_kinds == {}
 
 
+def test_targets_and_classes_are_kept_once_per_memory_count(upal4):
+    first = _ClassicalSearch(upal4, "1", AdversaryBudget(memory_states=2, steps=7))
+    first.search()
+    assert first.class_cache
+    again = _ClassicalSearch(upal4, "01", AdversaryBudget(memory_states=2, steps=3))
+    for name in ("memory", "targets", "target_rank", "target_blank", "class_cache"):
+        assert getattr(again, name) is getattr(first, name), name
+    other = _ClassicalSearch(upal4, "1", AdversaryBudget(memory_states=3))
+    assert other.targets is not first.targets and len(other.targets) == 3 * len(
+        upal4.verifier.comm_alphabet)
+    assert other.class_cache is not first.class_cache
+    assert dataclasses.replace(upal4.verifier)._search_targets == {}
+
+
 @pytest.mark.parametrize("name, inputs, steps", [
     ("upal:N=2", strings("01", 2), 9),
     ("center:N=2", ["001", "100", "011"], 30),
@@ -792,10 +806,29 @@ def test_stacked_draw_is_the_sequential_draws(n, dim):
         assert stacked.random() == one_by_one.random()
 
 
+def test_one_draw_per_move_is_the_integers_and_choice_draws():
+    for seed in range(50):
+        one_call, two_calls = np.random.default_rng(seed), np.random.default_rng(seed)
+        for dim in range(2, 65):
+            rounds = 1 + (seed + 3 * dim) % 40
+            high = np.array([rounds, dim - 1, dim, 2])
+            for _move in range(4):
+                want = (int(two_calls.integers(rounds)),
+                        *two_calls.choice(dim, size=2, replace=False).tolist())
+                assert adversary._draw_move(one_call, high) == want, (seed, dim, rounds)
+                # the climb's other draws of a move, from the same stream
+                assert one_call.normal() == two_calls.normal()
+                assert one_call.uniform(0, 2 * math.pi) == two_calls.uniform(0, 2 * math.pi)
+            assert one_call.bit_generator.state == two_calls.bit_generator.state, (seed, dim)
+    assert {adversary._draw_move(np.random.default_rng(s), np.array([1, 1, 2, 2]))
+            for s in range(20)} == {(0, 0, 1), (0, 1, 0)}
+
+
 def _reference_climb(system, x, c, budget, classical):
     """`search_quantum_prover`'s climb in its plainest form: each random
-    start drawn one round at a time, each Givens move built by fancy
-    indexing, and each move evaluated by a full `DenseRun.run`."""
+    start drawn one round at a time, each move's rows drawn by ``choice``,
+    each Givens move built by fancy indexing, and each move evaluated by a
+    full `DenseRun.run`."""
     spec = system.verifier
     comm, tape = spec.comm_alphabet, spec.prover_alphabet
     dim = dense_dimension(spec, c)
@@ -838,14 +871,25 @@ def _reference_climb(system, x, c, budget, classical):
     return best_p, best_desc, tested
 
 
-@pytest.mark.parametrize("name, x, steps, seed", [
-    ("pal_sharp:d=1", "0#1", 10, 4),
-    ("pal_sharp:d=2", "01#00", 14, 7),
-    ("pal_sharp:d=2", "1#01", 12, 8),
-    ("center:N=2", "001", 40, 13),
+def _climb_case(name, x, steps, seed, c=1):
+    """A case of the climb test; one tape cell is left out of its id."""
+    return pytest.param(name, x, steps, seed, c,
+                        id="-".join(map(str, (name, x, steps, seed))) + f"-c{c}" * (c != 1))
+
+
+@pytest.mark.parametrize("name, x, steps, seed, c", [
+    _climb_case("pal_sharp:d=1", "0#1", 10, 4),
+    _climb_case("pal_sharp:d=2", "01#00", 14, 7),
+    _climb_case("pal_sharp:d=2", "1#01", 12, 8),
+    _climb_case("center:N=2", "001", 40, 13),
+    # one tape word, and 16
+    _climb_case("pal_sharp:d=2", "01#00", 14, 7, c=0),
+    _climb_case("pal_sharp:d=2", "0000#1001", 22, 1, c=0),
+    _climb_case("pal_sharp:d=2", "1#01", 12, 8, c=2),
+    _climb_case("pal_sharp:d=2", "0000#1001", 22, 1, c=2),
 ])
 @pytest.mark.parametrize("seeded", ["table", "unscored table", "identity"])
-def test_quantum_search_is_the_reference_climb(name, x, steps, seed, seeded):
+def test_quantum_search_is_the_reference_climb(name, x, steps, seed, c, seeded):
     system = build_protocol(name)
     budget = AdversaryBudget(memory_states=2, steps=steps, restarts=3,
                              iterations=15, seed=seed)
@@ -857,10 +901,10 @@ def test_quantum_search_is_the_reference_climb(name, x, steps, seed, seeded):
     elif seeded == "identity":
         classical = AdversaryReport(best_p_acc=0.0, best_strategy={"kind": "identity"},
                                     strategies_tested=0, is_exhaustive=False)
-    rep = search_quantum_prover(system, x, c=1, budget=budget, classical_seed=classical)
+    rep = search_quantum_prover(system, x, c=c, budget=budget, classical_seed=classical)
     if seeded != "table":
         assert rep.best_strategy["kind"] == "dense"
-    best_p, best_desc, tested = _reference_climb(system, x, 1, budget, classical)
+    best_p, best_desc, tested = _reference_climb(system, x, c, budget, classical)
     assert rep.best_p_acc.hex() == best_p.hex()
     assert rep.best_strategy == best_desc
     assert rep.strategies_tested == tested == _climbed(budget)

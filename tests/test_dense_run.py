@@ -2,10 +2,12 @@
 
 `runtime.run` is the oracle: for random dense provers, `DenseRun` must give
 its masses and round count.  A resumed climb move must give the very floats
-of a full pass, also when it leaves the state unchanged and runs no round.  Every run stays inside the layers of its pair graph and
-ends before their horizon.
+of a full pass, also when it leaves the state unchanged and runs no round,
+and when the next measurement takes its change off and it runs one.  Every
+run stays inside the layers of its pair graph and ends before their horizon.
 """
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -176,12 +178,24 @@ def _givens(m, i, j, theta=0.7, phi=1.3):
     return out
 
 
+def _hexes(floats):
+    return [None if v is None else v.hex() for v in floats]
+
+
 def _assert_full_pass(dense_run, resumed):
+    """``resumed`` has the floats of a full pass: its masses, per-round
+    masses and the running masses of its saved entries; returns the pass."""
     full = dense_run.run(resumed.matrices)
     assert resumed.p_acc.hex() == full.p_acc.hex()
     assert resumed.p_rej.hex() == full.p_rej.hex()
     assert resumed.p_cont.hex() == full.p_cont.hex()
     assert resumed.rounds_executed == full.rounds_executed
+    assert [_hexes(m) for m in resumed.masses] == [_hexes(m) for m in full.masses]
+    assert ([_hexes(entry[1:4]) for entry in resumed.saved]
+            == [_hexes(entry[1:4]) for entry in full.saved])
+    assert all(np.array_equal(a[0], b[0]) and np.array_equal(a[4], b[4])
+               for a, b in zip(resumed.saved, full.saved, strict=True))
+    return full
 
 
 @pytest.mark.parametrize("name, x, rounds", [
@@ -225,6 +239,66 @@ def test_a_move_that_leaves_the_state_unchanged_runs_no_round(name, x, rounds, s
             _assert_full_pass(dense_run, resumed)
             resumed_some += 1
     assert skipped and resumed_some
+
+
+class _CountedMoves(list):
+    """A `DenseRun`'s per-round blocks, counting the verifier rounds that read
+    them."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("name, x, rounds, c", [
+    ("pal_sharp:d=2", "01#00", 14, 1),
+    ("pal_sharp:d=2", "01#00", 14, 0),
+    ("pal_sharp:d=1", "0#1", 10, 1),
+    ("center:N=2", "001", 11, 1),  # the pass outlasts its matrices
+    ("odd", "11", 4, 1),
+    ("la_mo", "aa", 4, 1),
+])
+def test_a_move_whose_change_the_next_measurement_takes_off_runs_one_round(name, x,
+                                                                           rounds, c):
+    system = _system(name)
+    dim = dense_dimension(system.verifier, c)
+    dense_run = DenseRun(system, x, c)
+    dense_run.moves = moves = _CountedMoves(dense_run.moves)
+    current = dense_run.run(_random_prover(system, c, rounds, np.random.default_rng(1)).matrices)
+    # the pass stops on PRUNE_TOL, and a rejoined pass must stop there too
+    assert len(current.masses) == current.rounds_executed
+    assert current.masses[-1][2] < runtime.PRUNE_TOL
+    last = len(current.saved) - 1
+    rejoined = []
+    for i0, (_state, *_masses, was) in enumerate(current.saved):
+        for i, j in itertools.combinations(range(dim), 2):
+            moves.reads = 0
+            resumed = dense_run.resume(current, i0, _givens(current.matrices[i0], i, j))
+            reads = moves.reads
+            full = _assert_full_pass(dense_run, resumed)
+            if np.array_equal(full.saved[i0][-1], was):
+                assert reads == 0
+                continue
+            # the state the next verifier move leaves running is the current one
+            same = (i0 < min(last, len(full.saved) - 1)
+                    and np.array_equal(full.saved[i0 + 1][0], current.saved[i0 + 1][0]))
+            assert (reads == 1) == (same or resumed.rounds_executed == i0 + 2), (i0, i, j)
+            if same:
+                assert resumed.rounds_executed == current.rounds_executed
+                rejoined.append((i0, resumed))
+    if system.verifier.head_model is HeadModel.MO_1WAY:
+        # nothing is measured before move n+2, so no change is taken off
+        assert not rejoined
+        return
+    assert rejoined
+    assert any(i0 + 1 == last for i0, _resumed in rejoined)  # at the last prover round
+    # moves resumed from a rejoined pass, before, at and after the rejoin
+    for i0, resumed in rejoined[::7]:
+        for k in {i0, i0 + 1, last}:
+            _assert_full_pass(dense_run, dense_run.resume(
+                resumed, k, _givens(resumed.matrices[k], 0, dim - 1)))
 
 
 # ---------------------------------------------------------------------------
