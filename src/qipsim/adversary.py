@@ -103,7 +103,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PRUNE_TOL, checked_count
+from .linalg import checked_count
 from .provers import (ClassicalProverTable, DenseProver, EncodingError,
                       IdentityProver, TableProver, dense_from_table,
                       from_description)
@@ -210,16 +210,17 @@ class _ClassicalSearch:
         the moved state, computed from the node's move table (see the
         module docstring), which leaves out the targets in the course's
         ``rejecting``: they would feed only the rejecting mass, which is not
-        formed.  A missing delta row raises `step`'s error.
+        formed.  A missing delta row raises `step`'s error.  ``state`` is a
+        measurement's continuing part, so, as `step` takes it, it holds no
+        amplitude below PRUNE_TOL.
         """
-        course, delta = self.course, self.spec.delta
-        tape, width, rejecting, measure = (course.tape, course.width, course.rejecting,
-                                           course.measure)
+        course = self.course
+        rows, tape, width, rejecting, measure = (course.rows, course.tape, course.width,
+                                                 course.rejecting, course.measure)
         index = {pair: i for i, pair in enumerate(pairs)}
         # per live label, in state order: its pair's index, its table row, and
         # what fills the row
-        live = [(index[g, m], {}, q, k, amp)
-                for (q, k, g, m), amp in state.items() if abs(amp) >= PRUNE_TOL]
+        live = [(index[g, m], {}, q, k, amp) for (q, k, g, m), amp in state.items()]
         for combo in self._assignments(state, pairs):
             out: dict = {}
             get = out.get
@@ -235,7 +236,7 @@ class _ClassicalSearch:
                 # the many nodes that try one or two moves
                 g2, m2 = target
                 key = (q, tape[k], g2)
-                moves = delta.get(key)
+                moves = rows.get(key)
                 if moves is None:
                     raise course.missing_row(key)
                 entry = row[target] = []
@@ -320,7 +321,7 @@ class _ClassicalSearch:
             ids: dict = {BLANK: 0}  # blank's own id
             kinds = []
             for g in self.spec.comm_alphabet:
-                col = self.spec.delta.get((q, s, g))
+                col = self.course.rows.get((q, s, g))
                 kept = BLANK if g == BLANK else col if col is None else tuple(
                     t for t in col if t[0] not in self.course.rejecting)
                 kinds.append(ids.setdefault(kept, len(ids)))

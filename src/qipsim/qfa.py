@@ -128,8 +128,11 @@ class QfaSpec:
         """Make ``delta``, a dict that no one else holds, this spec's table
         behind a read-only view, and set the caches read from the spec:
         ``table`` is delta compiled, or None to compile it here (`_compile`
-        raises SpecError or DomainError on a malformed spec)."""
+        raises SpecError or DomainError on a malformed spec).  ``_rows`` is
+        the dict itself, which the engine's row lookups read without going
+        through the view."""
         object.__setattr__(self, "delta", MappingProxyType(delta))
+        object.__setattr__(self, "_rows", delta)
         # {tape symbol: _Block}
         object.__setattr__(self, "_table", _compile(self) if table is None else table)
         object.__setattr__(self, "_halting", frozenset(self.accepting + self.rejecting))

@@ -4,12 +4,12 @@ The global state is a sparse amplitude map over labels (inner state, head
 position, cell symbol, tag).  One round is: prover action (absent in
 round 1 — equivalently, the prover for round i acts right after the i-th
 measurement), verifier step, measurement.  A round the prover calls idle
-(`ProverStrategy.idle`) skips the prover action: it would rebuild the state
-label by label with amplitude 1, changing at most the sign of a zero
-component.  Measurement projects onto the accepting / rejecting / non-halting
-state classes, accumulates the halting masses and keeps the unnormalized
-non-halting part, so the accumulated masses are exact unconditional
-probabilities.
+(`ProverStrategy.idle`) has no prover action, and its callers skip it: it
+would rebuild the state label by label with amplitude 1, changing at most
+the sign of a zero component.  Measurement projects onto the accepting /
+rejecting / non-halting state classes, accumulates the halting masses and
+keeps the unnormalized non-halting part, so the accumulated masses are
+exact unconditional probabilities.
 
 A `Course` is one checked input's course through a verifier, and the one
 place that decides its tape, its round limit and its measurement schedule.
@@ -18,17 +18,20 @@ measures after every move; a measure-once one only after move n+2, where,
 as in a measure-once automaton (Moore & Crutchfield, Theoret. Comput. Sci.
 237, 2000), it rejects all it does not accept.  `Course.step` moves
 amplitudes through delta and then calls `Course.measure`, the only code that
-splits off the halting classes; `step` drops amplitudes below PRUNE_TOL on
-the way in and `measure` on the way out.  Runs, interaction counting, the
-query weight, the classical prover search and the npfa choice script each
-build one `Course` and go through `step`; the classical search's node
-evaluation reads delta's rows from a move table of its own, which holds only
-the contributions to accepting and continuing labels, and measures with
-`measure`.  Its rejecting mass is therefore not formed, and no other float
-changes: a rejecting label feeds only that mass, and leaving it out keeps
-the others' order.  The tag rides along unchanged: the prover tape in runs,
-the prover memory in the classical search, ``None`` where no prover takes
-part.
+splits off the halting classes.  Amplitudes below PRUNE_TOL are dropped
+where they are made: `measure` drops them from the moved state, and the
+prover round (`_apply_prover`) from its output.  So `step` takes a pruned
+state and checks no amplitude on the way in.  When no label halts and none
+is dropped, the continuing part that `measure` returns is the moved dict
+itself, not a copy.  Runs, interaction counting, the query weight, the
+classical prover search and the npfa choice script each build one `Course`
+and go through `step`; the classical search's node evaluation reads delta's
+rows from a move table of its own, which holds only the contributions to
+accepting and continuing labels, and measures with `measure`.  Its rejecting
+mass is therefore not formed, and no other float changes: a rejecting label
+feeds only that mass, and leaving it out keeps the others' order.  The tag
+rides along unchanged: the prover tape in runs, the prover memory in the
+classical search, ``None`` where no prover takes part.
 
 `pair_layers` cuts one input's (state, head) pair graph into rounds: the
 pairs the verifier can occupy before each move, whatever the prover writes,
@@ -103,11 +106,13 @@ class Course:
     measures after every move.  ``rejecting`` holds the states whose labels
     feed only the rejecting mass: the rejecting states under measure-many,
     none under measure-once, whose rejecting labels run on until its one
-    measurement.
+    measurement.  ``rows`` is the spec's delta as the plain dict behind its
+    read-only view, for the row lookups of every verifier move; no one
+    writes to it.
     """
 
     __slots__ = ("spec", "tape", "width", "t_max", "once", "rejecting",
-                 "_halting", "_accepting")
+                 "rows", "_halting", "_accepting")
 
     def __init__(self, spec: QfaSpec, x: str, t_max: int | None = None):
         spec.check_input(x)
@@ -124,21 +129,26 @@ class Course:
         self.t_max = t_max
         self.once = n + 2 if spec.head_model is HeadModel.MO_1WAY else None
         self.rejecting = spec._rejecting_set if self.once is None else frozenset()
-        # the spec's state classes, read by every measurement
+        # the spec's delta dict, read by every verifier move, and its state
+        # classes, read by every measurement
+        self.rows = spec._rows
         self._halting, self._accepting = spec._halting, spec._accepting_set
 
     def step(self, state: dict, r: int) -> tuple[float, float, dict, float]:
         """Verifier move r on ``state``, then `measure`: the accepting and
-        rejecting masses, the continuing part and its mass."""
+        rejecting masses, the continuing part and its mass.  ``state`` holds
+        no amplitude below PRUNE_TOL, which is not checked here: callers pass
+        an initial label of amplitude 1, a measurement's continuing part, a
+        prover round (`_apply_prover`, which prunes) or a relabelling of one
+        of these."""
         out: dict = {}
-        delta, tape, width = self.spec.delta, self.tape, self.width
+        rows, tape, width = self.rows, self.tape, self.width
         for (q, k, g, y), amp in state.items():
-            if abs(amp) < PRUNE_TOL:
-                continue
             key = (q, tape[k], g)
-            targets = delta.get(key)
-            if targets is None:
-                raise self.missing_row(key)
+            try:
+                targets = rows[key]
+            except KeyError:
+                raise self.missing_row(key) from None
             for (q2, g2, d, a) in targets:
                 lbl = (q2, (k + d) % width, g2, y)
                 v = out.get(lbl)
@@ -157,26 +167,33 @@ class Course:
         rejecting masses, its continuing part and that part's mass, dropping
         amplitudes below PRUNE_TOL.  A measure-many verifier measures off its
         halting states; a measure-once one measures nothing before move
-        ``once`` and there rejects all it does not accept."""
+        ``once`` and there rejects all it does not accept.
+
+        ``out`` is never changed.  When no label of it halts and none falls
+        under PRUNE_TOL, the continuing part is ``out`` itself; otherwise it
+        is a new dict of the kept labels, in ``out``'s order."""
         once = self.once
         halting = self._halting if once is None or r >= once else ()
         accepting = self._accepting
         acc = rej = mass = 0.0
-        cont: dict = {}
+        pruned = False
         for lbl, amp in out.items():
             p = abs(amp)
             if p < PRUNE_TOL:
-                continue
-            if lbl[0] not in halting:
-                cont[lbl] = amp
+                pruned = True
+            elif lbl[0] not in halting:
                 mass += p ** 2
             elif lbl[0] in accepting:
                 acc += p ** 2
             else:
                 rej += p ** 2
-        if once is None or r < once:
-            return acc, rej, cont, mass
-        return acc, rej + mass, {}, 0.0
+        if once is not None and r >= once:
+            return acc, rej + mass, {}, 0.0
+        # a kept halting label adds at least PRUNE_TOL**2 > 0 to acc or rej
+        if pruned or acc or rej:
+            out = {lbl: amp for lbl, amp in out.items()
+                   if abs(amp) >= PRUNE_TOL and lbl[0] not in halting}
+        return acc, rej, out, mass
 
     def check_end(self, rounds: int, p_cont: float, max_err: float) -> None:
         """Refuse a run that leaves one-way mass running or loses probability."""
@@ -189,16 +206,16 @@ class Course:
 
 
 def _apply_prover(prover: ProverStrategy, x: str, i: int, state: dict) -> dict:
-    """Prover round i on ``state``; an idle round returns ``state`` itself."""
-    if prover.idle(x, i):
-        return state
+    """Prover round i on ``state``, as a new dict without the amplitudes
+    below PRUNE_TOL, so that it is a state `Course.step` takes.  Callers skip
+    a round the prover calls idle: it would return ``state``'s amplitudes."""
     out: dict = {}
     for (q, k, g, y), amp in state.items():
         for (g2, y2, a) in prover.apply(x, i, g, y):
             lbl = (q, k, g2, y2)
             v = out.get(lbl)
             out[lbl] = amp * a if v is None else v + amp * a
-    return out
+    return prune(out)
 
 
 def run(system: QipSystem, prover: ProverStrategy, x: str,
@@ -212,22 +229,24 @@ def run(system: QipSystem, prover: ProverStrategy, x: str,
     profile: list[tuple[int, float, float]] = []
     cont_trace: list[float] = []
     max_err = 0.0
-    rounds = 0
+    step, idle, trace = course.step, prover.idle, cont_trace.append
     for r in range(1, t_max + 1):
-        rounds = r
-        acc, rej, state, cont = course.step(state, r)
+        acc, rej, state, cont = step(state, r)
         p_acc += acc
         p_rej += rej
         if acc > 0 or rej > 0:
             profile.append((r, acc, rej))
-        cont_trace.append(cont)
-        max_err = max(max_err, abs(p_acc + p_rej + cont - 1.0))
+        trace(cont)
+        err = abs(p_acc + p_rej + cont - 1.0)
+        if err > max_err:
+            max_err = err
         if cont < PRUNE_TOL:
             cont = 0.0
             break
-        if r < t_max:
+        if r < t_max and not idle(x, r):
             state = _apply_prover(prover, x, r, state)
 
+    rounds = len(cont_trace)  # one entry per round run
     course.check_end(rounds, cont, max_err)
     return RunResult(p_acc=p_acc, p_rej=p_rej, p_cont=cont,
                      halting_profile=profile, rounds_executed=rounds,
@@ -557,7 +576,10 @@ def expected_halting_time(system: QipSystem, prover: ProverStrategy, x: str,
     is exact (upper bound known) when essentially no mass was left running.
     """
     res = run(system, prover, x, t_max)
-    lower = sum(r * (a + b) for (r, a, b) in res.halting_profile)
+    # added left to right: builtin `sum` of floats is compensated from Python 3.12
+    lower = 0.0
+    for r, a, b in res.halting_profile:
+        lower += r * (a + b)
     lower += res.rounds_executed * res.p_cont
     return lower, res.p_cont < NO_MASS_TOL
 
@@ -606,16 +628,17 @@ def visible_schedule(system: QipSystem, x: str,
 def _step_paths(step, state: dict, counts: dict) -> tuple[dict, dict]:
     """``step`` applied label by label, carrying per-path query counts.
 
-    Each label goes through ``step`` with unit amplitude.  A child's amplitude
-    is the amplitude-weighted sum of these over its parents, so it equals
-    ``step(state)``, pruned per parent and summed; its count is the maximum
-    over the parents that reach it.
+    Each label goes through ``step`` with unit amplitude, and ``step``
+    returns a pruned state (a measurement's continuing part or a prover
+    round).  A child's amplitude is the amplitude-weighted sum of these over
+    its parents, so it equals ``step(state)``, pruned per parent and summed;
+    its count is the maximum over the parents that reach it.
     """
     amps: dict = {}
     inherited: dict = {}
     for lbl, amp in state.items():
         c = counts[lbl]
-        for child, a in prune(step({lbl: 1.0 + 0j})).items():
+        for child, a in step({lbl: 1.0 + 0j}).items():
             v = amps.get(child)
             amps[child] = amp * a if v is None else v + amp * a
             if c > inherited.get(child, -1):
@@ -658,8 +681,9 @@ def count_interactions(system: QipSystem, prover: ProverStrategy, x: str,
         best = max([best, *counts.values()])
         if not state:
             break
-        state, counts = _step_paths(
-            lambda s: _apply_prover(prover, x, r, s), state, counts)
+        if not prover.idle(x, r):
+            state, counts = _step_paths(
+                lambda s: _apply_prover(prover, x, r, s), state, counts)
     return best
 
 

@@ -1,9 +1,11 @@
 """The fused verifier round against the loop it replaced.
 
-`runtime.Course.step` moves, prunes and measures in two passes.  The reference
-below is the earlier engine, kept here verbatim in behaviour: a verifier move
-that prunes its output, a separate measurement, a mass summed afterwards, and
-a prover step that prunes its own output.  Every float must agree to the bit.
+`runtime.Course.step` moves and then measures, pruning in the measurement.
+The reference below is the earlier engine, kept here verbatim in behaviour: a
+verifier move that prunes its output, a separate measurement, a mass summed
+afterwards, and a prover step that prunes its own output.  Every float must
+agree to the bit, on every short input and on long inputs shaped like those
+of the benchmark's ``engine`` workload.
 
 The reference applies the prover in every round, so it also pins the engine's
 skip of idle prover rounds; the idle contract itself (an idle round leaves
@@ -14,6 +16,7 @@ tape strings that decided it before, `ref_check_committed`, is the reference.
 """
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -298,6 +301,44 @@ def test_fused_round_matches_the_reference_loop(name):
 
 # built-ins whose best memory-2 classical tables join the reference check
 TABLE_SEARCHED = ("center", "eraser_zero", "npfa_choice", "union_zero_end1", "zero_public")
+
+
+def engine_words(rng):
+    """(built-in, input) pairs shaped like the ``engine`` workload's, drawn
+    from ``rng``: `center:N=4` words of odd length 21-41 with either middle
+    bit; `upal:N=4` words 0^n 1^n, 0^n 1^(n+1) and 0^n 1^n with one bit
+    flipped, for n up to 20; and `pal_sharp:d=2` words y#y^R with a twin
+    whose y^R has one bit flipped, for |y| up to 10."""
+    def bits(n):
+        return "".join(rng.choice("01") for _ in range(n))
+
+    def flip(s, i):
+        return s[:i] + "10"[int(s[i])] + s[i + 1:]
+
+    words = [("center:N=4", bits(n // 2) + mid + bits(n // 2))
+             for n in range(21, 42, 2) for mid in "10"]
+    for n in range(1, 21):
+        words += [("upal:N=4", w) for w in (
+            "0" * n + "1" * n, "0" * n + "1" * (n + 1),
+            flip("0" * n + "1" * n, rng.randrange(2 * n)))]
+    for n in range(1, 11):
+        y = bits(n)
+        words += [("pal_sharp:d=2", y + "#" + y[::-1]),
+                  ("pal_sharp:d=2", y + "#" + flip(y, rng.randrange(n))[::-1])]
+    return words
+
+
+def test_runs_at_the_engine_lengths_match_the_reference_loop():
+    systems = {name: build_protocol(name) for name in ("center:N=4", "upal:N=4", "pal_sharp:d=2")}
+    words = engine_words(random.Random(2004))
+    assert len(words) == 22 + 60 + 20
+    for name, x in words:
+        system = systems[name]
+        for prover in (system.honest_prover, IdentityProver()):
+            res = run(system, prover, x)
+            got = hexed(res.p_acc, res.p_rej, res.p_cont, res.halting_profile,
+                        res.cont_trace)
+            assert got == hexed(*ref_run(system, prover, x)), (name, x)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN))

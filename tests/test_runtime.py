@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 import qipsim
 import qipsim.languages as lang
-from qipsim.linalg import DomainError
+from qipsim.linalg import PRUNE_TOL, DomainError
 from qipsim.provers import (DenseProver, EraseAllProver, IdentityProver, ScriptedProver,
                             densify_schedule)
 from qipsim.qfa import (BLANK, AlphabetError, HeadModel, interaction_bound,
                         validate_and_complete)
-from qipsim.runtime import (Course, RunError, count_interactions, expected_halting_time,
-                            query_weight, run, visible_schedule)
+from qipsim.runtime import (Course, RunError, _apply_prover, count_interactions,
+                            expected_halting_time, query_weight, run, visible_schedule)
 from tests.test_qfa import random_one_way_spec
+from tests.test_round_reference import FaintBranchProver
 
 
 def assert_conserved(res):
@@ -75,6 +76,89 @@ def test_expected_halting_time_values(zero_public, la_mo, pal1):
     assert expected_halting_time(la_mo, la_mo.honest_prover, "") == (2.0, True)
     lower, known = expected_halting_time(pal1, pal1.honest_prover, "0#0")
     assert known and lower <= 64
+
+
+@pytest.mark.parametrize("name, x", [("pal_sharp:d=2", "01#11"), ("upal:N=4", "00111")])
+def test_expected_halting_time_adds_its_profile_left_to_right(name, x):
+    from qipsim.protocols import build_protocol
+
+    system = build_protocol(name)
+    res = run(system, system.honest_prover, x)
+    assert len(res.halting_profile) >= 3
+    lower = 0.0
+    for r, a, b in res.halting_profile:
+        lower += r * (a + b)
+    lower += res.rounds_executed * res.p_cont
+    got, known = expected_halting_time(system, system.honest_prover, x)
+    assert (got.hex(), known) == (lower.hex(), res.p_cont < 1e-9)
+
+
+def _labels(spec, kinds):
+    """One label per kind, "non", "acc" or "rej", on a state of that class."""
+    first = {"non": spec.non_halting, "acc": spec.accepting, "rej": spec.rejecting}
+    return [(first[kind][0], k, BLANK, None) for k, kind in enumerate(kinds)]
+
+
+def test_measure_hands_back_its_argument_when_nothing_halts_or_is_pruned(odd):
+    course = Course(odd.verifier, "0101")
+    out = dict(zip(_labels(odd.verifier, ["non"] * 3), (0.6 + 0j, 0.48j, -0.64 + 0j)))
+    before = list(out.items())
+    acc, rej, cont, mass = course.measure(out, 1)
+    assert cont is out and list(out.items()) == before
+    assert (acc, rej) == (0.0, 0.0)
+    assert mass.hex() == (abs(0.6 + 0j) ** 2 + abs(0.48j) ** 2 + abs(-0.64 + 0j) ** 2).hex()
+
+
+def test_measure_copies_the_kept_labels_in_order_when_some_halt_or_are_pruned(odd):
+    spec = odd.verifier
+    course = Course(spec, "0101")
+    for kinds, amps, kept in (
+            (["non", "acc", "non", "rej", "non"], (0.5, 0.5, 0.5j, 0.1, 0.4), (0, 2, 4)),
+            (["non", "non", "non"], (0.8, 1e-13, 0.6j), (0, 2))):
+        labels = _labels(spec, kinds)
+        out = {lbl: complex(a) for lbl, a in zip(labels, amps)}
+        before = list(out.items())
+        _acc, _rej, cont, _mass = course.measure(out, 1)
+        assert cont is not out and list(out.items()) == before
+        assert list(cont.items()) == [before[i] for i in kept]
+
+
+def test_measure_once_keeps_every_label_until_its_one_measurement(la_mo):
+    spec = la_mo.verifier
+    course = Course(spec, "aa")
+    out = dict(zip(_labels(spec, ["non", "acc", "rej"]), (0.6 + 0j, 0.0 + 0.48j, 0.64 + 0j)))
+    before = list(out.items())
+    assert course.measure(out, course.once - 1)[2] is out
+    acc, rej, cont, mass = course.measure(out, course.once)
+    assert (cont, mass) == ({}, 0.0) and acc > 0 and rej > 0
+    assert list(out.items()) == before
+
+
+def test_the_prover_round_returns_no_amplitude_below_the_prune_tolerance(odd):
+    spec = odd.verifier
+    faint = FaintBranchProver(spec.comm_alphabet)
+    x = "0110"
+    course = Course(spec, x)
+    state = {(spec.initial, 0, BLANK, None): 1.0 + 0j}
+    faint_labels = 0
+    for r in range(1, course.t_max):
+        state = course.step(state, r)[2]
+        if not state:
+            break
+        moved = _apply_prover(faint, x, r, state)
+        assert moved is not state
+        assert min(abs(a) for a in moved.values()) >= PRUNE_TOL
+        # the same labels, order and floats as the whole output, pruned
+        whole: dict = {}
+        for (q, k, g, y), amp in state.items():
+            for g2, y2, a in faint.apply(x, r, g, y):
+                v = whole.get((q, k, g2, y2))
+                whole[q, k, g2, y2] = amp * a if v is None else v + amp * a
+        assert list(moved.items()) == [(lbl, a) for lbl, a in whole.items()
+                                       if abs(a) >= PRUNE_TOL]
+        faint_labels += len(whole) - len(moved)
+        state = moved
+    assert faint_labels > 0
 
 
 def test_count_interactions_odd(odd):
