@@ -70,7 +70,7 @@ drops a prefix as soon as it breaks first-use order or, under
 ``committed_only``, sends a blank pair to a non-blank target; so it yields,
 in ``itertools.permutations`` order, exactly the maps kept.  On a verifier
 with at most one non-blank cell symbol every class is a single target, and
-those classes are built once per search.
+those classes are built once per verifier and memory count.
 
 Quantum search climbs over per-round dense unitaries acting on the cell and c
 prover-tape cells: random-unitary restarts followed by accept-if-better
@@ -185,15 +185,13 @@ class _ClassicalSearch:
         self.spec = system.verifier
         self.course = Course(self.spec, x)
         self.budget = budget
-        # shared by every search on the verifier with this many memory states
-        tables = self.spec._search_targets.get(budget.memory_states)
-        if tables is None:
-            tables = self.spec._search_targets[budget.memory_states] = _target_tables(
-                self.spec.comm_alphabet, budget.memory_states)
+        # kept in the verifier's cache for every search on it (per memory count)
         (self.memory, self.targets, self.target_rank, self.target_blank,
-         self.singletons, self.class_cache) = tables
+         self.singletons, self.class_cache) = self.spec._cached(
+            ("search targets", budget.memory_states),
+            lambda: _target_tables(self.spec.comm_alphabet, budget.memory_states))
         self.steps = min(budget.steps, self.course.t_max)
-        self.row_kinds = self.spec._row_kinds  # shared by every search on the verifier
+        self.row_kinds = self.spec._cached("row kinds", dict)
         self.memo: dict = {}
         self.moves: dict = {}  # memo key -> best assignment, renamed like the key
         self.tail_memo: dict = {}

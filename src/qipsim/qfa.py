@@ -19,7 +19,9 @@ same codes: it reads the table, picks the columns and rows it fills by
 code, and turns codes back into names only for the rows it writes.  It
 appends those rows, in codes, to the partial table, so a completed spec is
 not compiled again; the checks that `_compile` would make of it run on the
-spec's names and on the appended arrays alone.
+spec's names and on the appended arrays alone.  A spec keeps its fields,
+that table, its rows as a plain dict and its state sets; what is computed
+from it later, such as its hash, sits in its one cache (`QfaSpec._cached`).
 
 Validation certifies the step operator unitary for every input of each
 requested length at once (`certify_unitarity`): an entry of M†M depends only
@@ -108,6 +110,11 @@ class _Block(NamedTuple):
 
 @dataclass(frozen=True)
 class QfaSpec:
+    """A verifier: a value, equal and hashed by its fields, delta by content.
+    Besides its fields it keeps the compiled ``_table``, ``_rows`` (the dict
+    behind ``delta``) and its state sets; what is computed from it later (its
+    hash, its query graph, the classical search's tables) sits in its one
+    cache, reached through `_cached`."""
     name: str
     non_halting: tuple[str, ...]
     accepting: tuple[str, ...]
@@ -125,12 +132,10 @@ class QfaSpec:
         self._own(dict(self.delta))
 
     def _own(self, delta: dict, table: dict[str, _Block] | None = None) -> None:
-        """Make ``delta``, a dict that no one else holds, this spec's table
-        behind a read-only view, and set the caches read from the spec:
-        ``table`` is delta compiled, or None to compile it here (`_compile`
-        raises SpecError or DomainError on a malformed spec).  ``_rows`` is
-        the dict itself, which the engine's row lookups read without going
-        through the view."""
+        """Make ``delta``, a dict that no one else holds, this spec's rows
+        behind a read-only view, with ``table`` its compiled form, or None to
+        compile it here (`_compile` raises SpecError or DomainError on a
+        malformed spec), and give the spec an empty cache."""
         object.__setattr__(self, "delta", MappingProxyType(delta))
         object.__setattr__(self, "_rows", delta)
         # {tape symbol: _Block}
@@ -138,11 +143,17 @@ class QfaSpec:
         object.__setattr__(self, "_halting", frozenset(self.accepting + self.rejecting))
         object.__setattr__(self, "_accepting_set", frozenset(self.accepting))
         object.__setattr__(self, "_rejecting_set", frozenset(self.rejecting))
-        # {(state, tape symbol): per cell symbol kind} and {memory_states:
-        # targets and target classes}, filled by the classical prover search
-        # (adversary._ClassicalSearch)
-        object.__setattr__(self, "_row_kinds", {})
-        object.__setattr__(self, "_search_targets", {})
+        object.__setattr__(self, "_cache", {})
+
+    def _cached(self, key, make):
+        """The value kept under ``key``, made by ``make()`` on first use."""
+        cache = self._cache
+        return cache[key] if key in cache else cache.setdefault(key, make())
+
+    def __hash__(self) -> int:
+        return self._cached("hash", lambda: hash(tuple(
+            frozenset(self._rows.items()) if f.name == "delta" else getattr(self, f.name)
+            for f in fields(self))))
 
     @property
     def states(self) -> tuple[str, ...]:
@@ -756,7 +767,7 @@ def interaction_bound(spec: QfaSpec) -> int | None:
     """The most queries on any run of the verifier, for every input, prover
     and round limit, or None when the table does not bound them
     (`_query_paths`)."""
-    return _query_paths(spec)[0]
+    return spec._cached("query paths", lambda: _query_paths(spec))[0]
 
 
 def _query_paths(spec: QfaSpec) -> tuple[int | None, tuple | None]:
@@ -880,7 +891,7 @@ def check_structure(spec: QfaSpec, mode: StructureMode) -> ValidationReport:
                      f"transition {(q, sigma, gamma)} -> {q2} halts before the final step"))
 
     elif mode is StructureMode.INTERACTION_BOUNDED:
-        _bound, cycle = _query_paths(spec)
+        _bound, cycle = spec._cached("query paths", lambda: _query_paths(spec))
         if cycle is not None:
             key, q2, g2 = cycle
             report.violations.append(

@@ -434,8 +434,9 @@ def test_symbol_kinds_are_kept_once_per_verifier(upal4):
     first.search()
     assert first.row_kinds
     second = _ClassicalSearch(upal4, "01", AdversaryBudget(memory_states=3))
-    assert second.row_kinds is first.row_kinds is upal4.verifier._row_kinds
-    assert dataclasses.replace(upal4.verifier)._row_kinds == {}
+    assert second.row_kinds is first.row_kinds is upal4.verifier._cached("row kinds", dict)
+    fresh = dataclasses.replace(upal4.verifier)._cached("row kinds", dict)
+    assert fresh == {} and fresh is not first.row_kinds
 
 
 def test_targets_and_classes_are_kept_once_per_memory_count(upal4):
@@ -449,7 +450,10 @@ def test_targets_and_classes_are_kept_once_per_memory_count(upal4):
     assert other.targets is not first.targets and len(other.targets) == 3 * len(
         upal4.verifier.comm_alphabet)
     assert other.class_cache is not first.class_cache
-    assert dataclasses.replace(upal4.verifier)._search_targets == {}
+    fresh = dataclasses.replace(upal4.verifier)
+    for m, search in ((2, first), (3, other)):
+        assert upal4.verifier._cached(("search targets", m), lambda: None)[1] is search.targets
+        assert fresh._cached(("search targets", m), lambda: None) is None
 
 
 @pytest.mark.parametrize("name, inputs, steps", [

@@ -17,7 +17,8 @@ from qipsim.provers import DenseProver, IdentityProver
 from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec,
                         SpecError, StructureMode, build_step_operator,
                         check_structure, symbol_at, validate_and_complete)
-from qipsim.runtime import NO_MASS_TOL, QipSystem, RunError, run
+from qipsim.runtime import NO_MASS_TOL, QipSystem, RunError, count_interactions, run
+from qipsim.specfile import parse_spec, serialize_spec
 from tests.conftest import BUILT_INS, strings
 
 
@@ -330,6 +331,22 @@ def test_interaction_bound_matches_walk_enumeration():
                for ok in (True, False)) >= 5, verdicts
 
 
+def test_the_query_graph_is_walked_once_per_spec(monkeypatch):
+    walked = []
+    real = qfa._query_paths
+
+    def counting(spec):
+        walked.append(spec.name)
+        return real(spec)
+
+    monkeypatch.setattr(qfa, "_query_paths", counting)
+    odd = build_protocol("odd")
+    counts = [count_interactions(odd, odd.honest_prover, "0110") for _ in range(2)]
+    assert counts[0] == counts[1] <= 1
+    assert check_structure(odd.verifier, StructureMode.INTERACTION_BOUNDED).ok
+    assert walked == ["odd"]
+
+
 def test_alphabet_error():
     spec = la_partial_spec()
     with pytest.raises(Exception, match="alphabet"):
@@ -386,6 +403,43 @@ def test_spec_keeps_its_own_copy_of_delta():
     del delta[("q0", "a", BLANK)]
     assert copy.delta == spec.delta
     assert (build_step_operator(copy, "a", sparse=True) != before).nnz == 0
+
+
+@pytest.mark.parametrize("name", sorted(protocols.BUILTIN))
+def test_built_ins_are_values(name):
+    first, second = build_protocol(name).verifier, build_protocol(name).verifier
+    assert first is not second
+    assert "hash" not in first._cache  # a build hashes nothing
+    assert first == second and hash(first) == hash(second)
+
+
+@pytest.mark.parametrize("name", ["pal_sharp:d=2", "center:N=2", "upal:N=2", "npfa_coin",
+                                  "la_mo", "odd"])
+def test_spec_files_round_trip_by_value(name):
+    spec = build_protocol(name).verifier
+    parsed = parse_spec(serialize_spec(spec))
+    assert parsed == spec and hash(parsed) == hash(spec)
+
+
+def test_a_changed_amplitude_makes_another_value():
+    spec = build_protocol("odd").verifier
+    key, ((q2, g2, d, amp), *rest) = next(iter(spec.delta.items()))
+    changed = dataclasses.replace(spec, delta={**spec.delta, key: ((q2, g2, d, -amp), *rest)})
+    assert changed != spec
+
+
+def test_specs_are_keys_and_set_members():
+    odd, la_mo = build_protocol("odd").verifier, build_protocol("la_mo").verifier
+    names = {odd: "odd", la_mo: "la_mo"}
+    assert names[build_protocol("odd").verifier] == "odd"
+    assert {odd, dataclasses.replace(odd), la_mo} == {la_mo, odd}
+
+
+def test_a_second_hash_reads_the_cache():
+    spec = la_partial_spec()
+    first = hash(spec)
+    object.__setattr__(spec, "_rows", None)  # a walk of the rows would now fail
+    assert hash(spec) == first
 
 
 def rows_spec(rows):
