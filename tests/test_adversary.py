@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+from bisect import insort
 
 import numpy as np
 import pytest
@@ -305,6 +306,38 @@ def _unpruned_orbit_firsts(targets, classes, k):
     return [tuple(targets[i] for i in combo) for combo in firsts.values()]
 
 
+def _first_use_orbit_firsts(search, classes, k, blank_at=(), prefix=(), fresh=0):
+    """`_ClassicalSearch._orbit_firsts` without dead masks: the orbit firsts
+    in first-use order, of those the ones that send each position of
+    ``blank_at`` to a blank target, in ``itertools.permutations`` order.
+    The reference that the dominance rule reduces."""
+    targets, rank, blank = search.targets, search.target_rank, search.target_blank
+    p = len(prefix)
+    for pos, members in enumerate(classes):
+        i = members[0]
+        if rank[i] > fresh or p in blank_at and not blank[i]:
+            continue
+        combo = prefix + (targets[i],)
+        if p + 1 == k:
+            yield combo
+            continue
+        rest = classes[:pos] + classes[pos + 1:]
+        if len(members) > 1:
+            insort(rest, members[1:])
+        yield from _first_use_orbit_firsts(search, rest, k, blank_at, combo,
+                                           fresh + (rank[i] == fresh))
+
+
+class _UndominatedSearch(_ClassicalSearch):
+    """The classical search over one map per orbit, without the dominance
+    rule at dead targets."""
+
+    def _assignments(self, state, pairs):
+        blank_at = frozenset(p for p, (g, _m) in enumerate(pairs)
+                             if g == BLANK) if self.budget.committed_only else ()
+        return _first_use_orbit_firsts(self, self._target_classes(state), len(pairs), blank_at)
+
+
 def _apply_table(state, mapped):
     """The prover move that sends each (gamma, memory) pair as ``mapped``."""
     moved: dict = {}
@@ -331,6 +364,33 @@ def _bits_of(move_rounds):
     return [(combo, acc.hex(), mass.hex(),
              [(lbl, a.real.hex(), a.imag.hex()) for lbl, a in cont.items()])
             for combo, acc, cont, mass in move_rounds]
+
+
+def _assert_drops_repeats(reference, kept, outcome):
+    """``kept`` is ``reference`` less maps that repeat the ``outcome`` of an
+    earlier kept map: a subsequence of it in which every dropped map's
+    outcome equals a kept map's before it, so the first map of every outcome
+    is kept.  Returns the number dropped."""
+    remaining = iter(reference)
+    assert all(combo in remaining for combo in kept)  # a subsequence, in order
+    kept_set, kept_outcomes = set(kept), set()
+    for combo in reference:
+        if combo in kept_set:
+            kept_outcomes.add(outcome(combo))
+        else:
+            assert outcome(combo) in kept_outcomes, combo
+    return len(reference) - len(kept)
+
+
+def _step_outcome(search, state, pairs, r=2):
+    """A map's `_bits_of` at ``search``'s node ``state``, less the map, made by
+    moving the state and one `Course.step`, not by the move table."""
+    def outcome(combo):
+        acc, _rej, cont, mass = search.course.step(
+            _apply_table(state, dict(zip(pairs, combo))), r)
+        [(_combo, acc, mass, cont)] = _bits_of([(combo, acc, cont, mass)])
+        return acc, mass, tuple(cont)
+    return outcome
 
 
 @pytest.mark.parametrize("name, memory", [
@@ -416,6 +476,37 @@ def test_orbit_enumeration_keeps_the_first_map_of_each_orbit(k):
     expected = [c for c in firsts if _renamed_by_first_use(c, search.memory) == c]
     assert len(expected) < len(firsts)
     assert list(search._orbit_firsts(classes, k)) == expected
+
+
+@pytest.mark.parametrize("memory, group, classes", [
+    # symbols 1 and 3 are interchangeable
+    (2, {0: 0, 1: 1, 3: 1, 2: 2}, [[0], [1], [2, 6], [3, 7], [4], [5]]),
+    # symbols 1 and 2 are
+    (3, {0: 0, 1: 1, 2: 1}, [[0], [1], [2], [3, 6], [4, 7], [5, 8]])],
+    ids=["memory 2", "memory 3"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_dominated_maps_repeat_the_outcome_of_an_earlier_kept_map(k, memory, group, classes):
+    # the classes are one per (symbol group, memory), as `_target_classes`
+    # makes them.  A position's dead mask is a union of groups, since members
+    # of a class share their delta columns.  A map's outcome is then decided
+    # by what each position gets: nothing when its target is dead there,
+    # else the target's class.
+    search = _ClassicalSearch(build_protocol("upal:N=2"), "",
+                              AdversaryBudget(memory_states=memory))
+    n = memory * len(group)
+    search.targets, search.target_rank = search.targets[:n], search.target_rank[:n]
+    class_of = {i: c for c, members in enumerate(classes) for i in members}
+    masks = [sum(1 << j for j in group if group[j] in dead_groups)
+             for size in range(4) for dead_groups in itertools.combinations(range(3), size)]
+    reference = list(_first_use_orbit_firsts(search, classes, k))
+    index = {t: i for i, t in enumerate(search.targets)}
+    dropped = 0
+    for dead in itertools.product(masks, repeat=k):
+        kept = list(search._orbit_firsts(classes, k, (), dead))
+        dropped += _assert_drops_repeats(reference, kept, lambda combo: tuple(
+            None if dead[p] & search.target_bit[index[t]] else class_of[index[t]]
+            for p, t in enumerate(combo)))
+    assert dropped
 
 
 def test_interchangeable_targets_share_a_class(upal4):
@@ -514,14 +605,18 @@ def test_assignments_keep_one_map_per_renaming_of_memory(upal4, node, memory):
     classes = search._target_classes(state)
     assert classes is not None
     firsts = _unpruned_orbit_firsts(search.targets, classes, len(pairs))
-    kept = list(search._assignments(state, pairs))
-    kept_set = set(kept)
+    reference = list(_first_use_orbit_firsts(search, classes, len(pairs)))
+    reference_set = set(reference)
     # in enumeration order
-    assert kept == [c for c in firsts if _renamed_by_first_use(c, search.memory) == c]
-    assert len({_renamed_by_first_use(c, search.memory) for c in kept}) == len(kept)
-    assert {_renamed_by_first_use(c, search.memory) for c in firsts} == kept_set
+    assert reference == [c for c in firsts if _renamed_by_first_use(c, search.memory) == c]
+    assert len({_renamed_by_first_use(c, search.memory) for c in reference}) == len(reference)
+    assert {_renamed_by_first_use(c, search.memory) for c in firsts} == reference_set
     if memory == 2:
-        assert 2 * len(kept) == len(firsts)
+        assert 2 * len(reference) == len(firsts)
+    # the search drops what the dominance rule drops, at nodes of two or more pairs
+    kept = list(search._assignments(state, pairs))
+    dropped = _assert_drops_repeats(reference, kept, _step_outcome(search, state, pairs))
+    assert bool(dropped) == (node == "round 7")
 
 
 def _in_first_use_order(combo, memory):
@@ -588,8 +683,14 @@ def test_committed_maps_are_the_first_use_maps_that_keep_blank_pairs_blank(
             for pairs in itertools.combinations(targets, k):
                 blank_at = [i for i, (g, _m) in enumerate(pairs) if g == BLANK]
                 expected = [c for c in firsts if all(c[i][0] == BLANK for i in blank_at)]
-                kept = list(search._assignments(_on_pairs(state, pairs), list(pairs)))
-                assert kept == expected, pairs
+                assert list(_first_use_orbit_firsts(
+                    search, classes, k, frozenset(blank_at))) == expected, pairs
+                on_pairs = _on_pairs(state, pairs)
+                kept = list(search._assignments(on_pairs, list(pairs)))
+                if search.singletons is not None:
+                    assert kept == expected, pairs
+                else:
+                    _assert_drops_repeats(expected, kept, _step_outcome(search, on_pairs, pairs))
 
 
 def test_upal4_steps7_search_finishes(monkeypatch, upal4):
@@ -622,6 +723,62 @@ def test_upal4_steps7_search_finishes(monkeypatch, upal4):
                                  AdversaryBudget(memory_states=2, steps=9))
     assert zero.best_p_acc == 0.0
     assert zero.best_strategy["entries"] == {}
+
+
+@pytest.mark.parametrize("memory", [2, 3])
+@pytest.mark.parametrize("x", ["1", "11"])
+def test_dominance_search_matches_the_undominated_walk(monkeypatch, upal4, x, memory):
+    budget = AdversaryBudget(memory_states=memory, steps=7)
+    reduced = best_classical_prover(upal4, x, budget)
+    with monkeypatch.context() as m:
+        m.setattr(adversary, "_ClassicalSearch", _UndominatedSearch)
+        reference = best_classical_prover(upal4, x, budget)
+    assert reduced.best_p_acc.hex() == reference.best_p_acc.hex()
+    assert reduced.best_strategy == reference.best_strategy
+    assert reduced.strategies_tested == reference.strategies_tested
+    assert reduced.is_exhaustive and reference.is_exhaustive
+
+
+def _maps_evaluated(monkeypatch, cls, system, x, budget):
+    """The number of maps that the nodes of the search of ``x`` by ``cls``
+    evaluate (`_move_rounds` yields)."""
+    count = [0]
+
+    class Counted(cls):
+        def _move_rounds(self, state, pairs, r):
+            for move in super()._move_rounds(state, pairs, r):
+                count[0] += 1
+                yield move
+
+    with monkeypatch.context() as m:
+        m.setattr(adversary, "_ClassicalSearch", Counted)
+        best_classical_prover(system, x, budget)
+    return count[0]
+
+
+def test_dominance_rule_cuts_the_maps_of_the_upal4_search(monkeypatch, upal4):
+    budget = AdversaryBudget(memory_states=2, steps=7)
+    reduced = _maps_evaluated(monkeypatch, _ClassicalSearch, upal4, "1", budget)
+    reference = _maps_evaluated(monkeypatch, _UndominatedSearch, upal4, "1", budget)
+    assert reduced <= 300 < 6_000 <= reference
+
+
+def test_capped_search_counts_no_repeated_move_as_a_node(monkeypatch, upal4):
+    # past the cap the memo is not written, so every map that repeats an
+    # earlier one's continuation was evaluated, and counted, again
+    budget = AdversaryBudget(memory_states=2, steps=12, node_cap=30)
+    rep = best_classical_prover(upal4, "11", budget)
+    assert not rep.is_exhaustive
+    assert rep.strategies_tested == 148
+    # the table the cap leaves is the identity's, as it was
+    assert rep.best_strategy["entries"] == {}
+    assert replay(upal4, "11", rep) == rep.best_p_acc == 0.25
+    with monkeypatch.context() as m:
+        m.setattr(adversary, "_ClassicalSearch", _UndominatedSearch)
+        reference = best_classical_prover(upal4, "11", budget)
+    assert reference.strategies_tested == 962
+    assert reference.best_strategy == rep.best_strategy
+    assert reference.best_p_acc.hex() == rep.best_p_acc.hex()
 
 
 def test_proportional_continuations_are_searched_apart():
