@@ -449,10 +449,10 @@ class _ClassicalSearch:
         hit = self.memo.get(key)
         if hit is not None:
             return hit * total
-        self.nodes += 1
-        if self.nodes > self.budget.node_cap:
+        if self.nodes == self.budget.node_cap:
             self.capped = True
             return self._tail_value(state, r)
+        self.nodes += 1
         pairs = sorted({(g, m) for (_q, _k, g, m) in state})
         best = 0.0
         for combo, acc, cont, mass in self._move_rounds(state, pairs, r + 1):

@@ -23,15 +23,16 @@ spec's names and on the appended arrays alone.  A spec keeps its fields,
 that table, its rows as a plain dict and its state sets; what is computed
 from it later, such as its hash, sits in its one cache (`QfaSpec._cached`).
 
-Validation certifies the step operator unitary for every input of each
-requested length at once (`certify_unitarity`): an entry of M†M depends only
-on two tape symbols and their distance on the circular tape, so the verdict
-comes from the Gram products of the table's transitions
+Validation certifies the step operator unitary for every input of every
+length (`certify_unitarity`), as well-formedness asks: an entry of M†M
+depends only on two tape symbols and their distance on the circular tape, so
+the verdict comes from the Gram products of the table's transitions
 (`linalg.gram_products`), summed after one sort, and every length from 3 on
-shares one verdict.  A place of the Gram whose products all have one head
-offset is summed and squared once, for every width; each width reads its
-verdict from the blocks' maxima per offset, and only the places that mix
-offsets are summed again per width.
+shares one verdict, so four verdicts (lengths 0, 1, 2 and 3 on) cover every
+input.  A place of the Gram whose products all have one head offset is
+summed and squared once, for every width; each width reads its verdict from
+the blocks' maxima per offset, and only the places that mix offsets are
+summed again per width.
 
 The restricted-model checks (`check_structure`: one-way halting, public,
 measure-once, interaction-bounded) read the table alone, so their verdict
@@ -55,15 +56,13 @@ from typing import NamedTuple
 import numpy as np
 
 # check_unitary is unused here; perfbench calls and wraps qipsim.qfa.check_unitary.
-from .linalg import (PRUNE_TOL, UNITARY_TOL, Csc, DomainError, check_unitary, checked_count,
-                     csc_arrays, gram_entries, gram_products)
+from .linalg import (PRUNE_TOL, UNITARY_TOL, Csc, DomainError, check_unitary, csc_arrays,
+                     gram_entries, gram_products)
 
 LEFT_END = "^"
 RIGHT_END = "$"
 BLANK = "#"
 
-# Input lengths validated by default; lengths 3 and up share one certificate.
-DEFAULT_LENGTHS = (0, 1, 2, 3, 4)
 # Singular values above this count towards the rank of a completion block.
 COMPLETION_RANK_TOL = 1e-10
 
@@ -301,14 +300,13 @@ def symbol_at(x: str, k: int) -> str:
 
 @dataclass
 class ValidationReport:
-    well_formed: dict[int, bool] = field(default_factory=dict)
     violations: list[tuple[str, str]] = field(default_factory=list)
     completed_transitions: int = 0
     max_unitary_deviation: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return not self.violations and all(self.well_formed.values())
+        return not self.violations
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +388,7 @@ def _orthonormality_violations(spec: QfaSpec, columns, pairs, tol):
     return [(spec.tape_symbols[f[0]], f[-1]) for f in sorted(found)]
 
 
-def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
-                          ) -> tuple[QfaSpec, ValidationReport]:
+def validate_and_complete(spec: QfaSpec) -> tuple[QfaSpec, ValidationReport]:
     """Close a partial table up to a well-formed verifier.
 
     Fresh rejecting states ``~rejN`` are added: as few as give the tape
@@ -419,14 +416,13 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
     and of the appended moves and amplitudes run, once per completion.
 
     The completed spec's step operator is then certified (`certify_unitarity`)
-    for every input of each length in ``lengths``.  The report carries a
-    verdict per length (well formed when no input deviates by more than
-    UNITARY_TOL), the largest deviation from unitarity over all those
-    inputs, and one violation per failing length, naming an input of that
-    length whose step operator deviates most.  A negative length raises
-    DomainError.
+    for every input of every length.  The report carries the largest
+    deviation from unitarity over all inputs, and a violation for each of
+    the four verdicts that exceeds UNITARY_TOL ("at length n" for n = 0, 1,
+    2, and "at every length from 3"), naming an input whose step operator
+    deviates most (of length 3 for the last).  It is ok when it has no
+    violation.
     """
-    lengths = _checked_lengths(lengths)
     report = ValidationReport()
     gsz = len(spec.comm_alphabet)
     n_pairs = len(spec.states) * gsz
@@ -521,11 +517,11 @@ def validate_and_complete(spec: QfaSpec, lengths=DEFAULT_LENGTHS,
                                    for (sigma, block), add in zip(spec._table.items(), added)})
     report.completed_transitions = len(completed.delta) - len(spec.delta)
 
-    for n, (dev, witness) in certify_unitarity(completed, lengths).items():
+    for n, (dev, witness) in certify_unitarity(completed).items():
         report.max_unitary_deviation = max(report.max_unitary_deviation, dev)
-        report.well_formed[n] = dev <= UNITARY_TOL
         if dev > UNITARY_TOL:
-            report.violations.append((witness, f"step operator not unitary at length {n}"))
+            where = f"length {n}" if n < 3 else "every length from 3"
+            report.violations.append((witness, f"step operator not unitary at {where}"))
     return completed, report
 
 
@@ -583,18 +579,16 @@ def _leftover_basis(columns, start, cols, units, name_rank, completion, tol):
 # Unitarity for every input length
 # ---------------------------------------------------------------------------
 
-def _checked_lengths(lengths) -> tuple[int, ...]:
-    return tuple(checked_count("input length", n, 0) for n in lengths)
-
-
 # d1 − d2 for each move code 3·(d1 + 1) + d2 + 1, and 0 for the −1 of −I (code 9)
 _OFFSET = np.array([c // 3 - c % 3 for c in range(9)] + [0])
 
 
-def certify_unitarity(spec: QfaSpec, lengths) -> dict[int, tuple[float, str | None]]:
-    """For each input length n: the largest deviation from unitarity (the
+def certify_unitarity(spec: QfaSpec) -> dict[int, tuple[float, str | None]]:
+    """For n = 0, 1, 2 and 3: the largest deviation from unitarity (the
     max-entry norm of M†M − I) of the step operator M over every input of
     length n, and an input that attains it (None when the deviation is 0).
+    Every length from 3 on has the verdict of 3, so the four cover every
+    input; the witness under 3 has length 3.
 
     Column (p, k) of M, for a (state, cell) pair p at head position k, is
     Σ_d e_(k+d) ⊗ L_d[:, σ_k·P + p]: L_d stacks every tape symbol's targets
@@ -617,7 +611,6 @@ def certify_unitarity(spec: QfaSpec, lengths) -> dict[int, tuple[float, str | No
     width, over their own products.  Either way an entry adds its products in
     the order of their cells, starting from 0.
     """
-    lengths = _checked_lengths(lengths)
     t = len(spec.tape_symbols)
     p = len(spec.states) * len(spec.comm_alphabet)
     blocks = spec._table.values()
@@ -674,14 +667,11 @@ def certify_unitarity(spec: QfaSpec, lengths) -> dict[int, tuple[float, str | No
     own = np.flatnonzero(mixed[of])
     spread = (re[own], im[own], offset[own], np.searchsorted(spots, of[own]),
               np.searchsorted(start, spots, side="right") - 1)
-    worst = {}  # width, 5 standing for every width >= 5 -> (deviation, residue, block)
     out = {}
-    for n in lengths:
-        w = min(n + 2, 5)
-        if w not in worst:
-            worst[w] = _worst_block(table, *spread, _occurs(t, w)[:, sigma, tau])
-        dev, r, b = worst[w]
-        out[n] = (dev, None if b is None else _witness(spec, n, sigma[b], tau[b], (r + 2) % w - 2))
+    for w in range(2, 6):  # width 5 stands for every width from 5 on
+        dev, r, b = _worst_block(table, *spread, _occurs(t, w)[:, sigma, tau])
+        out[w - 2] = (dev, None if b is None else
+                      _witness(spec, w - 2, sigma[b], tau[b], (r + 2) % w - 2))
     return out
 
 
@@ -819,11 +809,11 @@ def _query_paths(spec: QfaSpec) -> tuple[int | None, tuple | None]:
 
 def check_structure(spec: QfaSpec, mode: StructureMode) -> ValidationReport:
     """Scan a spec's transition table against one of the restricted-model
-    disciplines.  The verdict holds for every input length and is recorded as
-    ``well_formed[0]``; findings land in the report, and an unknown mode
-    raises DomainError.  Completion-added transitions (``completion_keys``)
-    are exempt except where noted: they only close the unitary, and the
-    states completion adds are rejecting.
+    disciplines.  The verdict holds for every input length: the report is ok
+    when it lists no finding, and an unknown mode raises DomainError.
+    Completion-added transitions (``completion_keys``) are exempt except
+    where noted: they only close the unitary, and the states completion adds
+    are rejecting.
 
     ONE_WAY_HALTING: the head is one-way, every non-halting (q, $, gamma) has
     a row, and every target of a $ row halts unless the row is a completion
@@ -898,5 +888,4 @@ def check_structure(spec: QfaSpec, mode: StructureMode) -> ValidationReport:
                 (key[1], f"query transition {key} -> ({q2}, {g2!r}) lies on a cycle"))
     else:
         raise DomainError(f"unknown structure mode {mode}")
-    report.well_formed[0] = not report.violations
     return report

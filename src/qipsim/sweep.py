@@ -8,6 +8,9 @@ from .linalg import checked_count
 from .runtime import QipSystem, run
 from .tiling import SizeError, all_strings
 
+# A sweep over Sigma^{<=n} is refused when |Sigma|^(n+1) exceeds this.
+SWEEP_CAP = 4096
+
 
 @dataclass
 class SweepRow:
@@ -17,10 +20,10 @@ class SweepRow:
     adversary_p_acc: float
 
 
-def _inputs(system: QipSystem, n_max: int, cap: int) -> list[str]:
+def _inputs(system: QipSystem, n_max: int) -> list[str]:
     alphabet = system.verifier.input_alphabet
-    if len(alphabet) ** (n_max + 1) > cap:
-        raise SizeError(f"|Sigma|^{n_max + 1} exceeds the sweep cap {cap}")
+    if len(alphabet) ** (n_max + 1) > SWEEP_CAP:
+        raise SizeError(f"|Sigma|^{n_max + 1} exceeds the sweep cap {SWEEP_CAP}")
     return all_strings(alphabet, n_max)
 
 
@@ -32,12 +35,11 @@ def _row(system: QipSystem, x: str, t_max, budget: AdversaryBudget) -> SweepRow:
 
 
 def sweep(system: QipSystem, n_max: int, t_max: int | None = None,
-          budget: AdversaryBudget | None = None,
-          cap: int = 4096) -> list[SweepRow]:
+          budget: AdversaryBudget | None = None) -> list[SweepRow]:
     """One row per input in Sigma^{<=n_max}: membership, honest and best-found
     adversarial acceptance (exhaustive classical tables under the budget)."""
     budget = budget or AdversaryBudget()
-    return [_row(system, x, t_max, budget) for x in _inputs(system, n_max, cap)]
+    return [_row(system, x, t_max, budget) for x in _inputs(system, n_max)]
 
 
 # The protocol each pool worker builds once, in _init_worker; honest provers
@@ -58,7 +60,7 @@ def _named_row(args) -> SweepRow:
 
 
 def sweep_named(name: str, n_max: int, t_max: int | None = None,
-                budget: AdversaryBudget | None = None, cap: int = 4096,
+                budget: AdversaryBudget | None = None,
                 jobs: int = 1) -> list[SweepRow]:
     """Sweep a registry protocol by name; rows run in ``jobs`` processes, no
     more than there are inputs.  A ``jobs`` that is not an integer of at
@@ -68,12 +70,12 @@ def sweep_named(name: str, n_max: int, t_max: int | None = None,
     jobs = checked_count("jobs", jobs, 1)
     system = build_protocol(name)
     if jobs == 1:
-        return sweep(system, n_max, t_max, budget, cap)
+        return sweep(system, n_max, t_max, budget)
     # a pool loads multiprocessing, which a single-process sweep never needs
     from concurrent.futures import ProcessPoolExecutor
 
     budget = budget or AdversaryBudget()
-    work = [(x, t_max, budget) for x in _inputs(system, n_max, cap)]
+    work = [(x, t_max, budget) for x in _inputs(system, n_max)]
     # each worker builds the protocol, and may start at the first submit
     with ProcessPoolExecutor(max_workers=min(jobs, len(work)), initializer=_init_worker,
                              initargs=(name,)) as pool:

@@ -21,6 +21,10 @@ import numpy as np
 from .linalg import DomainError, checked_count
 
 
+# A membership matrix with more entries than this is refused.
+MATRIX_CAP = 1 << 22
+
+
 class SizeError(ValueError):
     pass
 
@@ -37,9 +41,9 @@ class TilingInstance:
     matrix: list[list[int]]
 
     @classmethod
-    def build(cls, lang, n: int, alphabet=("0", "1"), cap: int = 1 << 22):
+    def build(cls, lang, n: int, alphabet=("0", "1")):
         strings = all_strings(alphabet, n)
-        if len(strings) ** 2 > cap:
+        if len(strings) ** 2 > MATRIX_CAP:
             raise SizeError(f"{len(strings)}^2 matrix entries exceed the cap")
         # Many (x, y) pairs spell one word, so the predicate runs once per word
         # of length <= 2n.  In all_strings order, x + y is word number

@@ -764,19 +764,20 @@ def test_dominance_rule_cuts_the_maps_of_the_upal4_search(monkeypatch, upal4):
 
 
 def test_capped_search_counts_no_repeated_move_as_a_node(monkeypatch, upal4):
-    # past the cap the memo is not written, so every map that repeats an
-    # earlier one's continuation was evaluated, and counted, again
+    # past the cap the memo is not written, so a map that repeats an earlier
+    # one's continuation reaches a memo miss again; it is not searched, and
+    # not counted, so the count is the cap
     budget = AdversaryBudget(memory_states=2, steps=12, node_cap=30)
     rep = best_classical_prover(upal4, "11", budget)
     assert not rep.is_exhaustive
-    assert rep.strategies_tested == 148
+    assert rep.strategies_tested == 30
     # the table the cap leaves is the identity's, as it was
     assert rep.best_strategy["entries"] == {}
     assert replay(upal4, "11", rep) == rep.best_p_acc == 0.25
     with monkeypatch.context() as m:
         m.setattr(adversary, "_ClassicalSearch", _UndominatedSearch)
         reference = best_classical_prover(upal4, "11", budget)
-    assert reference.strategies_tested == 962
+    assert reference.strategies_tested == 30
     assert reference.best_strategy == rep.best_strategy
     assert reference.best_p_acc.hex() == rep.best_p_acc.hex()
 

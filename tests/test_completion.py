@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import glob
 import itertools
+import json
 import math
 import os
 import random
@@ -14,6 +15,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qipsim.cli
 import qipsim.protocols as protocols
 import qipsim.qfa as qfa
 from qipsim.linalg import DomainError, gram_products, unitary_deviation
@@ -22,7 +24,7 @@ from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, SpecErro
                         build_step_operator, certify_unitarity, symbol_at,
                         validate_and_complete)
 from tests.conftest import BUILT_INS, strings
-from qipsim.specfile import parse_spec
+from qipsim.specfile import parse_spec, serialize_spec
 from tests.test_qfa import la_partial_spec, random_one_way_spec, random_partial_spec
 
 SPECS = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
@@ -152,7 +154,7 @@ def hadamard_spec():
 
 def test_completion_keeps_specified_rows_and_confines_block_vectors():
     spec = hadamard_spec()
-    completed, report = validate_and_complete(spec, lengths=range(7))
+    completed, report = validate_and_complete(spec)
     assert report.ok, report.violations
     assert report.max_unitary_deviation <= 1e-9
     for key, targets in spec.delta.items():
@@ -200,34 +202,40 @@ def test_fresh_state_names_skip_every_name_in_use():
     assert completed.rejecting == ("q_rej", "~rej1", *fresh)
 
 
-def test_report_carries_the_largest_unitarity_deviation():
-    # (p, ^) and (p, a) both enter r but with different moves, so from
-    # positions 0 and 1 they collide on one cell: two columns with overlap 1
-    spec = QfaSpec(name="collide", non_halting=("p", "r"), accepting=(),
+def collide_spec():
+    """(p, ^) and (p, a) both enter r but with different moves, so from
+    positions 0 and 1 they collide on one cell: two columns with overlap 1 on
+    every input of length 1 or more, and none on the empty input."""
+    return QfaSpec(name="collide", non_halting=("p", "r"), accepting=(),
                    rejecting=(), initial="p", input_alphabet=("a",),
                    comm_alphabet=(BLANK,), prover_alphabet=(BLANK,),
                    head_model=HeadModel.TWO_WAY,
                    delta={("p", LEFT_END, BLANK): (("r", BLANK, 1, 1.0),),
                           ("p", "a", BLANK): (("r", BLANK, 0, 1.0),)})
-    _completed, report = validate_and_complete(spec, lengths=(0, 1))
-    assert report.well_formed == {0: True, 1: False}
+
+
+def not_unitary_at(n):
+    """The violation text for certificate length n, 3 standing for every
+    length from 3 on."""
+    return "step operator not unitary at " + (f"length {n}" if n < 3 else "every length from 3")
+
+
+def test_report_carries_the_largest_unitarity_deviation():
+    _completed, report = validate_and_complete(collide_spec())
+    assert not report.ok
     assert report.max_unitary_deviation == pytest.approx(1.0)
 
 
-def test_validation_refuses_a_negative_length():
-    with pytest.raises(DomainError, match="input length must be at least 0, got -1"):
-        validate_and_complete(hadamard_spec(), lengths=(0, -1))
-
-
-@pytest.mark.parametrize("length, shown", [(1.5, "1.5"), ("3", "'3'")])
-def test_validation_refuses_a_length_that_is_not_an_integer(length, shown):
-    with pytest.raises(DomainError, match=f"length must be an integer, got {shown}$"):
-        validate_and_complete(hadamard_spec(), lengths=(0, length))
-
-
-def test_validation_takes_numpy_integer_lengths():
-    _completed, report = validate_and_complete(hadamard_spec(), lengths=np.arange(3))
-    assert report.well_formed == {0: True, 1: True, 2: True}
+def test_a_table_unitary_only_on_the_empty_input_is_refused(tmp_path, capsys):
+    # one violation per failing length, and one for every length from 3 on
+    _completed, report = validate_and_complete(collide_spec())
+    assert report.violations == [("a" * n, not_unitary_at(n)) for n in (1, 2, 3)]
+    path = tmp_path / "collide.qfa"
+    path.write_text(serialize_spec(collide_spec()))
+    assert qipsim.cli.main(["validate", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    assert payload["violations"] == [[x, text] for x, text in report.violations]
 
 
 def exhaustive_deviation(spec, n):
@@ -290,18 +298,21 @@ def random_orthonormal_spec(rng):
 @example(95)  # fails at lengths 1-5
 def test_unitarity_certificate_matches_every_step_operator(seed):
     spec = random_orthonormal_spec(random.Random(seed))
-    completed, report = validate_and_complete(spec, lengths=range(6))
-    deviation = certify_unitarity(completed, range(6))
-    failing = []
+    completed, report = validate_and_complete(spec)
+    deviation = certify_unitarity(completed)
+    assert list(deviation) == [0, 1, 2, 3]
+    failing = set()
     for n in range(6):
+        # lengths from 3 on share the verdict of 3
         expected = exhaustive_deviation(completed, n)
-        assert abs(deviation[n][0] - expected) <= 1e-12, (n, deviation[n], expected)
-        assert report.well_formed[n] == (expected <= 1e-9), n
+        got = deviation[min(n, 3)]
+        assert abs(got[0] - expected) <= 1e-12, (n, got, expected)
         if expected > 1e-9:
-            failing.append(n)
+            failing.add(min(n, 3))
+    failing = sorted(failing)
+    assert report.ok == (not failing)
     assert report.max_unitary_deviation == max(dev for dev, _x in deviation.values())
-    assert [text for _x, text in report.violations] == [
-        f"step operator not unitary at length {n}" for n in failing]
+    assert [text for _x, text in report.violations] == [not_unitary_at(n) for n in failing]
     for (x, _text), n in zip(report.violations, failing):
         # the witness attains the largest deviation of its length
         assert len(x) == n
@@ -325,15 +336,14 @@ def test_certificate_tells_width_four_from_wider_tapes():
     # Two cells apart, (p, ^) and (p, a) share the target (u, k+1); on a tape
     # of width 4, where offsets +2 and -2 coincide, they also share (v, k-1).
     # So width 4 deviates by 1 and every wider tape by 1/sqrt(2).
-    completed, report = validate_and_complete(ring_spec(), lengths=range(7))
-    deviation = certify_unitarity(completed, range(7))
+    completed, report = validate_and_complete(ring_spec())
+    deviation = certify_unitarity(completed)
     for n in range(7):
-        assert deviation[n][0] == pytest.approx(exhaustive_deviation(completed, n), abs=1e-12)
+        assert deviation[min(n, 3)][0] == pytest.approx(exhaustive_deviation(completed, n),
+                                                        abs=1e-12), n
     assert deviation[2][0] == pytest.approx(1.0)
-    assert deviation[3][0] == deviation[6][0] == pytest.approx(1 / math.sqrt(2))
-    assert report.well_formed == {0: True, **{n: False for n in range(1, 7)}}
-    assert report.violations == [("a" * n, f"step operator not unitary at length {n}")
-                                 for n in range(1, 7)]
+    assert deviation[3][0] == pytest.approx(1 / math.sqrt(2))
+    assert report.violations == [("a" * n, not_unitary_at(n)) for n in (1, 2, 3)]
 
 
 def mixed_offset_spec(tau, moves):
@@ -354,19 +364,18 @@ def mixed_offset_spec(tau, moves):
 
 
 def assert_certificate_merges_on_one_width(spec, width):
-    """The certificate equals the exhaustive maximum on lengths 0-6: 1 on the
-    tape of ``width`` (the merged products), 1/sqrt(2) on the wider ones."""
-    completed, report = validate_and_complete(spec, lengths=range(7))
-    deviation = certify_unitarity(completed, range(7))
+    """The certificate equals the exhaustive maximum on lengths 0-6, lengths
+    from 3 on read under 3: 1 on the tape of ``width`` (the merged
+    products), 1/sqrt(2) on the wider ones."""
+    completed, report = validate_and_complete(spec)
+    deviation = certify_unitarity(completed)
     for n in range(7):
-        assert deviation[n][0] == pytest.approx(exhaustive_deviation(completed, n), abs=1e-12), n
+        assert deviation[min(n, 3)][0] == pytest.approx(exhaustive_deviation(completed, n),
+                                                        abs=1e-12), n
     assert deviation[width - 2][0] == pytest.approx(1.0)
-    for n in range(width - 1, 7):
+    for n in range(width - 1, 4):
         assert deviation[n][0] == pytest.approx(1 / math.sqrt(2)), n
-    failing = range(width - 2, 7)
-    assert report.well_formed == {n: n not in failing for n in range(7)}
-    assert report.violations == [("a" * n, f"step operator not unitary at length {n}")
-                                 for n in failing]
+    assert report.violations == [("a" * n, not_unitary_at(n)) for n in range(width - 2, 4)]
 
 
 def test_certificate_merges_offsets_plus_1_and_minus_1_on_width_two():
@@ -380,11 +389,10 @@ def test_certificate_merges_offsets_plus_1_and_minus_2_on_width_three():
     assert_certificate_merges_on_one_width(mixed_offset_spec("a", (0, 1)), 3)
 
 
-def reference_certificate(spec, lengths):
+def reference_certificate(spec):
     """`certify_unitarity` with a dense pass per width: every place's cells
-    summed into a (width, places) array for each width.  The certificate
-    must equal it bit for bit."""
-    lengths = qfa._checked_lengths(lengths)
+    summed into a (width, places) array for each of the widths 2-5.  The
+    certificate must equal it bit for bit."""
     t = len(spec.tape_symbols)
     p = len(spec.states) * len(spec.comm_alphabet)
     blocks = spec._table.values()
@@ -408,13 +416,10 @@ def reference_certificate(spec, lengths):
     start = np.flatnonzero(np.diff(blocks_of, prepend=-1))
     entries = (re, im, cells & 15, np.cumsum(first) - 1, len(blocks_of))
     by_block = (start, *np.divmod(blocks_of[start], t))
-    worst = {}
     out = {}
-    for n in lengths:
-        w = min(n + 2, 5)
-        if w not in worst:
-            worst[w] = reference_worst_block(*entries, *by_block, qfa._cells(t, w))
-        dev, sigma, tau, offset = worst[w]
+    for n in range(4):
+        dev, sigma, tau, offset = reference_worst_block(*entries, *by_block,
+                                                        qfa._cells(t, n + 2))
         out[n] = (dev, None if sigma is None else qfa._witness(spec, n, sigma, tau, offset))
     return out
 
@@ -443,7 +448,7 @@ def reference_worst_block(re, im, code, at, n, start, sigma, tau, cells):
 
 
 def assert_certificate_matches_the_reference(spec):
-    got, want = certify_unitarity(spec, range(8)), reference_certificate(spec, range(8))
+    got, want = certify_unitarity(spec), reference_certificate(spec)
     assert {n: (dev.hex(), x) for n, (dev, x) in got.items()} == \
         {n: (dev.hex(), x) for n, (dev, x) in want.items()}, spec.name
 
@@ -459,7 +464,7 @@ def test_certificate_matches_the_reference_on_shipped_specs_and_mixed_offsets():
             assert_certificate_matches_the_reference(parse_spec(f.read()))
     specs = [ring_spec(), mixed_offset_spec(RIGHT_END, (0, 0)), mixed_offset_spec("a", (0, 1))]
     for spec in specs:
-        assert_certificate_matches_the_reference(validate_and_complete(spec, lengths=())[0])
+        assert_certificate_matches_the_reference(validate_and_complete(spec)[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -471,7 +476,7 @@ def test_certificate_matches_the_reference_on_random_tables(seed):
     # and 30 (about one table in eleven)
     spec = random_orthonormal_spec(random.Random(seed))
     assert_certificate_matches_the_reference(spec)
-    assert_certificate_matches_the_reference(validate_and_complete(spec, lengths=())[0])
+    assert_certificate_matches_the_reference(validate_and_complete(spec)[0])
 
 
 def reference_violations(spec, tol=1e-9):
@@ -526,10 +531,10 @@ def test_orthonormality_violations_match_the_column_reference(seed):
                    prover_alphabet=comm, head_model=HeadModel.TWO_WAY, delta=delta)
     expected = reference_violations(spec)
     if not expected:
-        validate_and_complete(spec, lengths=())
+        validate_and_complete(spec)
         return
     with pytest.raises(SpecError) as info:
-        validate_and_complete(spec, lengths=())
+        validate_and_complete(spec)
     assert str(info.value) == ("completion refused, specified columns are not "
                                "orthonormal: " + "; ".join(expected))
 
@@ -642,7 +647,7 @@ def assert_matches_the_references(partial):
     reference's, and each table, the partial one and the one the completion
     appends to, matches both name walks of its delta: the reference and
     `qfa._compile`."""
-    completed, _report = validate_and_complete(partial, lengths=())
+    completed, _report = validate_and_complete(partial)
     delta, completion_states = reference_completion(partial)
     assert exact_rows(completed.delta) == exact_rows(delta)
     assert completed.completion_states == completion_states
@@ -704,7 +709,7 @@ def test_completion_moves_follow_the_first_row_in_delta_order():
                    delta={("p", "a", BLANK): (("r", BLANK, -1, 1.0),),
                           ("p", LEFT_END, BLANK): (("r", BLANK, 1, 1.0),)})
     assert_matches_the_references(spec)
-    completed, _report = validate_and_complete(spec, lengths=())
+    completed, _report = validate_and_complete(spec)
     into_r = [t for (_q, sigma, _g), targets in completed.delta.items() if sigma == RIGHT_END
               for t in targets if t[0] == "r"]
     assert [t[2] for t in into_r] == [-1]
@@ -714,7 +719,7 @@ def test_completion_refuses_an_amplitude_above_1_as_the_name_walk_does(monkeypat
     # the first symbol's last free row goes to its fresh column with
     # amplitude 2 instead of 1
     partial = la_partial_spec()
-    completed, _report = validate_and_complete(partial, lengths=())
+    completed, _report = validate_and_complete(partial)
     real = qfa._leftover_basis
     doubled = []
 
@@ -727,7 +732,7 @@ def test_completion_refuses_an_amplitude_above_1_as_the_name_walk_does(monkeypat
 
     monkeypatch.setattr(qfa, "_leftover_basis", doubling)
     with pytest.raises(DomainError) as got:
-        validate_and_complete(partial, lengths=())
+        validate_and_complete(partial)
     assert doubled
     gsz = len(completed.comm_alphabet)
     q2, g2 = completed.states[doubled[0] // gsz], completed.comm_alphabet[doubled[0] % gsz]

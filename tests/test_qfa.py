@@ -64,15 +64,15 @@ def test_one_way_requires_rightward_moves():
 
 
 def test_completion_of_la_table_well_formed_lengths_0_to_6():
-    completed, report = validate_and_complete(la_partial_spec(), lengths=range(7))
-    assert report.ok
-    assert all(report.well_formed[n] for n in range(7))
+    completed, report = validate_and_complete(la_partial_spec())
+    assert report.ok, report.violations
+    assert report.max_unitary_deviation <= 1e-9
     assert report.completed_transitions > 0
 
 
 def test_completion_is_idempotent():
-    completed, _ = validate_and_complete(la_partial_spec(), lengths=(0, 1, 2))
-    again, report = validate_and_complete(completed, lengths=(0, 1, 2))
+    completed, _ = validate_and_complete(la_partial_spec())
+    again, report = validate_and_complete(completed)
     assert report.completed_transitions == 0
     assert again.delta == completed.delta
 
@@ -86,7 +86,7 @@ def test_duplicated_column_refused():
     from dataclasses import replace
     bad = replace(spec, delta=delta)
     with pytest.raises(SpecError, match="not orthogonal"):
-        validate_and_complete(bad, lengths=(1,))
+        validate_and_complete(bad)
 
 
 def test_empty_table_completes_to_permutation():
@@ -94,7 +94,7 @@ def test_empty_table_completes_to_permutation():
                    initial="q0", input_alphabet=("a",),
                    comm_alphabet=(BLANK, "a"), prover_alphabet=(BLANK, "a"),
                    head_model=HeadModel.ONE_WAY, delta={})
-    completed, report = validate_and_complete(spec, lengths=(0, 1))
+    completed, report = validate_and_complete(spec)
     assert report.ok
     u = build_step_operator(completed, "")
     assert check_unitary(u, 1e-9)
@@ -130,7 +130,7 @@ def test_two_way_head_is_circular():
                    comm_alphabet=(BLANK,), prover_alphabet=(BLANK,),
                    head_model=HeadModel.TWO_WAY,
                    delta={("q0", LEFT_END, BLANK): (("q0", BLANK, -1, 1.0),)})
-    completed, _ = validate_and_complete(spec, lengths=(1,))
+    completed, _ = validate_and_complete(spec)
     u = build_step_operator(completed, "a")
     width = 3
     gsz = len(completed.comm_alphabet)
@@ -162,7 +162,7 @@ def test_one_way_halting_needs_every_non_halting_dollar_column():
     # la_partial lacks (q1, $, a); a run that reaches it has no row to follow
     report = check_structure(la_partial_spec(), StructureMode.ONE_WAY_HALTING)
     assert report.violations == [(RIGHT_END, "no transition for ('q1', '$', 'a')")]
-    assert report.well_formed == {0: False}
+    assert not report.ok
 
 
 def test_one_way_halting_checks_completion_rows_out_of_non_halting_states():
@@ -384,7 +384,7 @@ def random_partial_spec(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 30))
 def test_random_partial_tables_complete_to_unitaries(seed):
-    completed, report = validate_and_complete(random_partial_spec(seed), lengths=(0, 1, 2, 3))
+    completed, report = validate_and_complete(random_partial_spec(seed))
     assert report.ok, report.violations
 
 

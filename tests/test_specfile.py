@@ -66,7 +66,7 @@ s ^ # -> r # 1/sqrt(2) 0
 def test_parse_la_and_run():
     spec = parse_spec(LA_TEXT)
     assert spec.head_model == q.HeadModel.MO_1WAY
-    completed, report = q.validate_and_complete(spec, lengths=(0, 1, 2, 3))
+    completed, report = q.validate_and_complete(spec)
     assert report.ok
 
 

@@ -35,7 +35,7 @@ def test_odd_sweep_honest_column_is_indicator(odd):
 
 def test_sweep_cap(zero_public):
     with pytest.raises(SizeError):
-        sweep(zero_public, 20, cap=100)
+        sweep(zero_public, 20)
 
 
 def test_sweep_named_in_two_workers_matches_sweep(zero_public):

@@ -122,7 +122,7 @@ def test_bound_domain_errors():
 
 def test_size_cap():
     with pytest.raises(SizeError):
-        TilingInstance.build(lang.zero, 4, cap=100)
+        TilingInstance.build(lang.zero, 11)
 
 
 def test_all_strings_refuses_a_length_that_is_not_a_count():
