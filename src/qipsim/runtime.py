@@ -25,7 +25,14 @@ state and checks no amplitude on the way in.  When no label halts and none
 is dropped, the continuing part that `measure` returns is the moved dict
 itself, not a copy.  Runs, interaction counting, the query weight, the
 classical prover search and the npfa choice script each build one `Course`
-and go through `step`; the classical search's node evaluation reads delta's
+and go through `step`.  `run` goes through `Course.permute` instead on a
+*settled* state, one that the last verifier round left running with no
+prover round acting since, before a measure-once verifier's one
+measurement: when every label's delta row sends it, with amplitude exactly
+1 or -1, to a single continuing label and no two labels meet, the moved dict
+is the state `step` would return, its measurement would observe nothing, and
+the continuing mass it would sum is the one the state came with, to the bit.
+The classical search's node evaluation reads delta's
 rows from a move table of its own, which holds only the contributions to
 accepting and continuing labels, and measures with `measure`.  Its rejecting
 mass is therefore not formed, and no other float changes: a rejecting label
@@ -109,10 +116,18 @@ class Course:
     measurement.  ``rows`` is the spec's delta as the plain dict behind its
     read-only view, for the row lookups of every verifier move; no one
     writes to it.
+
+    `permute` is the verifier move without the measurement, on the spec's
+    *permuting rows*: those with one target, amplitude exactly 1 or -1 and
+    a non-halting state, kept in the spec's cache and fetched on first use.
+    It is exact in place of `step` only on a settled state, the continuing
+    part that the last verifier round left with no prover round acting
+    since, and only before move ``once``: then nothing halts or is pruned
+    and the continuing mass is unchanged.  `run` keeps that rule.
     """
 
     __slots__ = ("spec", "tape", "width", "t_max", "once", "rejecting",
-                 "rows", "_halting", "_accepting")
+                 "rows", "_halting", "_accepting", "_permuting")
 
     def __init__(self, spec: QfaSpec, x: str, t_max: int | None = None):
         spec.check_input(x)
@@ -133,6 +148,7 @@ class Course:
         # classes, read by every measurement
         self.rows = spec._rows
         self._halting, self._accepting = spec._halting, spec._accepting_set
+        self._permuting = None  # the spec's permuting rows, fetched on first use
 
     def step(self, state: dict, r: int) -> tuple[float, float, dict, float]:
         """Verifier move r on ``state``, then `measure`: the accepting and
@@ -154,6 +170,33 @@ class Course:
                 v = out.get(lbl)
                 out[lbl] = amp * a if v is None else v + amp * a
         return self.measure(out, r)
+
+    def permute(self, state: dict) -> dict | None:
+        """The verifier move on ``state`` through permuting rows, unmeasured:
+        the moved dict, in ``state``'s order, each amplitude times its row's
+        sign, which is the dict `step` would measure, to the bit.  None when
+        some label's row is not a permuting row or two labels land on one
+        label."""
+        moves = self._permuting
+        if moves is None:
+            moves = self._permuting = self.spec._cached("permuting rows",
+                                                        self._permuting_rows)
+        tape, width = self.tape, self.width
+        out: dict = {}
+        try:
+            for (q, k, g, y), amp in state.items():
+                q2, g2, d, a = moves[q, tape[k], g]
+                out[q2, (k + d) % width, g2, y] = amp * a
+        except KeyError:
+            return None
+        return out if len(out) == len(state) else None
+
+    def _permuting_rows(self) -> dict:
+        """The spec's permuting rows, each key with its one target."""
+        halting = self._halting
+        return {key: targets[0] for key, targets in self.rows.items()
+                if len(targets) == 1 and targets[0][3] in (1, -1)
+                and targets[0][0] not in halting}
 
     def missing_row(self, key) -> Exception:
         """The error for a label whose delta row ``key`` = (q, tape symbol,
@@ -229,22 +272,31 @@ def run(system: QipSystem, prover: ProverStrategy, x: str,
     profile: list[tuple[int, float, float]] = []
     cont_trace: list[float] = []
     max_err = 0.0
-    step, idle, trace = course.step, prover.idle, cont_trace.append
+    step, permute, idle, trace = course.step, course.permute, prover.idle, cont_trace.append
+    # rounds before this one may skip the measurement
+    unmeasured = t_max + 1 if course.once is None else course.once
+    settled = False  # state is what the last verifier round left running
     for r in range(1, t_max + 1):
-        acc, rej, state, cont = step(state, r)
-        p_acc += acc
-        p_rej += rej
-        if acc > 0 or rej > 0:
-            profile.append((r, acc, rej))
+        moved = permute(state) if settled and r < unmeasured else None
+        if moved is None:
+            acc, rej, state, cont = step(state, r)
+            p_acc += acc
+            p_rej += rej
+            if acc > 0 or rej > 0:
+                profile.append((r, acc, rej))
+            err = abs(p_acc + p_rej + cont - 1.0)
+            if err > max_err:
+                max_err = err
+        else:  # nothing halts or is pruned, and the continuing mass is cont
+            state = moved
         trace(cont)
-        err = abs(p_acc + p_rej + cont - 1.0)
-        if err > max_err:
-            max_err = err
         if cont < PRUNE_TOL:
             cont = 0.0
             break
+        settled = True
         if r < t_max and not idle(x, r):
             state = _apply_prover(prover, x, r, state)
+            settled = False
 
     rounds = len(cont_trace)  # one entry per round run
     course.check_end(rounds, cont, max_err)

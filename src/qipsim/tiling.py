@@ -42,14 +42,17 @@ class TilingInstance:
 
     @classmethod
     def build(cls, lang, n: int, alphabet=("0", "1")):
+        # the strings are counted, not listed, before the size is refused
+        n = checked_count("string length", n, 0)
+        a = len(alphabet)
+        size = n + 1 if a == 1 else (a ** (n + 1) - 1) // (a - 1)
+        if size ** 2 > MATRIX_CAP:
+            raise SizeError(f"{size}^2 matrix entries exceed the cap")
         strings = all_strings(alphabet, n)
-        if len(strings) ** 2 > MATRIX_CAP:
-            raise SizeError(f"{len(strings)}^2 matrix entries exceed the cap")
         # Many (x, y) pairs spell one word, so the predicate runs once per word
         # of length <= 2n.  In all_strings order, x + y is word number
         # start[|x| + |y|] + rank(x)·a^|y| + rank(y), where a string's rank is
         # its place among the strings of its length.
-        a = len(alphabet)
         member = np.array([1 if lang(w) else 0 for w in all_strings(alphabet, 2 * n)])
         count = [a ** length for length in range(2 * n + 1)]
         start = np.cumsum([0] + count[:-1])

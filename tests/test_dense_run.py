@@ -307,17 +307,28 @@ def test_a_move_whose_change_the_next_measurement_takes_off_runs_one_round(name,
 
 def _rounds_in_layers(monkeypatch, system, prover, x, layers):
     """Run ``prover`` on ``x``, asserting that each round's support lies in
-    that round's layer; returns the run's result."""
+    that round's layer; returns the run's result.  A round is a `step`, or a
+    `permute` that moves the state (one that returns None is followed by a
+    `step` of the same round)."""
     spec = system.verifier
     width = len(x) + 2
     supports = []
+
+    def support(state):
+        return {spec.states.index(q) * width + k for (q, k, _g, _y) in state}
 
     class Recording(runtime.Course):
         __slots__ = ()
 
         def step(self, state, r):
-            supports.append({spec.states.index(q) * width + k for (q, k, _g, _y) in state})
+            supports.append(support(state))
             return super().step(state, r)
+
+        def permute(self, state):
+            moved = super().permute(state)
+            if moved is not None:
+                supports.append(support(state))
+            return moved
 
     with monkeypatch.context() as m:
         m.setattr(runtime, "Course", Recording)

@@ -11,11 +11,19 @@ The reference applies the prover in every round, so it also pins the engine's
 skip of idle prover rounds; the idle contract itself (an idle round leaves
 every pair it meets alone, with amplitude 1) is checked on every built-in.
 
+`run` moves a settled round whose every label sits on a signed-permutation
+row with `Course.permute` and skips its measurement.  `ref_step_run`, the
+same loop with every round through `Course.step`, is the reference for that:
+every field of the result must agree to the bit, on every built-in and every
+shipped spec file.
+
 Each prover decides itself whether it is committed; the walk over reachable
 tape strings that decided it before, `ref_check_committed`, is the reference.
 """
+import glob
 import itertools
 import math
+import os
 import random
 
 import numpy as np
@@ -29,8 +37,10 @@ from qipsim.provers import (ClassicalProverTable, DenseProver, EraseAllProver,
                             IdentityProver, ProverStrategy, ScriptedProver,
                             TableProver, complete_permutation, dense_basis,
                             from_description)
-from qipsim.qfa import BLANK, HeadModel, symbol_at
-from qipsim.runtime import Course, count_interactions, default_t_max, query_weight, run
+from qipsim.qfa import BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, symbol_at
+from qipsim.runtime import (Course, QipSystem, RunResult, _apply_prover, count_interactions,
+                            default_t_max, query_weight, run)
+from qipsim.specfile import parse_spec
 
 N_MAX = 3
 
@@ -112,6 +122,37 @@ def ref_run(system, prover, x):
         if r != t_max:
             state = ref_apply_prover(prover, x, r, state)
     return p_acc, p_rej, ref_norm_sq(state), profile, cont_trace
+
+
+def ref_step_run(system, prover, x, t_max=None):
+    """`run` with every verifier round through `Course.step`."""
+    course = Course(system.verifier, x, t_max)
+    t_max = course.t_max
+    state = {(system.verifier.initial, 0, BLANK, prover.initial_tape(x)): 1.0 + 0j}
+    p_acc = p_rej = 0.0
+    cont = 1.0
+    profile, cont_trace = [], []
+    max_err = 0.0
+    for r in range(1, t_max + 1):
+        acc, rej, state, cont = course.step(state, r)
+        p_acc += acc
+        p_rej += rej
+        if acc > 0 or rej > 0:
+            profile.append((r, acc, rej))
+        cont_trace.append(cont)
+        err = abs(p_acc + p_rej + cont - 1.0)
+        if err > max_err:
+            max_err = err
+        if cont < PRUNE_TOL:
+            cont = 0.0
+            break
+        if r < t_max and not prover.idle(x, r):
+            state = _apply_prover(prover, x, r, state)
+    rounds = len(cont_trace)
+    course.check_end(rounds, cont, max_err)
+    return RunResult(p_acc=p_acc, p_rej=p_rej, p_cont=cont, halting_profile=profile,
+                     rounds_executed=rounds, truncated=cont >= PRUNE_TOL,
+                     cont_trace=cont_trace, max_conservation_error=max_err)
 
 
 def ref_step_paths(step, state, counts):
@@ -224,6 +265,24 @@ class FaintBranchProver(ProverStrategy):
     def apply(self, x, i, gamma, y):
         return [(g, y, complex(math.sqrt(1 - 1e-26) if g == gamma else 1e-13))
                 for g in self.comm]
+
+
+class TapeRotationProver(ProverStrategy):
+    """Rotates a one-bit tape by an angle in rounds 1, 3 and 4 and keeps the
+    cell, so the continuing mass after each of them is summed afresh from new
+    amplitudes, while the verifier's rows stay the ones the cell picks."""
+
+    ROUNDS = (1, 3, 4)
+
+    def initial_tape(self, x):
+        return 0
+
+    def apply(self, x, i, gamma, y):
+        c, s = math.cos(0.3 * i), math.sin(0.3 * i)
+        return [(gamma, 0, complex(c if y == 0 else -s)), (gamma, 1, complex(s if y == 0 else c))]
+
+    def idle(self, x, i):
+        return i not in self.ROUNDS
 
 
 def random_dense_provers(spec, seed, count=2, rounds=4):
@@ -447,6 +506,127 @@ def test_continuation_mass_is_always_a_float():
         assert all(type(c) is float for c in res.cont_trace)
     # the last run's state emptied, the case that used to give the int 0
     assert res.cont_trace[-1] == 0.0
+
+
+# -- signed-permutation rounds ------------------------------------------------------
+
+SPECS = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
+SPEC_FILES = tuple(os.path.basename(p) for p in sorted(glob.glob(os.path.join(SPECS, "*.qfa"))))
+PERMUTE_N_MAX = 5
+
+
+def every_field(res):
+    """Every field of a run's result, floats as hex strings."""
+    return (res.p_acc.hex(), res.p_rej.hex(), float(res.p_cont).hex(),
+            [(r, a.hex(), b.hex()) for (r, a, b) in res.halting_profile],
+            [float(c).hex() for c in res.cont_trace], res.max_conservation_error.hex(),
+            res.rounds_executed, res.truncated)
+
+
+def assert_step_only(system, prover, x, t_max=None):
+    got = run(system, prover, x, t_max)
+    assert every_field(got) == every_field(ref_step_run(system, prover, x, t_max)), (
+        type(prover).__name__, x, t_max)
+    return got
+
+
+def named_system(name):
+    """A built-in, or a shipped spec file with the identity prover as its honest one."""
+    if not name.endswith(".qfa"):
+        return build_protocol(name)
+    with open(os.path.join(SPECS, name)) as f:
+        spec = parse_spec(f.read())
+    return QipSystem(name=name, verifier=spec, honest_prover=IdentityProver(),
+                     language=lambda x: False, claimed_bounds=(0.5, 0.5))
+
+
+def seeded_provers(spec, seed):
+    """Two seeded classical tables, acting in some of rounds 1-3 and 1-9, and
+    the seeded dense provers of `random_dense_provers`."""
+    rng = np.random.default_rng(seed)
+    tables = [TableProver(random_table(rng, spec.comm_alphabet, ("m0", "m1"), steps))
+              for steps in (3, 9)]
+    return tables + random_dense_provers(spec, seed)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN) + list(SPEC_FILES))
+def test_permuted_rounds_match_the_step_only_loop(name):
+    system = named_system(name)
+    spec = system.verifier
+    provers = [system.honest_prover, IdentityProver(), EraseAllProver(), TapeRotationProver(),
+               *seeded_provers(spec, sum(map(ord, name)))]
+    for x in inputs(spec.input_alphabet, PERMUTE_N_MAX):
+        for prover in provers:
+            assert_step_only(system, prover, x)
+
+
+def test_truncated_runs_match_the_step_only_loop():
+    truncated = set()
+    for name in ("upal:N=3", "center", "pal_sharp", "odd", "la_mo", "gap65.qfa"):
+        system = named_system(name)
+        spec = system.verifier
+        provers = [system.honest_prover, IdentityProver(), *seeded_provers(spec, 5)]
+        for x in inputs(spec.input_alphabet, 3):
+            for t_max in (0, 1, 2, 3, 7):
+                for prover in provers:
+                    if assert_step_only(system, prover, x, t_max).truncated:
+                        truncated.add(name)
+    assert len(truncated) == 6
+
+
+def _meeting_system():
+    """A hand-built one-way table, not unitary, whose permuting rows from p
+    and q both reach m.  The branches into p and q carry 1/√2 and i/√2, so
+    where they meet the mass is still 1."""
+    h = 1 / math.sqrt(2)
+    delta = {
+        ("s", LEFT_END, BLANK): (("p", BLANK, 1, h + 0j), ("q", BLANK, 1, 1j * h)),
+        ("p", "a", BLANK): (("m", BLANK, 1, 1 + 0j),),
+        ("q", "a", BLANK): (("m", BLANK, 1, -1 + 0j),),
+        ("m", "a", BLANK): (("m", BLANK, 1, -1 + 0j),),
+        ("m", RIGHT_END, BLANK): (("acc", BLANK, 1, 1 + 0j),),
+    }
+    spec = QfaSpec(name="meeting", non_halting=("s", "p", "q", "m"), accepting=("acc",),
+                   rejecting=("rej",), initial="s", input_alphabet=("a",),
+                   comm_alphabet=(BLANK,), prover_alphabet=(BLANK,),
+                   head_model=HeadModel.ONE_WAY, delta=delta)
+    return QipSystem(name="meeting", verifier=spec, honest_prover=IdentityProver(),
+                     language=lambda x: True, claimed_bounds=(1.0, 1.0))
+
+
+def test_permute_refuses_two_labels_that_meet():
+    system = _meeting_system()
+    h = 1 / math.sqrt(2)
+    y = IdentityProver().initial_tape("aa")
+    course = Course(system.verifier, "aa")
+    assert course.permute({("p", 1, BLANK, y): h + 0j, ("q", 1, BLANK, y): 1j * h}) is None
+    # one of them alone moves, and so does m; a halting target is no permuting row
+    assert course.permute({("q", 1, BLANK, y): 1j * h}) == {("m", 2, BLANK, y): -1j * h}
+    assert course.permute({("m", 2, BLANK, y): h + 0j}) == {("m", 3, BLANK, y): -h + 0j}
+    assert course.permute({("m", 3, BLANK, y): 1 + 0j}) is None
+    for x in ("a", "aa", "aaa", "aaaa"):
+        for prover in (IdentityProver(), EraseAllProver()):
+            res = assert_step_only(system, prover, x)
+            assert abs(res.p_acc - 1.0) < 1e-12, x
+
+
+def test_settled_rounds_skip_the_measurement(monkeypatch):
+    """On the honest and identity upal:N=4 runs of 0^8 1^8, all but a few
+    rounds are moved by `permute`, which measures nothing."""
+    system = build_protocol("upal:N=4")
+    measured = []
+    measure = Course.measure
+
+    def counted(self, out, r):
+        measured.append(r)
+        return measure(self, out, r)
+
+    monkeypatch.setattr(Course, "measure", counted)
+    for prover in (system.honest_prover, IdentityProver()):
+        measured.clear()
+        res = assert_step_only(system, prover, "0" * 8 + "1" * 8)
+        measured_by_run = len(measured) - res.rounds_executed  # the reference measures all
+        assert res.rounds_executed > 80 and measured_by_run < res.rounds_executed // 10
 
 
 # -- committed provers -------------------------------------------------------------

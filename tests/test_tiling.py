@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import qipsim
 import qipsim.languages as lang
+import qipsim.tiling as tiling
 from qipsim.automata import universal_dfa, zero_star_dfa
 from qipsim.languages import LANGUAGES, regular
 from qipsim.linalg import DomainError
@@ -123,6 +124,19 @@ def test_bound_domain_errors():
 def test_size_cap():
     with pytest.raises(SizeError):
         TilingInstance.build(lang.zero, 11)
+
+
+def test_size_cap_refuses_before_listing_the_strings(monkeypatch):
+    def listed(alphabet, n):
+        raise AssertionError(f"listed the strings up to length {n}")
+
+    monkeypatch.setattr(tiling, "all_strings", listed)
+    with pytest.raises(SizeError, match=r"^67108863\^2 matrix entries exceed the cap$"):
+        TilingInstance.build(lang.zero, 25)
+    with pytest.raises(SizeError, match=r"^2049\^2 matrix entries exceed the cap$"):
+        TilingInstance.build(lambda w: True, 2048, alphabet=("a",))
+    with pytest.raises(DomainError, match="^string length must be at least 0, got -1$"):
+        TilingInstance.build(lang.zero, -1)
 
 
 def test_all_strings_refuses_a_length_that_is_not_a_count():
