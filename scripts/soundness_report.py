@@ -1,71 +1,81 @@
 #!/usr/bin/env python3
-"""Empirical soundness table: best found cheating acceptance vs claimed bound.
+"""Completeness and soundness of the built-ins on every input up to --n-max.
 
-For each protocol, sweeps all non-members up to --n-max, runs the exhaustive
-classical search (and optionally the quantum hill climber) and reports the
-worst case next to the claimed soundness b.  The search gives lower bounds on
-the optimal cheat, so 'worst found <= 1 - b' is the empirical check that the
-analytic bound holds on the tested slice.  With --quantum, a protocol whose
-one-cell dense prover is too large for the quantum search (BudgetError) gets
-the classical value only, and its row says so in the `search` column.  The
-last column, `covers`, says whether every input's table budget `steps`
-reaches the horizon of its pair graph less one (`runtime.pair_layers`): then
-no run can outlast the table, and the classical value is the optimum over
-tables of every length, not a truncation.
+Each system's values come from `sweep`: `complete` is the least honest
+acceptance over members, next to the claimed completeness a.  Over the
+non-members, `free cheat` is the largest acceptance of the identity prover,
+and `worst cheat` the largest found by the exhaustive classical search (and,
+with --quantum, the quantum hill climber), next to the claimed soundness b.
+The searches give lower bounds on the optimal cheat, so 'worst cheat <= 1 - b'
+is the empirical check that the analytic bound holds on the tested slice.
+With --quantum, a system whose one-cell dense prover is too large for the
+quantum search (BudgetError) gets the classical value only, and its row says
+so in the `search` column.  The last column, `covers`, says whether every
+non-member's table budget reaches the horizon of its pair graph less one
+(`runtime.pair_layers`): then no run can outlast the table, and the classical
+value is the optimum over tables of every length, not a truncation.  A column
+with no input to report on prints `-`.  `qipsim sweep --protocol X --n-max N`
+prints the per-input values behind a row.
 """
 import argparse
 
-from qipsim.adversary import (AdversaryBudget, BudgetError, best_classical_prover,
-                              search_quantum_prover)
-from qipsim.protocols import build_protocol
-from qipsim.runtime import Course, pair_layers
-from qipsim.tiling import all_strings
+from qipsim.adversary import AdversaryBudget, BudgetError, search_quantum_prover
+from qipsim.protocols import BUILTIN, build_protocol
+from qipsim.provers import IdentityProver
+from qipsim.runtime import Course, pair_layers, run
+from qipsim.sweep import sweep
+
+# every built-in at its default parameters, and the smaller pal_sharp and upal
+SYSTEMS = sorted([*BUILTIN, "pal_sharp:d=1", "upal:N=2"])
+# both searches cap steps at the input's round limit
+BUDGET = AdversaryBudget(memory_states=2, steps=64, restarts=10, iterations=40, seed=0)
+# (heading, width, format); a value of None prints "-"
+COLUMNS = (("claimed a", 10, ".4f"), ("complete", 10, ".6f"), ("claimed b", 10, ".4f"),
+           ("free cheat", 12, ".6f"), ("worst cheat", 12, ".6f"), ("margin", 10, ".2e"),
+           ("inputs", 7, ""), ("search", 9, ""), ("covers", 6, ""))
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--protocols", nargs="*", default=[
-        "zero_public", "la_mo", "odd", "eraser_zero", "pal_sharp:d=1",
-        "pal_sharp:d=2", "center:N=2", "upal:N=2", "union_zero_end1"])
     parser.add_argument("--n-max", type=int, default=4)
-    parser.add_argument("--memory", type=int, default=2)
     parser.add_argument("--quantum", action="store_true")
-    parser.add_argument("--restarts", type=int, default=10)
-    parser.add_argument("--iterations", type=int, default=40)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    print(f"{'protocol':>18} {'claimed b':>10} {'worst cheat':>12} "
-          f"{'margin':>10} {'inputs':>7}" + (f" {'search':>9}" if args.quantum else "")
-          + f" {'covers':>6}")
-    for name in args.protocols:
+    columns = [col for col in COLUMNS if args.quantum or col[0] != "search"]
+    print(f"{'protocol':>18}" + "".join(f" {head:>{width}}" for head, width, _ in columns))
+    for name in SYSTEMS:
         system = build_protocol(name)
-        _a, b = system.claimed_bounds
+        a, b = system.claimed_bounds
+        rows = sweep(system, args.n_max, budget=BUDGET)
+        honest = [row.honest_p_acc for row in rows if row.member]
+        free, worst, covers = [], [], True
         quantum = args.quantum
-        worst, count, covers = 0.0, 0, True
-        for x in all_strings(system.verifier.input_alphabet, args.n_max):
-            if system.member(x):
+        for row in rows:
+            if row.member:
                 continue
-            count += 1
-            steps = min(Course(system.verifier, x).t_max, 64)
-            horizon = pair_layers(system, x).horizon
+            free.append(run(system, IdentityProver(), row.x).p_acc)
+            steps = min(Course(system.verifier, row.x).t_max, BUDGET.steps)
+            horizon = pair_layers(system, row.x).horizon
             covers &= horizon is not None and steps >= horizon - 1
-            budget = AdversaryBudget(memory_states=args.memory, steps=steps,
-                                     restarts=args.restarts,
-                                     iterations=args.iterations, seed=args.seed)
-            rep = best_classical_prover(system, x, budget)
-            found = rep.best_p_acc
+            found = row.adversary_p_acc
             if quantum:
                 try:
                     found = max(found, search_quantum_prover(
-                        system, x, c=1, budget=budget, classical_seed=rep).best_p_acc)
+                        system, row.x, budget=BUDGET).best_p_acc)
                 except BudgetError:  # the dense prover is over the search's cap
                     quantum = False
-            worst = max(worst, found)
-        search = f" {'quantum' if quantum else 'classical':>9}" if args.quantum else ""
-        print(f"{system.name:>18} {b:>10.4f} {worst:>12.6f} "
-              f"{(1 - b) - worst:>10.2e} {count:>7}" + search
-              + f" {'yes' if covers else 'no':>6}")
+            worst.append(found)
+        top = max(worst, default=None)
+        values = {
+            "claimed a": a, "complete": min(honest, default=None), "claimed b": b,
+            "free cheat": max(free, default=None), "worst cheat": top,
+            "margin": None if top is None else (1 - b) - top, "inputs": len(worst),
+            "search": ("quantum" if quantum else "classical") if worst else None,
+            "covers": ("yes" if covers else "no") if worst else None,
+        }
+        print(f"{system.name:>18}" + "".join(
+            f" {'-' if values[head] is None else format(values[head], fmt):>{width}}"
+            for head, width, fmt in columns))
 
 
 if __name__ == "__main__":

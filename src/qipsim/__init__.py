@@ -6,7 +6,7 @@ from .qfa import (BLANK, LEFT_END, RIGHT_END, HeadModel, QfaSpec, StructureMode,
                   validate_and_complete)
 from .provers import (ClassicalProverTable, DenseProver, EraseAllProver,
                       IdentityProver, ProverStrategy, ScriptedProver,
-                      TableProver, densify_schedule, sufficient_dense_cells)
+                      TableProver, densify_schedule)
 from .runtime import (QipSystem, RunResult, count_interactions,
                       expected_halting_time, query_weight, run,
                       visible_schedule)

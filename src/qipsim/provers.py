@@ -197,22 +197,6 @@ class TableProver(ProverStrategy):
 DENSE_ENTRY_TOL = 1e-14
 
 
-def sufficient_dense_cells(spec, n: int) -> int:
-    """Tape cells after which a space-bounded prover loses no power.
-
-    A prover acting on the verifier's visible configuration space achieves any
-    acceptance probability an unbounded one can, so |Delta|^c >= |Q|*|Gamma|*(n+2)
-    suffices.  This is the principled default for dense realizations; searches
-    usually use fewer cells and report lower bounds.
-    """
-    need = len(spec.states) * len(spec.comm_alphabet) * (n + 2)
-    base = len(spec.prover_alphabet)
-    c = 1
-    while base ** c < need:
-        c += 1
-    return c
-
-
 class EncodingError(ValueError):
     """The tape cells cannot spell every memory state of a classical table."""
 

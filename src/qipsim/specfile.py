@@ -25,10 +25,10 @@ comments starting with //.  Example:
 Transition rows are (q, sigma, gamma) -> (q', gamma', d, re, im).  The re/im
 fields accept decimal literals or 1/sqrt(K); the pair may be replaced by a
 single complex literal exp(2*pi*i*J/N), optionally scaled as
-1/sqrt(K)*exp(2*pi*i*J/N).  If a [directions] section is present (one
-"state d" row each), the d field is omitted from transition rows and filled
-from the target state.  Canonical serialization writes decimal re/im pairs
-and round-trips them bit-exactly.
+1/sqrt(K)*exp(2*pi*i*J/N) or -1/sqrt(K)*exp(2*pi*i*J/N).  If a [directions]
+section is present (one "state d" row each), the d field is omitted from
+transition rows and filled from the target state.  Canonical serialization
+writes decimal re/im pairs and round-trips them bit-exactly.
 """
 from __future__ import annotations
 
@@ -40,8 +40,7 @@ from .provers import ClassicalProverTable
 from .qfa import BLANK, HeadModel, QfaSpec
 
 _SQRT_RE = re.compile(r"^(-?)1/sqrt\((\d+)\)$")
-_EXP_RE = re.compile(r"^(?:(-?)1/sqrt\((\d+)\)\*)?exp\((-?\d+)\*2\*pi\*i/(\d+)\)$"
-                     r"|^(?:(-?)1/sqrt\((\d+)\)\*)?exp\(2\*pi\*i\*(-?\d+)/(\d+)\)$")
+_EXP_RE = re.compile(r"^(?:(-?)1/sqrt\((\d+)\)\*)?exp\(2\*pi\*i\*(-?\d+)/(\d+)\)$")
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
@@ -71,16 +70,13 @@ def parse_complex(tok: str) -> complex | None:
     m = _EXP_RE.match(tok)
     if not m:
         return None
-    if m.group(3) is not None:
-        sign, k, j, n = m.group(1), m.group(2), int(m.group(3)), int(m.group(4))
-    else:
-        sign, k, j, n = m.group(5), m.group(6), int(m.group(7)), int(m.group(8))
+    sign, k, j, n = m.groups()
     scale = 1.0
     if k:
         scale = 1.0 / math.sqrt(int(k))
     if sign:
         scale = -scale
-    return scale * cmath.exp(2j * math.pi * j / n)
+    return scale * cmath.exp(2j * math.pi * int(j) / int(n))
 
 
 def _sections(text: str) -> dict[str, list[list[str]]]:

@@ -163,15 +163,6 @@ def test_suite_relative_soundness_for_certainty_builtins():
             assert rep.best_p_acc <= 1 - b + 1e-3, (name, x, rep.best_p_acc)
 
 
-def test_sufficient_dense_cells_bound(zero_public):
-    from qipsim.provers import sufficient_dense_cells
-    c = sufficient_dense_cells(zero_public.verifier, 4)
-    base = len(zero_public.verifier.prover_alphabet)
-    need = (len(zero_public.verifier.states)
-            * len(zero_public.verifier.comm_alphabet) * 6)
-    assert base ** c >= need > base ** (c - 1)
-
-
 def test_deterministic_given_seed(pal1):
     budget = AdversaryBudget(memory_states=2, steps=12, restarts=2,
                              iterations=10, seed=21)

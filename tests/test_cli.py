@@ -1,3 +1,6 @@
+import ast
+import csv
+import io
 import json
 import os
 import subprocess
@@ -35,6 +38,18 @@ def test_run_upal_identity(capsys):
                            "--input", "001", "--prover", "identity")
     assert code == 0
     assert json.loads(out)["p_rej"] >= 0.75 - 1e-9
+
+
+def test_run_with_the_eraser_prover(capsys):
+    # the eraser is eraser_zero's honest prover, and without it "10" is rejected
+    records = {}
+    for prover in ("eraser", "honest", "identity"):
+        code, out, _ = run_cli(capsys, "run", "--protocol", "eraser_zero", "--input", "10",
+                               "--prover", prover)
+        assert code == 0
+        records[prover] = json.loads(out)
+    assert records["eraser"] == {**records["honest"], "prover": "eraser"}
+    assert records["eraser"]["p_acc"] == 1.0 and records["identity"]["p_rej"] == 1.0
 
 
 def test_run_zero_public_empty_input(capsys):
@@ -83,6 +98,12 @@ def test_negative_lengths_exit_1(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == f"{message}: string length must be at least 0, got -1\n"
+
+
+def test_sweep_over_the_cap_exits_1(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--protocol", "odd", "--n-max", "12")
+    assert (code, out) == (1, "")
+    assert err == "sweep too large: |Sigma|^13 exceeds the sweep cap 4096\n"
 
 
 def test_adversary_cli(capsys):
@@ -194,6 +215,16 @@ def test_csv_format(capsys):
     assert code == 0
     header, row = out.strip().splitlines()[:2]
     assert "p_acc" in header
+    # a search report's strategy is a dict, written into one cell
+    argv = ["adversary", "--protocol", "la_mo", "--input", "aa", "--classical",
+            "--memory", "2", "--steps", "4"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    _, report, _ = run_cli(capsys, *argv)
+    report = json.loads(report)
+    assert float(row["best_p_acc"]) == report["best_p_acc"] == 1.0
+    assert ast.literal_eval(row["best_strategy"]) == report["best_strategy"]
 
 
 @pytest.mark.parametrize("command", ["sweep", "adversary"])

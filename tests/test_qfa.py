@@ -143,8 +143,14 @@ def test_two_way_head_is_circular():
     assert u[idx("q0", 2), idx("q0", 0)] == pytest.approx(1.0)
 
 
-def test_check_structure_measure_once(la_mo):
+def test_check_structure_measure_once(la_mo, zero_public):
     assert check_structure(la_mo.verifier, StructureMode.MEASURE_ONCE).ok
+    assert check_structure(zero_public.verifier, StructureMode.MEASURE_ONCE).violations == [
+        ("", "head model is not measure-once 1-way")]
+    early = dataclasses.replace(la_partial_spec(), delta={
+        **la_partial_spec().delta, ("q1", "a", "a"): (("q_rej", "a", 1, 1.0),)})
+    assert check_structure(early, StructureMode.MEASURE_ONCE).violations == [
+        ("a", "transition ('q1', 'a', 'a') -> q_rej halts before the final step")]
 
 
 def test_check_structure_public(zero_public, pal1):
@@ -153,9 +159,11 @@ def test_check_structure_public(zero_public, pal1):
     assert not report.ok and report.violations
 
 
-def test_check_structure_one_way_halting(zero_public, odd):
+def test_check_structure_one_way_halting(zero_public, odd, pal1):
     assert check_structure(zero_public.verifier, StructureMode.ONE_WAY_HALTING).ok
     assert check_structure(odd.verifier, StructureMode.ONE_WAY_HALTING).ok
+    assert check_structure(pal1.verifier, StructureMode.ONE_WAY_HALTING).violations == [
+        ("", "head model is not one-way")]
 
 
 def test_one_way_halting_needs_every_non_halting_dollar_column():

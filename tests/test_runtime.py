@@ -15,11 +15,11 @@ import qipsim.languages as lang
 from qipsim.linalg import PRUNE_TOL, DomainError
 from qipsim.provers import (DenseProver, EraseAllProver, IdentityProver, ScriptedProver,
                             densify_schedule)
-from qipsim.qfa import (BLANK, AlphabetError, HeadModel, interaction_bound,
-                        validate_and_complete)
-from qipsim.runtime import (Course, RunError, _apply_prover, count_interactions,
+from qipsim.qfa import (BLANK, LEFT_END, RIGHT_END, AlphabetError, HeadModel, QfaSpec,
+                        interaction_bound, validate_and_complete)
+from qipsim.runtime import (Course, QipSystem, RunError, _apply_prover, count_interactions,
                             expected_halting_time, query_weight, run, visible_schedule)
-from tests.test_qfa import random_one_way_spec
+from tests.test_qfa import la_partial_spec, random_one_way_spec
 from tests.test_round_reference import FaintBranchProver
 
 
@@ -246,6 +246,19 @@ def test_dense_sparse_agreement_odd(odd, x):
         run(odd, odd.honest_prover, x).p_acc, abs=1e-9)
 
 
+@pytest.mark.parametrize("name, prover, x, message", [
+    # the identity prover leaves two of upal's branches on different cells
+    ("upal:N=2", IdentityProver(), "1", "round 7 shows 2 distinct cell views"),
+    ("odd", FaintBranchProver((BLANK, "a")), "",
+     r"round 1 writes a superposition \('#', 'a'\)"),
+], ids=["two-views", "superposition"])
+def test_visible_schedule_refuses_a_prover_without_one_classical_view(name, prover, x,
+                                                                       message):
+    system = dataclasses.replace(qipsim.build_protocol(name), honest_prover=prover)
+    with pytest.raises(RunError, match=f"^{message}$"):
+        visible_schedule(system, x)
+
+
 def test_conservation_each_round_two_way(center2):
     for x in ("010", "001", "0110"):
         res = run(center2, center2.honest_prover, x)
@@ -269,6 +282,32 @@ def test_one_way_runs_cut_short_are_truncated(request, name, x, t_max):
     cut = run(system, system.honest_prover, x, t_max=t_max)
     assert cut.truncated and cut.p_cont == pytest.approx(1.0)
     assert not run(system, system.honest_prover, x).truncated
+
+
+def test_a_run_refuses_a_table_that_was_never_completed():
+    # on "a" the identity prover leaves the 'a' the verifier wrote, and the
+    # partial table has no row for (q1, $, a)
+    partial = QipSystem(name="la_partial", verifier=la_partial_spec(),
+                        honest_prover=IdentityProver(), language=None,
+                        claimed_bounds=(1.0, 0.0))
+    with pytest.raises(RunError, match=r"^no transition for \('q1', '\$', 'a'\); "
+                                       r"run validate_and_complete first$"):
+        run(partial, IdentityProver(), "a")
+
+
+@pytest.mark.parametrize("x", ["", "a"])
+def test_a_one_way_run_refuses_mass_that_continues_past_the_right_end(x):
+    runaway = QfaSpec(
+        name="runaway", non_halting=("q0",), accepting=("q_acc",), rejecting=("q_rej",),
+        initial="q0", input_alphabet=("a",), comm_alphabet=(BLANK,),
+        prover_alphabet=(BLANK,), head_model=HeadModel.ONE_WAY,
+        delta={("q0", sym, BLANK): (("q0", BLANK, 1, 1.0),)
+               for sym in (LEFT_END, "a", RIGHT_END)})
+    system = QipSystem(name="runaway", verifier=runaway, honest_prover=IdentityProver(),
+                       language=None, claimed_bounds=(1.0, 0.0))
+    with pytest.raises(RunError, match=r"^one-way verifier keeps continuation mass 1 "
+                                       r"after n\+2 steps$"):
+        run(system, IdentityProver(), x)
 
 
 @pytest.mark.parametrize("t_max, message", [

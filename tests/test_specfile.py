@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,25 @@ def test_amplitude_literals():
         parse_real("half")
 
 
+@pytest.mark.parametrize("token, amp", [
+    ("exp(2*pi*i*1/4)", 1j),
+    ("1/sqrt(2)*exp(2*pi*i*2/4)", -1 / math.sqrt(2)),
+    ("-1/sqrt(2)*exp(2*pi*i*1/4)", -1j / math.sqrt(2)),
+    ("0.5", 0.5),
+])
+def test_single_token_amplitudes_in_a_transition_row(token, amp):
+    spec = parse_spec(LA_TEXT.replace("q0 a # -> q1 a +1 1 0", f"q0 a # -> q1 a +1 {token}"))
+    (target,) = spec.delta[("q0", "a", "#")]
+    assert target[:3] == ("q1", "a", 1)
+    assert target[3] == pytest.approx(amp, abs=1e-15)
+
+
+def test_the_exp_form_takes_the_phase_after_2_pi_i_only():
+    with pytest.raises(ParseError, match=re.escape("bad real literal 'exp(1*2*pi*i/4)'")):
+        parse_spec(LA_TEXT.replace("q0 a # -> q1 a +1 1 0",
+                                   "q0 a # -> q1 a +1 exp(1*2*pi*i/4)"))
+
+
 def test_directions_sugar():
     spec = parse_spec(DIRECTIONS_TEXT)
     targets = spec.delta[("s", "^", "#")]
@@ -118,6 +138,33 @@ def test_parse_errors():
         parse_spec(LA_TEXT.replace(" initial", ""))
     with pytest.raises(ParseError, match="->"):
         parse_spec(LA_TEXT.replace("->", "=>"))
+
+
+@pytest.mark.parametrize("text, message", [
+    (LA_TEXT.replace("measure_once_1way", "sideways"), "unknown head_model 'sideways'"),
+    (LA_TEXT.replace("q1 non", "q1"), "bad state row ['q1']"),
+    (LA_TEXT.replace("q1 non", "q1 maybe"), "unknown state class 'maybe' for 'q1'"),
+    (DIRECTIONS_TEXT.replace("l -1", "l"), "bad directions row ['l']"),
+    (LA_TEXT.replace("q0 a # -> q1 a +1 1 0", "q0 a -> q1 a +1 1 0"),
+     "transition lhs must be 'q sigma gamma': ['q0', 'a', '->', 'q1', 'a', '+1', '1', '0']"),
+    (LA_TEXT.replace("q0 a # -> q1 a +1 1 0", "q0 a # -> q1 a +1"),
+     "short transition rhs: ['q0', 'a', '#', '->', 'q1', 'a', '+1']"),
+    (DIRECTIONS_TEXT.replace("-> l # 1/sqrt(2) 0", "-> l"),
+     "short transition rhs: ['s', '^', '#', '->', 'l']"),
+    (DIRECTIONS_TEXT.replace("r +1\n", ""), "state 'r' missing from [directions]"),
+    (LA_TEXT.replace("q0 a # -> q1 a +1 1 0", "q0 a # -> q1 a +1 1 0 0"),
+     "bad amplitude tokens ['1', '0', '0'] in "
+     "['q0', 'a', '#', '->', 'q1', 'a', '+1', '1', '0', '0']"),
+], ids=["head-model", "short-state-row", "state-class", "directions-row", "lhs",
+        "short-rhs", "short-rhs-with-directions", "no-direction", "amplitude-tokens"])
+def test_each_malformed_spec_row_is_named(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_spec(text)
+
+
+def test_a_prover_file_needs_its_section():
+    with pytest.raises(ParseError, match=r"^missing \[prover_table\] section$"):
+        parse_prover_table("[meta]\nname x\n")
 
 
 def test_prover_table_round_trip():
